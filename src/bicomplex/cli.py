@@ -154,6 +154,11 @@ def parse_diamond_rows(rows: tuple[str, ...]) -> list[tuple[int, ...]]:
 
 def _compute_tables(a: DoubleComplex, keys: list[str], max_page: int | None):
     """Returns a list of (key, CohomologyTable | page dict, extra) tuples."""
+    unknown = [k for k in keys if k not in TABLE_KEYS]
+    if unknown:
+        raise InputError(f"unknown table {unknown[0]!r} (choose from {', '.join(TABLE_KEYS)})")
+    if max_page is not None and max_page < 1:
+        raise InputError(f"--max-page must be at least 1, got {max_page}")
     ss: SpectralSequenceResult | None = None
     need_ss = any(k in ("e1", "e2", "einf") for k in keys) or max_page is not None
     if need_ss:
@@ -168,12 +173,10 @@ def _compute_tables(a: DoubleComplex, keys: list[str], max_page: int | None):
             out.append((key, aeppli(a), None))
         elif key == "rows":
             out.append((key, conjugate_dolbeault(a), None))
-        elif key in ("e1", "e2", "einf"):
+        else:
             r = {"e1": 1, "e2": 2}.get(key, ss.last_computed_page)
             label = key
             out.append((label, CohomologyTable(key, ss.page(r)), ss.degeneration_page))
-        else:
-            raise InputError(f"unknown table {key!r} (choose from {', '.join(TABLE_KEYS)})")
     if max_page is not None:
         for r in range(1, min(max_page, ss.last_computed_page) + 1):
             key = f"e{r}"

@@ -12,27 +12,36 @@ plus the spectral sequence of the column filtration on the total complex
 (page 1 is the column cohomology, the limit is the associated graded of de
 Rham cohomology) and its row analogue.
 
-Tables store only nonzero dimensions.  The column and row page-1 entries are
-recomputed by an independent route (rank arithmetic on columns and rows), so
-the spectral-sequence machinery and the direct formulas check each other in
-the test suite.
+Spectral pages are rank arithmetic too.  With F^a the column filtration and
+rho_n(a, b) the rank of d: F^a T^n -> T^{n+1} / F^b T^{n+1}, the page
+E_r = Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}) at (p, q), n = p + q, has
+
+    dim E_r^{p,q} = dim A^{p,q} - rho_n(p, p+r) + rho_n(p+1, p+r)
+                    + rho_{n-1}(p-r+1, p) - rho_{n-1}(p-r+1, p+1),
+
+since dim Z_r^p = dim F^p T^n - rho_n(p, p+r), the two summands of the
+denominator meet in d Z_r^{p-r+1}, and dim d Z_s^a = rho(a, oo) - rho(a, a+s).
+
+Tables store only nonzero dimensions.  Page 1 comes from filtered blocks of
+the total differential, while the column and row tables use the blocks of d2
+and d1 alone, so the two routes check each other in the test suite.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
 from .complexes import BiDegree, DoubleComplex, Morphism, transpose_complex
-from .scalars import ONE as _O, ZERO as _Z
 from .linalg import (
     Basis,
     Matrix,
-    canonical_span,
     image_basis,
     induced_subquotient_map,
     kernel_basis,
     rank,
+    rref,
     subquotient_dim,
     subspace_intersection,
     subspace_sum,
@@ -99,9 +108,6 @@ class SpectralSequenceResult:
     @property
     def last_computed_page(self) -> int:
         return self.pages[-1][0]
-
-    def page_table(self, r: int) -> CohomologyTable:
-        return CohomologyTable(f"e{r}", self.page(r))
 
 
 # -- direct rank formulas -------------------------------------------------------
@@ -170,23 +176,6 @@ class Totalization:
         m = Matrix(self.dim(k + 1), self.dim(k), entries)
         self._d[k] = m
         return m
-
-    def filtration_columns(self, k: int, p: int) -> list[int]:
-        """Coordinate indices of F^p inside T^k."""
-        out = []
-        for pq, off in self.offsets.get(k, {}).items():
-            if pq[0] >= p:
-                out.extend(range(off, off + self.complex.dim(*pq)))
-        return sorted(out)
-
-    def filtration_basis(self, k: int, p: int) -> Basis:
-        n = self.dim(k)
-        vectors = []
-        for j in self.filtration_columns(k, p):
-            v = [_Z] * n
-            v[j] = _O
-            vectors.append(tuple(v))
-        return Basis(n, tuple(vectors))
 
     def embed_block(self, f: Morphism, k: int, other: "Totalization") -> Matrix:
         """The degree-k block of the totalized morphism."""
@@ -263,85 +252,37 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
 # -- the spectral sequence -------------------------------------------------------
 
 
-class _ColumnSpectralSequence:
-    """Pages of the column-filtration spectral sequence via subquotients.
-
-    With F the column filtration on the total complex and n = p + q,
-
-        Z_r^{p,q} = F^p T^n  intersect  d^{-1}(F^{p+r} T^{n+1})
-        E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
-
-    with Z_0^{p,q} = F^p T^n.  All spaces are realized as coordinate-vector
-    bases inside T^n, so everything reduces to kernels and ranks.  Bounded
-    support means no differential d_r can be nonzero once r exceeds
-    min(width, height + 1), which caps the page list.
-    """
-
-    def __init__(self, a: DoubleComplex):
-        self.a = a
-        self.tot = Totalization(a)
-        self._z: dict[tuple[int, int, int], Basis] = {}
-
-    def z_basis(self, r: int, p: int, q: int) -> Basis:
-        key = (r, p, q)
-        if key in self._z:
-            return self._z[key]
-        k = p + q
-        n = self.tot.dim(k)
-        cols = self.tot.filtration_columns(k, p)
-        if r == 0 or not cols:
-            basis = self.tot.filtration_basis(k, p)
-        else:
-            d = self.tot.differential(k)
-            outside = [
-                j
-                for pq, off in self.tot.offsets.get(k + 1, {}).items()
-                if pq[0] < p + r
-                for j in range(off, off + self.a.dim(*pq))
-            ]
-            restricted = Matrix(
-                len(outside),
-                len(cols),
-                {
-                    (oi, ci): d.entries[(i, j)]
-                    for oi, i in enumerate(sorted(outside))
-                    for ci, j in enumerate(cols)
-                    if (i, j) in d.entries
-                },
-            )
-            coords = kernel_basis(restricted)
-            vectors = []
-            for w in coords.vectors:
-                v = [_Z] * n
-                for ci, j in enumerate(cols):
-                    if w[ci]:
-                        v[j] = w[ci]
-                vectors.append(tuple(v))
-            basis = Basis(n, tuple(vectors))
-        self._z[key] = basis
-        return basis
-
-    def page_dimension(self, r: int, p: int, q: int) -> int:
-        z = self.z_basis(r, p, q)
-        if z.dim == 0:
-            return 0
-        stay = self.z_basis(r - 1, p + 1, q - 1)
-        arriving = self.z_basis(r - 1, p - r + 1, q + r - 2)
-        d_prev = self.tot.differential(p + q - 1)
-        boundary_vectors = list(stay.vectors) + [
-            d_prev.apply(v) for v in arriving.vectors
-        ]
-        b = canonical_span(boundary_vectors, z.ambient_dim)
-        # b is contained in z by d^2 = 0 and the filtration being d-stable.
-        return z.dim - b.dim
-
-
 def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceResult:
     """All pages from E_1 until no further differential can act.
 
     direction="column" starts from column (Dolbeault-style) cohomology,
     direction="row" from row cohomology; the row case is computed on the
     transposed complex and transposed back.
+
+    Pages come from ranks alone.  With F^a the components of the total
+    complex with first index >= a, let rho_n(a, b) be the rank of
+    d: T^n -> T^{n+1} restricted to F^a T^n and read modulo F^b T^{n+1}
+    (zero when b <= a).  The page
+
+        E_r^{p,q} = Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}),
+        Z_r^p = F^p T^n & d^{-1}(F^{p+r} T^{n+1}),   n = p + q,
+
+    has dimension
+
+        dim A^{p,q} - rho_n(p, p+r) + rho_n(p+1, p+r)
+                    + rho_{n-1}(p-r+1, p) - rho_{n-1}(p-r+1, p+1)
+
+    because dim Z_r^p = dim F^p T^n - rho_n(p, p+r), because
+    Z_{r-1}^{p+1} & d Z_{r-1}^{p-r+1} = d Z_r^{p-r+1}, and because
+    dim d Z_s^a = rho(a, oo) - rho(a, a+s).
+
+    Components are ordered by increasing p, so "modulo F^b" keeps a prefix
+    of the rows of d.  The pivots of one rref of the transposed column block
+    F^a are the lexicographically first basis of its rows, and rho(a, b) is
+    the number of pivots before the prefix cut: one elimination per degree
+    and column cut serves every b and every page.  Bounded support means no
+    differential d_r can be nonzero once r exceeds min(width, height + 1),
+    which caps the page list.
     """
     if direction not in ("column", "row"):
         raise ValueError("direction must be 'column' or 'row'")
@@ -358,12 +299,31 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
         return SpectralSequenceResult("column", ((1, {}),), 1, {})
     p_min, p_max, q_min, q_max = a.window
     last = max(1, min(p_max - p_min, q_max - q_min + 1) + 1)
-    ss = _ColumnSpectralSequence(a)
+    tot = Totalization(a)
+    pivots: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def cut(n: int, p: int) -> int:
+        """Number of coordinates of T^n outside F^p."""
+        return sum(a.dim(*pq) for pq in tot.components.get(n, ()) if pq[0] < p)
+
+    def rho(n: int, lo: int, hi: int) -> int:
+        start, stop = cut(n, lo), cut(n + 1, hi)
+        if hi <= lo or not stop:
+            return 0
+        if (n, start) not in pivots:
+            d = tot.differential(n)
+            block = Matrix(d.cols - start, d.rows,
+                           {(j - start, i): v for (i, j), v in d.entries.items() if j >= start})
+            pivots[(n, start)] = rref(block)[1] if block.entries else ()
+        return bisect_left(pivots[(n, start)], stop)
+
     pages = []
     for r in range(1, last + 1):
         table = {}
         for p, q in a.bidegrees():
-            d = ss.page_dimension(r, p, q)
+            n = p + q
+            d = (a.dim(p, q) - rho(n, p, p + r) + rho(n, p + 1, p + r)
+                 + rho(n - 1, p - r + 1, p) - rho(n - 1, p - r + 1, p + 1))
             if d:
                 table[(p, q)] = d
         pages.append((r, table))

@@ -86,6 +86,26 @@ def test_unknown_table_exit_code(capsys):
     assert "unknown table" in err
 
 
+def _no_tables(*args):
+    raise AssertionError("a table was computed before the arguments were checked")
+
+
+def test_unknown_table_rejected_before_computing(capsys, monkeypatch):
+    for name in ("frolicher", "de_rham", "bott_chern", "aeppli", "conjugate_dolbeault"):
+        monkeypatch.setattr(f"bicomplex.cli.{name}", _no_tables)
+    out, err = run_ok(capsys, ["model", "iwasawa", "--tables", "e1,bogus"], code=1)
+    assert out == ""
+    assert err.startswith("error: unknown table 'bogus'")
+
+
+def test_max_page_below_one_rejected(capsys, monkeypatch):
+    monkeypatch.setattr("bicomplex.cli.frolicher", _no_tables)
+    for page in ("0", "-2"):
+        out, err = run_ok(capsys, ["model", "iwasawa", "--max-page", page], code=1)
+        assert out == ""
+        assert err == f"error: --max-page must be at least 1, got {page}\n"
+
+
 def test_invariant_violation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.dcx"
     bad.write_text(
