@@ -39,11 +39,12 @@ from .complexes import (
     DoubleComplex,
     MorphismError,
     ShapeError,
+    WindowTooSmall,
     is_E1_isomorphism,
     random_complex,
     validate,
 )
-from .geometry import blow_up, projective_bundle
+from .geometry import CodimensionTooSmall, InvalidRank, blow_up, projective_bundle
 from .linalg import AmbientMismatch, NotASubspace, NotWellDefined
 from .models import ModelError
 from .serialize import SerializeError, loads_complex, parse_morphism_file
@@ -329,10 +330,12 @@ def run(argv: list[str]) -> int:
             raise InputError("no tables requested")
         _emit_tables(a, keys, args)
         return 0
-    except (InputError, ModelError, SerializeError, OSError, ValueError) as e:
-        if isinstance(e, (ShapeError, MorphismError, AmbientMismatch, NotASubspace, NotWellDefined)):
-            print(f"invariant violation: {e}", file=sys.stderr)
-            return 2
+    # Any other exception is a bug in the package, not bad input: it propagates.
+    except (ShapeError, MorphismError, AmbientMismatch, NotASubspace, NotWellDefined) as e:
+        print(f"invariant violation: {e}", file=sys.stderr)
+        return 2
+    except (InputError, ModelError, SerializeError, OSError, UnicodeDecodeError,
+            WindowTooSmall, InvalidRank, CodimensionTooSmall) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -46,8 +46,8 @@ from .linalg import (
     image_basis,
     induced_subquotient_map,
     kron,
+    pivot_columns,
     rank,
-    rref,
     solve_columns,
 )
 from .scalars import ONE, gauss
@@ -274,17 +274,6 @@ class Morphism:
 
     def is_injective(self) -> bool:
         return all(rank(self.block_at(*pq)) == n for pq, n in self.source.dims.items())
-
-    def respects_sigma(self) -> bool:
-        """Does f commute with the real structures (both must be present)?"""
-        if self.source.sigma is None or self.target.sigma is None:
-            return False
-        for p, q in sorted(set(self.source.dims) | set(self.target.dims)):
-            lhs = self.target.sigma_at(p, q) @ self.block_at(p, q).conjugate()
-            rhs = self.block_at(q, p) @ self.source.sigma_at(p, q)
-            if lhs != rhs:
-                return False
-        return True
 
 
 # -- elementary building blocks ----------------------------------------------
@@ -559,14 +548,15 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
             n_src + n_tgt,
             dict(block.entries) | {(i, n_src + i): ONE for i in range(n_tgt)},
         )
-        _, pivots = rref(combined)
+        pivots = pivot_columns(combined)
         image_pivots = [p for p in pivots if p < n_src]
         if len(image_pivots) != n_src:
             raise NotInjective(*pq)
         chosen = [p - n_src for p in pivots if p >= n_src]
         dims[pq] = len(chosen)
         lift = Matrix(n_tgt, len(chosen), {(e, k): ONE for k, e in enumerate(chosen)})
-        frame = hstack_frame(block, chosen, n_tgt)
+        frame = Matrix(n_tgt, n_src + len(chosen),
+                       dict(block.entries) | {(e, n_src + k): ONE for k, e in enumerate(chosen)})
         inverse = solve_columns(frame, Matrix.identity(n_tgt))
         assert inverse is not None
         proj = Matrix(
@@ -603,13 +593,6 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     result = DoubleComplex(dims, q_d1, q_d2, q_sigma, labels)
     projection = Morphism(tgt, result, {pq: m for pq, m in projs.items() if dims.get(pq, 0)})
     return result, projection
-
-
-def hstack_frame(block: Matrix, chosen: Sequence[int], n_tgt: int) -> Matrix:
-    entries = dict(block.entries)
-    for k, e in enumerate(chosen):
-        entries[(e, block.cols + k)] = ONE
-    return Matrix(n_tgt, block.cols + len(chosen), entries)
 
 
 def _image_sigma_stable(f: Morphism) -> bool:

@@ -8,11 +8,34 @@ give bit-identical outputs.
 Vectors are tuples of GaussianRational.  A Matrix stores only its nonzero
 entries, keyed by (row, col).  A Basis is a list of linearly independent
 coordinate vectors in a fixed ambient dimension.
+
+Every elimination runs through one fraction-free kernel, `_echelon`:
+
+  * each row is scaled by the lcm of its denominators into Z[i] and held as
+    a dict col -> (re, im) of Python ints;
+  * a step with pivot row r and pivot entry pv replaces each row t holding c
+    in the pivot column by (pv t - c r) / prev, the one-step rule of
+    Bareiss (Math. Comp. 1968).  The division is exact over Z[i], because
+    the rows it yields are minors of the scaled matrix;
+  * divisors are lazy: a row records the divisor it is current with, and a
+    step that does not touch it does not rescale it.  A later step that
+    touches it divides by that divisor in place of prev, and a row picked
+    as pivot row is first rescaled by prev / (its divisor);
+  * pivot columns (`pivot_columns`, hence `rank`, `image_basis`,
+    `coset_representatives`) need the forward pass alone.  `rref` also
+    clears each pivot column from the earlier pivot rows, then divides each
+    pivot row once by its pivot entry, which gives the canonical RREF.
+
+The pivot row is the sparsest candidate, ties to the lowest index.  The
+rows are scalar multiples of those of Gauss-Jordan elimination on Q(i), so
+the choice, and the fill-in, are the same as there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, _coerce
@@ -205,17 +228,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(off, cols, entries)
 
 
-def block_diag(mats: Sequence[Matrix]) -> Matrix:
-    entries = {}
-    roff = coff = 0
-    for m in mats:
-        for (i, j), v in m.entries.items():
-            entries[(i + roff, j + coff)] = v
-        roff += m.rows
-        coff += m.cols
-    return Matrix(roff, coff, entries)
-
-
 def assemble(row_dims: Sequence[int], col_dims: Sequence[int],
              blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
     """Assemble a block matrix from a sparse dict of (row block, col block) -> Matrix."""
@@ -245,52 +257,114 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # -- row reduction ----------------------------------------------------------
 
 
+def _gaussian_rows(m: Matrix) -> list[dict[int, tuple[int, int]]]:
+    """The rows of m, each scaled by the lcm of its denominators into Z[i]."""
+    rows: list[dict[int, GaussianRational]] = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    out = []
+    for row in rows:
+        den = 1
+        for v in row.values():
+            den = lcm(den, v.re.denominator, v.im.denominator)
+        out.append({
+            j: (v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator))
+            for j, v in row.items()
+        })
+    return out
+
+
+def _times(row: dict[int, tuple[int, int]], s: tuple[int, int]) -> dict[int, tuple[int, int]]:
+    """row * s over Z[i]."""
+    sr, si = s
+    return {j: (a * sr - b * si, a * si + b * sr) for j, (a, b) in row.items()}
+
+
+def _exact_div(row: dict[int, tuple[int, int]], d: tuple[int, int]) -> dict[int, tuple[int, int]]:
+    """row / d over Z[i]; the caller guarantees that the division is exact."""
+    if d == (1, 0):
+        return row
+    dr, di = d
+    n = dr * dr + di * di
+    return {j: ((a * dr + b * di) // n, (b * dr - a * di) // n) for j, (a, b) in row.items()}
+
+
+def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[int, int]]]]:
+    """Pivot columns of m and its pivot rows, each a nonzero multiple of its
+    RREF row, by lazy Bareiss elimination over Z[i] (see the module notes).
+
+    Columns are taken in order.  reduce=False eliminates below the pivots
+    only; reduce=True also clears the pivot column from the earlier pivot
+    rows (Gauss-Jordan).
+    """
+    rows = _gaussian_rows(m)
+    div = [(1, 0)] * m.rows
+    prev = (1, 0)
+    # Leading column of every row not yet a pivot row; the least of them is
+    # the next pivot column.
+    lead = {i: min(row) for i, row in enumerate(rows) if row}
+    pivots: list[int] = []
+    pivot_rows: list[int] = []
+    while lead:
+        col = min(lead.values())
+        best = min((i for i, c in lead.items() if c == col), key=lambda i: len(rows[i]))
+        del lead[best]
+        piv = rows[best]
+        if div[best] != prev:
+            piv = rows[best] = _exact_div(_times(piv, prev), div[best])
+        pv = piv[col]
+        targets = [i for i, c in lead.items() if c == col]
+        if reduce:
+            targets += [i for i in pivot_rows if col in rows[i]]
+        for t in targets:
+            cr, ci = rows[t][col]
+            new = _times(rows[t], pv)
+            for j, (a, b) in piv.items():
+                x, y = new.get(j, (0, 0))
+                x -= a * cr - b * ci
+                y -= a * ci + b * cr
+                if x or y:
+                    new[j] = (x, y)
+                else:
+                    del new[j]
+            rows[t] = new = _exact_div(new, div[t])
+            div[t] = pv
+            if t in lead:
+                if new:
+                    lead[t] = min(new)
+                else:
+                    del lead[t]
+        div[best] = prev = pv
+        pivots.append(col)
+        pivot_rows.append(best)
+    return pivots, [rows[i] for i in pivot_rows]
+
+
+def pivot_columns(m: Matrix) -> tuple[int, ...]:
+    """Pivot columns of the RREF of m, from the forward pass alone."""
+    return tuple(_echelon(m, reduce=False)[0])
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
-    Exact Gauss-Jordan elimination with pivot rows normalized to 1.  Among
-    candidate pivot rows the sparsest is chosen (ties by lowest index), which
-    keeps fill-in reasonable on the very sparse matrices we feed it.  The
-    result is the canonical RREF, hence independent of those choices.
+    The canonical RREF, pivot rows normalized to 1: each pivot row from the
+    fraction-free kernel is divided once by its pivot entry.
     """
-    rows: list[dict[int, GaussianRational]] = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    pivots: list[int] = []
-    pivot_rows: list[dict[int, GaussianRational]] = []
-    free = list(range(m.rows))
-    for col in range(m.cols):
-        best = None
-        for idx in free:
-            if col in rows[idx]:
-                if best is None or len(rows[idx]) < len(rows[best]):
-                    best = idx
-        if best is None:
-            continue
-        free.remove(best)
-        piv = rows[best]
-        inv = piv[col].inverse()
-        piv = {j: v * inv for j, v in piv.items()}
-        for target in [rows[i] for i in free] + pivot_rows:
-            c = target.get(col)
-            if c is None:
-                continue
-            for j, v in piv.items():
-                s = target.get(j, ZERO) - c * v
-                if s:
-                    target[j] = s
-                else:
-                    target.pop(j, None)
-        pivots.append(col)
-        pivot_rows.append(piv)
-    entries = {
-        (i, j): v for i, row in enumerate(pivot_rows) for j, v in row.items()
-    }
+    pivots, pivot_rows = _echelon(m, reduce=True)
+    entries = {}
+    for i, (col, row) in enumerate(zip(pivots, pivot_rows)):
+        pr, pi = row[col]
+        n = pr * pr + pi * pi
+        for j, (a, b) in row.items():
+            entries[(i, j)] = GaussianRational(Fraction(a * pr + b * pi, n),
+                                               Fraction(b * pr - a * pi, n))
     return Matrix(m.rows, m.cols, entries), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(pivot_columns(m))
 
 
 # -- bases ------------------------------------------------------------------
@@ -369,8 +443,7 @@ def kernel_basis(m: Matrix) -> Basis:
 
 def image_basis(m: Matrix) -> Basis:
     """Basis of the column space: the pivot columns of m."""
-    _, pivots = rref(m)
-    return Basis(m.rows, tuple(m.column(j) for j in pivots))
+    return Basis(m.rows, tuple(m.column(j) for j in pivot_columns(m)))
 
 
 def solve_columns(a: Matrix, rhs: Matrix) -> Matrix | None:
@@ -447,7 +520,7 @@ def coset_representatives(z: Basis, b: Basis) -> tuple[Vector, ...]:
     cols = list(b.vectors) + list(z.vectors)
     if not cols:
         return ()
-    _, pivots = rref(Matrix.from_columns(cols, z.ambient_dim))
+    pivots = pivot_columns(Matrix.from_columns(cols, z.ambient_dim))
     if len([p for p in pivots if p < b.dim]) != b.dim:
         raise NotASubspace("denominator vectors are dependent")
     return tuple(z.vectors[p - b.dim] for p in pivots if p >= b.dim)

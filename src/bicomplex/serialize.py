@@ -162,5 +162,8 @@ def parse_morphism_file(text: str, resolve: Callable[[str], DoubleComplex]) -> M
         raise SerializeError(0, "morphism file needs source and target lines")
     matrices = {}
     for pq, entries in blocks.items():
-        matrices[pq] = Matrix(target.dim(*pq), source.dim(*pq), entries)
+        try:
+            matrices[pq] = Matrix(target.dim(*pq), source.dim(*pq), entries)
+        except ValueError as e:
+            raise SerializeError(0, f"block at {pq}: {e}")
     return Morphism(source, target, matrices)

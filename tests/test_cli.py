@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bicomplex import CohomologyTable, dolbeault, dumps_complex, random_complex
 from bicomplex.cli import parse_diamond_rows, render_diamond, resolve_reference, run
 from bicomplex.models import IWASAWA_SPEC, format_model_spec
@@ -115,6 +117,36 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     assert run(["model", str(bad), "--tables", "e1"]) == 2
     _, err = capsys.readouterr()
     assert "violation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--seed", "1", "--window", "3,0,0,3", "--size", "2"],
+    ["projbundle", "--base", "torus1", "--rank", "0"],
+    ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "1"],
+], ids=["window", "rank", "codim"])
+def test_user_errors_exit_one(capsys, argv):
+    assert run(argv) == 1
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ")
+
+
+def test_morphism_entry_outside_block_exits_one(tmp_path, capsys):
+    f = tmp_path / "outside.morphism"
+    f.write_text("source point\ntarget point\nblock 0 0 1 0 1\n")
+    assert run(["check-e1iso", "--morphism", str(f)]) == 1
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ") and "outside" in err
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(a):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("bicomplex.cli.bott_chern", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["model", "iwasawa", "--tables", "bc"])
+    _, err = capsys.readouterr()
+    assert "error:" not in err
 
 
 def test_validate_only_ok(capsys, tmp_path):

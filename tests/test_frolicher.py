@@ -77,8 +77,8 @@ def test_rank_pages_match_subquotients_on_models_and_zigzags():
 
 
 def rref_calls(fn, *args) -> int:
-    """Calls into rref's code object during fn(*args), whatever name reached it."""
-    code = linalg.rref.__code__
+    """Calls into the elimination kernel during fn(*args), whatever name reached it."""
+    code = linalg._echelon.__code__
     calls = [0]
 
     def hook(frame, event, arg):

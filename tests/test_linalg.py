@@ -16,6 +16,7 @@ from bicomplex.linalg import (
     induced_subquotient_map,
     is_subspace,
     kernel_basis,
+    pivot_columns,
     rank,
     rref,
     solve_columns,
@@ -28,6 +29,7 @@ from bicomplex.linalg import (
 from bicomplex.scalars import ZERO, gauss
 
 from oracles import bareiss_rank, member_of_span
+from reference_rref import reference_rref
 
 
 def random_matrix(rng, rows, cols, density=0.6):
@@ -62,6 +64,56 @@ def test_rref_rank_matches_fraction_free_oracle():
         m = random_matrix(rng, 5, 7)
         dense = [m.row(i) for i in range(m.rows)]
         assert rank(m) == bareiss_rank(dense)
+
+
+# Non-unit norms (2+i has norm 5, 3+2i norm 13) and denominators (1/3,
+# -5/7+2/3*i): an inexact division over Z[i] would show.
+REAL_POOL = [gauss(1), gauss(-1), gauss(2), gauss(-3), gauss(Fraction(1, 3)),
+             gauss(Fraction(-5, 7)), gauss(Fraction(4, 9))]
+GAUSSIAN_POOL = REAL_POOL + [gauss(2, 1), gauss(1, -2), gauss(0, 1), gauss(3, 2),
+                             gauss(Fraction(-5, 7), Fraction(2, 3)),
+                             gauss(Fraction(3, 2), Fraction(-1, 4))]
+
+
+def kernel_cases():
+    """(label, matrix) pairs: sparse and dense, real and Gaussian, full and
+    deficient rank, zero rows and columns, empty, tall and wide."""
+    rng = random.Random(2024)
+
+    def draw(rows, cols, density, pool):
+        return Matrix(rows, cols, {
+            (i, j): rng.choice(pool)
+            for i in range(rows) for j in range(cols) if rng.random() < density
+        })
+
+    for rows, cols in [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]:
+        yield f"empty {rows}x{cols}", draw(rows, cols, 0.5, GAUSSIAN_POOL)
+    for k in range(360):
+        pool = GAUSSIAN_POOL if (k // 4) % 2 else REAL_POOL
+        rows, cols = rng.choice([(3, 3), (5, 5), (7, 3), (9, 4), (3, 7), (4, 9), (8, 8)])
+        density = (0.15, 0.4, 0.9)[k % 3]
+        m = draw(rows, cols, density, pool)
+        if k % 4 == 1:  # rank at most 2: a product through a thin middle
+            m = draw(rows, 2, 0.8, pool) @ draw(2, cols, 0.8, pool)
+        elif k % 4 == 2:  # one zero row, one zero column, one repeated row
+            zr, zc = rng.randrange(rows), rng.randrange(cols)
+            entries = {(i, j): v for (i, j), v in m.entries.items() if i != zr and j != zc}
+            entries.update({(rows - 1, j): v for (i, j), v in entries.items() if i == 0})
+            m = Matrix(rows, cols, entries)
+        yield f"case {k}: {rows}x{cols}, density {density}", m
+
+
+def test_kernel_matches_reference_gauss_jordan():
+    cases = list(kernel_cases())
+    assert len(cases) >= 300
+    deficient = 0
+    for label, m in cases:
+        want = reference_rref(m)
+        assert rref(m) == want, label
+        assert pivot_columns(m) == want[1], label
+        assert rank(m) == bareiss_rank([m.row(i) for i in range(m.rows)]), label
+        deficient += len(want[1]) < min(m.rows, m.cols)
+    assert deficient >= 100
 
 
 def test_rref_idempotent():
