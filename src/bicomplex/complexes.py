@@ -558,7 +558,8 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
         frame = Matrix(n_tgt, n_src + len(chosen),
                        dict(block.entries) | {(e, n_src + k): ONE for k, e in enumerate(chosen)})
         inverse = solve_columns(frame, Matrix.identity(n_tgt))
-        assert inverse is not None
+        if inverse is None:
+            raise RuntimeError(f"quotient: the frame at bidegree {pq} is not invertible")
         proj = Matrix(
             len(chosen),
             n_tgt,
@@ -688,47 +689,27 @@ def random_complex(seed: int, window: tuple[int, int, int, int], size: int,
     if p_min > p_max or q_min > q_max:
         raise WindowTooSmall("window contains no bidegree")
 
-    shapes: list[DoubleComplex] = []
-    for _ in range(size):
-        shapes.append(_random_shape(rng, p_min, p_max, q_min, q_max))
+    shapes = [_random_shape(rng, p_min, p_max, q_min, q_max) for _ in range(size)]
     if with_sigma:
-        paired = []
-        for s in shapes:
-            paired.append(s)
-            paired.append(transpose_complex(s))
-        shapes = paired
+        shapes = [_mirror_pair(s) for s in shapes]
     total, _ = direct_sum_many(shapes) if shapes else (ZERO_COMPLEX, [])
-
-    if with_sigma and shapes:
-        # Per-shape offsets inside the sum, accumulated exactly as in
-        # direct_sum_many.  sigma swaps each shape with its mirror: the block
-        # of shape k at (p, q) goes identically to the block of shape k+1 at
-        # (q, p) and back (all shape entries are rational, so conjugation is
-        # invisible here and the swap is a genuine real structure).
-        acc: dict[BiDegree, int] = {}
-        offsets: list[dict[BiDegree, int]] = []
-        for s in shapes:
-            offs = {}
-            for pq, n in s.dims.items():
-                offs[pq] = acc.get(pq, 0)
-                acc[pq] = acc.get(pq, 0) + n
-            offsets.append(offs)
-        cells: dict[BiDegree, dict] = {}
-        for k in range(0, len(shapes), 2):
-            for one, other in ((k, k + 1), (k + 1, k)):
-                for (p, q), n in shapes[one].dims.items():
-                    ro = offsets[other][(q, p)]
-                    co = offsets[one][(p, q)]
-                    cell = cells.setdefault((p, q), {})
-                    for i in range(n):
-                        cell[(ro + i, co + i)] = ONE
-        sigma = {
-            pq: Matrix(total.dim(pq[1], pq[0]), total.dim(*pq), cell)
-            for pq, cell in cells.items()
-        }
-        total = DoubleComplex(total.dims, total.d1, total.d2, sigma, total.labels)
-
     return _random_basis_change(rng, total)
+
+
+def _mirror_pair(s: DoubleComplex) -> DoubleComplex:
+    """s + transpose(s), with the real structure that swaps the two copies.
+
+    The block of s at (p, q) goes identically to the block of its mirror at
+    (q, p), and back.  All shape entries are rational, so conjugation is
+    invisible here and the swap is a genuine real structure.
+    """
+    pair, _ = direct_sum_many([s, transpose_complex(s)])
+    sigma = {}
+    for p, q in pair.dims:
+        n, m = s.dim(p, q), s.dim(q, p)
+        swap = {(m + i, i): ONE for i in range(n)} | {(i, n + i): ONE for i in range(m)}
+        sigma[(p, q)] = Matrix(m + n, n + m, swap)
+    return DoubleComplex(pair.dims, pair.d1, pair.d2, sigma, pair.labels)
 
 
 def _random_shape(rng: random.Random, p_min, p_max, q_min, q_max) -> DoubleComplex:
@@ -779,7 +760,8 @@ def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:
     inverse = {}
     for pq, c in change.items():
         inv = solve_columns(c, Matrix.identity(c.rows))
-        assert inv is not None
+        if inv is None:
+            raise RuntimeError(f"random change of basis at bidegree {pq} is not invertible")
         inverse[pq] = inv
 
     def conjugated(blocks, target_of):
@@ -799,6 +781,8 @@ def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:
             tgt = (pq[1], pq[0])
             left = change.get(tgt, Matrix.identity(m.rows))
             conj_inv = solve_columns(change[pq].conjugate(), Matrix.identity(m.cols))
-            assert conj_inv is not None
+            if conj_inv is None:
+                raise RuntimeError(
+                    f"conjugate random change of basis at bidegree {pq} is not invertible")
             sigma[pq] = left @ m @ conj_inv
     return DoubleComplex(a.dims, d1, d2, sigma, a.labels)

@@ -29,6 +29,13 @@ Every elimination runs through one fraction-free kernel, `_echelon`:
 The pivot row is the sparsest candidate, ties to the lowest index.  The
 rows are scalar multiples of those of Gauss-Jordan elimination on Q(i), so
 the choice, and the fill-in, are the same as there.
+
+Matrix products (`Matrix.__matmul__`) also run over Z[i]: each factor is
+scaled by one common denominator, the lcm of all its entries' real and
+imaginary denominators; each output entry is summed as an (int, int) pair;
+and a GaussianRational is built only for a sum that ends nonzero.  A
+product that vanishes, such as every axiom check on a valid complex, builds
+no scalar at all.
 """
 
 from __future__ import annotations
@@ -174,19 +181,22 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], GaussianRational] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
+        da, left = _gaussian_entries(self)
+        db, right = _gaussian_entries(other)
+        by_row: dict[int, list[tuple[int, int, int]]] = {}
+        for (k, j), (br, bi) in right.items():
+            by_row.setdefault(k, []).append((j, br, bi))
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        for (i, k), (ar, ai) in left.items():
+            for j, br, bi in by_row.get(k, ()):
                 key = (i, j)
-                s = acc.get(key, ZERO) + a * b
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return Matrix(self.rows, other.cols, acc)
+                x, y = acc.get(key, (0, 0))
+                acc[key] = (x + ar * br - ai * bi, y + ar * bi + ai * br)
+        den = da * db
+        return Matrix(self.rows, other.cols, {
+            key: GaussianRational(Fraction(x, den), Fraction(y, den))
+            for key, (x, y) in acc.items() if x or y
+        })
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -196,6 +206,17 @@ class Matrix:
             if v[j]:
                 out[i] = out[i] + a * v[j]
         return tuple(out)
+
+
+def _gaussian_entries(m: Matrix) -> tuple[int, dict[tuple[int, int], tuple[int, int]]]:
+    """(den, entries of den * m) for the lcm den of all of m's denominators."""
+    den = 1
+    for v in m.entries.values():
+        den = lcm(den, v.re.denominator, v.im.denominator)
+    return den, {
+        k: (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+        for k, v in m.entries.items()
+    }
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:

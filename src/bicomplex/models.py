@@ -525,7 +525,9 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
             # sign of the sort is already the full Koszul sign (-1)^{pq}.
             mirrored = tuple((1 - b, i) for b, i in word)
             canon = _canonical_word(mirrored)
-            assert canon is not None
+            if canon is None:
+                raise RuntimeError(f"the conjugate of monomial {col} at bidegree {(p, q)} "
+                                   "repeats a letter")
             s, target_word = canon
             entries[(lookup[target_word], col)] = ONE if s == 1 else -ONE
         sigma[(p, q)] = Matrix(dims[(q, p)], dims[(p, q)], entries)

@@ -1,6 +1,9 @@
 """Bott-Chern and Aeppli: the rank formulas against the subquotient spaces
-(`bott_chern_spaces` / `aeppli_spaces` with `subquotient_dim`), and the
-containment check on a complex that breaks the axioms."""
+(`bott_chern_spaces` / `aeppli_spaces` with `subquotient_dim`), the
+containment check on a complex that breaks the axioms, and a guard that
+their products, and those of `validate`, multiply no scalars."""
+
+import sys
 
 import pytest
 
@@ -12,13 +15,18 @@ from bicomplex import (
     blow_up,
     bott_chern,
     iwasawa,
+    lie_algebra_model,
+    parse_model_file,
     projective_bundle,
     random_complex,
     subquotient_dim,
     torus,
+    validate,
     zigzag,
 )
 from bicomplex.cohomology import aeppli_spaces, bott_chern_spaces
+from bicomplex.scalars import GaussianRational
+from test_frolicher import NIL4
 
 # (seed, window, size, with_sigma): 120 complexes, every fourth with a real
 # structure, kept small enough that the subquotient route stays fast.
@@ -64,3 +72,30 @@ def test_containment_failure_raises():
     for table in (bott_chern, aeppli):
         with pytest.raises(NotASubspace):
             table(a)
+
+
+def scalar_multiplications(fn, *args) -> int:
+    """Calls of GaussianRational.__mul__ (and __rmul__) during fn(*args)."""
+    code = GaussianRational.__mul__.__code__
+    calls = [0]
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: random_complex(203, (0, 5, 0, 5), 19),
+], ids=["nil4", "random203"])
+def test_products_multiply_no_scalars(build):
+    a = build()
+    for fn in (validate, bott_chern, aeppli):
+        assert scalar_multiplications(fn, a) == 0, fn.__name__

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bicomplex import (
@@ -26,6 +32,7 @@ from bicomplex import (
 )
 from bicomplex.complexes import ZERO_COMPLEX, rescale
 from bicomplex.linalg import Matrix
+from bicomplex.serialize import dumps_complex
 
 
 def same_core(a, b, with_sigma=True):
@@ -207,6 +214,28 @@ def test_quotient_not_injective():
     assert exc.value.bidegree == (0, 0)
 
 
+QUOTIENT_UNDER_O = """
+from bicomplex import complexes, direct_sum, dot
+assert False, "asserts are live"
+_, inclusion, _ = direct_sum(dot(0, 0), dot(1, 1))
+complexes.solve_columns = lambda a, rhs: None
+try:
+    complexes.quotient(inclusion)
+except RuntimeError as error:
+    print(error)
+"""
+
+
+def test_quotient_singular_frame_raises_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-O", "-c", QUOTIENT_UNDER_O],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "quotient: the frame at bidegree (0, 0) is not invertible\n"
+
+
 # -- E1-isomorphism -----------------------------------------------------------------
 
 
@@ -268,6 +297,32 @@ def test_random_complex_sigma_instances():
         a = random_complex(seed, (0, 3, 0, 3), 4, with_sigma=True)
         assert a.sigma is not None
         assert validate(a) == []
+
+
+# SHA-256 of dumps_complex, recorded when random_complex still placed sigma
+# by re-deriving direct_sum_many's offsets; (seed, window, size) -> digest.
+SIGMA_DIGESTS = {
+    (0, (0, 2, 0, 2), 0): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    (1, (0, 2, 0, 2), 1): "ab2e89d5ace75008139ce45a7d39a5781b4f36fcd0009d73e515ae8566a2da96",
+    (2, (0, 2, 0, 2), 2): "a9979522473b775da13110019fafe34cef3aea36edbb04599482ed0e856e6d71",
+    (3, (0, 2, 0, 2), 3): "b9ac49b969b7f6782d6b9a393d02c522aa7e916ea44add3d464270e226f80e8e",
+    (10, (0, 3, 0, 3), 4): "0d3be7a52fe4fac72c40f8c7b89151541c969b80ac0abc779e8fffeb94ecaed6",
+    (11, (0, 3, 0, 3), 5): "9be9ecb112d45a83da3aa8b98ef60e57dde4084c33fe43a9ff9ec30a93082dc6",
+    (12, (0, 3, 0, 3), 2): "ab2224307d75b78c7e6e685d2afcac4aba3fdc85c9a3a7aed2f8d0980ddc57a5",
+    (13, (0, 3, 0, 3), 3): "a8707b8f06e66edf10d393af16385ecc9541a78d67163a654c5e693f2d17107a",
+    (200, (0, 5, 0, 5), 4): "f94358cd78e1df58e2792d585983a1ccb5f9457f677582fb6712fb4ffe1c1dc3",
+    (201, (0, 5, 0, 5), 5): "de54b550d489cc0398cac7ce86c825fa2e8477cb01f365ab6d4303220e6b7bdc",
+    (202, (0, 5, 0, 5), 6): "cfc9577616846439dac44baa89b1b1bccbf0789e3ae804745a9a26df1b814b25",
+    (203, (0, 5, 0, 5), 7): "80859e7d19dd76a57f66adb559449fe12c0c47441075558e248d1f35232edb47",
+    (31, (-1, 3, 0, 4), 5): "864acf786ed827984dcf1d6d59b81565f39a0125f1fb0ab4c00cc3302d7649f8",
+    (32, (-1, 3, 0, 4), 5): "bfce4c64d38ce9dc20a9a94b3817e3d9b7e374df4e502f01d04df051dc506c94",
+}
+
+
+def test_random_complex_sigma_serializes_as_recorded():
+    for (seed, window, size), digest in SIGMA_DIGESTS.items():
+        text = dumps_complex(random_complex(seed, window, size, with_sigma=True))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, window, size)
 
 
 def test_random_complex_window_too_small():

@@ -29,6 +29,7 @@ from bicomplex.linalg import (
 from bicomplex.scalars import ZERO, gauss
 
 from oracles import bareiss_rank, member_of_span
+from reference_matmul import reference_matmul
 from reference_rref import reference_rref
 
 
@@ -302,3 +303,61 @@ def test_matrix_algebra_basics():
         a @ Matrix.zero(3, 3)
     assert contains(image_basis(a), a.column(0))
     assert is_subspace(image_basis(b), Basis.full(2))
+
+
+def product_cases():
+    """(label, a, b) with a.cols == b.rows: sparse and dense, real and
+    Gaussian, empty shapes, identity and zero factors, and sums that cancel."""
+    rng = random.Random(2025)
+
+    def draw(rows, cols, density, pool):
+        return Matrix(rows, cols, {
+            (i, j): rng.choice(pool)
+            for i in range(rows) for j in range(cols) if rng.random() < density
+        })
+
+    for n, k, m in [(0, 0, 0), (0, 3, 4), (4, 3, 0), (3, 0, 4), (0, 0, 5), (5, 0, 0)]:
+        yield f"empty {n}x{k} @ {k}x{m}", draw(n, k, 0.7, GAUSSIAN_POOL), draw(k, m, 0.7, GAUSSIAN_POOL)
+    for k in range(300):
+        pool = GAUSSIAN_POOL if (k // 5) % 2 else REAL_POOL
+        n, inner, m = rng.choice([(1, 1, 1), (3, 3, 3), (5, 4, 6), (7, 2, 7), (2, 8, 3), (6, 6, 6)])
+        da, db = rng.choice([(0.15, 0.15), (0.15, 0.9), (0.9, 0.15), (0.9, 0.9), (0.5, 0.5)])
+        a, b = draw(n, inner, da, pool), draw(inner, m, db, pool)
+        kind = k % 5
+        if kind == 1:  # identity and zero factors on either side
+            a, b = rng.choice([(Matrix.identity(inner), b), (a, Matrix.identity(inner)),
+                               (Matrix.zero(n, inner), b), (a, Matrix.zero(inner, m))])
+        elif kind == 2:  # every column of b in the kernel of a: each sum cancels
+            a = draw(rng.randint(1, 4), rng.randint(5, 8), 0.8, pool)
+            ker = kernel_basis(a).vectors
+            b = Matrix.from_columns([ker[rng.randrange(len(ker))] for _ in range(m)], a.cols)
+        elif kind == 3:  # some columns in the kernel, others not
+            ker = kernel_basis(a).vectors
+            cols = [ker[rng.randrange(len(ker))] if ker and rng.random() < 0.5 else b.column(j)
+                    for j in range(m)]
+            b = Matrix.from_columns(cols, inner)
+        elif kind == 4 and inner >= 2:  # the last entry's sum passes through zero
+            v, c = rng.choice(pool), rng.choice(pool)
+            row = {(n - 1, 0): v, (n - 1, 1): -v} | ({(n - 1, 2): c} if inner > 2 else {})
+            a = Matrix(n, inner, {key: x for key, x in a.entries.items() if key[0] != n - 1} | row)
+            b = Matrix(inner, m, dict(b.entries) | {(0, 0): c, (1, 0): c})
+        yield f"case {k}: {n}x{inner} @ {inner}x{m}, kind {kind}", a, b
+
+
+def test_product_matches_reference_fraction_product():
+    cases = list(product_cases())
+    assert len(cases) >= 300
+    zero = 0
+    for label, a, b in cases:
+        got = a @ b
+        assert got == reference_matmul(a, b), label
+        assert all(got.entries.values()), label
+        zero += got.is_zero() and bool(a.entries) and bool(b.entries)
+    assert zero >= 50
+    a = Matrix.from_rows([[1, 2], [3, 4]])
+    for b in (Matrix.zero(3, 3), Matrix.zero(0, 2)):
+        with pytest.raises(ValueError) as want:
+            reference_matmul(a, b)
+        with pytest.raises(ValueError) as got:
+            a @ b
+        assert str(got.value) == str(want.value)
