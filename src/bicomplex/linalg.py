@@ -34,8 +34,16 @@ Matrix products (`Matrix.__matmul__`) also run over Z[i]: each factor is
 scaled by one common denominator, the lcm of all its entries' real and
 imaginary denominators; each output entry is summed as an (int, int) pair;
 and a GaussianRational is built only for a sum that ends nonzero.  A
-product that vanishes, such as every axiom check on a valid complex, builds
-no scalar at all.
+product that vanishes builds no scalar at all.
+
+Identity checks (the double-complex axioms in `complexes.validate`, the
+commutation of a `Morphism` with d1 and d2) ask only whether a sum of
+signed products vanishes, and `_products_vanish` decides that without
+building a product matrix: the terms come as Z[i] forms (den, entries),
+each product is brought to the lcm of the products' denominators, and all
+are summed in one (int, int) accumulator, the one `__matmul__` uses
+(`_accumulate`).  `_gaussian_blocks` converts each block of a complex to
+its form once per check, and a conjugate negates the imaginary parts.
 """
 
 from __future__ import annotations
@@ -43,11 +51,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, _coerce
 
 Vector = tuple[GaussianRational, ...]
+
+_MINUS_ONE = -ONE
 
 
 class AmbientMismatch(ValueError):
@@ -151,15 +161,20 @@ class Matrix:
         return Matrix(self.rows, self.cols, {k: v.conjugate() for k, v in self.entries.items()})
 
     def scale(self, s) -> "Matrix":
+        """s * self; a sign change (s = +-1) multiplies no scalars."""
         c = _coerce(s)
         if c is NotImplemented:
             raise TypeError(f"cannot scale by {s!r}")
         if not c:
             return Matrix.zero(self.rows, self.cols)
+        if c == ONE:
+            return self
+        if c == _MINUS_ONE:
+            return -self
         return Matrix(self.rows, self.cols, {k: v * c for k, v in self.entries.items()})
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        return Matrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -183,15 +198,8 @@ class Matrix:
             )
         da, left = _gaussian_entries(self)
         db, right = _gaussian_entries(other)
-        by_row: dict[int, list[tuple[int, int, int]]] = {}
-        for (k, j), (br, bi) in right.items():
-            by_row.setdefault(k, []).append((j, br, bi))
         acc: dict[tuple[int, int], tuple[int, int]] = {}
-        for (i, k), (ar, ai) in left.items():
-            for j, br, bi in by_row.get(k, ()):
-                key = (i, j)
-                x, y = acc.get(key, (0, 0))
-                acc[key] = (x + ar * br - ai * bi, y + ar * bi + ai * br)
+        _accumulate(acc, left, right)
         den = da * db
         return Matrix(self.rows, other.cols, {
             key: GaussianRational(Fraction(x, den), Fraction(y, den))
@@ -208,7 +216,12 @@ class Matrix:
         return tuple(out)
 
 
-def _gaussian_entries(m: Matrix) -> tuple[int, dict[tuple[int, int], tuple[int, int]]]:
+# A matrix over Z[i] with one denominator: (den, {(row, col): (re, im)}),
+# standing for the entries divided by den.  Stored entries are nonzero.
+GaussianForm = tuple[int, dict[tuple[int, int], tuple[int, int]]]
+
+
+def _gaussian_entries(m: Matrix) -> GaussianForm:
     """(den, entries of den * m) for the lcm den of all of m's denominators."""
     den = 1
     for v in m.entries.values():
@@ -217,6 +230,71 @@ def _gaussian_entries(m: Matrix) -> tuple[int, dict[tuple[int, int], tuple[int, 
         k: (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
         for k, v in m.entries.items()
     }
+
+
+_NO_ENTRIES: GaussianForm = (1, {})
+
+
+def _identity_form(n: int) -> GaussianForm:
+    return 1, {(i, i): (1, 0) for i in range(n)}
+
+
+def _gaussian_blocks(blocks: Mapping[tuple[int, int], Matrix]) -> Callable[..., GaussianForm]:
+    """at(i, j, conjugate=False): the Z[i] form of blocks[(i, j)], or of its
+    conjugate (the imaginary parts negated); an absent block is empty.  Each
+    block is converted once, on first use, and kept as long as at is."""
+    forms: dict[tuple[int, int], GaussianForm] = {}
+
+    def at(i: int, j: int, conjugate: bool = False) -> GaussianForm:
+        form = forms.get((i, j))
+        if form is None:
+            m = blocks.get((i, j))
+            form = forms[(i, j)] = _NO_ENTRIES if m is None else _gaussian_entries(m)
+        if conjugate:
+            den, entries = form
+            return den, {k: (x, -y) for k, (x, y) in entries.items()}
+        return form
+
+    return at
+
+
+def _accumulate(acc: dict[tuple[int, int], tuple[int, int]],
+                left: Mapping[tuple[int, int], tuple[int, int]],
+                right: Mapping[tuple[int, int], tuple[int, int]]) -> None:
+    """acc += left @ right, every entry an (int, int) pair over Z[i]."""
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for (k, j), (br, bi) in right.items():
+        by_row.setdefault(k, []).append((j, br, bi))
+    for (i, k), (ar, ai) in left.items():
+        for j, br, bi in by_row.get(k, ()):
+            key = (i, j)
+            x, y = acc.get(key, (0, 0))
+            acc[key] = (x + ar * br - ai * bi, y + ar * bi + ai * br)
+
+
+def _products_vanish(terms: Iterable[tuple[int, GaussianForm, GaussianForm]]) -> bool:
+    """Whether the sum of sign * (a @ b) over terms (sign, a, b) is zero.
+
+    The caller guarantees that the products share one shape.  Every product
+    is brought to the lcm L of the products' denominators by scaling the
+    factor with fewer entries by sign * L / (den_a den_b), and all of them
+    are summed in one Z[i] accumulator; no scalar is built.  A term with an
+    empty factor is zero and is skipped.
+    """
+    terms = [(s, a, b) for s, a, b in terms if a[1] and b[1]]
+    if not terms:
+        return True
+    den = lcm(*(a[0] * b[0] for _, a, b in terms))
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for sign, (da, left), (db, right) in terms:
+        c = sign * (den // (da * db))
+        if c != 1:
+            if len(left) <= len(right):
+                left = {k: (c * x, c * y) for k, (x, y) in left.items()}
+            else:
+                right = {k: (c * x, c * y) for k, (x, y) in right.items()}
+        _accumulate(acc, left, right)
+    return not any(x or y for x, y in acc.values())
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:

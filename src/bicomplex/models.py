@@ -49,6 +49,15 @@ from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 # ones, so sorted words are exactly the canonical monomials.
 Letter = tuple[int, int]
 
+# The largest monomial basis lie_algebra_model builds: 4^n for complex
+# dimension n, so n <= 7.  Every preset, demo and test model and the
+# benchmark's dim-5 nilmanifold (4^5 = 1024) fit.  A dim-7 nilmanifold
+# (16384 monomials) builds in 1.3 s and gets every table in about 10 s
+# within 50 MB (2-core Xeon, Python 3.11); each further dimension multiplies
+# the basis by 4 and the time by about 5, and dimension 10 (4^10, about a
+# million monomials) would not finish.
+MAX_MODEL_BASIS = 4 ** 7
+
 
 class ModelError(ValueError):
     """Base class for everything the model layer can reject."""
@@ -431,10 +440,16 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
 
     Checks d1^2 = d2^2 = d1 d2 + d2 d1 = 0 on all generators (which settles it
     for the derivations) and raises NotADifferential with a witness otherwise.
+    Raises InvalidDimension up front if the 4^n monomials exceed
+    MAX_MODEL_BASIS.
     """
     if spec.kind != "lie_algebra":
         raise ModelError(f"spec {spec.name!r} has kind {spec.kind!r}")
     n = spec.complex_dimension
+    if 4 ** n > MAX_MODEL_BASIS:
+        raise InvalidDimension(
+            f"complex dimension {n} needs 4^{n} = {4 ** n} basis monomials, "
+            f"more than the {MAX_MODEL_BASIS} this builder accepts")
     d1_rule: Rule = {}
     d2_rule: Rule = {}
     for gen_idx, gen in enumerate(spec.generators):

@@ -1,0 +1,169 @@
+"""The axiom and morphism checks as vanishing sums over Z[i]: `validate` and
+`Morphism` against the matrix-product checks of `reference_validate`, on
+complexes and morphisms with one entry perturbed at a time, and a guard that
+on valid inputs they build no scalar."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bicomplex import (
+    DoubleComplex,
+    Matrix,
+    Morphism,
+    MorphismError,
+    direct_sum_many,
+    lie_algebra_model,
+    parse_model_file,
+    random_complex,
+    serre_pairing_morphism,
+    validate,
+)
+from bicomplex.scalars import GaussianRational, I, ONE, ZERO
+from call_counter import calls_into
+from reference_validate import reference_commutation, reference_validate
+from test_frolicher import NIL4
+
+UNITS = (ONE, I, -ONE, -I)
+HOWS = ("unit", "sign", "conj")
+
+# (seed, window, size, with_sigma, perturbed entries per block kind)
+RANDOM_CASES = (
+    [(s, (0, 2, 0, 2), 2 + s % 3, s % 2 == 0, 8) for s in range(10)]
+    + [(s + 100, (0, 3, 0, 3), 3 + s % 3, s % 2 == 0, 8) for s in range(6)]
+    + [(205, (0, 5, 0, 5), 20, True, 2)]
+)
+
+
+def perturb(m: Matrix, key, how: str, unit) -> Matrix:
+    """m with the entry at key plus a unit, negated or conjugated."""
+    v = m.entries.get(key, ZERO)
+    new = {"unit": v + unit, "sign": -v, "conj": v.conjugate()}[how]
+    return Matrix(m.rows, m.cols, dict(m.entries) | {key: new})
+
+
+def positions(rng: random.Random, blocks: dict, count: int) -> list:
+    """count (bidegree, entry) pairs, half of them at stored entries and half
+    anywhere in a block of nonempty shape."""
+    stored = [(pq, k) for pq, m in sorted(blocks.items()) for k in sorted(m.entries)]
+    anywhere = [(pq, (i, j)) for pq, m in sorted(blocks.items())
+                for i in range(m.rows) for j in range(m.cols)]
+    out = rng.sample(stored, min(len(stored), count // 2))
+    return out + rng.sample(anywhere, min(len(anywhere), count - len(out)))
+
+
+def complex_blocks(a: DoubleComplex, kind: str) -> dict:
+    """Every block of one kind whose shape is nonempty, zero blocks included."""
+    at = {"d1": a.d1_at, "d2": a.d2_at, "sigma": a.sigma_at}[kind]
+    blocks = {pq: at(*pq) for pq in a.bidegrees()}
+    return {pq: m for pq, m in blocks.items() if m.rows and m.cols}
+
+
+def perturbed_complexes(a: DoubleComplex, seed: int, count: int):
+    rng = random.Random(seed)
+    kinds = ("d1", "d2", "sigma") if a.sigma is not None else ("d1", "d2")
+    for kind in kinds:
+        blocks = complex_blocks(a, kind)
+        for n, (pq, key) in enumerate(positions(rng, blocks, count)):
+            for how in HOWS:
+                parts = {"d1": dict(a.d1), "d2": dict(a.d2),
+                         "sigma": dict(a.sigma) if a.sigma is not None else None}
+                parts[kind][pq] = perturb(blocks[pq], key, how, UNITS[n % 4])
+                yield DoubleComplex(a.dims, parts["d1"], parts["d2"], parts["sigma"], a.labels)
+
+
+def rescaled_basis(a: DoubleComplex) -> DoubleComplex:
+    """a with the basis of A^{p,q} scaled by lam(p, q) = (p + 2) / (q + 3):
+    still valid, and its blocks have unequal denominators, so the products
+    of one identity do too."""
+    lam = lambda p, q: Fraction(p + 2, q + 3)
+    d1 = {(p, q): m.scale(lam(p + 1, q) / lam(p, q)) for (p, q), m in a.d1.items()}
+    d2 = {(p, q): m.scale(lam(p, q + 1) / lam(p, q)) for (p, q), m in a.d2.items()}
+    sigma = None
+    if a.sigma is not None:
+        sigma = {(p, q): m.scale(lam(q, p) / lam(p, q)) for (p, q), m in a.sigma.items()}
+    return DoubleComplex(a.dims, d1, d2, sigma, a.labels)
+
+
+def assert_same_violations(a: DoubleComplex, seed: int, count: int, seen: set) -> None:
+    assert validate(a) == reference_validate(a) == []
+    for b in perturbed_complexes(a, seed, count):
+        got = validate(b)
+        assert got == reference_validate(b)
+        seen.update(v.identity for v in got)
+
+
+def test_validate_matches_reference_under_single_entry_perturbations(iwasawa_model):
+    seen: set = set()
+    for seed, window, size, with_sigma, count in RANDOM_CASES:
+        a = random_complex(seed, window, size, with_sigma=with_sigma)
+        assert_same_violations(a, seed, count, seen)
+    for seed in (0, 3, 100, 101):
+        a = rescaled_basis(random_complex(seed, (0, 3, 0, 3), 4, with_sigma=seed % 2 == 0))
+        assert_same_violations(a, seed, 8, seen)
+    assert_same_violations(iwasawa_model.complex, 1, 8, seen)
+    assert_same_violations(rescaled_basis(iwasawa_model.complex), 1, 8, seen)
+    assert_same_violations(lie_algebra_model(parse_model_file(NIL4, "nil4")).complex, 2, 4, seen)
+    assert seen == {
+        "d1 . d1 != 0", "d2 . d2 != 0", "d1 d2 + d2 d1 != 0",
+        "sigma is not an involution", "sigma d1 sigma != d2", "sigma d2 sigma != d1",
+    }
+
+
+def commutation_error(construct, *args) -> str | None:
+    try:
+        construct(*args)
+    except MorphismError as e:
+        return str(e)
+    return None
+
+
+def assert_same_morphism_verdicts(f: Morphism, seed: int, count: int, seen: set) -> None:
+    """Perturb single entries of f's blocks; both routes must raise the same
+    MorphismError, or neither."""
+    rng = random.Random(seed)
+    shared = set(f.source.dims) & set(f.target.dims)
+    blocks = {pq: f.block_at(*pq) for pq in shared}
+    for n, (pq, key) in enumerate(positions(rng, blocks, count)):
+        for how in HOWS:
+            moved = dict(blocks) | {pq: perturb(blocks[pq], key, how, UNITS[n % 4])}
+            got = commutation_error(Morphism, f.source, f.target, moved)
+            assert got == commutation_error(reference_commutation, f.source, f.target, moved)
+            if got is not None:
+                seen.add(got.split(" at ")[0])
+
+
+def scaled_identity(a: DoubleComplex, c) -> Morphism:
+    return Morphism(a, a, {pq: Matrix.identity(n).scale(c) for pq, n in a.dims.items()})
+
+
+def test_morphism_matches_reference_under_single_entry_perturbations(iwasawa_model, torus1):
+    x = iwasawa_model.complex
+    morphisms = list(direct_sum_many([x, torus1.complex, x])[1])
+    morphisms += direct_sum_many([random_complex(7, (0, 3, 0, 3), 4, with_sigma=True),
+                                  random_complex(8, (0, 3, 0, 3), 5)])[1]
+    morphisms.append(serre_pairing_morphism(iwasawa_model))
+    c = GaussianRational.parse("1+2i")
+    for seed in range(4):
+        morphisms.append(scaled_identity(random_complex(seed, (0, 3, 0, 3), 4), c))
+    morphisms.append(scaled_identity(lie_algebra_model(parse_model_file(NIL4, "nil4")).complex, c))
+    for a in (x, random_complex(9, (0, 3, 0, 3), 5, with_sigma=True)):
+        morphisms.append(Morphism(a, rescaled_basis(a), {
+            (p, q): Matrix.identity(n).scale(Fraction(p + 2, q + 3)) for (p, q), n in a.dims.items()
+        }))
+    seen: set = set()
+    for seed, f in enumerate(morphisms):
+        assert commutation_error(reference_commutation, f.source, f.target, f.blocks) is None
+        assert_same_morphism_verdicts(f, seed, 8 if f.source.total_dim > 100 else 16, seen)
+    assert seen == {"blocks do not commute with d1", "blocks do not commute with d2"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, t: (validate, lie_algebra_model(parse_model_file(NIL4, "nil4")).complex),
+    lambda x, t: (validate, random_complex(205, (0, 5, 0, 5), 20, with_sigma=True)),
+    lambda x, t: (direct_sum_many, [x.complex, t.complex, x.complex]),
+], ids=["validate-nil4", "validate-random205", "direct-sum-inclusions"])
+def test_valid_inputs_build_no_scalars(build, iwasawa_model, torus1):
+    fn, arg = build(iwasawa_model, torus1)
+    assert calls_into(GaussianRational.__init__.__code__, fn, arg) == 0

@@ -1,9 +1,8 @@
 """Bott-Chern and Aeppli: the rank formulas against the subquotient spaces
 (`bott_chern_spaces` / `aeppli_spaces` with `subquotient_dim`), the
 containment check on a complex that breaks the axioms, and a guard that
-their products, and those of `validate`, multiply no scalars."""
-
-import sys
+their products, those of `validate` and the sign changes of `dual` multiply
+no scalars."""
 
 import pytest
 
@@ -14,6 +13,7 @@ from bicomplex import (
     aeppli,
     blow_up,
     bott_chern,
+    dual,
     iwasawa,
     lie_algebra_model,
     parse_model_file,
@@ -26,6 +26,7 @@ from bicomplex import (
 )
 from bicomplex.cohomology import aeppli_spaces, bott_chern_spaces
 from bicomplex.scalars import GaussianRational
+from call_counter import calls_into
 from test_frolicher import NIL4
 
 # (seed, window, size, with_sigma): 120 complexes, every fourth with a real
@@ -74,23 +75,6 @@ def test_containment_failure_raises():
             table(a)
 
 
-def scalar_multiplications(fn, *args) -> int:
-    """Calls of GaussianRational.__mul__ (and __rmul__) during fn(*args)."""
-    code = GaussianRational.__mul__.__code__
-    calls = [0]
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls[0] += 1
-
-    sys.setprofile(hook)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls[0]
-
-
 @pytest.mark.parametrize("build", [
     lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
     lambda: random_complex(203, (0, 5, 0, 5), 19),
@@ -98,4 +82,9 @@ def scalar_multiplications(fn, *args) -> int:
 def test_products_multiply_no_scalars(build):
     a = build()
     for fn in (validate, bott_chern, aeppli):
-        assert scalar_multiplications(fn, a) == 0, fn.__name__
+        assert calls_into(GaussianRational.__mul__.__code__, fn, a) == 0, fn.__name__
+
+
+def test_dual_multiplies_no_scalars():
+    a = random_complex(203, (0, 5, 0, 5), 19)
+    assert calls_into(GaussianRational.__mul__.__code__, dual, a, 5) == 0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -262,3 +263,14 @@ def test_render_parse_roundtrip_random():
             for i, vals in enumerate(multisets)
         }
         assert {k: v for k, v in got.items() if v} == t.by_degree()
+
+
+def test_oversized_model_refused_up_front(tmp_path, capsys):
+    gens = ", ".join(f"g{k}" for k in range(10))
+    f = tmp_path / "big.model"
+    f.write_text(f"complex_dimension = 10\nkind = lie_algebra\ngenerators = {gens}\n")
+    start = time.perf_counter()
+    out, err = run_ok(capsys, ["model", str(f), "--tables", "derham"], code=1)
+    assert time.perf_counter() - start < 5
+    assert out == ""
+    assert err.startswith("error: complex dimension 10 needs 4^10 = 1048576 basis monomials")

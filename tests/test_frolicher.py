@@ -1,8 +1,6 @@
 """Frolicher pages: the rank formula against the subquotient construction,
 its elimination count, and the pinned 1024-dimensional nilmanifold."""
 
-import sys
-
 import pytest
 
 from bicomplex import (
@@ -21,6 +19,7 @@ from bicomplex import (
 )
 from bicomplex import linalg
 from bicomplex.cohomology import Totalization
+from call_counter import calls_into
 from reference_frolicher import reference_frolicher
 
 NIL4 = """\
@@ -76,23 +75,6 @@ def test_rank_pages_match_subquotients_on_models_and_zigzags():
         assert_same_pages(zigzag((0, 3), length, "d1"))
 
 
-def rref_calls(fn, *args) -> int:
-    """Calls into the elimination kernel during fn(*args), whatever name reached it."""
-    code = linalg._echelon.__code__
-    calls = [0]
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls[0] += 1
-
-    sys.setprofile(hook)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls[0]
-
-
 @pytest.mark.parametrize("build", [
     lambda: iwasawa().complex,
     lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
@@ -100,7 +82,8 @@ def rref_calls(fn, *args) -> int:
 def test_one_elimination_per_degree_and_column_cut(build):
     a = build()
     cuts = sum(len(parts) for parts in Totalization(a).components.values())
-    assert 0 < rref_calls(frolicher, a) <= cuts
+    # Calls into the elimination kernel, whatever name reached it.
+    assert 0 < calls_into(linalg._echelon.__code__, frolicher, a) <= cuts
 
 
 def test_dim5_nilmanifold_pages():
