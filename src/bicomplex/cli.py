@@ -26,15 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import models as _models
-from .cohomology import (
-    CohomologyTable,
-    SpectralSequenceResult,
-    aeppli,
-    bott_chern,
-    conjugate_dolbeault,
-    de_rham,
-    frolicher,
-)
+from .cohomology import TABLES, CohomologyTable, SpectralSequenceResult, frolicher
 from .complexes import (
     DoubleComplex,
     MorphismError,
@@ -60,7 +52,12 @@ PRESETS = {
     "p3": lambda: _models.projective_space(3),
 }
 
-TABLE_KEYS = ("e1", "e2", "einf", "derham", "bc", "aeppli", "rows")
+# --tables key -> the cohomology.TABLES kind it prints; the spectral pages
+# e1, e2 and einf come from frolicher.
+KIND_OF_KEY = {"derham": "de_rham", "bc": "bott_chern", "aeppli": "aeppli",
+               "rows": "conjugate_dolbeault"}
+PAGE_KEYS = ("e1", "e2", "einf")
+TABLE_KEYS = PAGE_KEYS + tuple(KIND_OF_KEY)
 
 
 class InputError(ValueError):
@@ -161,23 +158,15 @@ def _compute_tables(a: DoubleComplex, keys: list[str], max_page: int | None):
     if max_page is not None and max_page < 1:
         raise InputError(f"--max-page must be at least 1, got {max_page}")
     ss: SpectralSequenceResult | None = None
-    need_ss = any(k in ("e1", "e2", "einf") for k in keys) or max_page is not None
-    if need_ss:
+    if any(k in PAGE_KEYS for k in keys) or max_page is not None:
         ss = frolicher(a, "column")
     out = []
     for key in keys:
-        if key == "derham":
-            out.append((key, de_rham(a), None))
-        elif key == "bc":
-            out.append((key, bott_chern(a), None))
-        elif key == "aeppli":
-            out.append((key, aeppli(a), None))
-        elif key == "rows":
-            out.append((key, conjugate_dolbeault(a), None))
+        if key in KIND_OF_KEY:
+            out.append((key, TABLES[KIND_OF_KEY[key]](a), None))
         else:
             r = {"e1": 1, "e2": 2}.get(key, ss.last_computed_page)
-            label = key
-            out.append((label, CohomologyTable(key, ss.page(r)), ss.degeneration_page))
+            out.append((key, CohomologyTable(key, ss.page(r)), ss.degeneration_page))
     if max_page is not None:
         for r in range(1, min(max_page, ss.last_computed_page) + 1):
             key = f"e{r}"
@@ -341,18 +330,11 @@ def run(argv: list[str]) -> int:
 
 
 def _run_check(args) -> int:
+    """check-e1iso; called inside run(), whose handlers report its errors."""
     path = Path(args.morphism)
     if not path.is_file():
-        print(f"error: unreadable morphism file {args.morphism}", file=sys.stderr)
-        return 1
-    try:
-        f = parse_morphism_file(path.read_text(encoding="utf-8"), resolve_reference)
-    except (SerializeError, InputError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ShapeError, MorphismError) as e:
-        print(f"invariant violation: {e}", file=sys.stderr)
-        return 2
+        raise InputError(f"unreadable morphism file {args.morphism}")
+    f = parse_morphism_file(path.read_text(encoding="utf-8"), resolve_reference)
     for side in (f.source, f.target):
         code = _validate_or_die(side, args.json)
         if code is not None:

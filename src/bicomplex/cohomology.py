@@ -31,7 +31,13 @@ the dimension of the cycles minus that of the boundaries.  The boundaries
 lie in the cycles exactly when [d1; d2] . d1 d2 = 0, respectively
 d1 d2 . [d1 | d2] = 0; both tables check this with sparse products and
 raise NotASubspace otherwise.  bott_chern_spaces and aeppli_spaces build the
-explicit subquotients, which induced maps need.
+explicit subquotients, which induced maps need; complexes.dolbeault_spaces
+does the same for the column table.
+
+The column, row and de Rham tables are one formula, dim - rank(out) -
+rank(in), with each nonzero differential ranked once; the row table is the
+column table of the transposed complex.  TABLES maps each of the five kinds
+to its function, and every caller dispatches through it.
 
 Tables store only nonzero dimensions.  Page 1 comes from filtered blocks of
 the total differential, while the column and row tables use the blocks of d2
@@ -42,9 +48,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Callable, Mapping
 
-from .complexes import BiDegree, DoubleComplex, Morphism, transpose_complex
+from .complexes import BiDegree, DoubleComplex, Morphism, dolbeault_spaces, transpose_complex
 from .linalg import (
     Basis,
     Matrix,
@@ -60,11 +66,6 @@ from .linalg import (
     vstack,
 )
 
-TableKind = Literal["dolbeault", "conjugate_dolbeault", "de_rham", "bott_chern", "aeppli"]
-
-BIDEGREE_KINDS = ("dolbeault", "conjugate_dolbeault", "bott_chern", "aeppli")
-
-
 @dataclass(frozen=True)
 class CohomologyTable:
     """Dimensions of one cohomology; keyed by (p, q), or by k for de_rham."""
@@ -79,9 +80,6 @@ class CohomologyTable:
 
     def at(self, key) -> int:
         return self.entries.get(key, 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
 
     def by_degree(self) -> dict[int, tuple[int, ...]]:
         """Per total degree, the multiset of entries (sorted), zeros dropped.
@@ -126,20 +124,31 @@ class SpectralSequenceResult:
 # -- direct rank formulas -------------------------------------------------------
 
 
+def _cohomology_dims(dims: Mapping, out: Mapping[object, Matrix], before: Callable) -> dict:
+    """dim - rank(out) - rank(in) at every index of a single complex.
+
+    `out` holds its differentials keyed by source index, and `before(x)` is
+    the index whose differential lands in x.  Each differential is ranked
+    once; a missing one has rank 0.
+    """
+    ranks = {x: rank(m) for x, m in out.items()}
+    return {x: n - ranks.get(x, 0) - ranks.get(before(x), 0) for x, n in dims.items()}
+
+
+def _column_dims(a: DoubleComplex) -> dict:
+    """H^q of each column under d2, keyed by (p, q)."""
+    return _cohomology_dims(a.dims, a.d2, lambda pq: (pq[0], pq[1] - 1))
+
+
 def dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Column cohomology by rank arithmetic: dim - rank(out) - rank(in)."""
-    entries = {}
-    for (p, q), n in a.dims.items():
-        entries[(p, q)] = n - rank(a.d2_at(p, q)) - rank(a.d2_at(p, q - 1))
-    return CohomologyTable("dolbeault", entries)
+    """Column cohomology: dim - rank(d2 out) - rank(d2 in)."""
+    return CohomologyTable("dolbeault", _column_dims(a))
 
 
 def conjugate_dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Row cohomology, same formula along d1."""
-    entries = {}
-    for (p, q), n in a.dims.items():
-        entries[(p, q)] = n - rank(a.d1_at(p, q)) - rank(a.d1_at(p - 1, q))
-    return CohomologyTable("conjugate_dolbeault", entries)
+    """Row cohomology: the column cohomology of the transposed complex."""
+    columns = _column_dims(transpose_complex(a))
+    return CohomologyTable("conjugate_dolbeault", {(p, q): v for (q, p), v in columns.items()})
 
 
 class Totalization:
@@ -208,10 +217,11 @@ class Totalization:
 
 
 def de_rham(a: DoubleComplex) -> CohomologyTable:
+    """Total cohomology: dim T^k - rank d_k - rank d_{k-1}."""
     tot = Totalization(a)
-    entries = {}
-    for k in tot.degrees():
-        entries[k] = tot.dim(k) - rank(tot.differential(k)) - rank(tot.differential(k - 1))
+    degrees = tot.degrees()
+    entries = _cohomology_dims({k: tot.dim(k) for k in degrees},
+                               {k: tot.differential(k) for k in degrees}, lambda k: k - 1)
     return CohomologyTable("de_rham", entries)
 
 
@@ -276,6 +286,16 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
             raise NotASubspace("denominator is not contained in numerator")
         entries[(p, q)] = a.dim(p, q) - rank(out) - rank(into)
     return CohomologyTable("aeppli", entries)
+
+
+# The five tables by kind: the one map every caller dispatches through.
+TABLES: dict[str, Callable[[DoubleComplex], CohomologyTable]] = {
+    "dolbeault": dolbeault,
+    "conjugate_dolbeault": conjugate_dolbeault,
+    "de_rham": de_rham,
+    "bott_chern": bott_chern,
+    "aeppli": aeppli,
+}
 
 
 # -- the spectral sequence -------------------------------------------------------
@@ -343,7 +363,7 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
             d = tot.differential(n)
             block = Matrix(d.cols - start, d.rows,
                            {(j - start, i): v for (i, j), v in d.entries.items() if j >= start})
-            pivots[(n, start)] = pivot_columns(block) if block.entries else ()
+            pivots[(n, start)] = pivot_columns(block)
         return bisect_left(pivots[(n, start)], stop)
 
     pages = []
@@ -383,18 +403,22 @@ def induced_cohomology_map(f: Morphism, kind: str) -> dict:
             out[k] = induced_subquotient_map(block, z_s, b_s, z_t, b_t)
         return out
     spaces = {
-        "dolbeault": lambda c, p, q: (kernel_basis(c.d2_at(p, q)), image_basis(c.d2_at(p, q - 1))),
-        "conjugate_dolbeault": lambda c, p, q: (kernel_basis(c.d1_at(p, q)), image_basis(c.d1_at(p - 1, q))),
+        "dolbeault": dolbeault_spaces,
+        # Row cohomology at (p, q) is column cohomology of the transpose at (q, p).
+        "conjugate_dolbeault": lambda c, p, q: dolbeault_spaces(c, q, p),
         "bott_chern": bott_chern_spaces,
         "aeppli": aeppli_spaces,
     }
     if kind not in spaces:
         raise ValueError(f"unknown cohomology kind {kind!r}")
     build = spaces[kind]
+    source, target = f.source, f.target
+    if kind == "conjugate_dolbeault":
+        source, target = transpose_complex(source), transpose_complex(target)
     out = {}
     for pq in sorted(set(f.source.dims) | set(f.target.dims)):
-        z_s, b_s = build(f.source, *pq)
-        z_t, b_t = build(f.target, *pq)
+        z_s, b_s = build(source, *pq)
+        z_t, b_t = build(target, *pq)
         out[pq] = induced_subquotient_map(f.block_at(*pq), z_s, b_s, z_t, b_t)
     return out
 

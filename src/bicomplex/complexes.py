@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
+    Basis,
     Matrix,
     _gaussian_blocks,
     _identity_form,
@@ -156,9 +157,6 @@ class DoubleComplex:
             raise ValueError("complex carries no real structure")
         m = self.sigma.get((p, q))
         return m if m is not None else Matrix.zero(self.dim(q, p), self.dim(p, q))
-
-    def has_sigma(self) -> bool:
-        return self.sigma is not None
 
     def bidegrees(self) -> list[BiDegree]:
         return sorted(self.dims)
@@ -656,10 +654,9 @@ class E1Report:
         return None
 
 
-def _column_spaces(a: DoubleComplex, p: int, q: int):
-    z = kernel_basis(a.d2_at(p, q))
-    b = image_basis(a.d2_at(p, q - 1))
-    return z, b
+def dolbeault_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Basis, Basis]:
+    """(cycles, boundaries) whose quotient is column cohomology at (p, q)."""
+    return kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))
 
 
 def is_E1_isomorphism(f: Morphism) -> E1Report:
@@ -667,8 +664,8 @@ def is_E1_isomorphism(f: Morphism) -> E1Report:
     support = sorted(set(f.source.dims) | set(f.target.dims))
     witnesses = []
     for p, q in support:
-        z_s, b_s = _column_spaces(f.source, p, q)
-        z_t, b_t = _column_spaces(f.target, p, q)
+        z_s, b_s = dolbeault_spaces(f.source, p, q)
+        z_t, b_t = dolbeault_spaces(f.target, p, q)
         m = induced_subquotient_map(f.block_at(p, q), z_s, b_s, z_t, b_t)
         witnesses.append(E1Witness(p, q, m.cols, m.rows, rank(m)))
     return E1Report(tuple(witnesses))

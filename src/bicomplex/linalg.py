@@ -143,9 +143,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
 
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
     def row(self, i: int) -> Vector:
         return tuple(self.entries.get((i, j), ZERO) for j in range(self.cols))
 
@@ -441,8 +438,9 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
 
 
 def pivot_columns(m: Matrix) -> tuple[int, ...]:
-    """Pivot columns of the RREF of m, from the forward pass alone."""
-    return tuple(_echelon(m, reduce=False)[0])
+    """Pivot columns of the RREF of m, from the forward pass alone; a zero
+    matrix has none and costs no elimination."""
+    return tuple(_echelon(m, reduce=False)[0]) if m.entries else ()
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

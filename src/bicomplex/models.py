@@ -475,32 +475,22 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     for barred in (0, 1):
         for idx in range(n):
             letter = (barred, idx)
-            start: dict[tuple[Letter, ...], GaussianRational] = {(letter,): ONE}
-            for rule_a, rule_b, label in (
-                (d1_rule, d1_rule, "d1 d1"),
-                (d2_rule, d2_rule, "d2 d2"),
+            for label, compositions in (
+                ("d1 d1", ((d1_rule, d1_rule),)),
+                ("d2 d2", ((d2_rule, d2_rule),)),
+                ("d1 d2 + d2 d1", ((d1_rule, d2_rule), (d2_rule, d1_rule))),
             ):
                 total: dict[tuple[Letter, ...], GaussianRational] = {}
-                for word, c in _apply_derivation(rule_a, (letter,)).items():
-                    for w2, c2 in _apply_derivation(rule_b, word).items():
-                        s = total.get(w2, ZERO) + c * c2
-                        if s:
-                            total[w2] = s
-                        else:
-                            total.pop(w2, None)
+                for first, second in compositions:
+                    for word, c in _apply_derivation(first, (letter,)).items():
+                        for w2, c2 in _apply_derivation(second, word).items():
+                            s = total.get(w2, ZERO) + c * c2
+                            if s:
+                                total[w2] = s
+                            else:
+                                total.pop(w2, None)
                 if total:
                     raise NotADifferential(letter_name(letter), f"{label} is nonzero")
-            anti: dict[tuple[Letter, ...], GaussianRational] = {}
-            for first, second in ((d1_rule, d2_rule), (d2_rule, d1_rule)):
-                for word, c in _apply_derivation(first, (letter,)).items():
-                    for w2, c2 in _apply_derivation(second, word).items():
-                        s = anti.get(w2, ZERO) + c * c2
-                        if s:
-                            anti[w2] = s
-                        else:
-                            anti.pop(w2, None)
-            if anti:
-                raise NotADifferential(letter_name(letter), "d1 d2 + d2 d1 is nonzero")
 
     monomials: dict[BiDegree, tuple] = {}
     for p in range(n + 1):

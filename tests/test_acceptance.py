@@ -39,6 +39,14 @@ from oracles import iwasawa_oracle_tables
 
 TABLE_FUNCS = (dolbeault, conjugate_dolbeault, de_rham, bott_chern, aeppli)
 
+# (seed, window, size, with_sigma) of the random complexes in the property
+# suite (criterion 6).
+PROPERTY_CASES = (
+    [(seed, (0, 3, 0, 3), 2 + seed % 11, seed % 5 == 0) for seed in range(70)]
+    + [(seed + 100, (0, 4, 0, 4), 8 + seed % 13, seed % 6 == 0) for seed in range(20)]
+    + [(seed + 200, (0, 5, 0, 5), 10 + 3 * seed, False) for seed in range(10)]
+)
+
 
 def degree_multisets(entries):
     out = {}
@@ -149,13 +157,8 @@ def test_criterion_5_e1_isos_preserve_bott_chern_and_aeppli(presets):
 
 def test_criterion_6_property_suite():
     started = time.monotonic()
-    cases = (
-        [(seed, (0, 3, 0, 3), 2 + seed % 11, seed % 5 == 0) for seed in range(70)]
-        + [(seed + 100, (0, 4, 0, 4), 8 + seed % 13, seed % 6 == 0) for seed in range(20)]
-        + [(seed + 200, (0, 5, 0, 5), 10 + 3 * seed, False) for seed in range(10)]
-    )
-    assert len(cases) >= 100
-    for seed, window, size, with_sigma in cases:
+    assert len(PROPERTY_CASES) >= 100
+    for seed, window, size, with_sigma in PROPERTY_CASES:
         a = random_complex(seed, window, size, with_sigma=with_sigma)
         assert validate(a) == []
 

@@ -5,6 +5,7 @@ import pytest
 
 from bicomplex import CohomologyTable, dolbeault, dumps_complex, random_complex
 from bicomplex.cli import parse_diamond_rows, render_diamond, resolve_reference, run
+from bicomplex.cohomology import TABLES
 from bicomplex.models import IWASAWA_SPEC, format_model_spec
 
 
@@ -94,8 +95,9 @@ def _no_tables(*args):
 
 
 def test_unknown_table_rejected_before_computing(capsys, monkeypatch):
-    for name in ("frolicher", "de_rham", "bott_chern", "aeppli", "conjugate_dolbeault"):
-        monkeypatch.setattr(f"bicomplex.cli.{name}", _no_tables)
+    monkeypatch.setattr("bicomplex.cli.frolicher", _no_tables)
+    for kind in TABLES:
+        monkeypatch.setitem(TABLES, kind, _no_tables)
     out, err = run_ok(capsys, ["model", "iwasawa", "--tables", "e1,bogus"], code=1)
     assert out == ""
     assert err.startswith("error: unknown table 'bogus'")
@@ -143,7 +145,7 @@ def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(a):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr("bicomplex.cli.bott_chern", broken)
+    monkeypatch.setitem(TABLES, "bott_chern", broken)
     with pytest.raises(ValueError, match="internal bug"):
         run(["model", "iwasawa", "--tables", "bc"])
     _, err = capsys.readouterr()

@@ -1,0 +1,80 @@
+"""Golden CLI runs: the SHA-256 of stdout and of stderr, and the exit code,
+for a fixed set of command lines.
+
+The digests pin the exact bytes every table, page and error message prints,
+so a refactor that changes any of them, however slightly, fails here.  To
+see what changed, run the line by hand (`bicomplex <argv>`) at this commit
+and at the last one that passed, and diff the two outputs.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from bicomplex.cli import run
+
+ALL_TABLES = "e1,e2,einf,derham,bc,aeppli,rows"
+KODAIRA_THURSTON = str(Path(__file__).resolve().parent.parent / "demos" / "models"
+                       / "kodaira_thurston.model")
+
+# The digest of an empty stream.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# name -> (argv, exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    "iwasawa": (
+        ["model", "iwasawa", "--tables", ALL_TABLES], 0,
+        "86d647428d09fa0e15b31f09c47e0d4c34f91fbfeebbb095c9ccc94d7570dcb6",
+        EMPTY),
+    "iwasawa_json": (
+        ["model", "iwasawa", "--tables", ALL_TABLES, "--json"], 0,
+        "cbb045458dc23b0e0bd653b216e51f93aa661afaf1402d5660520e6a83edca81",
+        EMPTY),
+    "iwasawa_max_page": (
+        ["model", "iwasawa", "--tables", ALL_TABLES, "--max-page", "4"], 0,
+        "d2b12d53a3ece901f8160a482e0ca0d83543cea601f0c9a567f7f8e0db1f87fd",
+        EMPTY),
+    "blowup": (
+        ["blowup", "--ambient", "iwasawa", "--center", "torus1", "--codim", "2",
+         "--tables", ALL_TABLES], 0,
+        "b05811c23986b5ad39fa46c1ac7af49855cfa9dfcdb11561a8200d00c9c5803d",
+        EMPTY),
+    "projbundle_aeppli_json": (
+        ["projbundle", "--base", "torus2", "--rank", "3", "--tables", "aeppli", "--json"], 0,
+        "b3800b3c0faf8c56d58fea4c4fcae3879c35603d5230f05dd01e2d673e1a1f7a",
+        EMPTY),
+    "random_sigma": (
+        ["random", "--seed", "7", "--window", "0,4,0,4", "--size", "12", "--sigma",
+         "--tables", "e1,rows"], 0,
+        "fbf1cacb91bf083afc0fc7eb790502b3fdf029770e799803647c1d49300726f8",
+        EMPTY),
+    "kodaira_thurston": (
+        ["model", KODAIRA_THURSTON, "--tables", ALL_TABLES], 0,
+        "ef789c62357d9378bd7f0b2a65480a0b49eb81220068154dae6edcb49eabce4f",
+        EMPTY),
+    "unknown_preset": (
+        ["model", "nosuch"], 1,
+        EMPTY,
+        "da73f07209232e1c3e8d6932ac16c05df87413cb0123e4485fbbf9299743858a"),
+    "unknown_table": (
+        ["model", "iwasawa", "--tables", "e1,bogus"], 1,
+        EMPTY,
+        "ecd5edc93b1b0fdc0d20b665474f2747fdf4db627419744f22970b3f1696f7a9"),
+    "unreadable_morphism": (
+        ["check-e1iso", "--morphism", "missing.morphism"], 1,
+        EMPTY,
+        "595cb39e7a3d26be27508baba4d756a0c8a0d44c8197b4a1959e15c6f3ba0476"),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_is_pinned(name, capsys):
+    argv, code, out_digest, err_digest = GOLDEN[name]
+    got = run(list(argv))
+    out, err = capsys.readouterr()
+    assert (got, sha256(out), sha256(err)) == (code, out_digest, err_digest), (out, err)

@@ -16,6 +16,9 @@ from bicomplex import (
     frolicher,
     induced_cohomology_map,
     is_E1_isomorphism,
+    lie_algebra_model,
+    linalg,
+    parse_model_file,
     quotient,
     random_complex,
     shift,
@@ -24,6 +27,9 @@ from bicomplex import (
     zigzag,
 )
 from bicomplex.linalg import rank
+from call_counter import calls_into
+from test_acceptance import PROPERTY_CASES
+from test_frolicher import NIL4
 
 TABLE_FUNCS = (dolbeault, conjugate_dolbeault, de_rham, bott_chern, aeppli)
 
@@ -53,6 +59,37 @@ def test_conjugate_dolbeault_horizontal_zigzag():
     z = zigzag((0, 0), 2, "d1")
     assert entries(conjugate_dolbeault(z)) == {}
     assert entries(dolbeault(z)) == {(0, 0): 1, (1, 0): 1}
+
+
+# -- one rank formula per table -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: random_complex(203, (0, 5, 0, 5), 19),
+], ids=["nil4", "random203"])
+def test_one_elimination_per_nonzero_differential(build):
+    """Each stored d1 or d2 block, and each nonzero total differential, is
+    eliminated once; a zero one costs no elimination."""
+    a = build()
+    nonzero_degrees = {p + q for p, q in [*a.d1, *a.d2]}
+    for table, eliminations in ((dolbeault, len(a.d2)),
+                                (conjugate_dolbeault, len(a.d1)),
+                                (de_rham, len(nonzero_degrees))):
+        # Calls into the elimination kernel, whatever name reached it.
+        assert calls_into(linalg._echelon.__code__, table, a) == eliminations, table.__name__
+
+
+def test_row_cohomology_matches_the_d1_rank_formula():
+    """conjugate_dolbeault is the column table of the transposed complex;
+    this is the direct route along d1."""
+    for seed, window, size, with_sigma in PROPERTY_CASES:
+        if with_sigma:
+            continue
+        a = random_complex(seed, window, size)
+        want = {(p, q): n - rank(a.d1_at(p, q)) - rank(a.d1_at(p - 1, q))
+                for (p, q), n in a.dims.items()}
+        assert entries(conjugate_dolbeault(a)) == {pq: v for pq, v in want.items() if v}, seed
 
 
 # -- Iwasawa golden values -----------------------------------------------------------
