@@ -282,6 +282,9 @@ def run(argv: list[str]) -> int:
         if args.command == "model":
             a = resolve_reference(args.reference)
         elif args.command == "blowup":
+            if args.codim - 1 > _models.MAX_SHIFTED_COPIES:
+                raise InputError(f"--codim {args.codim} needs {args.codim - 1} shifted copies of "
+                                 f"the center, more than the {_models.MAX_SHIFTED_COPIES} accepted")
             ambient = resolve_reference(args.ambient)
             center = resolve_reference(args.center)
             n_x = _complex_dimension_guess(ambient)
@@ -294,9 +297,15 @@ def run(argv: list[str]) -> int:
                 )
             a = blow_up(ambient, center, args.codim).total
         elif args.command == "projbundle":
+            if args.rank > _models.MAX_SHIFTED_COPIES:
+                raise InputError(f"--rank {args.rank} needs {args.rank} shifted copies of "
+                                 f"the base, more than the {_models.MAX_SHIFTED_COPIES} accepted")
             base = resolve_reference(args.base)
             a, _ = projective_bundle(base, args.rank)
         elif args.command == "random":
+            if args.size > _models.MAX_RANDOM_SIZE:
+                raise InputError(f"--size {args.size} is more than the "
+                                 f"{_models.MAX_RANDOM_SIZE} random shapes accepted")
             try:
                 window = tuple(int(t) for t in args.window.split(","))
             except ValueError:

@@ -55,6 +55,7 @@ from .linalg import (
     Basis,
     Matrix,
     NotASubspace,
+    assemble,
     hstack,
     image_basis,
     induced_subquotient_map,
@@ -186,34 +187,29 @@ class Totalization:
         if k in self._d:
             return self._d[k]
         a = self.complex
-        entries = {}
-        src_off = self.offsets.get(k, {})
-        tgt_off = self.offsets.get(k + 1, {})
-        for (p, q), co in src_off.items():
-            for block, tgt in ((a.d1_at(p, q), (p + 1, q)), (a.d2_at(p, q), (p, q + 1))):
-                if tgt in tgt_off and not block.is_zero():
-                    ro = tgt_off[tgt]
-                    for (i, j), v in block.entries.items():
-                        entries[(i + ro, j + co)] = v
-        m = Matrix(self.dim(k + 1), self.dim(k), entries)
-        self._d[k] = m
+        src, tgt = self.components.get(k, []), self.components.get(k + 1, [])
+        index = {pq: n for n, pq in enumerate(tgt)}
+        blocks = {}
+        for j, (p, q) in enumerate(src):
+            for block, to in ((a.d1_at(p, q), (p + 1, q)), (a.d2_at(p, q), (p, q + 1))):
+                if to in index and not block.is_zero():
+                    blocks[(index[to], j)] = block
+        m = self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
         return m
 
     def embed_block(self, f: Morphism, k: int, other: "Totalization") -> Matrix:
         """The degree-k block of the totalized morphism."""
-        entries = {}
-        src_off = self.offsets.get(k, {})
-        tgt_off = other.offsets.get(k, {})
-        for pq, co in src_off.items():
-            if pq not in tgt_off:
-                block = f.block_at(*pq)
-                if not block.is_zero():
-                    raise ValueError("morphism leaves the target support")
-                continue
-            ro = tgt_off[pq]
-            for (i, j), v in f.block_at(*pq).entries.items():
-                entries[(i + ro, j + co)] = v
-        return Matrix(other.dim(k), self.dim(k), entries)
+        src, tgt = self.components.get(k, []), other.components.get(k, [])
+        index = {pq: n for n, pq in enumerate(tgt)}
+        blocks = {}
+        for j, pq in enumerate(src):
+            block = f.block_at(*pq)
+            if pq in index:
+                blocks[(index[pq], j)] = block
+            elif not block.is_zero():
+                raise ValueError("morphism leaves the target support")
+        return assemble([other.complex.dim(*pq) for pq in tgt],
+                        [self.complex.dim(*pq) for pq in src], blocks)
 
 
 def de_rham(a: DoubleComplex) -> CohomologyTable:
@@ -360,10 +356,7 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
         if hi <= lo or not stop:
             return 0
         if (n, start) not in pivots:
-            d = tot.differential(n)
-            block = Matrix(d.cols - start, d.rows,
-                           {(j - start, i): v for (i, j), v in d.entries.items() if j >= start})
-            pivots[(n, start)] = pivot_columns(block)
+            pivots[(n, start)] = pivot_columns(tot.differential(n)[:, start:].transpose())
         return bisect_left(pivots[(n, start)], stop)
 
     pages = []

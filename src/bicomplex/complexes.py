@@ -42,10 +42,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .linalg import (
     Basis,
     Matrix,
-    _gaussian_blocks,
-    _identity_form,
     _products_vanish,
     assemble,
+    hstack,
     kernel_basis,
     image_basis,
     induced_subquotient_map,
@@ -192,12 +191,10 @@ def validate(a: DoubleComplex) -> list[Violation]:
     Shape consistency is enforced at construction, so this checks the algebra:
     d1 d1 = 0, d2 d2 = 0, d1 d2 + d2 d1 = 0, and the sigma axioms when a real
     structure is present.  Each identity is one sum of signed products that
-    must vanish, decided over Z[i] by `linalg._products_vanish`: every block
-    is converted once per call, conjugates negate imaginary parts, and no
-    product matrix or scalar is built.
+    must vanish, decided over Z[i] by `linalg._products_vanish` on the blocks
+    themselves: no product matrix or scalar is built.
     """
-    d1 = _gaussian_blocks(a.d1)
-    d2 = _gaussian_blocks(a.d2)
+    d1, d2 = a.d1_at, a.d2_at
     out: list[Violation] = []
     for p, q in a.bidegrees():
         if not _products_vanish([(1, d1(p + 1, q), d1(p, q))]):
@@ -207,15 +204,15 @@ def validate(a: DoubleComplex) -> list[Violation]:
         if not _products_vanish([(1, d2(p + 1, q), d1(p, q)), (1, d1(p, q + 1), d2(p, q))]):
             out.append(Violation(p, q, "d1 d2 + d2 d1 != 0"))
     if a.sigma is not None:
-        s = _gaussian_blocks(a.sigma)
+        s = a.sigma_at
         for p, q in a.bidegrees():
-            one = _identity_form(a.dim(p, q))
-            if not _products_vanish([(1, s(q, p), s(p, q, conjugate=True)), (-1, one, one)]):
+            one = Matrix.identity(a.dim(p, q))
+            if not _products_vanish([(1, s(q, p), s(p, q).conjugate()), (-1, one, one)]):
                 out.append(Violation(p, q, "sigma is not an involution"))
-            if not _products_vanish([(1, s(p + 1, q), d1(p, q, conjugate=True)),
+            if not _products_vanish([(1, s(p + 1, q), d1(p, q).conjugate()),
                                      (-1, d2(q, p), s(p, q))]):
                 out.append(Violation(p, q, "sigma d1 sigma != d2"))
-            if not _products_vanish([(1, s(p, q + 1), d2(p, q, conjugate=True)),
+            if not _products_vanish([(1, s(p, q + 1), d2(p, q).conjugate()),
                                      (-1, d1(q, p), s(p, q))]):
                 out.append(Violation(p, q, "sigma d2 sigma != d1"))
     return out
@@ -247,9 +244,9 @@ class Morphism:
             if not m.is_zero():
                 clean[pq] = m
         object.__setattr__(self, "blocks", clean)
-        f = _gaussian_blocks(clean)
-        s1, s2 = _gaussian_blocks(self.source.d1), _gaussian_blocks(self.source.d2)
-        t1, t2 = _gaussian_blocks(self.target.d1), _gaussian_blocks(self.target.d2)
+        f = self.block_at
+        s1, s2 = self.source.d1_at, self.source.d2_at
+        t1, t2 = self.target.d1_at, self.target.d2_at
         support = set(self.source.dims) | set(self.target.dims)
         for p, q in sorted(support):
             if not _products_vanish([(1, t1(p, q), f(p, q)), (-1, f(p + 1, q), s1(p, q))]):
@@ -376,31 +373,19 @@ def direct_sum_many(summands: Sequence[DoubleComplex]) -> tuple[DoubleComplex, l
         offsets.append(offs)
 
     def place(block_of, target_of):
-        out: dict[BiDegree, dict] = {}
-        for s, offs in zip(summands, offsets):
-            for pq, m in block_of(s).items():
-                tgt = target_of(pq)
-                ro = offs.get(tgt, 0)
-                co = offs[pq]
-                cell = out.setdefault(pq, {})
-                for (i, j), v in m.entries.items():
-                    cell[(i + ro, j + co)] = v
+        """Per bidegree, the summands' blocks along the diagonal of one block matrix."""
+        out = {}
+        for pq in dict.fromkeys(pq for s in summands for pq in block_of(s)):
+            blocks = {(k, k): block_of(s)[pq] for k, s in enumerate(summands) if pq in block_of(s)}
+            out[pq] = assemble([s.dim(*target_of(pq)) for s in summands],
+                               [s.dim(*pq) for s in summands], blocks)
         return out
 
-    def to_matrices(placed, target_of):
-        return {
-            pq: Matrix(dims.get(target_of(pq), 0), dims.get(pq, 0), cell)
-            for pq, cell in placed.items()
-        }
-
-    d1 = to_matrices(place(lambda s: s.d1, lambda pq: (pq[0] + 1, pq[1])),
-                     lambda pq: (pq[0] + 1, pq[1]))
-    d2 = to_matrices(place(lambda s: s.d2, lambda pq: (pq[0], pq[1] + 1)),
-                     lambda pq: (pq[0], pq[1] + 1))
+    d1 = place(lambda s: s.d1, lambda pq: (pq[0] + 1, pq[1]))
+    d2 = place(lambda s: s.d2, lambda pq: (pq[0], pq[1] + 1))
     sigma = None
     if summands and all(s.sigma is not None for s in summands):
-        sigma = to_matrices(place(lambda s: s.sigma, lambda pq: (pq[1], pq[0])),
-                            lambda pq: (pq[1], pq[0]))
+        sigma = place(lambda s: s.sigma, lambda pq: (pq[1], pq[0]))
     labels = None
     if summands and all(s.labels is not None for s in summands):
         labels = {}
@@ -549,28 +534,17 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
         n_tgt = tgt.dim(*pq)
         n_src = f.source.dim(*pq)
         block = f.block_at(*pq)
-        combined = Matrix(
-            n_tgt,
-            n_src + n_tgt,
-            dict(block.entries) | {(i, n_src + i): ONE for i in range(n_tgt)},
-        )
-        pivots = pivot_columns(combined)
+        pivots = pivot_columns(hstack([block, Matrix.identity(n_tgt)]))
         image_pivots = [p for p in pivots if p < n_src]
         if len(image_pivots) != n_src:
             raise NotInjective(*pq)
         chosen = [p - n_src for p in pivots if p >= n_src]
         dims[pq] = len(chosen)
         lift = Matrix(n_tgt, len(chosen), {(e, k): ONE for k, e in enumerate(chosen)})
-        frame = Matrix(n_tgt, n_src + len(chosen),
-                       dict(block.entries) | {(e, n_src + k): ONE for k, e in enumerate(chosen)})
-        inverse = solve_columns(frame, Matrix.identity(n_tgt))
+        inverse = solve_columns(hstack([block, lift]), Matrix.identity(n_tgt))
         if inverse is None:
             raise RuntimeError(f"quotient: the frame at bidegree {pq} is not invertible")
-        proj = Matrix(
-            len(chosen),
-            n_tgt,
-            {(i - n_src, j): v for (i, j), v in inverse.entries.items() if i >= n_src},
-        )
+        proj = inverse[n_src:, :]
         lifts[pq] = lift
         projs[pq] = proj
         if labels is not None:

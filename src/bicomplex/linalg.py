@@ -5,18 +5,28 @@ kernels, images, sums and intersections of subspaces, and induced maps on
 subquotients Z/B.  Everything is exact and deterministic; identical inputs
 give bit-identical outputs.
 
-Vectors are tuples of GaussianRational.  A Matrix stores only its nonzero
-entries, keyed by (row, col).  A Basis is a list of linearly independent
-coordinate vectors in a fixed ambient dimension.
+A Matrix is stored over Z[i] with one denominator, the layout of Sage's
+`Matrix_rational_dense` and FLINT's `fmpq_mat`: a positive int `den` and a
+dict (row, col) -> (re, im) of Python ints, never (0, 0), standing for the
+entries divided by den.  den is always the least such denominator (the lcm
+of the entries' real and imaginary denominators), so equal matrices have
+equal forms and `==` compares forms.  The public constructors take
+GaussianRational entries and convert them once; every operation here works
+on the form, and `entries`, `row` and `column` build GaussianRational views
+on access.  No other module reads the form: blocks are placed with
+`assemble` (which `hstack` and `vstack` call) and cut with `m[r0:r1, c0:c1]`.
+
+Vectors are tuples of GaussianRational.  A Basis is a list of linearly
+independent coordinate vectors in a fixed ambient dimension.
 
 Every elimination runs through one fraction-free kernel, `_echelon`:
 
-  * each row is scaled by the lcm of its denominators into Z[i] and held as
-    a dict col -> (re, im) of Python ints;
+  * each row of the form is divided by the gcd of its ints and held as a
+    dict col -> (re, im);
   * a step with pivot row r and pivot entry pv replaces each row t holding c
     in the pivot column by (pv t - c r) / prev, the one-step rule of
     Bareiss (Math. Comp. 1968).  The division is exact over Z[i], because
-    the rows it yields are minors of the scaled matrix;
+    the rows it yields are minors of the starting matrix;
   * divisors are lazy: a row records the divisor it is current with, and a
     step that does not touch it does not rescale it.  A later step that
     touches it divides by that divisor in place of prev, and a row picked
@@ -30,34 +40,30 @@ The pivot row is the sparsest candidate, ties to the lowest index.  The
 rows are scalar multiples of those of Gauss-Jordan elimination on Q(i), so
 the choice, and the fill-in, are the same as there.
 
-Matrix products (`Matrix.__matmul__`) also run over Z[i]: each factor is
-scaled by one common denominator, the lcm of all its entries' real and
-imaginary denominators; each output entry is summed as an (int, int) pair;
-and a GaussianRational is built only for a sum that ends nonzero.  A
-product that vanishes builds no scalar at all.
-
+Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
+entry is summed as an (int, int) pair over the product of the denominators.
 Identity checks (the double-complex axioms in `complexes.validate`, the
 commutation of a `Morphism` with d1 and d2) ask only whether a sum of
 signed products vanishes, and `_products_vanish` decides that without
-building a product matrix: the terms come as Z[i] forms (den, entries),
-each product is brought to the lcm of the products' denominators, and all
-are summed in one (int, int) accumulator, the one `__matmul__` uses
-(`_accumulate`).  `_gaussian_blocks` converts each block of a complex to
-its form once per check, and a conjugate negates the imaginary parts.
+building a product matrix: each product is brought to the lcm of the
+products' denominators, and all are summed in one (int, int) accumulator,
+the one `__matmul__` uses (`_accumulate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, _coerce
 
 Vector = tuple[GaussianRational, ...]
 
-_MINUS_ONE = -ONE
+# The nonzero Z[i] entries of a stored form, keyed by (row, col).
+Entries = dict[tuple[int, int], tuple[int, int]]
 
 
 class AmbientMismatch(ValueError):
@@ -83,38 +89,59 @@ def vector(values: Sequence) -> Vector:
     return tuple(out)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
+def _form(entries: Mapping[tuple[int, int], GaussianRational]) -> tuple[int, Entries]:
+    """(den, num) for GaussianRational entries: den the lcm of all their
+    denominators, num the nonzero entries times den."""
+    parts = [(k, v.re.as_integer_ratio(), v.im.as_integer_ratio()) for k, v in entries.items()]
+    den = lcm(*(d for _, (_, dx), (_, dy) in parts for d in (dx, dy)))
+    return den, {k: (x * (den // dx), y * (den // dy)) for k, (x, dx), (y, dy) in parts if x or y}
 
 
-@dataclass(frozen=True)
+def _scalar(x: int, y: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(x, den), Fraction(y, den))
+
+
 class Matrix:
-    """Sparse exact matrix; absent entries are zero, stored entries never are."""
+    """Sparse exact matrix over Q(i), stored as (den, {(row, col): (re, im)})
+    with den least; absent entries are zero, stored entries never are.
+    Operations return new matrices and never change one in place."""
 
-    rows: int
-    cols: int
-    entries: Mapping[tuple[int, int], GaussianRational] = field(default_factory=dict)
+    __slots__ = ("rows", "cols", "_den", "_num")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int,
+                 entries: Mapping[tuple[int, int], GaussianRational] | None = None):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        clean = {}
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-            if v:
-                clean[(i, j)] = v
-        object.__setattr__(self, "entries", clean)
+        entries = entries or {}
+        for i, j in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+        self._set(rows, cols, *_form(entries))
+
+    def _set(self, rows: int, cols: int, den: int, num: Entries) -> None:
+        self.rows, self.cols, self._den, self._num = rows, cols, den, num
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._den, self._num) == (
+            other.rows, other.cols, other._den, other._num)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}: {v}" for k, v in sorted(self.entries.items()))
+        return f"Matrix({self.rows}, {self.cols}, {{{shown}}})"
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, {})
+        return _matrix(rows, cols, 1, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return _matrix(n, n, 1, {(i, i): (1, 0) for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -140,50 +167,65 @@ class Matrix:
 
     # -- views -------------------------------------------------------------
 
+    @property
+    def entries(self) -> dict[tuple[int, int], GaussianRational]:
+        """The nonzero entries as GaussianRational, in a fresh dict."""
+        return {k: _scalar(x, y, self._den) for k, (x, y) in self._num.items()}
+
     def column(self, j: int) -> Vector:
-        return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
+        num = self._num
+        return tuple(_scalar(*num[(i, j)], self._den) if (i, j) in num else ZERO
+                     for i in range(self.rows))
 
     def row(self, i: int) -> Vector:
-        return tuple(self.entries.get((i, j), ZERO) for j in range(self.cols))
+        num = self._num
+        return tuple(_scalar(*num[(i, j)], self._den) if (i, j) in num else ZERO
+                     for j in range(self.cols))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._num
+
+    def __getitem__(self, key: tuple[slice, slice]) -> "Matrix":
+        """m[r0:r1, c0:c1]: the block of those rows and columns, indexed from 0."""
+        (r0, r1, rstep), (c0, c1, cstep) = key[0].indices(self.rows), key[1].indices(self.cols)
+        if (rstep, cstep) != (1, 1):
+            raise ValueError("matrix slices take unit steps")
+        num = {(i - r0, j - c0): v for (i, j), v in self._num.items()
+               if r0 <= i < r1 and c0 <= j < c1}
+        return _matrix(max(r1 - r0, 0), max(c1 - c0, 0), self._den, num)
 
     # -- arithmetic ---------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return _matrix(self.cols, self.rows, self._den, {(j, i): v for (i, j), v in self._num.items()})
 
     def conjugate(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: v.conjugate() for k, v in self.entries.items()})
+        return _matrix(self.rows, self.cols, self._den, {k: (x, -y) for k, (x, y) in self._num.items()})
 
     def scale(self, s) -> "Matrix":
-        """s * self; a sign change (s = +-1) multiplies no scalars."""
+        """s * self, the Kronecker product of the 1x1 matrix (s) with self."""
         c = _coerce(s)
         if c is NotImplemented:
             raise TypeError(f"cannot scale by {s!r}")
-        if not c:
-            return Matrix.zero(self.rows, self.cols)
-        if c == ONE:
-            return self
-        if c == _MINUS_ONE:
-            return -self
-        return Matrix(self.rows, self.cols, {k: v * c for k, v in self.entries.items()})
+        return kron(Matrix(1, 1, {(0, 0): c}), self)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+        return _matrix(self.rows, self.cols, self._den, {k: (-x, -y) for k, (x, y) in self._num.items()})
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k, ZERO) + v
-            if s:
-                entries[k] = s
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        num = {k: (a * x, a * y) for k, (x, y) in self._num.items()}
+        for k, (x, y) in other._num.items():
+            sx, sy = num.get(k, (0, 0))
+            sx, sy = sx + b * x, sy + b * y
+            if sx or sy:
+                num[k] = (sx, sy)
             else:
-                entries.pop(k, None)
-        return Matrix(self.rows, self.cols, entries)
+                del num[k]
+        return _matrix(self.rows, self.cols, den, num)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -193,71 +235,33 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        da, left = _gaussian_entries(self)
-        db, right = _gaussian_entries(other)
-        acc: dict[tuple[int, int], tuple[int, int]] = {}
-        _accumulate(acc, left, right)
-        den = da * db
-        return Matrix(self.rows, other.cols, {
-            key: GaussianRational(Fraction(x, den), Fraction(y, den))
-            for key, (x, y) in acc.items() if x or y
-        })
+        acc: Entries = {}
+        _accumulate(acc, self._num, other._num)
+        return _matrix(self.rows, other.cols, self._den * other._den,
+                       {k: v for k, v in acc.items() if v != (0, 0)})
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector of wrong length")
-        out = [ZERO] * self.rows
-        for (i, j), a in self.entries.items():
-            if v[j]:
-                out[i] = out[i] + a * v[j]
-        return tuple(out)
+        return (self @ Matrix.from_columns([v], self.cols)).column(0)
 
 
-# A matrix over Z[i] with one denominator: (den, {(row, col): (re, im)}),
-# standing for the entries divided by den.  Stored entries are nonzero.
-GaussianForm = tuple[int, dict[tuple[int, int], tuple[int, int]]]
+def _matrix(rows: int, cols: int, den: int, num: Entries) -> Matrix:
+    """The Matrix num / den, for den > 0 and num without zero entries; den is
+    brought down to the least denominator first."""
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix dimensions")
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g != 1:
+            den //= g
+            num = {k: (x // g, y // g) for k, (x, y) in num.items()}
+    m = object.__new__(Matrix)
+    m._set(rows, cols, den, num)
+    return m
 
 
-def _gaussian_entries(m: Matrix) -> GaussianForm:
-    """(den, entries of den * m) for the lcm den of all of m's denominators."""
-    den = 1
-    for v in m.entries.values():
-        den = lcm(den, v.re.denominator, v.im.denominator)
-    return den, {
-        k: (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-        for k, v in m.entries.items()
-    }
-
-
-_NO_ENTRIES: GaussianForm = (1, {})
-
-
-def _identity_form(n: int) -> GaussianForm:
-    return 1, {(i, i): (1, 0) for i in range(n)}
-
-
-def _gaussian_blocks(blocks: Mapping[tuple[int, int], Matrix]) -> Callable[..., GaussianForm]:
-    """at(i, j, conjugate=False): the Z[i] form of blocks[(i, j)], or of its
-    conjugate (the imaginary parts negated); an absent block is empty.  Each
-    block is converted once, on first use, and kept as long as at is."""
-    forms: dict[tuple[int, int], GaussianForm] = {}
-
-    def at(i: int, j: int, conjugate: bool = False) -> GaussianForm:
-        form = forms.get((i, j))
-        if form is None:
-            m = blocks.get((i, j))
-            form = forms[(i, j)] = _NO_ENTRIES if m is None else _gaussian_entries(m)
-        if conjugate:
-            den, entries = form
-            return den, {k: (x, -y) for k, (x, y) in entries.items()}
-        return form
-
-    return at
-
-
-def _accumulate(acc: dict[tuple[int, int], tuple[int, int]],
-                left: Mapping[tuple[int, int], tuple[int, int]],
-                right: Mapping[tuple[int, int], tuple[int, int]]) -> None:
+def _accumulate(acc: Entries, left: Entries, right: Entries) -> None:
     """acc += left @ right, every entry an (int, int) pair over Z[i]."""
     by_row: dict[int, list[tuple[int, int, int]]] = {}
     for (k, j), (br, bi) in right.items():
@@ -269,7 +273,7 @@ def _accumulate(acc: dict[tuple[int, int], tuple[int, int]],
             acc[key] = (x + ar * br - ai * bi, y + ar * bi + ai * br)
 
 
-def _products_vanish(terms: Iterable[tuple[int, GaussianForm, GaussianForm]]) -> bool:
+def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix]]) -> bool:
     """Whether the sum of sign * (a @ b) over terms (sign, a, b) is zero.
 
     The caller guarantees that the products share one shape.  Every product
@@ -278,13 +282,14 @@ def _products_vanish(terms: Iterable[tuple[int, GaussianForm, GaussianForm]]) ->
     are summed in one Z[i] accumulator; no scalar is built.  A term with an
     empty factor is zero and is skipped.
     """
-    terms = [(s, a, b) for s, a, b in terms if a[1] and b[1]]
+    terms = [(s, a, b) for s, a, b in terms if a._num and b._num]
     if not terms:
         return True
-    den = lcm(*(a[0] * b[0] for _, a, b in terms))
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
-    for sign, (da, left), (db, right) in terms:
-        c = sign * (den // (da * db))
+    den = lcm(*(a._den * b._den for _, a, b in terms))
+    acc: Entries = {}
+    for sign, a, b in terms:
+        left, right = a._num, b._num
+        c = sign * (den // (a._den * b._den))
         if c != 1:
             if len(left) <= len(right):
                 left = {k: (c * x, c * y) for k, (x, y) in left.items()}
@@ -297,31 +302,13 @@ def _products_vanish(terms: Iterable[tuple[int, GaussianForm, GaussianForm]]) ->
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ValueError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("hstack with differing row counts")
-    entries = {}
-    off = 0
-    for m in mats:
-        for (i, j), v in m.entries.items():
-            entries[(i, j + off)] = v
-        off += m.cols
-    return Matrix(rows, off, entries)
+    return assemble([mats[0].rows], [m.cols for m in mats], {(0, k): m for k, m in enumerate(mats)})
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("vstack with differing column counts")
-    entries = {}
-    off = 0
-    for m in mats:
-        for (i, j), v in m.entries.items():
-            entries[(i + off, j)] = v
-        off += m.rows
-    return Matrix(off, cols, entries)
+    return assemble([m.rows for m in mats], [mats[0].cols], {(k, 0): m for k, m in enumerate(mats)})
 
 
 def assemble(row_dims: Sequence[int], col_dims: Sequence[int],
@@ -333,45 +320,43 @@ def assemble(row_dims: Sequence[int], col_dims: Sequence[int],
     coff = [0]
     for d in col_dims:
         coff.append(coff[-1] + d)
-    entries = {}
+    den = lcm(*(m._den for m in blocks.values()))
+    num = {}
     for (bi, bj), m in blocks.items():
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has wrong shape")
-        for (i, j), v in m.entries.items():
-            entries[(i + roff[bi], j + coff[bj])] = v
-    return Matrix(roff[-1], coff[-1], entries)
+        c, ro, co = den // m._den, roff[bi], coff[bj]
+        for (i, j), (x, y) in m._num.items():
+            num[(i + ro, j + co)] = (c * x, c * y)
+    return _matrix(roff[-1], coff[-1], den, num)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    entries = {}
-    for (ia, ja), va in a.entries.items():
-        for (ib, jb), vb in b.entries.items():
-            entries[(ia * b.rows + ib, ja * b.cols + jb)] = va * vb
-    return Matrix(a.rows * b.rows, a.cols * b.cols, entries)
+    num = {}
+    for (ia, ja), (ar, ai) in a._num.items():
+        for (ib, jb), (br, bi) in b._num.items():
+            num[(ia * b.rows + ib, ja * b.cols + jb)] = (ar * br - ai * bi, ar * bi + ai * br)
+    return _matrix(a.rows * b.rows, a.cols * b.cols, a._den * b._den, num)
 
 
 # -- row reduction ----------------------------------------------------------
 
 
+def _primitive(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """row divided by the gcd of its ints."""
+    g = gcd(*chain.from_iterable(row.values()))
+    return {j: (a // g, b // g) for j, (a, b) in row.items()} if g > 1 else row
+
+
 def _gaussian_rows(m: Matrix) -> list[dict[int, tuple[int, int]]]:
-    """The rows of m, each scaled by the lcm of its denominators into Z[i]."""
-    rows: list[dict[int, GaussianRational]] = [{} for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
+    """The rows of m's form, each divided by the gcd of its ints."""
+    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(m.rows)]
+    for (i, j), v in m._num.items():
         rows[i][j] = v
-    out = []
-    for row in rows:
-        den = 1
-        for v in row.values():
-            den = lcm(den, v.re.denominator, v.im.denominator)
-        out.append({
-            j: (v.re.numerator * (den // v.re.denominator),
-                v.im.numerator * (den // v.im.denominator))
-            for j, v in row.items()
-        })
-    return out
+    return [_primitive(row) for row in rows]
 
 
-def _times(row: dict[int, tuple[int, int]], s: tuple[int, int]) -> dict[int, tuple[int, int]]:
+def _times(row: dict, s: tuple[int, int]) -> dict:
     """row * s over Z[i]."""
     sr, si = s
     return {j: (a * sr - b * si, a * si + b * sr) for j, (a, b) in row.items()}
@@ -440,24 +425,26 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
 def pivot_columns(m: Matrix) -> tuple[int, ...]:
     """Pivot columns of the RREF of m, from the forward pass alone; a zero
     matrix has none and costs no elimination."""
-    return tuple(_echelon(m, reduce=False)[0]) if m.entries else ()
+    return tuple(_echelon(m, reduce=False)[0]) if m._num else ()
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
-    The canonical RREF, pivot rows normalized to 1: each pivot row from the
-    fraction-free kernel is divided once by its pivot entry.
+    The canonical RREF, pivot rows normalized to 1.  Each pivot row from the
+    fraction-free kernel is multiplied by the conjugate of its pivot entry,
+    which makes that entry real, and divided by the gcd of its ints; the
+    pivot entry is then the row's least denominator.
     """
     pivots, pivot_rows = _echelon(m, reduce=True)
-    entries = {}
-    for i, (col, row) in enumerate(zip(pivots, pivot_rows)):
-        pr, pi = row[col]
-        n = pr * pr + pi * pi
-        for j, (a, b) in row.items():
-            entries[(i, j)] = GaussianRational(Fraction(a * pr + b * pi, n),
-                                               Fraction(b * pr - a * pi, n))
-    return Matrix(m.rows, m.cols, entries), tuple(pivots)
+    rows = [_primitive(_times(row, (row[col][0], -row[col][1])))
+            for col, row in zip(pivots, pivot_rows)]
+    den = lcm(*(row[col][0] for col, row in zip(pivots, rows)))
+    num = {}
+    for i, (col, row) in enumerate(zip(pivots, rows)):
+        c = den // row[col][0]
+        num.update(((i, j), (c * a, c * b)) for j, (a, b) in row.items())
+    return _matrix(m.rows, m.cols, den, num), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -502,9 +489,6 @@ class Basis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def is_valid(self) -> bool:
-        return rank(basis_matrix(self)) == self.dim
-
 
 def basis_matrix(b: Basis) -> Matrix:
     """Matrix whose columns are the basis vectors."""
@@ -530,8 +514,7 @@ def kernel_basis(m: Matrix) -> Basis:
             continue
         v = [ZERO] * m.cols
         v[j] = ONE
-        for r, pcol in enumerate(pivots):
-            c = red.entries.get((r, j))
+        for pcol, c in zip(pivots, red.column(j)):
             if c:
                 v[pcol] = -c
         out.append(tuple(v))
@@ -547,27 +530,15 @@ def solve_columns(a: Matrix, rhs: Matrix) -> Matrix | None:
     """Solve a X = rhs column by column; None if any column is inconsistent.
 
     A pivot landing in the right-hand block is exactly a column outside the
-    span of a, so one elimination decides consistency and reads the solution.
-    Free columns of a get coefficient zero.
+    span of a, so one elimination decides consistency and reads the solution:
+    RREF row r gives the coordinate at its pivot column.  Free columns of a
+    get coefficient zero.
     """
     red, pivots = rref(hstack([a, rhs]))
     if any(p >= a.cols for p in pivots):
         return None
-    entries = {}
-    for r, pcol in enumerate(pivots):
-        for j in range(rhs.cols):
-            v = red.entries.get((r, a.cols + j))
-            if v:
-                entries[(pcol, j)] = v
-    return Matrix(a.cols, rhs.cols, entries)
-
-
-def contains(outer: Basis, v: Vector) -> bool:
-    """Is v in span(outer)?"""
-    if len(v) != outer.ambient_dim:
-        raise AmbientMismatch("vector and basis ambient dimensions differ")
-    a = basis_matrix(outer)
-    return solve_columns(a, Matrix.from_columns([v], outer.ambient_dim)) is not None
+    num = {(pivots[r], j - a.cols): v for (r, j), v in red._num.items() if j >= a.cols}
+    return _matrix(a.cols, rhs.cols, red._den, num)
 
 
 def is_subspace(inner: Basis, outer: Basis) -> bool:
@@ -652,7 +623,4 @@ def induced_subquotient_map(f: Matrix, z_src: Basis, b_src: Basis,
     sol = solve_columns(frame, images)
     if sol is None:
         raise NotWellDefined("f does not map the source cycles into the target cycles")
-    entries = {
-        (i - b_tgt.dim, j): v for (i, j), v in sol.entries.items() if i >= b_tgt.dim
-    }
-    return Matrix(len(reps_tgt), len(reps_src), entries)
+    return sol[b_tgt.dim:, :]

@@ -58,6 +58,25 @@ Letter = tuple[int, int]
 # million monomials) would not finish.
 MAX_MODEL_BASIS = 4 ** 7
 
+# The largest m for which a truncated_polynomial model builds projective
+# m-space: one class at each (p, p), p <= m.  P^400 gets every table in
+# 1.9 s within 34 MB (same host); the time grows about as m^2, and P^800
+# takes 10 s within 85 MB.
+MAX_PROJECTIVE_DIMENSION = 400
+
+# The most shifted copies the command line builds: `projbundle --rank n`
+# takes n copies of the base, `blowup --codim r` r - 1 copies of the center.
+# 128 copies of the 64-dimensional Iwasawa model get every table in 4.1 s
+# within 32 MB (same host); the time grows about as the square of the count
+# (256 copies: 15.6 s) and with the size of the copied complex.
+MAX_SHIFTED_COPIES = 128
+
+# The largest `random --size`.  Size 40 in the window 0,1,0,1 with --sigma,
+# the slowest window measured, gets every table in 4 to 6 s (seeds 1 to 3)
+# within 27 MB (same host); size 64 there takes 32 s.  The property suite's
+# largest size is 37.
+MAX_RANDOM_SIZE = 40
+
 
 class ModelError(ValueError):
     """Base class for everything the model layer can reject."""
@@ -406,11 +425,6 @@ class AlgebraModel:
             }
         self._truncation = truncation
 
-    def monomials(self, p: int, q: int) -> tuple:
-        if self._monomials is None:
-            raise ValueError("model has no monomial basis")
-        return self._monomials.get((p, q), ())
-
     def product(self, pq1: BiDegree, i1: int, pq2: BiDegree, i2: int) -> dict[int, GaussianRational]:
         """Coordinates of basis_i1 wedge basis_i2 in A^{pq1 + pq2}."""
         target = (pq1[0] + pq2[0], pq1[1] + pq2[1])
@@ -560,6 +574,9 @@ def projective_space(m: int) -> AlgebraModel:
     t of bidegree (1,1), zero differentials."""
     if m < 0:
         raise InvalidDimension(f"projective space needs m >= 0, got {m}")
+    if m > MAX_PROJECTIVE_DIMENSION:
+        raise InvalidDimension(f"projective space of dimension {m} is more than the "
+                               f"{MAX_PROJECTIVE_DIMENSION} this builder accepts")
     dims = {(p, p): 1 for p in range(m + 1)}
     sigma = {(p, p): Matrix.identity(1) for p in range(m + 1)}
     labels = {(p, p): ("1" if p == 0 else ("t" if p == 1 else f"t^{p}"),) for p in range(m + 1)}

@@ -58,6 +58,13 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise SerializeError(lineno, f"{what} must be an integer, got {token!r}")
 
 
+def _put(table: dict, key, value, lineno: int, what: str) -> None:
+    """table[key] = value, unless an earlier record already set it."""
+    if key in table:
+        raise SerializeError(lineno, f"repeated {what}")
+    table[key] = value
+
+
 def _iter_records(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
@@ -78,7 +85,9 @@ def loads_complex(text: str) -> DoubleComplex:
             if len(parts) != 4:
                 raise SerializeError(lineno, "dim takes p q dimension")
             p, q, n = (_parse_int(t, lineno, "dim field") for t in parts[1:])
-            dims[(p, q)] = n
+            if n < 0:
+                raise SerializeError(lineno, f"dimension at ({p}, {q}) is negative: {n}")
+            _put(dims, (p, q), n, lineno, f"dim record for ({p}, {q})")
         elif tag in ("d1", "d2", "sigma"):
             if len(parts) != 6:
                 raise SerializeError(lineno, f"{tag} takes p q row col scalar")
@@ -87,13 +96,15 @@ def loads_complex(text: str) -> DoubleComplex:
                 v = parse_scalar(parts[5])
             except ValueError as e:
                 raise SerializeError(lineno, str(e))
-            cells[tag].setdefault((p, q), {})[(i, j)] = v
+            _put(cells[tag].setdefault((p, q), {}), (i, j), v, lineno,
+                 f"{tag} record for entry ({i}, {j}) at ({p}, {q})")
             saw_sigma = saw_sigma or tag == "sigma"
         elif tag == "label":
             if len(parts) < 5:
                 raise SerializeError(lineno, "label takes p q index name")
             p, q, i = (_parse_int(t, lineno, "label field") for t in parts[1:4])
-            labels.setdefault((p, q), {})[i] = " ".join(parts[4:])
+            _put(labels.setdefault((p, q), {}), i, " ".join(parts[4:]), lineno,
+                 f"label record for index {i} at ({p}, {q})")
             saw_label = True
         else:
             raise SerializeError(lineno, f"unknown record {tag!r}")
@@ -155,7 +166,8 @@ def parse_morphism_file(text: str, resolve: Callable[[str], DoubleComplex]) -> M
                 v = parse_scalar(parts[5])
             except ValueError as e:
                 raise SerializeError(lineno, str(e))
-            blocks.setdefault((p, q), {})[(i, j)] = v
+            _put(blocks.setdefault((p, q), {}), (i, j), v, lineno,
+                 f"block record for entry ({i}, {j}) at ({p}, {q})")
         else:
             raise SerializeError(lineno, f"unknown record {tag!r}")
     if source is None or target is None:

@@ -66,7 +66,7 @@ class _ColumnSpectralSequence:
         if r == 0 or not cols:
             basis = self.tot.filtration_basis(k, p)
         else:
-            d = self.tot.differential(k)
+            d = self.tot.differential(k).entries
             outside = [
                 j
                 for pq, off in self.tot.offsets.get(k + 1, {}).items()
@@ -77,10 +77,10 @@ class _ColumnSpectralSequence:
                 len(outside),
                 len(cols),
                 {
-                    (oi, ci): d.entries[(i, j)]
+                    (oi, ci): d[(i, j)]
                     for oi, i in enumerate(sorted(outside))
                     for ci, j in enumerate(cols)
-                    if (i, j) in d.entries
+                    if (i, j) in d
                 },
             )
             coords = kernel_basis(restricted)

@@ -122,15 +122,43 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     assert "violation" in err
 
 
+# Input files the cases below name, written to the working directory first.
+INPUT_FILES = {
+    "huge_projective_space.model":
+        "complex_dimension = 100000\nkind = truncated_polynomial\ngenerators = t\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["random", "--seed", "1", "--window", "3,0,0,3", "--size", "2"],
     ["projbundle", "--base", "torus1", "--rank", "0"],
     ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "1"],
-], ids=["window", "rank", "codim"])
-def test_user_errors_exit_one(capsys, argv):
+    ["random", "--seed", "1", "--window", "0,3,0,3", "--size", "3000"],
+    ["projbundle", "--base", "torus1", "--rank", "100000"],
+    ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "100000"],
+    ["model", "huge_projective_space.model", "--tables", "e1"],
+], ids=["window", "rank", "codim", "size-too-large", "rank-too-large", "codim-too-large",
+        "projective-dimension-too-large"])
+def test_user_errors_exit_one(capsys, tmp_path, monkeypatch, argv):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
     assert run(argv) == 1
+    assert time.perf_counter() - start < 5
     _, err = capsys.readouterr()
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dim 0 0 -1\n", "error: line 1: dimension at (0, 0) is negative: -1\n"),
+    ("dim 0 0 1\ndim 0 0 2\n", "error: line 2: repeated dim record for (0, 0)\n"),
+], ids=["negative-dim", "repeated-dim"])
+def test_bad_complex_file_exits_one(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.dcx"
+    f.write_text(text)
+    out, err = run_ok(capsys, ["model", str(f), "--tables", "derham"], code=1)
+    assert (out, err) == ("", message)
 
 
 def test_morphism_entry_outside_block_exits_one(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bicomplex import (
@@ -24,8 +26,10 @@ from bicomplex import (
     shift,
     square,
     tensor,
+    validate,
     zigzag,
 )
+from bicomplex.cohomology import TABLES
 from bicomplex.linalg import rank
 from call_counter import calls_into
 from test_acceptance import PROPERTY_CASES
@@ -78,6 +82,19 @@ def test_one_elimination_per_nonzero_differential(build):
                                 (de_rham, len(nonzero_degrees))):
         # Calls into the elimination kernel, whatever name reached it.
         assert calls_into(linalg._echelon.__code__, table, a) == eliminations, table.__name__
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: random_complex(203, (0, 5, 0, 5), 19),
+], ids=["nil4", "random203"])
+def test_tables_touch_no_fraction(build):
+    """validate, the five tables and Frolicher run on the matrices' stored
+    Z[i] form: no Fraction is built and no denominator is read."""
+    a = build()
+    for fn in (validate, *TABLES.values(), frolicher):
+        for code in (Fraction.__new__.__code__, Fraction.denominator.fget.__code__):
+            assert calls_into(code, fn, a) == 0, (fn.__name__, code.co_name)
 
 
 def test_row_cohomology_matches_the_d1_rank_formula():

@@ -52,6 +52,12 @@ dim 0 0 1   # trailing comment
         ("dim 0 0 1\nd1 0 0 0 0 nope", "scalar"),
         ("dim 0 0 1\nd2 0 0 5 0 1", "outside"),
         ("dim 0 0 2\nlabel 0 0 0 x", "labels at"),
+        ("dim 0 0 -1", "line 1: dimension at (0, 0) is negative"),
+        ("dim 0 0 1\ndim 0 0 2", "line 2: repeated dim record"),
+        ("dim 0 0 1\ndim 1 0 1\nd1 0 0 0 0 1\nd1 0 0 0 0 2", "line 4: repeated d1 record"),
+        ("dim 0 0 1\ndim 0 1 1\nd2 0 0 0 0 1\nd2 0 0 0 0 1", "line 4: repeated d2 record"),
+        ("dim 0 0 1\nsigma 0 0 0 0 1\nsigma 0 0 0 0 1", "line 3: repeated sigma record"),
+        ("dim 0 0 1\nlabel 0 0 0 x\nlabel 0 0 0 y", "line 3: repeated label record"),
     ],
 )
 def test_load_errors(bad, message_part):
@@ -67,6 +73,12 @@ def test_morphism_file_identity(torus1):
             lines.append(f"block {p} {q} 0 0 1")
     f = parse_morphism_file("\n".join(lines), lambda ref: torus(1).complex)
     assert f.blocks == Morphism.identity(torus1.complex).blocks
+
+
+def test_morphism_file_rejects_repeated_block_record():
+    text = "source dot\ntarget dot\nblock 0 0 0 0 1\nblock 0 0 0 0 2\n"
+    with pytest.raises(SerializeError, match="line 4: repeated block record"):
+        parse_morphism_file(text, lambda ref: dot(0, 0))
 
 
 def test_morphism_file_requires_endpoints():
