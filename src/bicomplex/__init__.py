@@ -10,7 +10,6 @@ complexes.
 from .scalars import GaussianRational, gauss, parse_scalar, format_scalar
 from .linalg import (
     AmbientMismatch,
-    Basis,
     Matrix,
     NotASubspace,
     NotWellDefined,

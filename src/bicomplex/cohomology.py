@@ -52,7 +52,6 @@ from typing import Callable, Mapping
 
 from .complexes import BiDegree, DoubleComplex, Morphism, dolbeault_spaces, transpose_complex
 from .linalg import (
-    Basis,
     Matrix,
     NotASubspace,
     assemble,
@@ -238,14 +237,14 @@ def euler_characteristic(a: DoubleComplex) -> int:
 # -- Bott-Chern and Aeppli ------------------------------------------------------
 
 
-def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Basis, Basis]:
+def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
     """(cycles, boundaries) whose quotient is Bott-Chern cohomology at (p, q)."""
     z = subspace_intersection(kernel_basis(a.d1_at(p, q)), kernel_basis(a.d2_at(p, q)))
     b = image_basis(a.d1_at(p - 1, q) @ a.d2_at(p - 1, q - 1))
     return z, b
 
 
-def aeppli_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Basis, Basis]:
+def aeppli_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
     """(cycles, boundaries) whose quotient is Aeppli cohomology at (p, q)."""
     z = kernel_basis(a.d1_at(p, q + 1) @ a.d2_at(p, q))
     b = subspace_sum(image_basis(a.d1_at(p - 1, q)), image_basis(a.d2_at(p, q - 1)))
@@ -348,8 +347,11 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     pivots: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def cut(n: int, p: int) -> int:
-        """Number of coordinates of T^n outside F^p."""
-        return sum(a.dim(*pq) for pq in tot.components.get(n, ()) if pq[0] < p)
+        """Number of coordinates of T^n outside F^p: the offset of the first
+        component with first index >= p."""
+        comps = tot.components.get(n, [])
+        i = bisect_left(comps, (p,))
+        return tot.offsets[n][comps[i]] if i < len(comps) else tot.dim(n)
 
     def rho(n: int, lo: int, hi: int) -> int:
         start, stop = cut(n, lo), cut(n + 1, hi)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
-    Basis,
     Matrix,
     _products_vanish,
     assemble,
@@ -628,7 +627,7 @@ class E1Report:
         return None
 
 
-def dolbeault_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Basis, Basis]:
+def dolbeault_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
     """(cycles, boundaries) whose quotient is column cohomology at (p, q)."""
     return kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))
 

@@ -16,8 +16,16 @@ on the form, and `entries`, `row` and `column` build GaussianRational views
 on access.  No other module reads the form: blocks are placed with
 `assemble` (which `hstack` and `vstack` call) and cut with `m[r0:r1, c0:c1]`.
 
-Vectors are tuples of GaussianRational.  A Basis is a list of linearly
-independent coordinate vectors in a fixed ambient dimension.
+A subspace of Q(i)^n is the n x d Matrix whose columns are a basis of it:
+`rows` is the ambient dimension and `cols` the dimension.  The whole space
+is `Matrix.identity(n)` and the zero subspace `Matrix.zero(n, 0)`.
+`kernel_basis` writes its matrix straight from the stored RREF form (den,
+num): the basis column of free column j holds den at row j, and each pivot
+row i puts minus its entry num[(i, j)] at row pivots[i].  `image_basis` and
+`coset_representatives` select columns of their input, and the canonical
+basis of a span (`canonical_span`, hence sums and intersections) is the
+transpose of the nonzero rows of an RREF.  The vectors that `row` and
+`column` return are tuples of GaussianRational.
 
 Every elimination runs through one fraction-free kernel, `_echelon`:
 
@@ -52,13 +60,12 @@ the one `__matmul__` uses (`_accumulate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import GaussianRational, ZERO, ONE, _coerce
+from .scalars import GaussianRational, ZERO, _coerce
 
 Vector = tuple[GaussianRational, ...]
 
@@ -67,7 +74,7 @@ Entries = dict[tuple[int, int], tuple[int, int]]
 
 
 class AmbientMismatch(ValueError):
-    """Two bases were combined although they live in different ambient spaces."""
+    """Two subspaces were combined although they live in different ambient spaces."""
 
 
 class NotASubspace(ValueError):
@@ -239,11 +246,6 @@ class Matrix:
         _accumulate(acc, self._num, other._num)
         return _matrix(self.rows, other.cols, self._den * other._den,
                        {k: v for k, v in acc.items() if v != (0, 0)})
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector of wrong length")
-        return (self @ Matrix.from_columns([v], self.cols)).column(0)
 
 
 def _matrix(rows: int, cols: int, den: int, num: Entries) -> Matrix:
@@ -451,79 +453,38 @@ def rank(m: Matrix) -> int:
     return len(pivot_columns(m))
 
 
-# -- bases ------------------------------------------------------------------
+# -- subspaces ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Linearly independent vectors spanning a subspace of a coordinate space."""
-
-    ambient_dim: int
-    vectors: tuple[Vector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise AmbientMismatch(
-                    f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-                )
-
-    @classmethod
-    def checked(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Basis":
-        """Construct and verify linear independence."""
-        b = cls(ambient_dim, tuple(vector(v) for v in vectors))
-        if rank(basis_matrix(b)) != len(b.vectors):
-            raise ValueError("vectors are linearly dependent")
-        return b
-
-    @classmethod
-    def full(cls, n: int) -> "Basis":
-        return cls(n, tuple(Matrix.identity(n).column(j) for j in range(n)))
-
-    @classmethod
-    def empty(cls, n: int) -> "Basis":
-        return cls(n, ())
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
+def _select_columns(m: Matrix, cols: Sequence[int]) -> Matrix:
+    """The matrix of m's columns cols, in that order."""
+    index = {j: k for k, j in enumerate(cols)}
+    return _matrix(m.rows, len(cols), m._den,
+                   {(i, index[j]): v for (i, j), v in m._num.items() if j in index})
 
 
-def basis_matrix(b: Basis) -> Matrix:
-    """Matrix whose columns are the basis vectors."""
-    return Matrix.from_columns(b.vectors, b.ambient_dim)
+def canonical_span(m: Matrix) -> Matrix:
+    """Canonical basis of the column space: the nonzero rows of the RREF of
+    m's transpose, as columns."""
+    red, pivots = rref(m.transpose())
+    return red[:len(pivots), :].transpose()
 
 
-def canonical_span(vectors: Sequence[Vector], ambient_dim: int) -> Basis:
-    """Canonical basis of the span: nonzero rows of the RREF of the stacked vectors."""
-    if not vectors:
-        return Basis.empty(ambient_dim)
-    stacked = Matrix.from_columns(vectors, ambient_dim).transpose()
-    red, pivots = rref(stacked)
-    return Basis(ambient_dim, tuple(red.row(i) for i in range(len(pivots))))
-
-
-def kernel_basis(m: Matrix) -> Basis:
-    """Basis of {v : m v = 0}; its size is cols - rank (rank-nullity)."""
+def kernel_basis(m: Matrix) -> Matrix:
+    """Basis of {v : m v = 0}, one column per free column of the RREF of m;
+    their number is cols - rank (rank-nullity)."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    out = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for pcol, c in zip(pivots, red.column(j)):
-            if c:
-                v[pcol] = -c
-        out.append(tuple(v))
-    return Basis(m.cols, tuple(out))
+    free = {j: k for k, j in enumerate(j for j in range(m.cols) if j not in pivot_set)}
+    num = {(j, k): (red._den, 0) for j, k in free.items()}
+    num.update(((pivots[i], free[j]), (-x, -y))
+               for (i, j), (x, y) in red._num.items() if j in free)
+    return _matrix(m.cols, len(free), red._den, num)
 
 
-def image_basis(m: Matrix) -> Basis:
+def image_basis(m: Matrix) -> Matrix:
     """Basis of the column space: the pivot columns of m."""
-    return Basis(m.rows, tuple(m.column(j) for j in pivot_columns(m)))
+    return _select_columns(m, pivot_columns(m))
 
 
 def solve_columns(a: Matrix, rhs: Matrix) -> Matrix | None:
@@ -541,61 +502,52 @@ def solve_columns(a: Matrix, rhs: Matrix) -> Matrix | None:
     return _matrix(a.cols, rhs.cols, red._den, num)
 
 
-def is_subspace(inner: Basis, outer: Basis) -> bool:
-    if inner.ambient_dim != outer.ambient_dim:
+def is_subspace(inner: Matrix, outer: Matrix) -> bool:
+    if inner.rows != outer.rows:
         raise AmbientMismatch("bases live in different ambient spaces")
-    if inner.dim == 0:
-        return True
-    sol = solve_columns(basis_matrix(outer), basis_matrix(inner))
-    return sol is not None
+    return inner.cols == 0 or solve_columns(outer, inner) is not None
 
 
-def subspace_sum(u: Basis, v: Basis) -> Basis:
+def subspace_sum(u: Matrix, v: Matrix) -> Matrix:
     """Canonical basis of span(u) + span(v)."""
-    if u.ambient_dim != v.ambient_dim:
+    if u.rows != v.rows:
         raise AmbientMismatch("bases live in different ambient spaces")
-    return canonical_span(list(u.vectors) + list(v.vectors), u.ambient_dim)
+    return canonical_span(hstack([u, v]))
 
 
-def subspace_intersection(u: Basis, v: Basis) -> Basis:
+def subspace_intersection(u: Matrix, v: Matrix) -> Matrix:
     """Canonical basis of span(u) & span(v), via the kernel of [U | -V]."""
-    if u.ambient_dim != v.ambient_dim:
+    if u.rows != v.rows:
         raise AmbientMismatch("bases live in different ambient spaces")
-    if u.dim == 0 or v.dim == 0:
-        return Basis.empty(u.ambient_dim)
-    mu = basis_matrix(u)
-    mv = basis_matrix(v)
-    ker = kernel_basis(hstack([mu, -mv]))
-    vectors = [mu.apply(w[: u.dim]) for w in ker.vectors]
-    return canonical_span(vectors, u.ambient_dim)
+    if u.cols == 0 or v.cols == 0:
+        return Matrix.zero(u.rows, 0)
+    ker = kernel_basis(hstack([u, -v]))
+    return canonical_span(u @ ker[:u.cols, :])
 
 
-def subquotient_dim(z: Basis, b: Basis) -> int:
+def subquotient_dim(z: Matrix, b: Matrix) -> int:
     """dim(span(z) / span(b)); raises NotASubspace unless span(b) <= span(z)."""
-    if z.ambient_dim != b.ambient_dim:
+    if z.rows != b.rows:
         raise AmbientMismatch("bases live in different ambient spaces")
     if not is_subspace(b, z):
         raise NotASubspace("denominator is not contained in numerator")
-    return z.dim - b.dim
+    return z.cols - b.cols
 
 
-def coset_representatives(z: Basis, b: Basis) -> tuple[Vector, ...]:
-    """Vectors from z completing b to a basis of span(z); their classes span z/b.
+def coset_representatives(z: Matrix, b: Matrix) -> Matrix:
+    """Columns of z completing b to a basis of span(z); their classes span z/b.
 
-    Deterministic: greedy from the left over z's vectors, so the same (z, b)
+    Deterministic: greedy from the left over z's columns, so the same (z, b)
     always yields the same representatives.
     """
-    cols = list(b.vectors) + list(z.vectors)
-    if not cols:
-        return ()
-    pivots = pivot_columns(Matrix.from_columns(cols, z.ambient_dim))
-    if len([p for p in pivots if p < b.dim]) != b.dim:
+    pivots = pivot_columns(hstack([b, z]))
+    if len([p for p in pivots if p < b.cols]) != b.cols:
         raise NotASubspace("denominator vectors are dependent")
-    return tuple(z.vectors[p - b.dim] for p in pivots if p >= b.dim)
+    return _select_columns(z, [p - b.cols for p in pivots if p >= b.cols])
 
 
-def induced_subquotient_map(f: Matrix, z_src: Basis, b_src: Basis,
-                            z_tgt: Basis, b_tgt: Basis) -> Matrix:
+def induced_subquotient_map(f: Matrix, z_src: Matrix, b_src: Matrix,
+                            z_tgt: Matrix, b_tgt: Matrix) -> Matrix:
     """Matrix of the map (z_src/b_src) -> (z_tgt/b_tgt) induced by f.
 
     Coset bases are the deterministic representatives of coset_representatives,
@@ -603,24 +555,22 @@ def induced_subquotient_map(f: Matrix, z_src: Basis, b_src: Basis,
     Raises NotWellDefined unless f maps span(z_src) into span(z_tgt) and
     span(b_src) into span(b_tgt).
     """
-    if f.cols != z_src.ambient_dim or f.rows != z_tgt.ambient_dim:
+    if f.cols != z_src.rows or f.rows != z_tgt.rows:
         raise AmbientMismatch("map shape does not match the ambient spaces")
-    if b_src.dim:
-        fb = f @ basis_matrix(b_src)
-        if b_tgt.dim == 0:
+    if b_src.cols:
+        fb = f @ b_src
+        if b_tgt.cols == 0:
             if not fb.is_zero():
                 raise NotWellDefined("f does not map the source boundaries into the target boundaries")
-        elif solve_columns(basis_matrix(b_tgt), fb) is None:
+        elif solve_columns(b_tgt, fb) is None:
             raise NotWellDefined("f does not map the source boundaries into the target boundaries")
     reps_src = coset_representatives(z_src, b_src)
     reps_tgt = coset_representatives(z_tgt, b_tgt)
-    frame = Matrix.from_columns(list(b_tgt.vectors) + list(reps_tgt), z_tgt.ambient_dim)
-    if not reps_src:
-        return Matrix.zero(len(reps_tgt), 0)
-    images = f @ Matrix.from_columns(reps_src, z_src.ambient_dim)
+    if reps_src.cols == 0:
+        return Matrix.zero(reps_tgt.cols, 0)
     # Consistency here is exactly f(span z_src) <= span(z_tgt) modulo b_tgt;
     # combined with the boundary check above it certifies well-definedness.
-    sol = solve_columns(frame, images)
+    sol = solve_columns(hstack([b_tgt, reps_tgt]), f @ reps_src)
     if sol is None:
         raise NotWellDefined("f does not map the source cycles into the target cycles")
-    return sol[b_tgt.dim:, :]
+    return sol[b_tgt.cols:, :]

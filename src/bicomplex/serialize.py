@@ -18,7 +18,9 @@ Morphism files name their endpoints and list sparse block entries:
     block  <p> <q> <row> <col> <scalar>
 
 References are resolved by a caller-supplied function (the command line
-resolves preset names, model files and complex files).
+resolves preset names, model files and complex files).  A record that sets
+what an earlier one set (a dimension, an entry, a label, the source or the
+target) raises SerializeError at its line.
 """
 
 from __future__ import annotations
@@ -145,19 +147,16 @@ def loads_complex(text: str) -> DoubleComplex:
 
 
 def parse_morphism_file(text: str, resolve: Callable[[str], DoubleComplex]) -> Morphism:
-    source = None
-    target = None
+    ends: dict[str, DoubleComplex] = {}
     blocks: dict = {}
     for lineno, parts in _iter_records(text):
         tag = parts[0]
         if tag == "source" or tag == "target":
             if len(parts) < 2:
                 raise SerializeError(lineno, f"{tag} takes a model reference")
-            ref = " ".join(parts[1:])
-            if tag == "source":
-                source = resolve(ref)
-            else:
-                target = resolve(ref)
+            if tag in ends:
+                raise SerializeError(lineno, f"repeated {tag} record")
+            ends[tag] = resolve(" ".join(parts[1:]))
         elif tag == "block":
             if len(parts) != 6:
                 raise SerializeError(lineno, "block takes p q row col scalar")
@@ -170,8 +169,9 @@ def parse_morphism_file(text: str, resolve: Callable[[str], DoubleComplex]) -> M
                  f"block record for entry ({i}, {j}) at ({p}, {q})")
         else:
             raise SerializeError(lineno, f"unknown record {tag!r}")
-    if source is None or target is None:
+    if len(ends) != 2:
         raise SerializeError(0, "morphism file needs source and target lines")
+    source, target = ends["source"], ends["target"]
     matrices = {}
     for pq, entries in blocks.items():
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bicomplex.cohomology import SpectralSequenceResult, Totalization
 from bicomplex.complexes import DoubleComplex, transpose_complex
-from bicomplex.linalg import Basis, Matrix, canonical_span, kernel_basis
+from bicomplex.linalg import Matrix, canonical_span, hstack, kernel_basis
 from bicomplex.scalars import ONE as _O, ZERO as _Z
 
 
@@ -27,14 +27,14 @@ class _FilteredTotalization(Totalization):
                 out.extend(range(off, off + self.complex.dim(*pq)))
         return sorted(out)
 
-    def filtration_basis(self, k: int, p: int) -> Basis:
+    def filtration_basis(self, k: int, p: int) -> Matrix:
         n = self.dim(k)
         vectors = []
         for j in self.filtration_columns(k, p):
             v = [_Z] * n
             v[j] = _O
             vectors.append(tuple(v))
-        return Basis(n, tuple(vectors))
+        return Matrix.from_columns(vectors, n)
 
 
 class _ColumnSpectralSequence:
@@ -54,9 +54,9 @@ class _ColumnSpectralSequence:
     def __init__(self, a: DoubleComplex):
         self.a = a
         self.tot = _FilteredTotalization(a)
-        self._z: dict[tuple[int, int, int], Basis] = {}
+        self._z: dict[tuple[int, int, int], Matrix] = {}
 
-    def z_basis(self, r: int, p: int, q: int) -> Basis:
+    def z_basis(self, r: int, p: int, q: int) -> Matrix:
         key = (r, p, q)
         if key in self._z:
             return self._z[key]
@@ -85,29 +85,26 @@ class _ColumnSpectralSequence:
             )
             coords = kernel_basis(restricted)
             vectors = []
-            for w in coords.vectors:
+            for w in (coords.column(c) for c in range(coords.cols)):
                 v = [_Z] * n
                 for ci, j in enumerate(cols):
                     if w[ci]:
                         v[j] = w[ci]
                 vectors.append(tuple(v))
-            basis = Basis(n, tuple(vectors))
+            basis = Matrix.from_columns(vectors, n)
         self._z[key] = basis
         return basis
 
     def page_dimension(self, r: int, p: int, q: int) -> int:
         z = self.z_basis(r, p, q)
-        if z.dim == 0:
+        if z.cols == 0:
             return 0
         stay = self.z_basis(r - 1, p + 1, q - 1)
         arriving = self.z_basis(r - 1, p - r + 1, q + r - 2)
         d_prev = self.tot.differential(p + q - 1)
-        boundary_vectors = list(stay.vectors) + [
-            d_prev.apply(v) for v in arriving.vectors
-        ]
-        b = canonical_span(boundary_vectors, z.ambient_dim)
+        b = canonical_span(hstack([stay, d_prev @ arriving]))
         # b is contained in z by d^2 = 0 and the filtration being d-stable.
-        return z.dim - b.dim
+        return z.cols - b.cols
 
 
 def reference_frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceResult:

@@ -18,11 +18,13 @@ from bicomplex import (
     frolicher,
     induced_cohomology_map,
     is_E1_isomorphism,
+    iwasawa,
     lie_algebra_model,
     linalg,
     parse_model_file,
     quotient,
     random_complex,
+    serre_pairing_morphism,
     shift,
     square,
     tensor,
@@ -31,6 +33,7 @@ from bicomplex import (
 )
 from bicomplex.cohomology import TABLES
 from bicomplex.linalg import rank
+from bicomplex.scalars import GaussianRational
 from call_counter import calls_into
 from test_acceptance import PROPERTY_CASES
 from test_frolicher import NIL4
@@ -95,6 +98,23 @@ def test_tables_touch_no_fraction(build):
     for fn in (validate, *TABLES.values(), frolicher):
         for code in (Fraction.__new__.__code__, Fraction.denominator.fget.__code__):
             assert calls_into(code, fn, a) == 0, (fn.__name__, code.co_name)
+
+
+def test_subspaces_build_no_scalar():
+    """Kernels, images, coset frames and induced maps run on the matrices'
+    stored Z[i] form: the five induced maps and the E1 check of the Iwasawa
+    Serre pairing build no scalar and no Fraction, and test no scalar for
+    zero."""
+    f = serre_pairing_morphism(iwasawa())
+
+    def induced_and_e1():
+        for kind in TABLES:
+            induced_cohomology_map(f, kind)
+        is_E1_isomorphism(f)
+
+    for code in (GaussianRational.__init__.__code__, GaussianRational.__bool__.__code__,
+                 Fraction.__new__.__code__):
+        assert calls_into(code, induced_and_e1) == 0, code.co_name
 
 
 def test_row_cohomology_matches_the_d1_rank_formula():

@@ -81,6 +81,23 @@ def test_morphism_file_rejects_repeated_block_record():
         parse_morphism_file(text, lambda ref: dot(0, 0))
 
 
+@pytest.mark.parametrize("text, line, tag", [
+    ("source dot\nsource other\ntarget dot\n", 2, "source"),
+    ("source dot\ntarget dot\nblock 0 0 0 0 1\ntarget other\n", 4, "target"),
+], ids=["source", "target"])
+def test_morphism_file_rejects_repeated_endpoint_record(text, line, tag):
+    """The repeat is refused at its line, before its reference is resolved."""
+    resolved = []
+
+    def resolve(ref):
+        resolved.append(ref)
+        return dot(0, 0)
+
+    with pytest.raises(SerializeError, match=f"line {line}: repeated {tag} record"):
+        parse_morphism_file(text, resolve)
+    assert "other" not in resolved
+
+
 def test_morphism_file_requires_endpoints():
     with pytest.raises(SerializeError):
         parse_morphism_file("block 0 0 0 0 1", lambda ref: dot(0, 0))
