@@ -303,6 +303,8 @@ def run(argv: list[str]) -> int:
             base = resolve_reference(args.base)
             a, _ = projective_bundle(base, args.rank)
         elif args.command == "random":
+            if args.size < 0:
+                raise InputError(f"--size must be at least 0, got {args.size}")
             if args.size > _models.MAX_RANDOM_SIZE:
                 raise InputError(f"--size {args.size} is more than the "
                                  f"{_models.MAX_RANDOM_SIZE} random shapes accepted")

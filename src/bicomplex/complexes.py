@@ -657,6 +657,8 @@ def random_complex(seed: int, window: tuple[int, int, int, int], size: int,
     swap of the two copies becomes a real structure, which survives the basis
     change by conjugating sigma along with the differentials.
     """
+    if size < 0:
+        raise ValueError(f"size must be at least 0, got {size}")
     p_min, p_max, q_min, q_max = window
     rng = random.Random(seed)
     if with_sigma:

@@ -39,6 +39,12 @@ Every elimination runs through one fraction-free kernel, `_echelon`:
     step that does not touch it does not rescale it.  A later step that
     touches it divides by that divisor in place of prev, and a row picked
     as pivot row is first rescaled by prev / (its divisor);
+  * the rows not yet pivot rows wait in buckets by their leading column,
+    and a heap holds the columns of the nonempty buckets.  A step cancels
+    the pivot column of a row and adds only later columns, so the rows a
+    pivot must clear are exactly the rest of its bucket, and each survivor
+    moves to a later bucket.  A pivot's bookkeeping is bounded by the rows
+    it touches and one heap operation each, not by the live rows;
   * pivot columns (`pivot_columns`, hence `rank`, `image_basis`,
     `coset_representatives`) need the forward pass alone.  `rref` also
     clears each pivot column from the earlier pivot rows, then divides each
@@ -61,6 +67,7 @@ the one `__matmul__` uses (`_accumulate`).
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -355,11 +362,13 @@ def _gaussian_rows(m: Matrix) -> list[dict[int, tuple[int, int]]]:
     rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(m.rows)]
     for (i, j), v in m._num.items():
         rows[i][j] = v
-    return [_primitive(row) for row in rows]
+    return [_primitive(row) if row else row for row in rows]
 
 
 def _times(row: dict, s: tuple[int, int]) -> dict:
-    """row * s over Z[i]."""
+    """row * s over Z[i], in a fresh dict."""
+    if s == (1, 0):
+        return dict(row)
     sr, si = s
     return {j: (a * sr - b * si, a * si + b * sr) for j, (a, b) in row.items()}
 
@@ -377,29 +386,34 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
     """Pivot columns of m and its pivot rows, each a nonzero multiple of its
     RREF row, by lazy Bareiss elimination over Z[i] (see the module notes).
 
-    Columns are taken in order.  reduce=False eliminates below the pivots
-    only; reduce=True also clears the pivot column from the earlier pivot
-    rows (Gauss-Jordan).
+    Columns are taken in order, each from the least nonempty lead-column
+    bucket: its pivot row is the sparsest row of the bucket, ties to the
+    lowest index, and the rows to eliminate are the rest of it, which then
+    move to the buckets of their new leading columns.  reduce=False
+    eliminates below the pivots only; reduce=True also clears the pivot
+    column from the earlier pivot rows (Gauss-Jordan).
     """
     rows = _gaussian_rows(m)
     div = [(1, 0)] * m.rows
     prev = (1, 0)
-    # Leading column of every row not yet a pivot row; the least of them is
-    # the next pivot column.
-    lead = {i: min(row) for i, row in enumerate(rows) if row}
+    buckets: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            buckets.setdefault(min(row), []).append(i)
+    heap = list(buckets)
+    heapify(heap)
     pivots: list[int] = []
     pivot_rows: list[int] = []
-    while lead:
-        col = min(lead.values())
-        best = min((i for i, c in lead.items() if c == col), key=lambda i: len(rows[i]))
-        del lead[best]
+    while heap:
+        col = heappop(heap)
+        below = buckets.pop(col)
+        best = min(below, key=lambda i: (len(rows[i]), i))
+        below.remove(best)
         piv = rows[best]
         if div[best] != prev:
             piv = rows[best] = _exact_div(_times(piv, prev), div[best])
         pv = piv[col]
-        targets = [i for i, c in lead.items() if c == col]
-        if reduce:
-            targets += [i for i in pivot_rows if col in rows[i]]
+        targets = (below + [i for i in pivot_rows if col in rows[i]]) if reduce else below
         for t in targets:
             cr, ci = rows[t][col]
             new = _times(rows[t], pv)
@@ -411,13 +425,16 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
                     new[j] = (x, y)
                 else:
                     del new[j]
-            rows[t] = new = _exact_div(new, div[t])
+            rows[t] = _exact_div(new, div[t])
             div[t] = pv
-            if t in lead:
-                if new:
-                    lead[t] = min(new)
+        for t in below:
+            if rows[t]:
+                lead = min(rows[t])
+                if lead in buckets:
+                    buckets[lead].append(t)
                 else:
-                    del lead[t]
+                    buckets[lead] = [t]
+                    heappush(heap, lead)
         div[best] = prev = pv
         pivots.append(col)
         pivot_rows.append(best)

@@ -134,11 +134,12 @@ INPUT_FILES = {
     ["projbundle", "--base", "torus1", "--rank", "0"],
     ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "1"],
     ["random", "--seed", "1", "--window", "0,3,0,3", "--size", "3000"],
+    ["random", "--seed", "1", "--window", "0,1,0,1", "--size", "-3"],
     ["projbundle", "--base", "torus1", "--rank", "100000"],
     ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "100000"],
     ["model", "huge_projective_space.model", "--tables", "e1"],
-], ids=["window", "rank", "codim", "size-too-large", "rank-too-large", "codim-too-large",
-        "projective-dimension-too-large"])
+], ids=["window", "rank", "codim", "size-too-large", "size-negative", "rank-too-large",
+        "codim-too-large", "projective-dimension-too-large"])
 def test_user_errors_exit_one(capsys, tmp_path, monkeypatch, argv):
     for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text)

@@ -330,6 +330,11 @@ def test_random_complex_window_too_small():
         random_complex(0, (2, 1, 0, 3), 5)
 
 
+def test_random_complex_negative_size():
+    with pytest.raises(ValueError, match="size must be at least 0, got -3"):
+        random_complex(1, (0, 1, 0, 1), -3)
+
+
 def test_direct_sum_many_matches_pairwise():
     parts = [dot(0, 0), square(0, 0), dot(1, 1)]
     total, incls = direct_sum_many(parts)

@@ -1,13 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from bicomplex import frolicher, lie_algebra_model, linalg, parse_model_file
+from bicomplex.cohomology import TABLES
 from bicomplex.linalg import (
     AmbientMismatch,
     Matrix,
     NotASubspace,
     NotWellDefined,
+    _echelon,
     canonical_span,
     coset_representatives,
     hstack,
@@ -27,8 +31,10 @@ from bicomplex.linalg import (
 from bicomplex.scalars import ZERO, gauss
 
 from oracles import bareiss_rank, member_of_span
+from reference_echelon import reference_echelon
 from reference_matmul import reference_matmul
 from reference_rref import reference_rref
+from test_frolicher import NIL4
 
 
 def columns(m):
@@ -354,3 +360,92 @@ def test_product_matches_reference_fraction_product():
         with pytest.raises(ValueError) as got:
             a @ b
         assert str(got.value) == str(want.value)
+
+
+def echelon_form(result):
+    """(pivots, pivot rows) with each row's entries in stored order."""
+    pivots, pivot_rows = result
+    return pivots, [list(row.items()) for row in pivot_rows]
+
+
+def assert_echelon_matches_reference(m, label):
+    for reduce in (False, True):
+        assert (echelon_form(_echelon(m, reduce))
+                == echelon_form(reference_echelon(m, reduce))), (label, reduce)
+
+
+def sparse_echelon_cases():
+    """(label, matrix) pairs for the lead-column buckets: many rows sharing
+    one leading column, with short rows of equal length so that the tie rule
+    decides; empty rows between live ones; 1 x n and n x 1 shapes."""
+    rng = random.Random(2026)
+    units = [gauss(1), gauss(-1)]
+    for k in range(60):
+        pool = units if k % 3 else GAUSSIAN_POOL
+        rows, cols = rng.choice([(12, 8), (20, 6), (9, 15), (30, 30)])
+        lead = rng.randrange(cols // 2)
+        entries = {}
+        for i in range(rows):
+            if k % 2 and i % 2:  # every other row empty
+                continue
+            entries[(i, lead)] = rng.choice(pool)
+            for j in rng.sample(range(lead + 1, cols), rng.randint(0, 2)):
+                entries[(i, j)] = rng.choice(pool)
+        yield f"shared lead {k}: {rows}x{cols}", Matrix(rows, cols, entries)
+    for k in range(30):
+        rows, cols = 16, 10
+        entries = {(i, j): rng.choice(units) for i in range(rows) for j in range(cols)
+                   if i % 3 != 1 and rng.random() < 0.2}
+        yield f"empty rows interleaved {k}", Matrix(rows, cols, entries)
+    for n in (1, 2, 7, 40):
+        for density in (0.0, 0.2, 1.0):
+            wide = Matrix(1, n, {(0, j): rng.choice(GAUSSIAN_POOL)
+                                 for j in range(n) if rng.random() < density})
+            tall = Matrix(n, 1, {(i, 0): rng.choice(GAUSSIAN_POOL)
+                                 for i in range(n) if rng.random() < density})
+            yield f"wide 1x{n}, density {density}", wide
+            yield f"tall {n}x1, density {density}", tall
+
+
+def test_echelon_matches_reference_kernel():
+    cases = list(kernel_cases()) + list(sparse_echelon_cases())
+    cases += [(f"{label}, factor {k}", m)
+              for label, a, b in product_cases() for k, m in enumerate((a, b))]
+    assert len(cases) >= 1000
+    for label, m in cases:
+        assert_echelon_matches_reference(m, label)
+
+
+def test_echelon_matches_reference_on_nil4_tables(monkeypatch):
+    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    seen = {}
+    kernel = linalg._echelon
+
+    def recording(m, reduce):
+        seen.setdefault((m.rows, m.cols, m._den, tuple(sorted(m._num.items()))), m)
+        return kernel(m, reduce)
+
+    monkeypatch.setattr(linalg, "_echelon", recording)
+    for table in (*TABLES.values(), frolicher):
+        table(a)
+    monkeypatch.undo()
+    assert len(seen) >= 80
+    for m in seen.values():
+        assert_echelon_matches_reference(m, f"nil4 {m.rows}x{m.cols}")
+
+
+@pytest.mark.parametrize("shape", ["bidiagonal", "permutation"])
+def test_rank_work_follows_the_rows_a_pivot_touches(shape):
+    """Each pivot of these 8000 x 8000 matrices touches one or two rows; an
+    elimination that scans every live row per pivot takes seconds."""
+    n, one = 8000, gauss(1)
+    if shape == "bidiagonal":
+        entries = {(i, i): one for i in range(n)} | {(i + 1, i): one for i in range(n - 1)}
+    else:
+        perm = list(range(n))
+        random.Random(8000).shuffle(perm)
+        entries = {(i, perm[i]): one for i in range(n)}
+    m = Matrix(n, n, entries)
+    start = time.perf_counter()
+    assert rank(m) == n
+    assert time.perf_counter() - start < 1
