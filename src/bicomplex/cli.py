@@ -314,6 +314,9 @@ def run(argv: list[str]) -> int:
                 raise InputError("window must be pmin,pmax,qmin,qmax")
             if len(window) != 4:
                 raise InputError("window must be pmin,pmax,qmin,qmax")
+            if max(map(abs, window)) > _models.MAX_BIDEGREE:
+                raise InputError(f"--window {args.window} is outside the window "
+                                 f"-{_models.MAX_BIDEGREE}..{_models.MAX_BIDEGREE} accepted")
             a = random_complex(args.seed, window, args.size, with_sigma=args.sigma)
         elif args.command == "check-e1iso":
             return _run_check(args)

@@ -55,14 +55,13 @@ from .linalg import (
     Matrix,
     NotASubspace,
     assemble,
+    canonical_span,
     hstack,
     image_basis,
     induced_subquotient_map,
     kernel_basis,
     pivot_columns,
     rank,
-    subspace_intersection,
-    subspace_sum,
     vstack,
 )
 
@@ -239,7 +238,7 @@ def euler_characteristic(a: DoubleComplex) -> int:
 
 def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
     """(cycles, boundaries) whose quotient is Bott-Chern cohomology at (p, q)."""
-    z = subspace_intersection(kernel_basis(a.d1_at(p, q)), kernel_basis(a.d2_at(p, q)))
+    z = canonical_span(kernel_basis(vstack([a.d1_at(p, q), a.d2_at(p, q)])))
     b = image_basis(a.d1_at(p - 1, q) @ a.d2_at(p - 1, q - 1))
     return z, b
 
@@ -247,7 +246,7 @@ def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]
 def aeppli_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
     """(cycles, boundaries) whose quotient is Aeppli cohomology at (p, q)."""
     z = kernel_basis(a.d1_at(p, q + 1) @ a.d2_at(p, q))
-    b = subspace_sum(image_basis(a.d1_at(p - 1, q)), image_basis(a.d2_at(p, q - 1)))
+    b = canonical_span(hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)]))
     return z, b
 
 

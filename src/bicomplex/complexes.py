@@ -246,7 +246,9 @@ class Morphism:
         f = self.block_at
         s1, s2 = self.source.d1_at, self.source.d2_at
         t1, t2 = self.target.d1_at, self.target.d2_at
-        support = set(self.source.dims) | set(self.target.dims)
+        # A check at (p, q) multiplies f(p, q) and f(p + 1, q), or f(p, q + 1):
+        # elsewhere both of its products are zero.
+        support = {(p - dp, q - dq) for p, q in clean for dp, dq in ((0, 0), (1, 0), (0, 1))}
         for p, q in sorted(support):
             if not _products_vanish([(1, t1(p, q), f(p, q)), (-1, f(p + 1, q), s1(p, q))]):
                 raise MorphismError(f"blocks do not commute with d1 at ({p}, {q})")

@@ -11,9 +11,15 @@ graded derivations from structure equations
 the (2,0)-part feeding d1 and the (1,1)-part feeding d2.  Equations for the
 conjugate generators are obtained by conjugation, so the real structure is
 built in.  A^{p,q} has the monomial basis phi_I wedge conj(phi)_J with
-strictly increasing indices, I-major then J, and all signs come from Koszul
-transposition counting.  The real structure sends a monomial (I, J) to
-(-1)^{|I||J|} (J, I) together with coefficient conjugation.
+strictly increasing indices, I-major then J.  The builder holds a monomial
+as an int over 2n letter bits, bit i for phi_i and bit n + i for
+conj(phi_i); in bit order the plain letters come first, so a mask is already
+the canonical monomial.  Every sign is a Koszul sign, the parity of the set
+bits one letter passes: the wedge of masks a and b is (-1)^k a | b with k
+the number of pairs of a letter of a above a letter of b, and d acting on
+the letter at bit j of a monomial carries (-1)^(letters below j).  The real
+structure sends a monomial (I, J) to (-1)^{|I||J|} (J, I), the two halves of
+the mask swapped, together with coefficient conjugation.
 
 Truncated polynomial models: one class t of bidegree (1, 1) with t^{m+1} = 0,
 zero differentials; this is the cohomology of complex projective m-space.
@@ -45,17 +51,17 @@ from .complexes import BiDegree, DoubleComplex, Morphism, dual
 from .linalg import Matrix
 from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
-# A letter is (barred, generator index); plain letters sort before barred
-# ones, so sorted words are exactly the canonical monomials.
+# A letter of a parsed equation term is (barred, generator index); the
+# builder's letter bit is barred * n + index, so the two orders agree.
 Letter = tuple[int, int]
 
 # The largest monomial basis lie_algebra_model builds: 4^n for complex
 # dimension n, so n <= 7.  Every preset, demo and test model and the
 # benchmark's dim-5 nilmanifold (4^5 = 1024) fit.  A dim-7 nilmanifold
-# (16384 monomials) builds in 1.3 s and gets every table in about 10 s
-# within 50 MB (2-core Xeon, Python 3.11); each further dimension multiplies
-# the basis by 4 and the time by about 5, and dimension 10 (4^10, about a
-# million monomials) would not finish.
+# (16384 monomials) builds in 0.14 to 0.22 s and the command line prints
+# every table of it in 2.5 to 3.4 s within 39 MB (2-core Xeon, Python 3.11);
+# each further dimension multiplies the basis by 4 and the time by about 5,
+# and dimension 10 (4^10, about a million monomials) would not finish.
 MAX_MODEL_BASIS = 4 ** 7
 
 # The largest m for which a truncated_polynomial model builds projective
@@ -70,6 +76,16 @@ MAX_PROJECTIVE_DIMENSION = 400
 # within 32 MB (same host); the time grows about as the square of the count
 # (256 copies: 15.6 s) and with the size of the copied complex.
 MAX_SHIFTED_COPIES = 128
+
+# The window a serialized complex and `random --window` must lie in: every
+# bidegree (p, q) has |p|, |q| <= MAX_BIDEGREE, so projective 400-space
+# (MAX_PROJECTIVE_DIMENSION) loads from its dump.  The diamond renderer and
+# the tables grow with the square of the span.  Dimension 1 at (-400, -400)
+# and at (400, 400) gets every table in 5.7 s within 90 MB (same host), and
+# `random --window=-400,400,-400,400 --size 40 --sigma` in 7.1 s within
+# 80 MB; at +-1000 the first page alone takes 7 s, and at +-2000 26 s within
+# 290 MB.
+MAX_BIDEGREE = 400
 
 # The largest `random --size`.  Size 40 in the window 0,1,0,1 with --sigma,
 # the slowest window measured, gets every table in 4 to 6 s (seeds 1 to 3)
@@ -347,59 +363,43 @@ def format_model_spec(spec: ModelSpec) -> str:
 # -- exterior-algebra machinery ----------------------------------------------
 
 
-def _canonical_word(letters: Sequence[Letter]) -> tuple[int, tuple[Letter, ...]] | None:
-    """Sort a word of odd-degree letters; None if a letter repeats."""
-    arr = list(letters)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j] < arr[j - 1]:
-            arr[j], arr[j - 1] = arr[j - 1], arr[j]
-            sign = -sign
-            j -= 1
-    for k in range(1, len(arr)):
-        if arr[k] == arr[k - 1]:
-            return None
-    return sign, tuple(arr)
+def _koszul(a: int, b: int) -> int:
+    """The number of pairs of a letter of monomial a above a letter of b:
+    a ^ b is (-1)^this times the monomial a | b."""
+    count = 0
+    while b:
+        low = b & -b
+        count += (a & -(low << 1)).bit_count()
+        b ^= low
+    return count
 
 
-Rule = dict[Letter, list[tuple[GaussianRational, tuple[Letter, Letter]]]]
+# Letter bit -> images (x, y, (c, -c)): d of the letter is the sum of
+# c * x ^ y over its images, x < y, and the pair holds c for each sign.
+Rule = dict[int, list[tuple[int, int, tuple[GaussianRational, GaussianRational]]]]
 
 
-def _apply_derivation(rule: Rule, word: tuple[Letter, ...]) -> dict[tuple[Letter, ...], GaussianRational]:
-    out: dict[tuple[Letter, ...], GaussianRational] = {}
-    for i, letter in enumerate(word):
-        images = rule.get(letter)
-        if not images:
+def _apply_derivation(rule: Rule, mask: int) -> dict[int, GaussianRational]:
+    """d of a monomial.  The term of letter k is (-1)^(letters below k)
+    times x ^ y ^ rest, and x ^ y ^ rest is (-1)^(letters of rest between x
+    and y) times the monomial."""
+    out: dict[int, GaussianRational] = {}
+    for k, images in rule.items():
+        if not mask >> k & 1:
             continue
-        pos_sign = -1 if i % 2 else 1
-        rest = word[:i] + word[i + 1:]
-        for coeff, (la, lb) in images:
-            canon = _canonical_word(word[:i] + (la, lb) + word[i + 1:])
-            if canon is None:
+        rest = mask ^ 1 << k
+        below = (mask & (1 << k) - 1).bit_count()
+        for x, y, signed in images:
+            if rest >> x & 1 or rest >> y & 1:
                 continue
-            sign, new_word = canon
-            total = coeff * (pos_sign * sign)
-            acc = out.get(new_word, ZERO) + total
-            if acc:
-                out[new_word] = acc
-            else:
-                out.pop(new_word, None)
-    return out
-
-
-def _conjugate_rule_terms(terms: Sequence[EquationTerm]):
-    """Image of d on a conjugate generator: bar every letter and conjugate
-    the coefficient, then recanonicalize."""
-    out = []
-    for t in terms:
-        a = (1 - t.first[0], t.first[1])
-        b = (1 - t.second[0], t.second[1])
-        coeff = t.coeff.conjugate()
-        if a > b:
-            a, b = b, a
-            coeff = -coeff
-        out.append((coeff, (a, b)))
+            new = rest | 1 << x | 1 << y
+            term = signed[(below + (rest & (1 << y) - (1 << x)).bit_count()) & 1]
+            if new in out:
+                term = out[new] + term
+                if not term:
+                    del out[new]
+                    continue
+            out[new] = term
     return out
 
 
@@ -407,38 +407,33 @@ class AlgebraModel:
     """A double complex together with its wedge product and top class.
 
     Basis elements are addressed as (bidegree, index); product returns the
-    sparse coordinate vector of the wedge in the target bidegree.
+    sparse coordinate vector of the wedge in the target bidegree.  A
+    lie_algebra model lists its basis monomials as bit masks.
     """
 
     def __init__(self, complex: DoubleComplex, top_index: BiDegree, kind: str,
-                 monomials: Mapping[BiDegree, tuple] | None = None,
+                 monomials: Mapping[BiDegree, tuple[int, ...]] | None = None,
                  truncation: int | None = None):
         self.complex = complex
         self.top_index = top_index
         self.kind = kind
         self._monomials = dict(monomials) if monomials is not None else None
-        self._index: dict[BiDegree, dict] = {}
+        self._index: dict[int, int] = {}
         if self._monomials is not None:
-            self._index = {
-                pq: {w: i for i, w in enumerate(words)}
-                for pq, words in self._monomials.items()
-            }
+            self._index = {w: i for words in self._monomials.values() for i, w in enumerate(words)}
         self._truncation = truncation
 
     def product(self, pq1: BiDegree, i1: int, pq2: BiDegree, i2: int) -> dict[int, GaussianRational]:
         """Coordinates of basis_i1 wedge basis_i2 in A^{pq1 + pq2}."""
-        target = (pq1[0] + pq2[0], pq1[1] + pq2[1])
         if self.kind == "truncated_polynomial":
-            if target[0] <= self._truncation:
+            if pq1[0] + pq2[0] <= self._truncation:
                 return {0: ONE}
             return {}
         w1 = self._monomials[pq1][i1]
         w2 = self._monomials[pq2][i2]
-        canon = _canonical_word(w1 + w2)
-        if canon is None or target not in self._index:
+        if w1 & w2:
             return {}
-        sign, word = canon
-        return {self._index[target][word]: ONE if sign == 1 else -ONE}
+        return {self._index[w1 | w2]: -ONE if _koszul(w1, w2) & 1 else ONE}
 
     def top_coefficient(self, pq1: BiDegree, i1: int, pq2: BiDegree, i2: int) -> GaussianRational:
         """Coefficient of the top basis element in basis_i1 wedge basis_i2."""
@@ -464,6 +459,17 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
         raise InvalidDimension(
             f"complex dimension {n} needs 4^{n} = {4 ** n} basis monomials, "
             f"more than the {MAX_MODEL_BASIS} this builder accepts")
+
+    def images(terms: Sequence[EquationTerm], barred: bool):
+        # Barring a term bars both letters and conjugates the coefficient.
+        out = []
+        for t in terms:
+            c = t.coeff.conjugate() if barred else t.coeff
+            x, y = ((b ^ barred) * n + i for b, i in (t.first, t.second))
+            if c and x != y:
+                out.append((x, y, (c, -c)) if x < y else (y, x, (-c, c)))
+        return out
+
     d1_rule: Rule = {}
     d2_rule: Rule = {}
     for gen_idx, gen in enumerate(spec.generators):
@@ -473,48 +479,38 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
                 f"d {gen}",
                 "a (0,2)-component on a (1,0)-generator does not fit a double complex",
             )
-        if d20:
-            d1_rule[(0, gen_idx)] = [(t.coeff, (t.first, t.second)) for t in d20]
-        if d11:
-            d2_rule[(0, gen_idx)] = [(t.coeff, (t.first, t.second)) for t in d11]
-        if d11:
-            d1_rule[(1, gen_idx)] = _conjugate_rule_terms(d11)
-        if d20:
-            d2_rule[(1, gen_idx)] = _conjugate_rule_terms(d20)
+        d1_rule[gen_idx], d2_rule[gen_idx] = images(d20, False), images(d11, False)
+        d1_rule[n + gen_idx], d2_rule[n + gen_idx] = images(d11, True), images(d20, True)
+    d1_rule = {k: v for k, v in sorted(d1_rule.items()) if v}
+    d2_rule = {k: v for k, v in sorted(d2_rule.items()) if v}
 
-    def letter_name(letter: Letter) -> str:
-        barred, idx = letter
-        return f"conj({spec.generators[idx]})" if barred else spec.generators[idx]
+    letter_names = [*spec.generators, *(f"conj({g})" for g in spec.generators)]
+    for k, name in enumerate(letter_names):
+        for label, compositions in (
+            ("d1 d1", ((d1_rule, d1_rule),)),
+            ("d2 d2", ((d2_rule, d2_rule),)),
+            ("d1 d2 + d2 d1", ((d1_rule, d2_rule), (d2_rule, d1_rule))),
+        ):
+            total: dict[int, GaussianRational] = {}
+            for first, second in compositions:
+                for mask, c in _apply_derivation(first, 1 << k).items():
+                    for m2, c2 in _apply_derivation(second, mask).items():
+                        s = total.get(m2, ZERO) + c * c2
+                        if s:
+                            total[m2] = s
+                        else:
+                            total.pop(m2, None)
+            if total:
+                raise NotADifferential(name, f"{label} is nonzero")
 
-    for barred in (0, 1):
-        for idx in range(n):
-            letter = (barred, idx)
-            for label, compositions in (
-                ("d1 d1", ((d1_rule, d1_rule),)),
-                ("d2 d2", ((d2_rule, d2_rule),)),
-                ("d1 d2 + d2 d1", ((d1_rule, d2_rule), (d2_rule, d1_rule))),
-            ):
-                total: dict[tuple[Letter, ...], GaussianRational] = {}
-                for first, second in compositions:
-                    for word, c in _apply_derivation(first, (letter,)).items():
-                        for w2, c2 in _apply_derivation(second, word).items():
-                            s = total.get(w2, ZERO) + c * c2
-                            if s:
-                                total[w2] = s
-                            else:
-                                total.pop(w2, None)
-                if total:
-                    raise NotADifferential(letter_name(letter), f"{label} is nonzero")
-
-    monomials: dict[BiDegree, tuple] = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            words = []
-            for plain in itertools.combinations(range(n), p):
-                for bar in itertools.combinations(range(n), q):
-                    words.append(tuple((0, i) for i in plain) + tuple((1, j) for j in bar))
-            monomials[(p, q)] = tuple(words)
-    index = {pq: {w: i for i, w in enumerate(ws)} for pq, ws in monomials.items()}
+    # Bit i is phi_i and bit n + i is conj(phi_i), so the letters of a mask
+    # in bit order are phi_I then conj(phi)_J: A^{p,q} lists the masks of
+    # |I| = p, |J| = q with I-major, then J, combinations order.
+    subsets = [[sum(1 << i for i in c) for c in itertools.combinations(range(n), k)]
+               for k in range(n + 1)]
+    monomials = {(p, q): tuple(plain | bar << n for plain in subsets[p] for bar in subsets[q])
+                 for p in range(n + 1) for q in range(n + 1)}
+    index = {w: i for words in monomials.values() for i, w in enumerate(words)}
     dims = {pq: len(ws) for pq, ws in monomials.items()}
 
     def blocks_for(rule: Rule, step: BiDegree) -> dict[BiDegree, Matrix]:
@@ -523,11 +519,9 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
             tgt = (p + step[0], q + step[1])
             if tgt not in monomials:
                 continue
-            entries = {}
-            lookup = index[tgt]
-            for col, word in enumerate(words):
-                for new_word, coeff in _apply_derivation(rule, word).items():
-                    entries[(lookup[new_word], col)] = coeff
+            entries = {(index[new], col): c
+                       for col, word in enumerate(words)
+                       for new, c in _apply_derivation(rule, word).items()}
             if entries:
                 out[(p, q)] = Matrix(dims[tgt], dims[(p, q)], entries)
         return out
@@ -535,26 +529,18 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     d1 = blocks_for(d1_rule, (1, 0))
     d2 = blocks_for(d2_rule, (0, 1))
 
+    # sigma bars every letter of phi_I ^ conj(phi)_J, giving conj(phi)_I ^
+    # phi_J = (-1)^{pq} phi_J ^ conj(phi)_I: the halves swap.
+    low = (1 << n) - 1
     sigma = {}
     for (p, q), words in monomials.items():
-        lookup = index[(q, p)]
-        entries = {}
-        for col, word in enumerate(words):
-            # Barring every letter keeps the word order, so the reordering
-            # sign of the sort is already the full Koszul sign (-1)^{pq}.
-            mirrored = tuple((1 - b, i) for b, i in word)
-            canon = _canonical_word(mirrored)
-            if canon is None:
-                raise RuntimeError(f"the conjugate of monomial {col} at bidegree {(p, q)} "
-                                   "repeats a letter")
-            s, target_word = canon
-            entries[(lookup[target_word], col)] = ONE if s == 1 else -ONE
+        sign = -ONE if p * q % 2 else ONE
+        entries = {(index[w >> n | (w & low) << n], col): sign for col, w in enumerate(words)}
         sigma[(p, q)] = Matrix(dims[(q, p)], dims[(p, q)], entries)
 
     labels = {
-        pq: tuple("^".join(
-            (f"conj({spec.generators[i]})" if b else spec.generators[i]) for b, i in word
-        ) or "1" for word in words)
+        pq: tuple("^".join(name for k, name in enumerate(letter_names) if w >> k & 1) or "1"
+                  for w in words)
         for pq, words in monomials.items()
     }
     complex = DoubleComplex(dims, d1, d2, sigma, labels)

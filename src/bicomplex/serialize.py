@@ -20,7 +20,10 @@ Morphism files name their endpoints and list sparse block entries:
 References are resolved by a caller-supplied function (the command line
 resolves preset names, model files and complex files).  A record that sets
 what an earlier one set (a dimension, an entry, a label, the source or the
-target) raises SerializeError at its line.
+target) raises SerializeError at its line, and so does an entry outside its
+block.  A dim record raises it too when its bidegree leaves the window
+|p|, |q| <= models.MAX_BIDEGREE or the total dimension passes
+models.MAX_MODEL_BASIS.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Callable
 
 from .complexes import DoubleComplex, Morphism
 from .linalg import Matrix
+from .models import MAX_BIDEGREE, MAX_MODEL_BASIS
 from .scalars import format_scalar, parse_scalar
 
 
@@ -67,6 +71,15 @@ def _put(table: dict, key, value, lineno: int, what: str) -> None:
     table[key] = value
 
 
+def _block(rows: int, cols: int, cells: dict, what: str) -> Matrix:
+    """The rows x cols block of cells {(i, j): (scalar, line)}; an entry
+    outside it raises SerializeError at its record's line."""
+    for (i, j), (_, lineno) in cells.items():
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise SerializeError(lineno, f"{what}: entry ({i},{j}) outside {rows}x{cols}")
+    return Matrix(rows, cols, {k: v for k, (v, _) in cells.items()})
+
+
 def _iter_records(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
@@ -81,6 +94,7 @@ def loads_complex(text: str) -> DoubleComplex:
     labels: dict = {}
     saw_sigma = False
     saw_label = False
+    total = 0
     for lineno, parts in _iter_records(text):
         tag = parts[0]
         if tag == "dim":
@@ -89,7 +103,14 @@ def loads_complex(text: str) -> DoubleComplex:
             p, q, n = (_parse_int(t, lineno, "dim field") for t in parts[1:])
             if n < 0:
                 raise SerializeError(lineno, f"dimension at ({p}, {q}) is negative: {n}")
+            if max(abs(p), abs(q)) > MAX_BIDEGREE:
+                raise SerializeError(lineno, f"bidegree ({p}, {q}) is outside the window "
+                                             f"-{MAX_BIDEGREE}..{MAX_BIDEGREE} accepted")
             _put(dims, (p, q), n, lineno, f"dim record for ({p}, {q})")
+            total += n
+            if total > MAX_MODEL_BASIS:
+                raise SerializeError(lineno, f"total dimension {total} is more than the "
+                                             f"{MAX_MODEL_BASIS} accepted")
         elif tag in ("d1", "d2", "sigma"):
             if len(parts) != 6:
                 raise SerializeError(lineno, f"{tag} takes p q row col scalar")
@@ -98,7 +119,7 @@ def loads_complex(text: str) -> DoubleComplex:
                 v = parse_scalar(parts[5])
             except ValueError as e:
                 raise SerializeError(lineno, str(e))
-            _put(cells[tag].setdefault((p, q), {}), (i, j), v, lineno,
+            _put(cells[tag].setdefault((p, q), {}), (i, j), (v, lineno), lineno,
                  f"{tag} record for entry ({i}, {j}) at ({p}, {q})")
             saw_sigma = saw_sigma or tag == "sigma"
         elif tag == "label":
@@ -120,14 +141,8 @@ def loads_complex(text: str) -> DoubleComplex:
         return dims.get((q, p), 0), dims.get((p, q), 0)
 
     def matrices(tag):
-        out = {}
-        for pq, entries in cells[tag].items():
-            rows, cols = shape(tag, pq)
-            try:
-                out[pq] = Matrix(rows, cols, entries)
-            except ValueError as e:
-                raise SerializeError(0, f"{tag} block at {pq}: {e}")
-        return out
+        return {pq: _block(*shape(tag, pq), entries, f"{tag} block at {pq}")
+                for pq, entries in cells[tag].items()}
 
     label_tuples = None
     if saw_label:
@@ -165,17 +180,13 @@ def parse_morphism_file(text: str, resolve: Callable[[str], DoubleComplex]) -> M
                 v = parse_scalar(parts[5])
             except ValueError as e:
                 raise SerializeError(lineno, str(e))
-            _put(blocks.setdefault((p, q), {}), (i, j), v, lineno,
+            _put(blocks.setdefault((p, q), {}), (i, j), (v, lineno), lineno,
                  f"block record for entry ({i}, {j}) at ({p}, {q})")
         else:
             raise SerializeError(lineno, f"unknown record {tag!r}")
     if len(ends) != 2:
         raise SerializeError(0, "morphism file needs source and target lines")
     source, target = ends["source"], ends["target"]
-    matrices = {}
-    for pq, entries in blocks.items():
-        try:
-            matrices[pq] = Matrix(target.dim(*pq), source.dim(*pq), entries)
-        except ValueError as e:
-            raise SerializeError(0, f"block at {pq}: {e}")
+    matrices = {pq: _block(target.dim(*pq), source.dim(*pq), entries, f"block at {pq}")
+                for pq, entries in blocks.items()}
     return Morphism(source, target, matrices)

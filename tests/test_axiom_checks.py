@@ -14,12 +14,14 @@ from bicomplex import (
     Morphism,
     MorphismError,
     direct_sum_many,
+    dot,
     lie_algebra_model,
     parse_model_file,
     random_complex,
     serre_pairing_morphism,
     validate,
 )
+from bicomplex import linalg
 from bicomplex.scalars import GaussianRational, I, ONE, ZERO
 from call_counter import calls_into
 from reference_validate import reference_commutation, reference_validate
@@ -157,6 +159,16 @@ def test_morphism_matches_reference_under_single_entry_perturbations(iwasawa_mod
         assert commutation_error(reference_commutation, f.source, f.target, f.blocks) is None
         assert_same_morphism_verdicts(f, seed, 8 if f.source.total_dim > 100 else 16, seen)
     assert seen == {"blocks do not commute with d1", "blocks do not commute with d2"}
+
+
+def test_morphism_checks_only_where_a_block_acts(iwasawa_model):
+    """The unit of the Iwasawa model has one block, at (0, 0): only the checks
+    at (0, 0), (-1, 0) and (0, -1) have a nonzero product, two at each, not
+    two at each of the 16 bidegrees of the target."""
+    unit = {(0, 0): Matrix.identity(1)}
+    calls = calls_into(linalg._products_vanish.__code__, Morphism, dot(0, 0),
+                       iwasawa_model.complex, unit)
+    assert calls == 6
 
 
 @pytest.mark.parametrize("build", [

@@ -126,6 +126,8 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
 INPUT_FILES = {
     "huge_projective_space.model":
         "complex_dimension = 100000\nkind = truncated_polynomial\ngenerators = t\n",
+    "far_bidegree.dcx": "dim 0 0 1\ndim 0 8000 1\n",
+    "huge_complex.dcx": "dim 0 0 400000\nsigma 0 0 0 0 1\n",
 }
 
 
@@ -138,8 +140,12 @@ INPUT_FILES = {
     ["projbundle", "--base", "torus1", "--rank", "100000"],
     ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "100000"],
     ["model", "huge_projective_space.model", "--tables", "e1"],
+    ["random", "--seed", "1", "--window", "0,4000,0,4000", "--size", "2"],
+    ["model", "far_bidegree.dcx", "--tables", "e1"],
+    ["model", "huge_complex.dcx", "--validate-only"],
 ], ids=["window", "rank", "codim", "size-too-large", "size-negative", "rank-too-large",
-        "codim-too-large", "projective-dimension-too-large"])
+        "codim-too-large", "projective-dimension-too-large", "window-too-wide",
+        "complex-bidegree-too-far", "complex-dimension-too-large"])
 def test_user_errors_exit_one(capsys, tmp_path, monkeypatch, argv):
     for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -154,7 +160,14 @@ def test_user_errors_exit_one(capsys, tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("text,message", [
     ("dim 0 0 -1\n", "error: line 1: dimension at (0, 0) is negative: -1\n"),
     ("dim 0 0 1\ndim 0 0 2\n", "error: line 2: repeated dim record for (0, 0)\n"),
-], ids=["negative-dim", "repeated-dim"])
+    ("dim 0 0 1\ndim 0 8000 1\n",
+     "error: line 2: bidegree (0, 8000) is outside the window -400..400 accepted\n"),
+    ("dim 0 0 9000\ndim 1 0 9000\nd1 0 0 0 0 1\n",
+     "error: line 2: total dimension 18000 is more than the 16384 accepted\n"),
+    ("dim 0 0 1\ndim 1 0 1\n# the entry below is outside its 1x1 block\nd1 0 0 0 3 1\n",
+     "error: line 4: d1 block at (0, 0): entry (0,3) outside 1x1\n"),
+], ids=["negative-dim", "repeated-dim", "bidegree-outside-window", "total-dimension",
+        "entry-outside-block"])
 def test_bad_complex_file_exits_one(tmp_path, capsys, text, message):
     f = tmp_path / "bad.dcx"
     f.write_text(text)

@@ -31,7 +31,7 @@ from bicomplex import (
     validate,
     zigzag,
 )
-from bicomplex.cohomology import TABLES
+from bicomplex.cohomology import TABLES, aeppli_spaces, bott_chern_spaces
 from bicomplex.linalg import rank
 from bicomplex.scalars import GaussianRational
 from call_counter import calls_into
@@ -85,6 +85,16 @@ def test_one_elimination_per_nonzero_differential(build):
                                 (de_rham, len(nonzero_degrees))):
         # Calls into the elimination kernel, whatever name reached it.
         assert calls_into(linalg._echelon.__code__, table, a) == eliminations, table.__name__
+
+
+@pytest.mark.parametrize("spaces", [bott_chern_spaces, aeppli_spaces])
+def test_subquotient_spaces_reduce_the_rank_formula_matrices(spaces):
+    """The Bott-Chern cycles are the canonical span of ker [d1; d2] and the
+    Aeppli boundaries that of [d1 | d2]: at most three eliminations per
+    bidegree, one stacked matrix, its canonical span and the other space."""
+    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    for p, q in a.bidegrees():
+        assert calls_into(linalg._echelon.__code__, spaces, a, p, q) <= 3, (p, q)
 
 
 @pytest.mark.parametrize("build", [

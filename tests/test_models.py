@@ -28,11 +28,14 @@ from bicomplex import (
     torus,
     validate,
 )
-from bicomplex.models import IWASAWA_SPEC, AlgebraModel, EquationTerm, ModelSpec
-from bicomplex.scalars import ZERO, gauss
+from bicomplex.models import IWASAWA_SPEC, AlgebraModel, EquationTerm, ModelError, ModelSpec
+from bicomplex.scalars import GaussianRational, ZERO, gauss
 from bicomplex.complexes import DoubleComplex
 
+import reference_models
+from call_counter import calls_into
 from oracles import iwasawa_oracle_tables
+from test_frolicher import NIL4, NIL5
 
 IWASAWA_FILE = """
 # the standard nilmanifold example
@@ -117,11 +120,14 @@ def test_format_parse_roundtrip():
         assert parse_model_file(format_model_spec(spec)) == spec
 
 
-def test_format_parse_roundtrip_generated_specs():
+def generated_specs() -> list[ModelSpec]:
+    """30 seeded lie_algebra specs of complex dimension 1 to 3, each equation
+    a random sum of up to two canonical terms."""
     import random as _random
     from fractions import Fraction
 
     rng = _random.Random(123)
+    specs = []
     for trial in range(30):
         n = rng.randint(1, 3)
         gens = tuple(f"g{i}" for i in range(n))
@@ -143,7 +149,12 @@ def test_format_parse_roundtrip_generated_specs():
             )
             if built:
                 equations[gen] = built
-        spec = ModelSpec(f"random{trial}", n, "lie_algebra", gens, equations)
+        specs.append(ModelSpec(f"random{trial}", n, "lie_algebra", gens, equations))
+    return specs
+
+
+def test_format_parse_roundtrip_generated_specs():
+    for spec in generated_specs():
         assert parse_model_file(format_model_spec(spec)) == spec
 
 
@@ -296,6 +307,82 @@ def test_product_graded_commutative_and_top(iwasawa_model):
         ba = model.product(pq2, i2, pq1, i1)
         sign = -1 if ((pq1[0] + pq1[1]) * (pq2[0] + pq2[1])) % 2 else 1
         assert ab == {k: v * sign for k, v in ba.items()}
+
+
+# -- the mask builder against the word builder -------------------------------------
+
+# The dim-7 nilmanifold, the largest model MAX_MODEL_BASIS admits.
+DIM7 = """\
+name = nil7
+complex_dimension = 7
+kind = lie_algebra
+generators = a, b, c, e, f, g, h
+d c = a ^ b
+d e = a ^ c + (1/2+i) * b ^ conj(a)
+d f = a ^ b + b ^ conj(b)
+d g = a ^ conj(b) + b ^ conj(a)
+d h = a ^ conj(a)
+"""
+
+LAMBDAS = ("1/2+i", "2-i", "1/3")
+
+# One spec per identity the builder checks on the generators.
+FAILING = {
+    "d1 d1": "d e = a ^ b\nd b = c ^ e\n",
+    "d2 d2": "d b = c ^ conj(c)\nd c = a ^ conj(a)\n",
+    "d1 d2 + d2 d1": "d b = a ^ c\nd c = conj(a) ^ b\n",
+}
+
+
+def nil_specs(lam: str) -> list[ModelSpec]:
+    return [parse_model_file(text.replace("(1/2+i)", f"({lam})"), name)
+            for name, text in (("nil4", NIL4), ("nil5", NIL5))]
+
+
+def reference_cases() -> list[ModelSpec]:
+    tori = [ModelSpec(f"torus{n}", n, "lie_algebra", tuple(f"phi{i + 1}" for i in range(n)), {})
+            for n in (1, 2, 3)]
+    nils = [spec for lam in LAMBDAS for spec in nil_specs(lam)]
+    return [IWASAWA_SPEC, *tori, *nils, parse_model_file(DIM7), *generated_specs()]
+
+
+def built_or_error(builder, spec):
+    try:
+        return builder(spec).complex
+    except ModelError as e:
+        return type(e).__name__, str(e)
+
+
+def test_builder_matches_reference_word_builder():
+    for spec in reference_cases():
+        assert built_or_error(lie_algebra_model, spec) == built_or_error(
+            reference_models.lie_algebra_model, spec), spec.name
+
+
+def test_product_matches_reference_word_builder():
+    for spec in (IWASAWA_SPEC, ModelSpec("torus2", 2, "lie_algebra", ("phi1", "phi2"), {})):
+        model = lie_algebra_model(spec)
+        ref = reference_models.lie_algebra_model(spec)
+        basis = [(pq, i) for pq, n in model.complex.dims.items() for i in range(n)]
+        for pq1, i1 in basis:
+            for pq2, i2 in basis:
+                assert model.product(pq1, i1, pq2, i2) == ref.product(pq1, i1, pq2, i2)
+
+
+@pytest.mark.parametrize("identity", FAILING)
+def test_not_a_differential_text_matches_reference(identity):
+    spec = parse_model_file("complex_dimension = 4\nkind = lie_algebra\n"
+                            "generators = a, b, c, e\n" + FAILING[identity])
+    got = built_or_error(lie_algebra_model, spec)
+    assert got == built_or_error(reference_models.lie_algebra_model, spec)
+    assert got == ("NotADifferential", f"{identity} is nonzero (witness: b)")
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_nilmanifold_build_multiplies_no_scalar(lam):
+    """Every sign is read off bits: building the models multiplies no scalar."""
+    for spec in nil_specs(lam):
+        assert calls_into(GaussianRational.__mul__.__code__, lie_algebra_model, spec) == 0
 
 
 # -- torus / projective space / point ----------------------------------------------

@@ -66,6 +66,21 @@ def test_load_errors(bad, message_part):
     assert message_part in str(exc.value)
 
 
+@pytest.mark.parametrize("tag", ["d1", "d2", "sigma"])
+def test_entry_outside_block_names_its_line(tag):
+    text = f"dim 0 0 1\ndim 1 0 1\ndim 0 1 1\n{tag} 0 0 0 0 1\n{tag} 0 0 2 0 1\n"
+    with pytest.raises(SerializeError, match=rf"^line 5: {tag} block at \(0, 0\): "
+                                             r"entry \(2,0\) outside 1x1$"):
+        loads_complex(text)
+
+
+def test_morphism_entry_outside_block_names_its_line():
+    text = "source dot\ntarget dot\nblock 0 0 0 0 1\nblock 0 0 0 1 1\n"
+    with pytest.raises(SerializeError,
+                       match=r"^line 4: block at \(0, 0\): entry \(0,1\) outside 1x1$"):
+        parse_morphism_file(text, lambda ref: dot(0, 0))
+
+
 def test_morphism_file_identity(torus1):
     lines = ["source torus1", "target torus1"]
     for p in (0, 1):
