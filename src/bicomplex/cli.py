@@ -9,7 +9,9 @@ Subcommands:
     random --seed s --window pmin,pmax,qmin,qmax --size k [--sigma] --tables ...
 
 Common flags: --json (stable machine output), --validate-only, --max-page r.
-Exit codes: 0 success, 1 input error, 2 invariant violation.
+Exit codes: 0 success, 1 input error, 2 invariant violation, 141 standard
+output closed by its reader (as in `bicomplex ... | head -1`), the status a
+shell reports for a process that SIGPIPE ended.
 
 Bidegree tables print as diamonds with degree 0 at the bottom and p
 increasing to the right; the de Rham table prints as a single 'b:' row.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +63,21 @@ PAGE_KEYS = ("e1", "e2", "einf")
 TABLE_KEYS = PAGE_KEYS + tuple(KIND_OF_KEY)
 
 
+# The exit status when the reader closes standard output: 128 + SIGPIPE.
+EXIT_CLOSED_STDOUT = 141
+
+
 class InputError(ValueError):
     pass
+
+
+def _read_input(path: Path) -> str:
+    """The text of an input file; a file that cannot be read or decoded is
+    the user's input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(str(e)) from e
 
 
 def resolve_reference(ref: str) -> DoubleComplex:
@@ -71,7 +87,7 @@ def resolve_reference(ref: str) -> DoubleComplex:
     path = Path(ref)
     if not path.is_file():
         raise InputError(f"unknown preset or unreadable file: {ref}")
-    text = path.read_text(encoding="utf-8")
+    text = _read_input(path)
     first_words = [
         line.split()[0]
         for line in (l.split("#")[0].strip() for l in text.splitlines())
@@ -337,8 +353,8 @@ def run(argv: list[str]) -> int:
     except (ShapeError, MorphismError, AmbientMismatch, NotASubspace, NotWellDefined) as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 2
-    except (InputError, ModelError, SerializeError, OSError, UnicodeDecodeError,
-            WindowTooSmall, InvalidRank, CodimensionTooSmall) as e:
+    except (InputError, ModelError, SerializeError, WindowTooSmall, InvalidRank,
+            CodimensionTooSmall) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -348,7 +364,7 @@ def _run_check(args) -> int:
     path = Path(args.morphism)
     if not path.is_file():
         raise InputError(f"unreadable morphism file {args.morphism}")
-    f = parse_morphism_file(path.read_text(encoding="utf-8"), resolve_reference)
+    f = parse_morphism_file(_read_input(path), resolve_reference)
     for side in (f.source, f.target):
         code = _validate_or_die(side, args.json)
         if code is not None:
@@ -383,7 +399,16 @@ def _run_check(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output: stop without an error line.
+        # What is still buffered would fail again when Python flushes at
+        # exit, so standard output goes to the null device first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

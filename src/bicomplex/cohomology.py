@@ -22,6 +22,20 @@ E_r = Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}) at (p, q), n = p + q, has
 since dim Z_r^p = dim F^p T^n - rho_n(p, p+r), the two summands of the
 denominator meet in d Z_r^{p-r+1}, and dim d Z_s^a = rho(a, oo) - rho(a, a+s).
 
+Every rho_n comes from one elimination of d_n per degree.  Transposed, d_n
+has a row per coordinate of T^n, and each row gets as its level the first
+index p of its component.  The kernel takes each pivot row from the deepest
+level in its bucket (`linalg._echelon`), so a row is only ever changed by
+rows of its own level or a deeper one, and for every a the pivots whose
+pivot row has level >= a are the pivot columns of the rows of F^a T^n.
+The components of T^{n+1} are ordered by increasing p, so reading modulo
+F^b keeps the target columns of level < b, and rho_n(a, b) is the number
+of pivots with source level >= a and target level < b: the pairing count
+of persistence (Cohen-Steiner, Edelsbrunner & Morozov, "Vines and
+vineyards", SoCG 2006; Basu & Parida, Expo. Math. 2017, for the spectral
+sequence).  `frolicher` keeps these counts in one small table per degree,
+keyed by (source p, target p).
+
 Bott-Chern and Aeppli are rank arithmetic as well.  At (p, q),
 
     dim H_BC = dim A^{p,q} - rank[d1; d2] - rank(d1 d2 into (p, q)),
@@ -39,14 +53,25 @@ rank(in), with each nonzero differential ranked once; the row table is the
 column table of the transposed complex.  TABLES maps each of the five kinds
 to its function, and every caller dispatches through it.
 
-Tables store only nonzero dimensions.  Page 1 comes from filtered blocks of
-the total differential, while the column and row tables use the blocks of d2
-and d1 alone, so the two routes check each other in the test suite.
+`Analysis.of(a)` holds what the tables of one complex share, each part made
+on first use: the Totalization, the rank of each total differential, and
+the product d1 d2 out of each bidegree with its rank.  `frolicher` stores
+the total ranks as a by-product of its reductions, and `de_rham` reads them
+or, called first, ranks d_n with the sparsest-row rule and stores them.
+`bott_chern` reads d1 d2 into (p, q) and `aeppli` d1 d2 out of (p, q), so
+whichever runs second ranks no product.  The Analysis is kept on the
+complex and dies with it; an equal complex built separately starts afresh.
+
+Tables store only nonzero dimensions.  Page 1 comes from the filtered
+reduction of the total differential, while the column and row tables use the
+blocks of d2 and d1 alone, so the two routes check each other in the test
+suite.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -56,11 +81,11 @@ from .linalg import (
     NotASubspace,
     assemble,
     canonical_span,
+    filtered_pivots,
     hstack,
     image_basis,
     induced_subquotient_map,
     kernel_basis,
-    pivot_columns,
     rank,
     vstack,
 )
@@ -123,20 +148,20 @@ class SpectralSequenceResult:
 # -- direct rank formulas -------------------------------------------------------
 
 
-def _cohomology_dims(dims: Mapping, out: Mapping[object, Matrix], before: Callable) -> dict:
+def _cohomology_dims(dims: Mapping, ranks: Mapping[object, int], before: Callable) -> dict:
     """dim - rank(out) - rank(in) at every index of a single complex.
 
-    `out` holds its differentials keyed by source index, and `before(x)` is
-    the index whose differential lands in x.  Each differential is ranked
-    once; a missing one has rank 0.
+    `ranks` holds the rank of each differential keyed by its source index,
+    and `before(x)` is the index whose differential lands in x; a missing
+    differential has rank 0.
     """
-    ranks = {x: rank(m) for x, m in out.items()}
     return {x: n - ranks.get(x, 0) - ranks.get(before(x), 0) for x, n in dims.items()}
 
 
 def _column_dims(a: DoubleComplex) -> dict:
-    """H^q of each column under d2, keyed by (p, q)."""
-    return _cohomology_dims(a.dims, a.d2, lambda pq: (pq[0], pq[1] - 1))
+    """H^q of each column under d2, keyed by (p, q); each block ranked once."""
+    return _cohomology_dims(a.dims, {pq: rank(m) for pq, m in a.d2.items()},
+                            lambda pq: (pq[0], pq[1] - 1))
 
 
 def dolbeault(a: DoubleComplex) -> CohomologyTable:
@@ -189,9 +214,9 @@ class Totalization:
         index = {pq: n for n, pq in enumerate(tgt)}
         blocks = {}
         for j, (p, q) in enumerate(src):
-            for block, to in ((a.d1_at(p, q), (p + 1, q)), (a.d2_at(p, q), (p, q + 1))):
-                if to in index and not block.is_zero():
-                    blocks[(index[to], j)] = block
+            for stored, to in ((a.d1, (p + 1, q)), (a.d2, (p, q + 1))):
+                if (p, q) in stored:
+                    blocks[(index[to], j)] = stored[(p, q)]
         m = self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
         return m
 
@@ -210,12 +235,52 @@ class Totalization:
                         [self.complex.dim(*pq) for pq in src], blocks)
 
 
+class Analysis:
+    """What the tables of one complex share, each part made on first use.
+
+    `Analysis.of(a)` is kept on a and dies with it.  It holds the
+    Totalization, the rank of each total differential (`total_ranks`, which
+    `frolicher` fills as a by-product) and the product d1 d2 out of each
+    bidegree with its rank, which `bott_chern` and `aeppli` share.  It and
+    its Totalization refer back to a weakly, so the two form no reference
+    cycle and are freed as soon as a is dropped, not at the next cyclic
+    garbage collection.
+    """
+
+    def __init__(self, a: DoubleComplex):
+        self.complex = a = weakref.proxy(a)
+        self.totalization = Totalization(a)
+        self.total_ranks: dict[int, int] = {}
+        self._d1d2: dict[BiDegree, tuple[Matrix, int]] = {}
+
+    @classmethod
+    def of(cls, a: DoubleComplex) -> "Analysis":
+        if a._analysis is None:
+            object.__setattr__(a, "_analysis", cls(a))
+        return a._analysis
+
+    def total_rank(self, k: int) -> int:
+        """rank d_k: stored, or found by the sparsest-row rule and stored."""
+        if k not in self.total_ranks:
+            self.total_ranks[k] = rank(self.totalization.differential(k))
+        return self.total_ranks[k]
+
+    def d1d2(self, p: int, q: int) -> tuple[Matrix, int]:
+        """d1 d2 out of (p, q), into (p + 1, q + 1), and its rank."""
+        if (p, q) not in self._d1d2:
+            a = self.complex
+            m = a.d1_at(p, q + 1) @ a.d2_at(p, q)
+            self._d1d2[(p, q)] = m, rank(m)
+        return self._d1d2[(p, q)]
+
+
 def de_rham(a: DoubleComplex) -> CohomologyTable:
-    """Total cohomology: dim T^k - rank d_k - rank d_{k-1}."""
-    tot = Totalization(a)
-    degrees = tot.degrees()
-    entries = _cohomology_dims({k: tot.dim(k) for k in degrees},
-                               {k: tot.differential(k) for k in degrees}, lambda k: k - 1)
+    """Total cohomology: dim T^k - rank d_k - rank d_{k-1}, with the ranks
+    from the complex's Analysis."""
+    memo = Analysis.of(a)
+    degrees = memo.totalization.degrees()
+    entries = _cohomology_dims({k: memo.totalization.dim(k) for k in degrees},
+                               {k: memo.total_rank(k) for k in degrees}, lambda k: k - 1)
     return CohomologyTable("de_rham", entries)
 
 
@@ -254,15 +319,17 @@ def bott_chern(a: DoubleComplex) -> CohomologyTable:
     """dim - rank[d1; d2] out of (p, q) - rank(d1 d2 into (p, q)).
 
     The boundaries im(d1 d2) lie in ker d1 & ker d2 exactly when
-    [d1; d2] . d1 d2 = 0; NotASubspace is raised otherwise.
+    [d1; d2] . d1 d2 = 0; NotASubspace is raised otherwise.  d1 d2 and its
+    rank come from the complex's Analysis, shared with aeppli.
     """
+    memo = Analysis.of(a)
     entries = {}
     for p, q in a.bidegrees():
         out = vstack([a.d1_at(p, q), a.d2_at(p, q)])
-        into = a.d1_at(p - 1, q) @ a.d2_at(p - 1, q - 1)
+        into, into_rank = memo.d1d2(p - 1, q - 1)
         if not (out @ into).is_zero():
             raise NotASubspace("denominator is not contained in numerator")
-        entries[(p, q)] = a.dim(p, q) - rank(out) - rank(into)
+        entries[(p, q)] = a.dim(p, q) - rank(out) - into_rank
     return CohomologyTable("bott_chern", entries)
 
 
@@ -270,15 +337,17 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
     """dim - rank(d1 d2 out of (p, q)) - rank[d1 | d2] into (p, q).
 
     The boundaries im d1 + im d2 lie in ker(d1 d2) exactly when
-    d1 d2 . [d1 | d2] = 0; NotASubspace is raised otherwise.
+    d1 d2 . [d1 | d2] = 0; NotASubspace is raised otherwise.  d1 d2 and its
+    rank come from the complex's Analysis, shared with bott_chern.
     """
+    memo = Analysis.of(a)
     entries = {}
     for p, q in a.bidegrees():
-        out = a.d1_at(p, q + 1) @ a.d2_at(p, q)
+        out, out_rank = memo.d1d2(p, q)
         into = hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)])
         if not (out @ into).is_zero():
             raise NotASubspace("denominator is not contained in numerator")
-        entries[(p, q)] = a.dim(p, q) - rank(out) - rank(into)
+        entries[(p, q)] = a.dim(p, q) - out_rank - rank(into)
     return CohomologyTable("aeppli", entries)
 
 
@@ -319,13 +388,17 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     Z_{r-1}^{p+1} & d Z_{r-1}^{p-r+1} = d Z_r^{p-r+1}, and because
     dim d Z_s^a = rho(a, oo) - rho(a, a+s).
 
-    Components are ordered by increasing p, so "modulo F^b" keeps a prefix
-    of the rows of d.  The pivots of one rref of the transposed column block
-    F^a are the lexicographically first basis of its rows, and rho(a, b) is
-    the number of pivots before the prefix cut: one elimination per degree
-    and column cut serves every b and every page.  Bounded support means no
-    differential d_r can be nonzero once r exceeds min(width, height + 1),
-    which caps the page list.
+    Every rho_n comes from one elimination of d_n, transposed, whose rows
+    (the coordinates of T^n) carry the first index p of their component as
+    their level (`linalg.filtered_pivots`).  The pivot row of each step is
+    taken from the deepest level present, so for every a the pivots whose
+    pivot row has level >= a are the pivot columns of F^a T^n's rows.  The
+    components of T^{n+1} are ordered by increasing p, so rho_n(a, b) is the
+    number of pivots with source level >= a and target level < b, read from
+    a table of pivot counts keyed by (source p, target p).  The number of
+    pivots is rank d_n, which goes to the complex's Analysis for de_rham.
+    Bounded support means no differential d_r can be nonzero once r exceeds
+    min(width, height + 1), which caps the page list.
     """
     if direction not in ("column", "row"):
         raise ValueError("direction must be 'column' or 'row'")
@@ -342,23 +415,19 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
         return SpectralSequenceResult("column", ((1, {}),), 1, {})
     p_min, p_max, q_min, q_max = a.window
     last = max(1, min(p_max - p_min, q_max - q_min + 1) + 1)
-    tot = Totalization(a)
-    pivots: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def cut(n: int, p: int) -> int:
-        """Number of coordinates of T^n outside F^p: the offset of the first
-        component with first index >= p."""
-        comps = tot.components.get(n, [])
-        i = bisect_left(comps, (p,))
-        return tot.offsets[n][comps[i]] if i < len(comps) else tot.dim(n)
+    memo = Analysis.of(a)
+    tot = memo.totalization
+    levels = {n: [p for p, q in parts for _ in range(a.dim(p, q))]
+              for n, parts in tot.components.items()}
+    pairs: dict[int, Counter] = {}
+    for n in tot.degrees():
+        target = levels.get(n + 1, [])
+        found = filtered_pivots(tot.differential(n).transpose(), levels[n])
+        pairs[n] = Counter((s, target[col]) for col, s in found)
+        memo.total_ranks[n] = len(found)
 
     def rho(n: int, lo: int, hi: int) -> int:
-        start, stop = cut(n, lo), cut(n + 1, hi)
-        if hi <= lo or not stop:
-            return 0
-        if (n, start) not in pivots:
-            pivots[(n, start)] = pivot_columns(tot.differential(n)[:, start:].transpose())
-        return bisect_left(pivots[(n, start)], stop)
+        return sum(c for (s, t), c in pairs.get(n, {}).items() if s >= lo and t < hi)
 
     pages = []
     for r in range(1, last + 1):

@@ -36,7 +36,7 @@ Sign conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
@@ -88,6 +88,16 @@ class Violation(NamedTuple):
         return f"({self.p},{self.q}): {self.identity}"
 
 
+def _zero(zeros: dict[tuple[int, int], Matrix], rows: int, cols: int) -> Matrix:
+    """The zero rows x cols matrix held in zeros, made on first use.  A
+    Matrix is never changed in place, so every absent block of one shape can
+    be the same one."""
+    m = zeros.get((rows, cols))
+    if m is None:
+        m = zeros[(rows, cols)] = Matrix.zero(rows, cols)
+    return m
+
+
 def _clean_dims(dims: Mapping[BiDegree, int]) -> dict[BiDegree, int]:
     out = {}
     for pq, n in dims.items():
@@ -105,6 +115,12 @@ class DoubleComplex:
     d2: Mapping[BiDegree, Matrix]
     sigma: Mapping[BiDegree, Matrix] | None = None
     labels: Mapping[BiDegree, tuple[str, ...]] | None = None
+    # Memos that live and die with this complex, not part of its value: the
+    # zero block of each shape that an absent block reads as, and the
+    # cohomology.Analysis of the complex, made on first use.
+    _zeros: dict[tuple[int, int], Matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _clean_dims(self.dims)
@@ -144,17 +160,17 @@ class DoubleComplex:
 
     def d1_at(self, p: int, q: int) -> Matrix:
         m = self.d1.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
+        return m if m is not None else _zero(self._zeros, self.dim(p + 1, q), self.dim(p, q))
 
     def d2_at(self, p: int, q: int) -> Matrix:
         m = self.d2.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
+        return m if m is not None else _zero(self._zeros, self.dim(p, q + 1), self.dim(p, q))
 
     def sigma_at(self, p: int, q: int) -> Matrix:
         if self.sigma is None:
             raise ValueError("complex carries no real structure")
         m = self.sigma.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(q, p), self.dim(p, q))
+        return m if m is not None else _zero(self._zeros, self.dim(q, p), self.dim(p, q))
 
     def bidegrees(self) -> list[BiDegree]:
         return sorted(self.dims)
@@ -232,6 +248,9 @@ class Morphism:
     source: DoubleComplex
     target: DoubleComplex
     blocks: Mapping[BiDegree, Matrix]
+    # The zero block of each shape that an absent block reads as.
+    _zeros: dict[tuple[int, int], Matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -257,7 +276,7 @@ class Morphism:
 
     def block_at(self, p: int, q: int) -> Matrix:
         m = self.blocks.get((p, q))
-        return m if m is not None else Matrix.zero(self.target.dim(p, q), self.source.dim(p, q))
+        return m if m is not None else _zero(self._zeros, self.target.dim(p, q), self.source.dim(p, q))
 
     @classmethod
     def identity(cls, a: DoubleComplex) -> "Morphism":

@@ -52,7 +52,12 @@ Every elimination runs through one fraction-free kernel, `_echelon`:
 
 The pivot row is the sparsest candidate, ties to the lowest index.  The
 rows are scalar multiples of those of Gauss-Jordan elimination on Q(i), so
-the choice, and the fill-in, are the same as there.
+the choice, and the fill-in, are the same as there.  `filtered_pivots`
+gives each row a level (`cohomology.frolicher` gives each source coordinate
+of d_n its filtration index p).  The pivot row is then the sparsest
+candidate of the deepest level present, so a row is only ever changed by rows of its own
+level or a deeper one, and the pivots whose pivot row has level >= s are
+the pivot columns of the rows of level >= s, for every s at once.
 
 Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
 entry is summed as an (int, int) pair over the product of the denominators.
@@ -382,9 +387,11 @@ def _exact_div(row: dict[int, tuple[int, int]], d: tuple[int, int]) -> dict[int,
     return {j: ((a * dr + b * di) // n, (b * dr - a * di) // n) for j, (a, b) in row.items()}
 
 
-def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[int, int]]]]:
-    """Pivot columns of m and its pivot rows, each a nonzero multiple of its
-    RREF row, by lazy Bareiss elimination over Z[i] (see the module notes).
+def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
+             ) -> tuple[list[int], list[dict[int, tuple[int, int]]], list[int]]:
+    """Pivot columns of m, its pivot rows, each a nonzero multiple of its
+    RREF row, and the index in m of each pivot row, by lazy Bareiss
+    elimination over Z[i] (see the module notes).
 
     Columns are taken in order, each from the least nonempty lead-column
     bucket: its pivot row is the sparsest row of the bucket, ties to the
@@ -392,6 +399,11 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
     move to the buckets of their new leading columns.  reduce=False
     eliminates below the pivots only; reduce=True also clears the pivot
     column from the earlier pivot rows (Gauss-Jordan).
+
+    levels, one int per row, restricts the pivot row to the deepest level
+    present in the bucket.  The forward pass then changes a row only by rows
+    of its own level or deeper, so for every s the pivots whose pivot row
+    has level >= s are the pivot columns of m's rows of level >= s.
     """
     rows = _gaussian_rows(m)
     div = [(1, 0)] * m.rows
@@ -402,12 +414,16 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
             buckets.setdefault(min(row), []).append(i)
     heap = list(buckets)
     heapify(heap)
+    if levels is None:
+        choice = lambda i: (len(rows[i]), i)
+    else:
+        choice = lambda i: (-levels[i], len(rows[i]), i)
     pivots: list[int] = []
     pivot_rows: list[int] = []
     while heap:
         col = heappop(heap)
         below = buckets.pop(col)
-        best = min(below, key=lambda i: (len(rows[i]), i))
+        best = min(below, key=choice)
         below.remove(best)
         piv = rows[best]
         if div[best] != prev:
@@ -438,13 +454,24 @@ def _echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[i
         div[best] = prev = pv
         pivots.append(col)
         pivot_rows.append(best)
-    return pivots, [rows[i] for i in pivot_rows]
+    return pivots, [rows[i] for i in pivot_rows], pivot_rows
 
 
 def pivot_columns(m: Matrix) -> tuple[int, ...]:
     """Pivot columns of the RREF of m, from the forward pass alone; a zero
     matrix has none and costs no elimination."""
     return tuple(_echelon(m, reduce=False)[0]) if m._num else ()
+
+
+def filtered_pivots(m: Matrix, levels: Sequence[int]) -> list[tuple[int, int]]:
+    """(pivot column, level of its pivot row) for each pivot of m, under the
+    level rule of `_echelon`: for every s, the columns paired with a level
+    >= s are the pivot columns of m's rows of level >= s.  A zero matrix has
+    none and costs no elimination."""
+    if not m._num:
+        return []
+    pivots, _, pivot_rows = _echelon(m, False, levels)
+    return [(col, levels[i]) for col, i in zip(pivots, pivot_rows)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -455,7 +482,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     which makes that entry real, and divided by the gcd of its ints; the
     pivot entry is then the row's least denominator.
     """
-    pivots, pivot_rows = _echelon(m, reduce=True)
+    pivots, pivot_rows, _ = _echelon(m, reduce=True)
     rows = [_primitive(_times(row, (row[col][0], -row[col][1])))
             for col, row in zip(pivots, pivot_rows)]
     den = lcm(*(row[col][0] for col, row in zip(pivots, rows)))

@@ -5,8 +5,10 @@ buckets by their leading column.  This module keeps the same kernel without
 them: each pivot scans every live row for the next pivot column, for the
 pivot row and for the rows to eliminate.  The Bareiss steps,
 the lazy divisors and the choices are the same, so the two must return the
-same (pivots, pivot_rows) on every matrix.  It reads only the stored form of
-a `Matrix` and copies the row helpers it calls.
+same (pivots, pivot rows, pivot row indices) on every matrix.  It has no
+row levels: the kernel's calls without them are the ones it checks.  It
+reads only the stored form of a `Matrix` and copies the row helpers it
+calls.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ def _exact_div(row: dict[int, tuple[int, int]], d: tuple[int, int]) -> dict[int,
     return {j: ((a * dr + b * di) // n, (b * dr - a * di) // n) for j, (a, b) in row.items()}
 
 
-def reference_echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int, tuple[int, int]]]]:
-    """Pivot columns of m and its pivot rows, each a nonzero multiple of its
-    RREF row, by lazy Bareiss elimination over Z[i].
+def reference_echelon(m: Matrix, reduce: bool,
+                      ) -> tuple[list[int], list[dict[int, tuple[int, int]]], list[int]]:
+    """Pivot columns of m, its pivot rows, each a nonzero multiple of its
+    RREF row, and the index in m of each pivot row, by lazy Bareiss
+    elimination over Z[i].
 
     Columns are taken in order.  reduce=False eliminates below the pivots
     only; reduce=True also clears the pivot column from the earlier pivot
@@ -94,4 +98,4 @@ def reference_echelon(m: Matrix, reduce: bool) -> tuple[list[int], list[dict[int
         div[best] = prev = pv
         pivots.append(col)
         pivot_rows.append(best)
-    return pivots, [rows[i] for i in pivot_rows]
+    return pivots, [rows[i] for i in pivot_rows], pivot_rows

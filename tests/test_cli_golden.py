@@ -8,6 +8,9 @@ and at the last one that passed, and diff the two outputs.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,8 +18,8 @@ import pytest
 from bicomplex.cli import run
 
 ALL_TABLES = "e1,e2,einf,derham,bc,aeppli,rows"
-KODAIRA_THURSTON = str(Path(__file__).resolve().parent.parent / "demos" / "models"
-                       / "kodaira_thurston.model")
+REPO = Path(__file__).resolve().parent.parent
+KODAIRA_THURSTON = str(REPO / "demos" / "models" / "kodaira_thurston.model")
 
 # The digest of an empty stream.
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -78,3 +81,20 @@ def test_cli_output_is_pinned(name, capsys):
     got = run(list(argv))
     out, err = capsys.readouterr()
     assert (got, sha256(out), sha256(err)) == (code, out_digest, err_digest), (out, err)
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes standard output, as `bicomplex ... | head -1`
+    does, ends the run with exit 141 (128 + SIGPIPE) and nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from bicomplex.cli import main; main()",
+             "model", "iwasawa", "--tables", "e1"],
+            stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bicomplex import frolicher, lie_algebra_model, linalg, parse_model_file
-from bicomplex.cohomology import TABLES
+from bicomplex.cohomology import TABLES, Totalization, aeppli_spaces, bott_chern_spaces
+from bicomplex.complexes import dolbeault_spaces
 from bicomplex.linalg import (
     AmbientMismatch,
     Matrix,
@@ -14,6 +15,7 @@ from bicomplex.linalg import (
     _echelon,
     canonical_span,
     coset_representatives,
+    filtered_pivots,
     hstack,
     image_basis,
     induced_subquotient_map,
@@ -363,9 +365,10 @@ def test_product_matches_reference_fraction_product():
 
 
 def echelon_form(result):
-    """(pivots, pivot rows) with each row's entries in stored order."""
-    pivots, pivot_rows = result
-    return pivots, [list(row.items()) for row in pivot_rows]
+    """(pivots, pivot rows, pivot row indices) with each row's entries in
+    stored order."""
+    pivots, pivot_rows, indices = result
+    return pivots, [list(row.items()) for row in pivot_rows], indices
 
 
 def assert_echelon_matches_reference(m, label):
@@ -421,17 +424,53 @@ def test_echelon_matches_reference_on_nil4_tables(monkeypatch):
     seen = {}
     kernel = linalg._echelon
 
-    def recording(m, reduce):
-        seen.setdefault((m.rows, m.cols, m._den, tuple(sorted(m._num.items()))), m)
-        return kernel(m, reduce)
+    def recording(m, reduce, levels=None):
+        if levels is None:
+            seen.setdefault((m.rows, m.cols, m._den, tuple(sorted(m._num.items()))), m)
+        return kernel(m, reduce, levels)
 
     monkeypatch.setattr(linalg, "_echelon", recording)
     for table in (*TABLES.values(), frolicher):
         table(a)
+    for pq in a.bidegrees():
+        for spaces in (dolbeault_spaces, bott_chern_spaces, aeppli_spaces):
+            spaces(a, *pq)
     monkeypatch.undo()
     assert len(seen) >= 80
     for m in seen.values():
         assert_echelon_matches_reference(m, f"nil4 {m.rows}x{m.cols}")
+
+
+def leveled_cases():
+    """(label, matrix, row levels): random sparse Z[i] matrices with random
+    levels, then each nil4 total differential transposed, its rows levelled
+    by the first index p of their component as frolicher levels them."""
+    rng = random.Random(314)
+    for k in range(300):
+        rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+        density = rng.choice([0.1, 0.25, 0.5])
+        entries = {(i, j): rng.choice(GAUSSIAN_POOL)
+                   for i in range(rows) for j in range(cols) if rng.random() < density}
+        levels = [rng.randrange(1 + k % 5) for _ in range(rows)]
+        yield f"random {k}: {rows}x{cols}", Matrix(rows, cols, entries), levels
+    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    tot = Totalization(a)
+    for n in tot.degrees():
+        levels = [p for p, q in tot.components[n] for _ in range(a.dim(p, q))]
+        yield f"nil4 d_{n}", tot.differential(n).transpose(), levels
+
+
+def test_level_rule_gives_every_filtered_pivot_set():
+    """For every level s, the pivots whose pivot row has level >= s are the
+    pivot columns of the rows of level >= s, with and without the
+    Gauss-Jordan pass."""
+    for label, m, levels in leveled_cases():
+        found = filtered_pivots(m, levels)
+        pivots, _, pivot_rows = _echelon(m, True, levels)
+        assert [(c, levels[i]) for c, i in zip(pivots, pivot_rows)] == found, label
+        for s in set(levels):
+            rows = Matrix.from_rows([m.row(i) for i, level in enumerate(levels) if level >= s])
+            assert tuple(c for c, level in found if level >= s) == pivot_columns(rows), (label, s)
 
 
 @pytest.mark.parametrize("shape", ["bidiagonal", "permutation"])
