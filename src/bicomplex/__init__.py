@@ -24,7 +24,6 @@ from .linalg import (
 )
 from .complexes import (
     DoubleComplex,
-    E1Report,
     Morphism,
     MorphismError,
     NotInjective,
@@ -35,7 +34,6 @@ from .complexes import (
     direct_sum_many,
     dot,
     dual,
-    is_E1_isomorphism,
     quotient,
     random_complex,
     shift,
@@ -47,6 +45,7 @@ from .complexes import (
 )
 from .cohomology import (
     CohomologyTable,
+    E1Report,
     SpectralSequenceResult,
     aeppli,
     betti_vector,
@@ -57,6 +56,7 @@ from .cohomology import (
     euler_characteristic,
     frolicher,
     induced_cohomology_map,
+    is_E1_isomorphism,
 )
 from .models import (
     AlgebraModel,

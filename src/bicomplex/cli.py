@@ -29,13 +29,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import models as _models
-from .cohomology import TABLES, CohomologyTable, SpectralSequenceResult, frolicher
+from .cohomology import (
+    TABLES,
+    CohomologyTable,
+    SpectralSequenceResult,
+    frolicher,
+    is_E1_isomorphism,
+)
 from .complexes import (
     DoubleComplex,
     MorphismError,
     ShapeError,
     WindowTooSmall,
-    is_E1_isomorphism,
     random_complex,
     validate,
 )
@@ -150,17 +155,6 @@ def render_diamond(t: CohomologyTable) -> RenderedDiamond:
         width = max(chars) + 1
         lines.append("".join(chars.get(i, " ") for i in range(width)).rstrip())
     return RenderedDiamond(t.kind, tuple(lines))
-
-
-def parse_diamond_rows(rows: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """Per-degree multisets (bottom-up) recovered from rendered rows."""
-    out = []
-    for row in reversed(rows):
-        if row.startswith("b:"):
-            raise ValueError("not a diamond")
-        values = tuple(sorted(int(tok) for tok in row.split()))
-        out.append(values)
-    return out
 
 
 # -- table computation ----------------------------------------------------------

@@ -44,20 +44,25 @@ Bott-Chern and Aeppli are rank arithmetic as well.  At (p, q),
 the dimension of the cycles minus that of the boundaries.  The boundaries
 lie in the cycles exactly when [d1; d2] . d1 d2 = 0, respectively
 d1 d2 . [d1 | d2] = 0; both tables check this with sparse products and
-raise NotASubspace otherwise.  bott_chern_spaces and aeppli_spaces build the
-explicit subquotients, which induced maps need; complexes.dolbeault_spaces
-does the same for the column table.
+raise NotASubspace otherwise.  dolbeault_spaces, bott_chern_spaces and
+aeppli_spaces build the explicit subquotients, which induced maps need.
 
 The column, row and de Rham tables are one formula, dim - rank(out) -
-rank(in), with each nonzero differential ranked once; the row table is the
-column table of the transposed complex.  TABLES maps each of the five kinds
-to its function, and every caller dispatches through it.
+rank(in), with each nonzero differential ranked once: the row table ranks
+the blocks of d1 itself, and only the row pages are computed on the
+transposed complex.  TABLES maps each of the five kinds to its function,
+and every caller dispatches through it.
 
-`Analysis.of(a)` holds what the tables of one complex share, each part made
-on first use: the Totalization, the rank of each total differential, and
-the product d1 d2 out of each bidegree with its rank.  `frolicher` stores
-the total ranks as a by-product of its reductions, and `de_rham` reads them
-or, called first, ranks d_n with the sparsest-row rule and stores them.
+`Analysis.of(a)` holds what the tables and induced maps of one complex
+share, each part made on first use: the Totalization, the rank of each total
+differential, the product d1 d2 out of each bidegree with its rank, and the
+cycles and boundaries of each kind at each bidegree or degree (`spaces`).
+`induced_cohomology_map` reads both sides' spaces from there, and the
+E1-isomorphism test, `is_E1_isomorphism`, reads its witnesses off the
+induced Dolbeault map, so neither reduces a complex's spaces twice.
+`frolicher` stores the total ranks as a by-product of its reductions, and
+`de_rham` reads them or, called first, ranks d_n with the sparsest-row rule
+and stores them.
 `bott_chern` reads d1 d2 into (p, q) and `aeppli` d1 d2 out of (p, q), so
 whichever runs second ranks no product.  The Analysis is kept on the
 complex and dies with it; an equal complex built separately starts afresh.
@@ -75,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .complexes import BiDegree, DoubleComplex, Morphism, dolbeault_spaces, transpose_complex
+from .complexes import BiDegree, DoubleComplex, Morphism, transpose_complex
 from .linalg import (
     Matrix,
     NotASubspace,
@@ -158,21 +163,16 @@ def _cohomology_dims(dims: Mapping, ranks: Mapping[object, int], before: Callabl
     return {x: n - ranks.get(x, 0) - ranks.get(before(x), 0) for x, n in dims.items()}
 
 
-def _column_dims(a: DoubleComplex) -> dict:
-    """H^q of each column under d2, keyed by (p, q); each block ranked once."""
-    return _cohomology_dims(a.dims, {pq: rank(m) for pq, m in a.d2.items()},
-                            lambda pq: (pq[0], pq[1] - 1))
-
-
 def dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Column cohomology: dim - rank(d2 out) - rank(d2 in)."""
-    return CohomologyTable("dolbeault", _column_dims(a))
+    """Column cohomology: dim - rank(d2 out) - rank(d2 in), each block ranked once."""
+    return CohomologyTable("dolbeault", _cohomology_dims(
+        a.dims, {pq: rank(m) for pq, m in a.d2.items()}, lambda pq: (pq[0], pq[1] - 1)))
 
 
 def conjugate_dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Row cohomology: the column cohomology of the transposed complex."""
-    columns = _column_dims(transpose_complex(a))
-    return CohomologyTable("conjugate_dolbeault", {(p, q): v for (q, p), v in columns.items()})
+    """Row cohomology: dim - rank(d1 out) - rank(d1 in), each block ranked once."""
+    return CohomologyTable("conjugate_dolbeault", _cohomology_dims(
+        a.dims, {pq: rank(m) for pq, m in a.d1.items()}, lambda pq: (pq[0] - 1, pq[1])))
 
 
 class Totalization:
@@ -240,8 +240,9 @@ class Analysis:
 
     `Analysis.of(a)` is kept on a and dies with it.  It holds the
     Totalization, the rank of each total differential (`total_ranks`, which
-    `frolicher` fills as a by-product) and the product d1 d2 out of each
-    bidegree with its rank, which `bott_chern` and `aeppli` share.  It and
+    `frolicher` fills as a by-product), the product d1 d2 out of each
+    bidegree with its rank, which `bott_chern` and `aeppli` share, and the
+    cycles and boundaries of every table that an induced map reads.  It and
     its Totalization refer back to a weakly, so the two form no reference
     cycle and are freed as soon as a is dropped, not at the next cyclic
     garbage collection.
@@ -252,6 +253,7 @@ class Analysis:
         self.totalization = Totalization(a)
         self.total_ranks: dict[int, int] = {}
         self._d1d2: dict[BiDegree, tuple[Matrix, int]] = {}
+        self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
 
     @classmethod
     def of(cls, a: DoubleComplex) -> "Analysis":
@@ -272,6 +274,27 @@ class Analysis:
             m = a.d1_at(p, q + 1) @ a.d2_at(p, q)
             self._d1d2[(p, q)] = m, rank(m)
         return self._d1d2[(p, q)]
+
+    def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
+        """(cycles, boundaries) whose quotient is the `kind` cohomology at x,
+        a bidegree, or a degree for de_rham."""
+        if (kind, x) not in self._spaces:
+            a = self.complex
+            if kind == "dolbeault":
+                found = dolbeault_spaces(a, *x)
+            elif kind == "conjugate_dolbeault":
+                found = kernel_basis(a.d1_at(*x)), image_basis(a.d1_at(x[0] - 1, x[1]))
+            elif kind == "de_rham":
+                d = self.totalization.differential
+                found = kernel_basis(d(x)), image_basis(d(x - 1))
+            elif kind == "bott_chern":
+                found = bott_chern_spaces(a, *x)
+            elif kind == "aeppli":
+                found = aeppli_spaces(a, *x)
+            else:
+                raise ValueError(f"unknown cohomology kind {kind!r}")
+            self._spaces[(kind, x)] = found
+        return self._spaces[(kind, x)]
 
 
 def de_rham(a: DoubleComplex) -> CohomologyTable:
@@ -299,6 +322,11 @@ def euler_characteristic(a: DoubleComplex) -> int:
 
 
 # -- Bott-Chern and Aeppli ------------------------------------------------------
+
+
+def dolbeault_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
+    """(cycles, boundaries) whose quotient is column cohomology at (p, q)."""
+    return kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))
 
 
 def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
@@ -369,7 +397,8 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
 
     direction="column" starts from column (Dolbeault-style) cohomology,
     direction="row" from row cohomology; the row case is computed on the
-    transposed complex and transposed back.
+    transposed complex and transposed back, since the pairing count below
+    needs the total complex's components ordered by the filtration index.
 
     Pages come from ranks alone.  With F^a the components of the total
     complex with first index >= a, let rho_n(a, b) be the rank of
@@ -450,38 +479,62 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
 def induced_cohomology_map(f: Morphism, kind: str) -> dict:
     """Matrices of the map induced by f on the chosen cohomology.
 
-    Keys are bidegrees, or plain degrees for kind="de_rham".  Coset bases are
-    chosen deterministically, so induced matrices compose functorially.
+    Keys are bidegrees, or plain degrees for kind="de_rham".  The cycles and
+    boundaries of each side come from the Analysis of its complex.  Coset
+    bases are chosen deterministically, so induced matrices compose
+    functorially.
     """
-    if kind == "de_rham":
-        tot_s = Totalization(f.source)
-        tot_t = Totalization(f.target)
-        out = {}
-        for k in sorted(set(tot_s.degrees()) | set(tot_t.degrees())):
-            z_s = kernel_basis(tot_s.differential(k))
-            b_s = image_basis(tot_s.differential(k - 1))
-            z_t = kernel_basis(tot_t.differential(k))
-            b_t = image_basis(tot_t.differential(k - 1))
-            block = tot_s.embed_block(f, k, tot_t)
-            out[k] = induced_subquotient_map(block, z_s, b_s, z_t, b_t)
-        return out
-    spaces = {
-        "dolbeault": dolbeault_spaces,
-        # Row cohomology at (p, q) is column cohomology of the transpose at (q, p).
-        "conjugate_dolbeault": lambda c, p, q: dolbeault_spaces(c, q, p),
-        "bott_chern": bott_chern_spaces,
-        "aeppli": aeppli_spaces,
-    }
-    if kind not in spaces:
+    if kind not in TABLES:
         raise ValueError(f"unknown cohomology kind {kind!r}")
-    build = spaces[kind]
-    source, target = f.source, f.target
-    if kind == "conjugate_dolbeault":
-        source, target = transpose_complex(source), transpose_complex(target)
-    out = {}
-    for pq in sorted(set(f.source.dims) | set(f.target.dims)):
-        z_s, b_s = build(source, *pq)
-        z_t, b_t = build(target, *pq)
-        out[pq] = induced_subquotient_map(f.block_at(*pq), z_s, b_s, z_t, b_t)
-    return out
+    source, target = Analysis.of(f.source), Analysis.of(f.target)
+    if kind == "de_rham":
+        keys = set(source.totalization.degrees()) | set(target.totalization.degrees())
+        block = lambda k: source.totalization.embed_block(f, k, target.totalization)
+    else:
+        keys = set(f.source.dims) | set(f.target.dims)
+        block = lambda pq: f.block_at(*pq)
+    return {x: induced_subquotient_map(block(x), *source.spaces(kind, x), *target.spaces(kind, x))
+            for x in sorted(keys)}
 
+
+# -- E1-isomorphism test --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class E1Witness:
+    p: int
+    q: int
+    source_dim: int
+    target_dim: int
+    rank: int
+
+    @property
+    def bijective(self) -> bool:
+        return self.source_dim == self.target_dim == self.rank
+
+
+@dataclass(frozen=True)
+class E1Report:
+    """Verdict of the column-cohomology comparison, with one witness per bidegree."""
+
+    entries: tuple[E1Witness, ...]
+
+    def __bool__(self) -> bool:
+        return all(w.bijective for w in self.entries)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self)
+
+    def failing(self) -> E1Witness | None:
+        for w in self.entries:
+            if not w.bijective:
+                return w
+        return None
+
+
+def is_E1_isomorphism(f: Morphism) -> E1Report:
+    """True iff f induces bijections on column cohomology at every bidegree:
+    one witness per bidegree, read off the induced Dolbeault map."""
+    return E1Report(tuple(E1Witness(p, q, m.cols, m.rows, rank(m))
+                          for (p, q), m in induced_cohomology_map(f, "dolbeault").items()))

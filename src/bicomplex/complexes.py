@@ -20,6 +20,11 @@ Only nonzero data is stored: dims maps bidegrees to positive dimensions and
 differential blocks are kept only when nonzero.  The bidegree rectangle
 outside which everything vanishes is derived, not stored.
 
+This module holds data and constructions only.  The cohomologies, the
+cycles and boundaries of their subquotients, induced maps and the
+E1-isomorphism test live in `cohomology`; a complex only carries the slot
+for its `cohomology.Analysis`, which holds those spaces and dies with it.
+
 Sign conventions fixed here and relied on everywhere else:
 
   * tensor:  d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy  with |x| the total
@@ -44,12 +49,8 @@ from .linalg import (
     _products_vanish,
     assemble,
     hstack,
-    kernel_basis,
-    image_basis,
-    induced_subquotient_map,
     kron,
     pivot_columns,
-    rank,
     solve_columns,
 )
 from .scalars import ONE, gauss
@@ -294,9 +295,6 @@ class Morphism:
         for pq in other.blocks:
             blocks[pq] = self.block_at(*pq) @ other.block_at(*pq)
         return Morphism(other.source, self.target, blocks)
-
-    def is_injective(self) -> bool:
-        return all(rank(self.block_at(*pq)) == n for pq, n in self.source.dims.items())
 
 
 # -- elementary building blocks ----------------------------------------------
@@ -610,59 +608,6 @@ def _image_sigma_stable(f: Morphism) -> bool:
         elif solve_columns(dest, moved) is None:
             return False
     return True
-
-
-# -- E1-isomorphism test --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class E1Witness:
-    p: int
-    q: int
-    source_dim: int
-    target_dim: int
-    rank: int
-
-    @property
-    def bijective(self) -> bool:
-        return self.source_dim == self.target_dim == self.rank
-
-
-@dataclass(frozen=True)
-class E1Report:
-    """Verdict of the column-cohomology comparison, with one witness per bidegree."""
-
-    entries: tuple[E1Witness, ...]
-
-    def __bool__(self) -> bool:
-        return all(w.bijective for w in self.entries)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self)
-
-    def failing(self) -> E1Witness | None:
-        for w in self.entries:
-            if not w.bijective:
-                return w
-        return None
-
-
-def dolbeault_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
-    """(cycles, boundaries) whose quotient is column cohomology at (p, q)."""
-    return kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))
-
-
-def is_E1_isomorphism(f: Morphism) -> E1Report:
-    """True iff f induces bijections on column cohomology at every bidegree."""
-    support = sorted(set(f.source.dims) | set(f.target.dims))
-    witnesses = []
-    for p, q in support:
-        z_s, b_s = dolbeault_spaces(f.source, p, q)
-        z_t, b_t = dolbeault_spaces(f.target, p, q)
-        m = induced_subquotient_map(f.block_at(p, q), z_s, b_s, z_t, b_t)
-        witnesses.append(E1Witness(p, q, m.cols, m.rows, rank(m)))
-    return E1Report(tuple(witnesses))
 
 
 # -- random complexes -----------------------------------------------------------

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import TABLES, CohomologyTable
+from .cohomology import TABLES, CohomologyTable, is_E1_isomorphism
 from .complexes import (
     DoubleComplex,
     Morphism,
     direct_sum_many,
-    is_E1_isomorphism,
     quotient,
     shift,
 )

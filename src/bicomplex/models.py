@@ -435,14 +435,6 @@ class AlgebraModel:
             return {}
         return {self._index[w1 | w2]: -ONE if _koszul(w1, w2) & 1 else ONE}
 
-    def top_coefficient(self, pq1: BiDegree, i1: int, pq2: BiDegree, i2: int) -> GaussianRational:
-        """Coefficient of the top basis element in basis_i1 wedge basis_i2."""
-        target = (pq1[0] + pq2[0], pq1[1] + pq2[1])
-        if target != self.top_index:
-            return ZERO
-        vec = self.product(pq1, i1, pq2, i2)
-        return vec.get(0, ZERO)
-
 
 def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     """Extend the structure equations to the full exterior bicomplex.
@@ -593,6 +585,11 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     """The pairing map A -> dual(A, n), omega |-> (eta |-> top coefficient of
     omega wedge eta).
 
+    A basis element pairs with one element only: a monomial w with its
+    complement, the top mask minus w, and a class t^p with t^(n-p), index 0.
+    The entry is the sign of their product, so each block is a signed
+    permutation, built in O(dim).
+
     For every model built here this is a valid morphism for the dual's sign
     convention (the top coefficient of any exact form vanishes), and it is an
     isomorphism on column cohomology; the construction fails loudly if a
@@ -606,14 +603,14 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     if a.dim(n, n) != 1:
         raise NoTopClass(f"the ({n},{n}) piece has dimension {a.dim(n, n)}, expected 1")
     target = dual(a, n)
+    words = model._monomials
+    full = words[(n, n)][0] if words is not None else None
     blocks = {}
     for (p, q), m in a.dims.items():
-        rows = a.dim(n - p, n - q)
+        partner = (n - p, n - q)
         entries = {}
         for i in range(m):
-            for j in range(rows):
-                c = model.top_coefficient((p, q), i, (n - p, n - q), j)
-                if c:
-                    entries[(j, i)] = c
-        blocks[(p, q)] = Matrix(rows, m, entries)
+            j = 0 if words is None else model._index[full ^ words[(p, q)][i]]
+            entries[(j, i)] = model.product((p, q), i, partner, j)[0]
+        blocks[(p, q)] = Matrix(a.dim(*partner), m, entries)
     return Morphism(a, target, blocks)

@@ -9,6 +9,10 @@ spec must give an equal `DoubleComplex` (dims, d1, d2, sigma, labels), the
 same products and the same `NotADifferential` text on both.  It shares only
 the spec types, the errors, the bound, `Matrix` and the scalars with the
 package.
+
+`serre_pairing_morphism` keeps the pairing builder as first written too: the
+top coefficient of every pair of basis elements of complementary bidegrees,
+where the package pairs each basis element with its complement alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from bicomplex.complexes import BiDegree, DoubleComplex
+from bicomplex.complexes import BiDegree, DoubleComplex, Morphism, dual
 from bicomplex.linalg import Matrix
 from bicomplex.models import (
     MAX_MODEL_BASIS,
@@ -242,3 +246,20 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     }
     complex = DoubleComplex(dims, d1, d2, sigma, labels)
     return AlgebraModel(complex, (n, n), "lie_algebra", monomials)
+
+
+def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
+    """The pairing map A -> dual(A, n) from Sum dim(p, q)^2 top coefficients."""
+    n = model.top_index[0]
+    a = model.complex
+    blocks = {}
+    for (p, q), m in a.dims.items():
+        rows = a.dim(n - p, n - q)
+        entries = {}
+        for i in range(m):
+            for j in range(rows):
+                c = model.top_coefficient((p, q), i, (n - p, n - q), j)
+                if c:
+                    entries[(j, i)] = c
+        blocks[(p, q)] = Matrix(rows, m, entries)
+    return Morphism(a, dual(a, n), blocks)

@@ -4,9 +4,10 @@ import time
 import pytest
 
 from bicomplex import CohomologyTable, dolbeault, dumps_complex, random_complex
-from bicomplex.cli import parse_diamond_rows, render_diamond, resolve_reference, run
+from bicomplex.cli import render_diamond, resolve_reference, run
 from bicomplex.cohomology import TABLES
 from bicomplex.models import IWASAWA_SPEC, format_model_spec
+from helpers import parse_diamond_rows
 
 
 def run_ok(capsys, argv, code=0):

@@ -32,7 +32,8 @@ from bicomplex import (
     zigzag,
 )
 from bicomplex.cohomology import TABLES, aeppli_spaces, bott_chern_spaces
-from bicomplex.linalg import hstack, rank
+from bicomplex.complexes import transpose_complex
+from bicomplex.linalg import hstack, image_basis, kernel_basis, rank
 from bicomplex.scalars import GaussianRational
 from call_counter import calls_into
 from test_acceptance import PROPERTY_CASES
@@ -158,15 +159,67 @@ def test_subspaces_build_no_scalar():
 
 
 def test_row_cohomology_matches_the_d1_rank_formula():
-    """conjugate_dolbeault is the column table of the transposed complex;
-    this is the direct route along d1."""
+    """conjugate_dolbeault against the d1 rank formula written out per
+    bidegree, and against the column table of the transposed complex, on
+    every property-suite case."""
     for seed, window, size, with_sigma in PROPERTY_CASES:
-        if with_sigma:
-            continue
-        a = random_complex(seed, window, size)
+        a = random_complex(seed, window, size, with_sigma=with_sigma)
         want = {(p, q): n - rank(a.d1_at(p, q)) - rank(a.d1_at(p - 1, q))
                 for (p, q), n in a.dims.items()}
-        assert entries(conjugate_dolbeault(a)) == {pq: v for pq, v in want.items() if v}, seed
+        got = entries(conjugate_dolbeault(a))
+        assert got == {pq: v for pq, v in want.items() if v}, seed
+        columns = dolbeault(transpose_complex(a))
+        assert got == {(p, q): v for (q, p), v in columns.entries.items()}, seed
+
+
+def transpose_morphism(f):
+    return Morphism(transpose_complex(f.source), transpose_complex(f.target),
+                    {(q, p): m for (p, q), m in f.blocks.items()})
+
+
+def test_row_induced_map_is_the_transposed_column_map(presets):
+    """The row induced map reads the kernel and image of d1 directly; the
+    Dolbeault map of the transposed morphism, keys flipped, is the second
+    route.  On the Serre pairing of every lie-algebra preset and on the
+    inclusions of the E1 acceptance criterion."""
+    morphisms = [serre_pairing_morphism(presets[name])
+                 for name in ("torus1", "torus2", "torus3", "iwasawa")]
+    for seed in range(45):
+        a = random_complex(seed, (0, 3, 0, 3), 3 + seed % 4)
+        morphisms.append(direct_sum(a, square(seed % 3, seed % 2))[1])
+    for f in morphisms:
+        flipped = {(p, q): m for (q, p), m in
+                   induced_cohomology_map(transpose_morphism(f), "dolbeault").items()}
+        assert induced_cohomology_map(f, "conjugate_dolbeault") == flipped
+
+
+def test_induced_maps_build_each_complex_spaces_once():
+    """Cycles and boundaries are kept on each complex's Analysis: after the
+    E1 test the induced Dolbeault map reduces no kernel or image, a second
+    morphism out of the same source builds only its target's spaces, and
+    an equal complex built separately builds its own.  Each side's spaces
+    take one kernel_basis call per key, for every kind."""
+    a = random_complex(104, (0, 2, 0, 2), 4)
+    _, f, _ = direct_sum(a, square(1, 0))
+    is_E1_isomorphism(f)
+    for code in (kernel_basis.__code__, image_basis.__code__):
+        assert calls_into(code, induced_cohomology_map, f, "dolbeault") == 0
+
+    def kernels(g, kind):
+        return calls_into(kernel_basis.__code__, induced_cohomology_map, g, kind)
+
+    def keys(g, kind):
+        support = set(g.source.dims) | set(g.target.dims)
+        return len({p + q for p, q in support} if kind == "de_rham" else support)
+
+    b = random_complex(104, (0, 2, 0, 2), 4)
+    assert a == b and a is not b
+    for kind in TABLES:
+        induced_cohomology_map(f, kind)
+        _, g, _ = direct_sum(a, dot(1, 1))
+        assert kernels(g, kind) == keys(g, kind), kind
+        assert kernels(Morphism.identity(a), kind) == 0, kind
+        assert kernels(Morphism.identity(b), kind) == keys(Morphism.identity(b), kind) > 0, kind
 
 
 # -- Iwasawa golden values -----------------------------------------------------------

@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 
 from bicomplex import frolicher, lie_algebra_model, linalg, parse_model_file
-from bicomplex.cohomology import TABLES, Totalization, aeppli_spaces, bott_chern_spaces
-from bicomplex.complexes import dolbeault_spaces
+from bicomplex.cohomology import (
+    TABLES,
+    Totalization,
+    aeppli_spaces,
+    bott_chern_spaces,
+    dolbeault_spaces,
+)
 from bicomplex.linalg import (
     AmbientMismatch,
     Matrix,

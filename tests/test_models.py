@@ -339,11 +339,13 @@ def nil_specs(lam: str) -> list[ModelSpec]:
             for name, text in (("nil4", NIL4), ("nil5", NIL5))]
 
 
+TORUS_SPECS = [ModelSpec(f"torus{n}", n, "lie_algebra", tuple(f"phi{i + 1}" for i in range(n)), {})
+               for n in (1, 2, 3)]
+
+
 def reference_cases() -> list[ModelSpec]:
-    tori = [ModelSpec(f"torus{n}", n, "lie_algebra", tuple(f"phi{i + 1}" for i in range(n)), {})
-            for n in (1, 2, 3)]
     nils = [spec for lam in LAMBDAS for spec in nil_specs(lam)]
-    return [IWASAWA_SPEC, *tori, *nils, parse_model_file(DIM7), *generated_specs()]
+    return [IWASAWA_SPEC, *TORUS_SPECS, *nils, parse_model_file(DIM7), *generated_specs()]
 
 
 def built_or_error(builder, spec):
@@ -437,6 +439,22 @@ def test_serre_pairing_is_e1_iso_on_presets(presets):
     for name in ("torus1", "iwasawa", "p1", "p2"):
         phi = serre_pairing_morphism(presets[name])
         assert is_E1_isomorphism(phi), name
+
+
+def test_serre_pairing_matches_reference_double_loop(presets):
+    """The complement-mask pairing equals the top coefficient of every pair
+    of basis elements, on every preset and on nil4 and nil5."""
+    specs = {s.name: s for s in (IWASAWA_SPEC, *TORUS_SPECS, *nil_specs(LAMBDAS[0]))}
+    models = {**presets, **{s.name: lie_algebra_model(s) for s in nil_specs(LAMBDAS[0])}}
+    assert sorted(models) == ["iwasawa", "nil4", "nil5", "p1", "p2", "p3", "point",
+                              "torus1", "torus2", "torus3"]
+    for name, model in models.items():
+        if name in specs:
+            ref = reference_models.lie_algebra_model(specs[name])
+        else:
+            ref = reference_models.AlgebraModel(model.complex, model.top_index, model.kind,
+                                                truncation=model.top_index[0])
+        assert serre_pairing_morphism(model) == reference_models.serre_pairing_morphism(ref), name
 
 
 def test_serre_pairing_p2_middle_block():
