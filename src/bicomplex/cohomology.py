@@ -33,8 +33,9 @@ F^b keeps the target columns of level < b, and rho_n(a, b) is the number
 of pivots with source level >= a and target level < b: the pairing count
 of persistence (Cohen-Steiner, Edelsbrunner & Morozov, "Vines and
 vineyards", SoCG 2006; Basu & Parida, Expo. Math. 2017, for the spectral
-sequence).  `frolicher` keeps these counts in one small table per degree,
-keyed by (source p, target p).
+sequence).  `frolicher` accumulates these counts once per degree into a
+small table of suffix sums over the source p and prefix sums over the
+target p, so each rho_n(a, b) is one lookup.
 
 Bott-Chern and Aeppli are rank arithmetic as well.  At (p, q),
 
@@ -76,8 +77,8 @@ suite.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Mapping
 
 from .complexes import BiDegree, DoubleComplex, Morphism, transpose_complex
@@ -423,8 +424,8 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     taken from the deepest level present, so for every a the pivots whose
     pivot row has level >= a are the pivot columns of F^a T^n's rows.  The
     components of T^{n+1} are ordered by increasing p, so rho_n(a, b) is the
-    number of pivots with source level >= a and target level < b, read from
-    a table of pivot counts keyed by (source p, target p).  The number of
+    number of pivots with source level >= a and target level < b, one
+    lookup in a table of those counts built once per degree.  The number of
     pivots is rank d_n, which goes to the complex's Analysis for de_rham.
     Bounded support means no differential d_r can be nonzero once r exceeds
     min(width, height + 1), which caps the page list.
@@ -448,15 +449,26 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     tot = memo.totalization
     levels = {n: [p for p, q in parts for _ in range(a.dim(p, q))]
               for n, parts in tot.components.items()}
-    pairs: dict[int, Counter] = {}
+    # rho_n(lo, hi) is counts[n][lo - lo0][hi - p_min]: the pivots of d_n
+    # with source level >= lo and target level < hi, for every lo and hi the
+    # page formula asks for (lo0 <= lo <= p_max + 1, p_min <= hi <= p_max + last).
+    lo0 = p_min - last + 1
+    size = p_max - p_min + 1 + last
+    zero = [[0] * size] * size
+    counts: dict[int, list[list[int]]] = {}
     for n in tot.degrees():
         target = levels.get(n + 1, [])
         found = filtered_pivots(tot.differential(n).transpose(), levels[n])
-        pairs[n] = Counter((s, target[col]) for col, s in found)
         memo.total_ranks[n] = len(found)
+        at = [[0] * size for _ in range(size)]
+        for col, s in found:
+            at[s - lo0][target[col] - p_min + 1] += 1
+        for i in reversed(range(size - 1)):
+            at[i] = [x + y for x, y in zip(at[i], at[i + 1])]
+        counts[n] = [list(accumulate(row)) for row in at]
 
     def rho(n: int, lo: int, hi: int) -> int:
-        return sum(c for (s, t), c in pairs.get(n, {}).items() if s >= lo and t < hi)
+        return counts.get(n, zero)[lo - lo0][hi - p_min]
 
     pages = []
     for r in range(1, last + 1):

@@ -381,6 +381,14 @@ def transpose_complex(a: DoubleComplex) -> DoubleComplex:
 
 def direct_sum_many(summands: Sequence[DoubleComplex]) -> tuple[DoubleComplex, list[Morphism]]:
     """Blockwise direct sum with the list of summand inclusions."""
+    total, offsets = _direct_sum(summands)
+    return total, [_inclusion(s, total, offs) for s, offs in zip(summands, offsets)]
+
+
+def _direct_sum(summands: Sequence[DoubleComplex],
+                ) -> tuple[DoubleComplex, list[dict[BiDegree, int]]]:
+    """Blockwise direct sum, and for each summand the offset of its
+    coordinates at each of its bidegrees; no inclusion is built."""
     dims: dict[BiDegree, int] = {}
     offsets: list[dict[BiDegree, int]] = []
     for s in summands:
@@ -414,14 +422,14 @@ def direct_sum_many(summands: Sequence[DoubleComplex]) -> tuple[DoubleComplex, l
                     for k, name in enumerate(s.labels.get(pq, ("?",) * s.dim(*pq))):
                         names[offs[pq] + k] = name
             labels[pq] = tuple(names)
-    total = DoubleComplex(dims, d1, d2, sigma, labels)
-    inclusions = []
-    for s, offs in zip(summands, offsets):
-        blocks = {}
-        for pq, n in s.dims.items():
-            blocks[pq] = Matrix(dims[pq], n, {(offs[pq] + k, k): ONE for k in range(n)})
-        inclusions.append(Morphism(s, total, blocks))
-    return total, inclusions
+    return DoubleComplex(dims, d1, d2, sigma, labels), offsets
+
+
+def _inclusion(s: DoubleComplex, total: DoubleComplex, offsets: dict[BiDegree, int]) -> Morphism:
+    """The inclusion of the summand s of total whose coordinates start at offsets."""
+    blocks = {pq: Matrix(total.dim(*pq), n, {(offsets[pq] + k, k): ONE for k in range(n)})
+              for pq, n in s.dims.items()}
+    return Morphism(s, total, blocks)
 
 
 def direct_sum(a: DoubleComplex, b: DoubleComplex) -> tuple[DoubleComplex, Morphism, Morphism]:
@@ -638,7 +646,7 @@ def random_complex(seed: int, window: tuple[int, int, int, int], size: int,
     shapes = [_random_shape(rng, p_min, p_max, q_min, q_max) for _ in range(size)]
     if with_sigma:
         shapes = [_mirror_pair(s) for s in shapes]
-    total, _ = direct_sum_many(shapes) if shapes else (ZERO_COMPLEX, [])
+    total = _direct_sum(shapes)[0] if shapes else ZERO_COMPLEX
     return _random_basis_change(rng, total)
 
 
@@ -649,7 +657,7 @@ def _mirror_pair(s: DoubleComplex) -> DoubleComplex:
     (q, p), and back.  All shape entries are rational, so conjugation is
     invisible here and the swap is a genuine real structure.
     """
-    pair, _ = direct_sum_many([s, transpose_complex(s)])
+    pair, _ = _direct_sum([s, transpose_complex(s)])
     sigma = {}
     for p, q in pair.dims:
         n, m = s.dim(p, q), s.dim(q, p)

@@ -20,7 +20,8 @@ from .cohomology import TABLES, CohomologyTable, is_E1_isomorphism
 from .complexes import (
     DoubleComplex,
     Morphism,
-    direct_sum_many,
+    _direct_sum,
+    _inclusion,
     quotient,
     shift,
 )
@@ -57,8 +58,9 @@ def projective_bundle(a_x, n: int) -> tuple[DoubleComplex, Morphism]:
     a_x = as_complex(a_x)
     if n < 1:
         raise InvalidRank(f"bundle rank must be at least 1, got {n}")
-    total, inclusions = direct_sum_many([shift(a_x, i) for i in range(n)])
-    return total, inclusions[0]
+    summands = [shift(a_x, i) for i in range(n)]
+    total, offsets = _direct_sum(summands)
+    return total, _inclusion(summands[0], total, offsets[0])
 
 
 def blow_up(a_x, a_z, r: int) -> BlowupResult:
@@ -68,8 +70,8 @@ def blow_up(a_x, a_z, r: int) -> BlowupResult:
     if r < 2:
         raise CodimensionTooSmall(f"codimension must be at least 2, got {r}")
     summands = [a_x] + [shift(a_z, i) for i in range(1, r)]
-    total, inclusions = direct_sum_many(summands)
-    return BlowupResult(total, inclusions[0], tuple(summands[1:]), r)
+    total, offsets = _direct_sum(summands)
+    return BlowupResult(total, _inclusion(summands[0], total, offsets[0]), tuple(summands[1:]), r)
 
 
 def _shifted_entries(table: CohomologyTable, i: int) -> dict:

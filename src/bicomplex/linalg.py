@@ -29,35 +29,53 @@ transpose of the nonzero rows of an RREF.  The vectors that `row` and
 
 Every elimination runs through one fraction-free kernel, `_echelon`:
 
-  * each row of the form is divided by the gcd of its ints and held as a
-    dict col -> (re, im);
+  * the rows of the form are held as dicts col -> (re, im), one for each
+    nonzero row only;
   * a step with pivot row r and pivot entry pv replaces each row t holding c
     in the pivot column by (pv t - c r) / prev, the one-step rule of
-    Bareiss (Math. Comp. 1968).  The division is exact over Z[i], because
-    the rows it yields are minors of the starting matrix;
+    Bareiss (Math. Comp. 1968), where prev is the pivot entry of the
+    previous step in the divisor chain (every step but the lone pivots of
+    the forward pass, below).  The division is exact over Z[i], because the
+    rows it yields are minors of the starting matrix;
   * divisors are lazy: a row records the divisor it is current with, and a
     step that does not touch it does not rescale it.  A later step that
     touches it divides by that divisor in place of prev, and a row picked
     as pivot row is first rescaled by prev / (its divisor);
+  * a row untouched so far is the input row as stored.  It is divided by
+    the gcd of its ints only when it first takes part in a step, as pivot
+    row or as a row to clear; that scales one input row, so every later
+    division stays exact, and rows no step reaches cost no arithmetic;
   * the rows not yet pivot rows wait in buckets by their leading column,
     and a heap holds the columns of the nonempty buckets.  A step cancels
     the pivot column of a row and adds only later columns, so the rows a
     pivot must clear are exactly the rest of its bucket, and each survivor
     moves to a later bucket.  A pivot's bookkeeping is bounded by the rows
     it touches and one heap operation each, not by the live rows;
+  * in the forward pass, a pivot alone in its bucket clears nothing: it is
+    recorded, and it is neither rescaled nor made the divisor prev.  Every
+    live row is zero in its column, so the rest of the pass is Bareiss on
+    the matrix without that row and column, and the divisor chain runs only
+    through pivots that clear a row.  On the nilmanifold models about two
+    thirds of the pivots are lone, and keeping them out of the chain keeps
+    the coefficients short;
   * pivot columns (`pivot_columns`, hence `rank`, `image_basis`,
     `coset_representatives`) need the forward pass alone.  `rref` also
-    clears each pivot column from the earlier pivot rows, then divides each
-    pivot row once by its pivot entry, which gives the canonical RREF.
+    clears each pivot column from the earlier pivot rows, found through an
+    index from each column to the pivot rows that hold it, and keeps every
+    pivot in the chain, since a later step may clear a column from its row.
+    It then brings each pivot row to the canonical RREF row.
 
-The pivot row is the sparsest candidate, ties to the lowest index.  The
-rows are scalar multiples of those of Gauss-Jordan elimination on Q(i), so
-the choice, and the fill-in, are the same as there.  `filtered_pivots`
-gives each row a level (`cohomology.frolicher` gives each source coordinate
-of d_n its filtration index p).  The pivot row is then the sparsest
-candidate of the deepest level present, so a row is only ever changed by rows of its own
-level or a deeper one, and the pivots whose pivot row has level >= s are
-the pivot columns of the rows of level >= s, for every s at once.
+The pivot rows are defined up to a nonzero Z[i] scalar only: which scalar
+depends on the divisor chain, and callers read pivots, pivot row indices or
+the canonical RREF.  The pivot row is the sparsest candidate, ties to the
+lowest index.  The rows are scalar multiples of those of Gauss-Jordan
+elimination on Q(i), so the choice, and the fill-in, are the same as there.
+`filtered_pivots` gives each row a level (`cohomology.frolicher` gives each
+source coordinate of d_n its filtration index p).  The pivot row is then
+the sparsest candidate of the deepest level present, so a row is only ever
+changed by rows of its own level or a deeper one, and the pivots whose
+pivot row has level >= s are the pivot columns of the rows of level >= s,
+for every s at once.
 
 Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
 entry is summed as an (int, int) pair over the product of the denominators.
@@ -71,6 +89,7 @@ the one `__matmul__` uses (`_accumulate`).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -362,14 +381,6 @@ def _primitive(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
     return {j: (a // g, b // g) for j, (a, b) in row.items()} if g > 1 else row
 
 
-def _gaussian_rows(m: Matrix) -> list[dict[int, tuple[int, int]]]:
-    """The rows of m's form, each divided by the gcd of its ints."""
-    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(m.rows)]
-    for (i, j), v in m._num.items():
-        rows[i][j] = v
-    return [_primitive(row) if row else row for row in rows]
-
-
 def _times(row: dict, s: tuple[int, int]) -> dict:
     """row * s over Z[i], in a fresh dict."""
     if s == (1, 0):
@@ -389,50 +400,81 @@ def _exact_div(row: dict[int, tuple[int, int]], d: tuple[int, int]) -> dict[int,
 
 def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
              ) -> tuple[list[int], list[dict[int, tuple[int, int]]], list[int]]:
-    """Pivot columns of m, its pivot rows, each a nonzero multiple of its
-    RREF row, and the index in m of each pivot row, by lazy Bareiss
-    elimination over Z[i] (see the module notes).
+    """Pivot columns of m, its pivot rows, and the index in m of each pivot
+    row, by lazy Bareiss elimination over Z[i] (see the module notes).  Each
+    pivot row is a nonzero Z[i] multiple of its echelon row (reduce=False)
+    or of its RREF row (reduce=True); which multiple is not defined.
 
     Columns are taken in order, each from the least nonempty lead-column
     bucket: its pivot row is the sparsest row of the bucket, ties to the
     lowest index, and the rows to eliminate are the rest of it, which then
     move to the buckets of their new leading columns.  reduce=False
-    eliminates below the pivots only; reduce=True also clears the pivot
-    column from the earlier pivot rows (Gauss-Jordan).
+    eliminates below the pivots only, and a pivot alone in its bucket costs
+    no arithmetic and stays out of the divisor chain.  reduce=True also
+    clears the pivot column from the earlier pivot rows that hold it
+    (Gauss-Jordan), and every pivot joins the chain.  A row is divided by
+    the gcd of its ints when it first takes part in a step.
 
     levels, one int per row, restricts the pivot row to the deepest level
     present in the bucket.  The forward pass then changes a row only by rows
     of its own level or deeper, so for every s the pivots whose pivot row
     has level >= s are the pivot columns of m's rows of level >= s.
     """
-    rows = _gaussian_rows(m)
-    div = [(1, 0)] * m.rows
+    # A dict for each nonzero row only.
+    rows: list[dict[int, tuple[int, int]] | None] = [None] * m.rows
+    nonzero = []
+    for (i, j), v in m._num.items():
+        row = rows[i]
+        if row is None:
+            rows[i] = {j: v}
+            nonzero.append(i)
+        else:
+            row[j] = v
+    # The divisor each row is current with; an input row, untouched so far,
+    # has none.
+    div: list[tuple[int, int] | None] = [None] * m.rows
     prev = (1, 0)
     buckets: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        if row:
-            buckets.setdefault(min(row), []).append(i)
+    for i in nonzero:
+        buckets.setdefault(min(rows[i]), []).append(i)
     heap = list(buckets)
     heapify(heap)
     if levels is None:
         choice = lambda i: (len(rows[i]), i)
     else:
         choice = lambda i: (-levels[i], len(rows[i]), i)
+    # reduce=True: column -> the pivot rows so far that hold it.
+    holders: defaultdict[int, set[int]] = defaultdict(set)
     pivots: list[int] = []
     pivot_rows: list[int] = []
     while heap:
         col = heappop(heap)
         below = buckets.pop(col)
-        best = min(below, key=choice)
-        below.remove(best)
+        if len(below) == 1:
+            best = below.pop()
+        else:
+            best = min(below, key=choice)
+            below.remove(best)
+        pivots.append(col)
+        pivot_rows.append(best)
+        if not below and not reduce:
+            continue
         piv = rows[best]
-        if div[best] != prev:
-            piv = rows[best] = _exact_div(_times(piv, prev), div[best])
-        pv = piv[col]
-        targets = (below + [i for i in pivot_rows if col in rows[i]]) if reduce else below
-        for t in targets:
-            cr, ci = rows[t][col]
-            new = _times(rows[t], pv)
+        d = div[best]
+        if d is None:
+            piv, d = _primitive(piv), (1, 0)
+        if d != prev:
+            piv = _exact_div(_times(piv, prev), d)
+        rows[best] = piv
+        div[best] = pv = piv[col]
+        earlier = holders.pop(col, ()) if reduce else ()
+        for t in chain(below, earlier):
+            row = rows[t]
+            d = div[t]
+            if d is None:
+                row, d = _primitive(row), (1, 0)
+            cr, ci = row[col]
+            new = _times(row, pv)
             for j, (a, b) in piv.items():
                 x, y = new.get(j, (0, 0))
                 x -= a * cr - b * ci
@@ -441,7 +483,7 @@ def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
                     new[j] = (x, y)
                 else:
                     del new[j]
-            rows[t] = _exact_div(new, div[t])
+            rows[t] = _exact_div(new, d)
             div[t] = pv
         for t in below:
             if rows[t]:
@@ -451,9 +493,19 @@ def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
                 else:
                     buckets[lead] = [t]
                     heappush(heap, lead)
-        div[best] = prev = pv
-        pivots.append(col)
-        pivot_rows.append(best)
+        if reduce:
+            # A row's support changes only at columns of the pivot row.
+            for t in earlier:
+                new = rows[t]
+                for j in piv:
+                    if j in new:
+                        holders[j].add(t)
+                    else:
+                        holders[j].discard(t)
+            for j in piv:
+                holders[j].add(best)
+            del holders[col]
+        prev = pv
     return pivots, [rows[i] for i in pivot_rows], pivot_rows
 
 

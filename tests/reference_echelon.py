@@ -1,14 +1,16 @@
 """The elimination kernel with a scan over every live row, kept as a second route.
 
 `bicomplex.linalg._echelon` keeps the rows that are not yet pivot rows in
-buckets by their leading column.  This module keeps the same kernel without
-them: each pivot scans every live row for the next pivot column, for the
-pivot row and for the rows to eliminate.  The Bareiss steps,
-the lazy divisors and the choices are the same, so the two must return the
-same (pivots, pivot rows, pivot row indices) on every matrix.  It has no
-row levels: the kernel's calls without them are the ones it checks.  It
-reads only the stored form of a `Matrix` and copies the row helpers it
-calls.
+buckets by their leading column, keeps pivots that clear no row out of the
+divisor chain, and divides a row by the gcd of its ints only when it first
+takes part in a step.  This module keeps the plain lazy Bareiss kernel: each
+pivot scans every live row for the next pivot column, for the pivot row and
+for the rows to eliminate; every row is made primitive up front, and every
+pivot joins the divisor chain.  The choices are the same, so the two must
+return the same pivots and pivot row indices on every matrix, and pivot
+rows equal up to a nonzero Z[i] scalar.  It has no row levels: the kernel's
+calls without them are the ones it checks.  It reads only the stored form of
+a `Matrix` and copies the row helpers it calls.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bicomplex import frolicher, lie_algebra_model, linalg, parse_model_file
+from bicomplex import frolicher, lie_algebra_model, linalg, parse_model_file, random_complex
 from bicomplex.cohomology import (
     TABLES,
     Totalization,
@@ -37,11 +37,12 @@ from bicomplex.linalg import (
 )
 from bicomplex.scalars import ZERO, gauss
 
+from call_counter import calls_into
 from oracles import bareiss_rank, member_of_span
 from reference_echelon import reference_echelon
 from reference_matmul import reference_matmul
 from reference_rref import reference_rref
-from test_frolicher import NIL4
+from test_frolicher import NIL4, NIL5
 
 
 def columns(m):
@@ -369,17 +370,28 @@ def test_product_matches_reference_fraction_product():
         assert str(got.value) == str(want.value)
 
 
-def echelon_form(result):
-    """(pivots, pivot rows, pivot row indices) with each row's entries in
-    stored order."""
-    pivots, pivot_rows, indices = result
-    return pivots, [list(row.items()) for row in pivot_rows], indices
+def proportional(row, other):
+    """Whether two Z[i] rows, dicts col -> (re, im), are nonzero multiples of
+    each other: the same support, and every 2 x 2 minor against the first
+    column of the support vanishes."""
+    if row.keys() != other.keys():
+        return False
+    if not row:
+        return True
+    k = min(row)
+    (a, b), (c, d) = row[k], other[k]
+    return all(x * c - y * d == a * u - b * v and x * d + y * c == a * v + b * u
+               for (x, y), (u, v) in ((row[j], other[j]) for j in row))
 
 
 def assert_echelon_matches_reference(m, label):
+    """Pivots and pivot row indices exactly, pivot rows up to a nonzero
+    Z[i] scalar, in both passes."""
     for reduce in (False, True):
-        assert (echelon_form(_echelon(m, reduce))
-                == echelon_form(reference_echelon(m, reduce))), (label, reduce)
+        pivots, rows, indices = _echelon(m, reduce)
+        want_pivots, want_rows, want_indices = reference_echelon(m, reduce)
+        assert (pivots, indices) == (want_pivots, want_indices), (label, reduce)
+        assert all(map(proportional, rows, want_rows)), (label, reduce)
 
 
 def sparse_echelon_cases():
@@ -415,13 +427,21 @@ def sparse_echelon_cases():
             yield f"tall {n}x1, density {density}", tall
 
 
-def test_echelon_matches_reference_kernel():
+def echelon_cases():
+    """(label, matrix): the kernel cases, the lead-column bucket cases and
+    every factor of the product cases."""
     cases = list(kernel_cases()) + list(sparse_echelon_cases())
     cases += [(f"{label}, factor {k}", m)
               for label, a, b in product_cases() for k, m in enumerate((a, b))]
+    return cases
+
+
+def test_echelon_matches_reference_kernel():
+    cases = echelon_cases()
     assert len(cases) >= 1000
     for label, m in cases:
         assert_echelon_matches_reference(m, label)
+        assert rref(m) == reference_rref(m), label
 
 
 def test_echelon_matches_reference_on_nil4_tables(monkeypatch):
@@ -478,18 +498,113 @@ def test_level_rule_gives_every_filtered_pivot_set():
             assert tuple(c for c, level in found if level >= s) == pivot_columns(rows), (label, s)
 
 
-@pytest.mark.parametrize("shape", ["bidiagonal", "permutation"])
-def test_rank_work_follows_the_rows_a_pivot_touches(shape):
-    """Each pivot of these 8000 x 8000 matrices touches one or two rows; an
-    elimination that scans every live row per pivot takes seconds."""
-    n, one = 8000, gauss(1)
+def one_touch_matrix(shape, n):
+    """An n x n matrix of ones each of whose pivots touches one or two rows:
+    the lower bidiagonal one, or a permutation matrix."""
+    one = gauss(1)
     if shape == "bidiagonal":
         entries = {(i, i): one for i in range(n)} | {(i + 1, i): one for i in range(n - 1)}
     else:
         perm = list(range(n))
-        random.Random(8000).shuffle(perm)
+        random.Random(n).shuffle(perm)
         entries = {(i, perm[i]): one for i in range(n)}
-    m = Matrix(n, n, entries)
+    return Matrix(n, n, entries)
+
+
+@pytest.mark.parametrize("shape", ["bidiagonal", "permutation"])
+def test_rank_work_follows_the_rows_a_pivot_touches(shape):
+    """Each pivot of these 8000 x 8000 matrices touches one or two rows; an
+    elimination that scans every live row per pivot takes seconds."""
+    m = one_touch_matrix(shape, 8000)
     start = time.perf_counter()
-    assert rank(m) == n
+    assert rank(m) == 8000
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("shape", ["bidiagonal", "permutation"])
+def test_rref_work_follows_the_rows_a_pivot_touches(shape):
+    """The Gauss-Jordan pass finds the earlier pivot rows holding a column
+    through an index, not by a scan over every earlier pivot row, which
+    takes seconds on the 8000 x 8000 matrices; on 2000 x 2000 ones the RREF
+    is the reference one."""
+    m = one_touch_matrix(shape, 8000)
+    start = time.perf_counter()
+    assert rref(m) == (Matrix.identity(8000), tuple(range(8000)))
+    assert time.perf_counter() - start < 1
+    m = one_touch_matrix(shape, 2000)
+    assert rref(m) == reference_rref(m)
+
+
+def nil_complexes():
+    """The nil4 and nil5 models (lambda = 1/2+i)."""
+    return [lie_algebra_model(parse_model_file(text, name)).complex
+            for name, text in (("nil4", NIL4), ("nil5", NIL5))]
+
+
+def test_every_bareiss_division_is_exact(monkeypatch):
+    """`_exact_div` floors; here it asserts a zero remainder instead, over
+    the echelon cases and the level cases in both passes, and over every
+    table and the Frolicher pages of nil4, nil5 and the property suite's
+    six random_complex(200 + s, (0,5,0,5), 10 + 3s)."""
+    exact_div = linalg._exact_div
+    divisions = 0
+
+    def checked(row, d):
+        nonlocal divisions
+        dr, di = d
+        n = dr * dr + di * di
+        assert all((a * dr + b * di) % n == 0 == (b * dr - a * di) % n
+                   for a, b in row.values()), d
+        divisions += d != (1, 0)
+        return exact_div(row, d)
+
+    monkeypatch.setattr(linalg, "_exact_div", checked)
+    for label, m in echelon_cases():
+        for reduce in (False, True):
+            _echelon(m, reduce)
+    for label, m, levels in leveled_cases():
+        for reduce in (False, True):
+            _echelon(m, reduce, levels)
+    for a in nil_complexes() + [random_complex(200 + s, (0, 5, 0, 5), 10 + 3 * s)
+                                for s in range(6)]:
+        for table in (*TABLES.values(), frolicher):
+            table(a)
+    assert divisions > 10000
+
+
+def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
+    """Every input entry of the nil4 and nil5 tables is +-1 or 1/2+i.  Over
+    every forward-pass pivot row of their five tables, no real or imaginary
+    part exceeds 20 bits; with every pivot in the divisor chain and every
+    row rescaled before use they reach 57."""
+    kernel = linalg._echelon
+    bits = 0
+
+    def recording(m, reduce, levels=None):
+        nonlocal bits
+        result = kernel(m, reduce, levels)
+        if not reduce:
+            bits = max([bits] + [abs(x).bit_length() for row in result[1]
+                                 for v in row.values() for x in v])
+        return result
+
+    monkeypatch.setattr(linalg, "_echelon", recording)
+    for a in nil_complexes():
+        for table in TABLES.values():
+            table(a)
+    assert 0 < bits <= 20
+
+
+def test_lone_pivots_cost_no_arithmetic():
+    """Rows that share no column: every pivot is alone in its bucket, so the
+    forward pass neither rescales nor divides any row, nor takes its gcd."""
+    rng = random.Random(13)
+    n, pool = 40, [gauss(2), gauss(-4), gauss(2, 2), gauss(6, -2)]
+    blocks = list(range(n))
+    rng.shuffle(blocks)
+    entries = {(i, 3 * blocks[i] + k): rng.choice(pool)
+               for i in range(n) for k in range(3) if k == 0 or rng.random() < 0.5}
+    m = Matrix(n, 3 * n, entries)
+    assert pivot_columns(m) == tuple(range(0, 3 * n, 3))
+    for helper in (linalg._times, linalg._exact_div, linalg._primitive):
+        assert calls_into(helper.__code__, pivot_columns, m) == 0, helper.__name__
