@@ -297,6 +297,9 @@ def run(argv: list[str]) -> int:
                                  f"the center, more than the {_models.MAX_SHIFTED_COPIES} accepted")
             ambient = resolve_reference(args.ambient)
             center = resolve_reference(args.center)
+            # blow_up refuses a codimension below 2 before the dimension
+            # warning, so a refused run prints only its error line.
+            a = blow_up(ambient, center, args.codim).total
             n_x = _complex_dimension_guess(ambient)
             n_z = _complex_dimension_guess(center)
             if n_x is not None and n_z is not None and n_z != n_x - args.codim:
@@ -305,7 +308,6 @@ def run(argv: list[str]) -> int:
                     f"codimension is {n_x - args.codim}",
                     file=sys.stderr,
                 )
-            a = blow_up(ambient, center, args.codim).total
         elif args.command == "projbundle":
             if args.rank > _models.MAX_SHIFTED_COPIES:
                 raise InputError(f"--rank {args.rank} needs {args.rank} shifted copies of "

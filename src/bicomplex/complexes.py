@@ -206,32 +206,69 @@ def validate(a: DoubleComplex) -> list[Violation]:
 
     Shape consistency is enforced at construction, so this checks the algebra:
     d1 d1 = 0, d2 d2 = 0, d1 d2 + d2 d1 = 0, and the sigma axioms when a real
-    structure is present.  Each identity is one sum of signed products that
+    structure is present.  The list holds the d-axioms by bidegree, then the
+    sigma axioms by bidegree.  The involution is one product compared with
+    the identity; every other identity is one sum of signed products that
     must vanish, decided over Z[i] by `linalg._products_vanish` on the blocks
-    themselves: no product matrix or scalar is built.
+    themselves.  No scalar is built.
+
+    Each verdict goes into one table.  Under a real structure, a check may
+    read the verdict of its mirror at (q, p) instead of computing its own
+    (write S for the sigma blocks); each rule is exact:
+
+      * the involution at (p, q) with p > q reads the one at (q, p), once
+        dim A^{p,q} = dim A^{q,p} at every bidegree.  A one-sided inverse of
+        a square matrix is two-sided, so S^{p,q} conj(S^{q,p}) = 1 gives
+        conj(S^{q,p}) S^{p,q} = 1, the conjugate of the involution at (p, q).
+      * sigma d2 sigma = d1 at (p, q) reads sigma d1 sigma = d2 at (q, p),
+        once the involution holds at every bidegree.  Conjugate the second,
+        multiply by S^{p,q+1} on the left and S^{p,q} on the right, and use
+        the involution at (q+1, p) and at (p, q).
+      * d2 d2 = 0 at (p, q) reads d1 d1 = 0 at (q, p), and the anticommutator
+        at (p, q) with p > q reads the one at (q, p), once every sigma
+        identity holds.  Then d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}),
+        so each product at (q, p) is its mirror at (p, q), conjugated and
+        multiplied by invertible sigma blocks on both sides.
+
+    Where a condition fails, the checks it guards are computed at their own
+    bidegree, so the list is the same either way.  A complex without a real
+    structure makes every product.
     """
     d1, d2 = a.d1_at, a.d2_at
-    out: list[Violation] = []
-    for p, q in a.bidegrees():
-        if not _products_vanish([(1, d1(p + 1, q), d1(p, q))]):
-            out.append(Violation(p, q, "d1 . d1 != 0"))
-        if not _products_vanish([(1, d2(p, q + 1), d2(p, q))]):
-            out.append(Violation(p, q, "d2 . d2 != 0"))
-        if not _products_vanish([(1, d2(p + 1, q), d1(p, q)), (1, d1(p, q + 1), d2(p, q))]):
-            out.append(Violation(p, q, "d1 d2 + d2 d1 != 0"))
+    dd1, dd2, anti = "d1 . d1 != 0", "d2 . d2 != 0", "d1 d2 + d2 d1 != 0"
+    inv, sd1, sd2 = "sigma is not an involution", "sigma d1 sigma != d2", "sigma d2 sigma != d1"
+    bidegrees = a.bidegrees()
+    holds: dict[tuple[str, int, int], bool] = {}
+
+    def decide(identity: str, check: Callable[[int, int], bool], mirror: str | None = None):
+        """Fill identity's verdicts; with a mirror, (p, q) reads the verdict
+        the table already holds for mirror at (q, p), where there is one."""
+        for p, q in bidegrees:
+            seen = holds.get((mirror, q, p))
+            holds[identity, p, q] = check(p, q) if seen is None else seen
+
+    mirrored = False
     if a.sigma is not None:
         s = a.sigma_at
-        for p, q in a.bidegrees():
-            one = Matrix.identity(a.dim(p, q))
-            if not _products_vanish([(1, s(q, p), s(p, q).conjugate()), (-1, one, one)]):
-                out.append(Violation(p, q, "sigma is not an involution"))
-            if not _products_vanish([(1, s(p + 1, q), d1(p, q).conjugate()),
-                                     (-1, d2(q, p), s(p, q))]):
-                out.append(Violation(p, q, "sigma d1 sigma != d2"))
-            if not _products_vanish([(1, s(p, q + 1), d2(p, q).conjugate()),
-                                     (-1, d1(q, p), s(p, q))]):
-                out.append(Violation(p, q, "sigma d2 sigma != d1"))
-    return out
+        square = all(a.dim(q, p) == n for (p, q), n in a.dims.items())
+        decide(inv, lambda p, q: s(q, p) @ s(p, q).conjugate() == Matrix.identity(a.dim(p, q)),
+               inv if square else None)
+        involution = all(holds.values())
+        decide(sd1, lambda p, q: _products_vanish([(1, s(p + 1, q), d1(p, q).conjugate()),
+                                                   (-1, d2(q, p), s(p, q))]))
+        decide(sd2, lambda p, q: _products_vanish([(1, s(p, q + 1), d2(p, q).conjugate()),
+                                                   (-1, d1(q, p), s(p, q))]),
+               sd1 if involution else None)
+        mirrored = all(holds.values())
+    decide(dd1, lambda p, q: _products_vanish([(1, d1(p + 1, q), d1(p, q))]))
+    decide(dd2, lambda p, q: _products_vanish([(1, d2(p, q + 1), d2(p, q))]),
+           dd1 if mirrored else None)
+    decide(anti, lambda p, q: _products_vanish([(1, d2(p + 1, q), d1(p, q)),
+                                                (1, d1(p, q + 1), d2(p, q))]),
+           anti if mirrored else None)
+    groups = [(dd1, dd2, anti)] + ([(inv, sd1, sd2)] if a.sigma is not None else [])
+    return [Violation(p, q, identity) for group in groups for p, q in bidegrees
+            for identity in group if not holds[identity, p, q]]
 
 
 # -- morphisms ----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The axiom and morphism checks as vanishing sums over Z[i]: `validate` and
 `Morphism` against the matrix-product checks of `reference_validate`, on
-complexes and morphisms with one entry perturbed at a time, and a guard that
-on valid inputs they build no scalar."""
+complexes and morphisms with one entry perturbed at a time, including
+complexes where only the d-axioms fail so that `validate` reads mirrored
+verdicts; a guard that on valid inputs they build no scalar; and a guard on
+the products `validate` makes under a real structure."""
 
 import random
 from fractions import Fraction
@@ -25,7 +27,7 @@ from bicomplex import linalg
 from bicomplex.scalars import GaussianRational, I, ONE, ZERO
 from call_counter import calls_into
 from reference_validate import reference_commutation, reference_validate
-from test_frolicher import NIL4
+from test_frolicher import NIL4, NIL5
 
 UNITS = (ONE, I, -ONE, -I)
 HOWS = ("unit", "sign", "conj")
@@ -111,6 +113,60 @@ def test_validate_matches_reference_under_single_entry_perturbations(iwasawa_mod
         "d1 . d1 != 0", "d2 . d2 != 0", "d1 d2 + d2 d1 != 0",
         "sigma is not an involution", "sigma d1 sigma != d2", "sigma d2 sigma != d1",
     }
+
+
+def with_d1_through_sigma(a: DoubleComplex, d1: dict) -> DoubleComplex:
+    """a with d1 replaced and every d2 block rebuilt from it through sigma,
+    d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}): every sigma identity
+    then holds, whether or not the d-axioms do."""
+    s = a.sigma_at
+    d2 = {(q, p): s(p + 1, q) @ m.conjugate() @ s(q, p).conjugate() for (p, q), m in d1.items()}
+    return DoubleComplex(a.dims, d1, d2, a.sigma, a.labels)
+
+
+def test_validate_matches_reference_where_only_d_axioms_fail(iwasawa_model):
+    """With every sigma identity holding, validate reads d2 d2 and the
+    anticommutator at p > q from their mirrors at (q, p).  Perturbing one
+    entry of d1 and rebuilding d2 through sigma breaks only d-axioms, so the
+    mirrored verdicts must still find exactly reference_validate's list."""
+    nil4 = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    r = random_complex(4, (0, 3, 0, 3), 4, with_sigma=True)
+    seen: set = set()
+    for seed, (a, count) in enumerate([(iwasawa_model.complex, 12), (nil4, 6), (r, 12),
+                                       (rescaled_basis(r), 12)]):
+        assert with_d1_through_sigma(a, dict(a.d1)) == a
+        rng = random.Random(seed)
+        blocks = complex_blocks(a, "d1")
+        for n, (pq, key) in enumerate(positions(rng, blocks, count)):
+            for how in HOWS:
+                moved = perturb(blocks[pq], key, how, UNITS[n % 4])
+                b = with_d1_through_sigma(a, dict(a.d1) | {pq: moved})
+                got = validate(b)
+                assert got == reference_validate(b)
+                seen.update(v.identity for v in got)
+    assert seen == {"d1 . d1 != 0", "d2 . d2 != 0", "d1 d2 + d2 d1 != 0"}
+
+
+def test_validate_decides_involutions_of_unequal_dimensions_apart():
+    """An involution reads its mirror only where A^{p,q} and A^{q,p} have one
+    dimension.  Here dim A^{0,1} = 1 and dim A^{1,0} = 2: S^{1,0} conj(S^{0,1})
+    = 1 holds, while S^{0,1} conj(S^{1,0}) has rank 1 and cannot be 1."""
+    sigma = {(0, 0): Matrix.identity(1), (0, 1): Matrix(2, 1, {(0, 0): ONE}),
+             (1, 0): Matrix(1, 2, {(0, 0): ONE})}
+    a = DoubleComplex({(0, 0): 1, (0, 1): 1, (1, 0): 2}, {}, {}, sigma)
+    assert [str(v) for v in validate(a)] == ["(1,0): sigma is not an involution"]
+    assert validate(a) == reference_validate(a)
+
+
+@pytest.mark.parametrize("text, name, most", [(NIL4, "nil4", 90), (NIL5, "nil5", 145)],
+                         ids=["nil4", "nil5"])
+def test_validate_decides_each_conjugate_pair_once(text, name, most):
+    """A valid complex with a real structure computes neither sigma d2 sigma
+    = d1 nor d2 d2 = 0, and the involution and the anticommutator only at
+    p <= q: nil4 and nil5 make 73 and 118 products, where checking every
+    identity at its own bidegree makes 162 and 260."""
+    a = lie_algebra_model(parse_model_file(text, name)).complex
+    assert calls_into(linalg._accumulate.__code__, validate, a) <= most
 
 
 def commutation_error(construct, *args) -> str | None:

@@ -136,6 +136,7 @@ INPUT_FILES = {
     ["random", "--seed", "1", "--window", "3,0,0,3", "--size", "2"],
     ["projbundle", "--base", "torus1", "--rank", "0"],
     ["blowup", "--ambient", "iwasawa", "--center", "torus2", "--codim", "1"],
+    ["blowup", "--ambient", "iwasawa", "--center", "torus1", "--codim", "1"],
     ["random", "--seed", "1", "--window", "0,3,0,3", "--size", "3000"],
     ["random", "--seed", "1", "--window", "0,1,0,1", "--size", "-3"],
     ["projbundle", "--base", "torus1", "--rank", "100000"],
@@ -144,9 +145,9 @@ INPUT_FILES = {
     ["random", "--seed", "1", "--window", "0,4000,0,4000", "--size", "2"],
     ["model", "far_bidegree.dcx", "--tables", "e1"],
     ["model", "huge_complex.dcx", "--validate-only"],
-], ids=["window", "rank", "codim", "size-too-large", "size-negative", "rank-too-large",
-        "codim-too-large", "projective-dimension-too-large", "window-too-wide",
-        "complex-bidegree-too-far", "complex-dimension-too-large"])
+], ids=["window", "rank", "codim", "codim-with-dimension-mismatch", "size-too-large",
+        "size-negative", "rank-too-large", "codim-too-large", "projective-dimension-too-large",
+        "window-too-wide", "complex-bidegree-too-far", "complex-dimension-too-large"])
 def test_user_errors_exit_one(capsys, tmp_path, monkeypatch, argv):
     for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text)

@@ -56,6 +56,10 @@ GOLDEN = {
         ["model", KODAIRA_THURSTON, "--tables", ALL_TABLES], 0,
         "ef789c62357d9378bd7f0b2a65480a0b49eb81220068154dae6edcb49eabce4f",
         EMPTY),
+    "blowup_codim_too_small": (
+        ["blowup", "--ambient", "iwasawa", "--center", "torus1", "--codim", "1"], 1,
+        EMPTY,
+        "953c95332ad17d38a21b240e9e75f9763a904078010737d84d52d7414859ef58"),
     "unknown_preset": (
         ["model", "nosuch"], 1,
         EMPTY,
