@@ -51,8 +51,13 @@ aeppli_spaces build the explicit subquotients, which induced maps need.
 The column, row and de Rham tables are one formula, dim - rank(out) -
 rank(in), with each nonzero differential ranked once: the row table ranks
 the blocks of d1 itself, and only the row pages are computed on the
-transposed complex.  TABLES maps each of the five kinds to its function,
-and every caller dispatches through it.
+transposed complex.  `linalg.rank` peels singleton rows and columns before
+it eliminates, reading only where the entries are; on the Koszul
+differentials of the nilmanifold models almost nothing is left to
+eliminate.  Frolicher needs pivots in column order under its level rule,
+which a peel does not keep, so its reductions eliminate in full.  TABLES
+maps each of the five kinds to its function, and every caller dispatches
+through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
 share, each part made on first use: the Totalization, the rank of each total
@@ -62,8 +67,8 @@ cycles and boundaries of each kind at each bidegree or degree (`spaces`).
 E1-isomorphism test, `is_E1_isomorphism`, reads its witnesses off the
 induced Dolbeault map, so neither reduces a complex's spaces twice.
 `frolicher` stores the total ranks as a by-product of its reductions, and
-`de_rham` reads them or, called first, ranks d_n with the sparsest-row rule
-and stores them.
+`de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
+peel, then the sparsest-row rule on the core) and stores them.
 `bott_chern` reads d1 d2 into (p, q) and `aeppli` d1 d2 out of (p, q), so
 whichever runs second ranks no product.  The Analysis is kept on the
 complex and dies with it; an equal complex built separately starts afresh.
@@ -263,7 +268,7 @@ class Analysis:
         return a._analysis
 
     def total_rank(self, k: int) -> int:
-        """rank d_k: stored, or found by the sparsest-row rule and stored."""
+        """rank d_k: stored, or found by `linalg.rank` and stored."""
         if k not in self.total_ranks:
             self.total_ranks[k] = rank(self.totalization.differential(k))
         return self.total_ranks[k]

@@ -58,12 +58,23 @@ Every elimination runs through one fraction-free kernel, `_echelon`:
     through pivots that clear a row.  On the nilmanifold models about two
     thirds of the pivots are lone, and keeping them out of the chain keeps
     the coefficients short;
-  * pivot columns (`pivot_columns`, hence `rank`, `image_basis`,
+  * pivot columns (`pivot_columns`, hence `image_basis`,
     `coset_representatives`) need the forward pass alone.  `rref` also
     clears each pivot column from the earlier pivot rows, found through an
     index from each column to the pivot rows that hold it, and keeps every
     pivot in the chain, since a later step may clear a column from its row.
     It then brings each pivot row to the canonical RREF row.
+
+`rank` needs no pivot column and no pivot row, so it first peels, the
+pre-pass of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO
+1990; Dumas & Villard, CASC 2002): a row or column with one nonzero entry
+counts 1 and drops out with that entry's column or row, until none is left.
+The peel reads only where the entries are, so it does no arithmetic, and
+only the core left over goes to the forward pass.  The Koszul differentials
+of the nilmanifold models peel almost to nothing: their tables reach the
+kernel a handful of times, and the coefficient growth of Bareiss with them.
+The other callers need the pivots in column order or the pivot rows, which
+a peel does not give, and call `_echelon` directly.
 
 The pivot rows are defined up to a nonzero Z[i] scalar only: which scalar
 depends on the divisor chain, and callers read pivots, pivot row indices or
@@ -545,8 +556,61 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return _matrix(m.rows, m.cols, den, num), tuple(pivots)
 
 
+def _peel(m: Matrix) -> tuple[int, Entries]:
+    """(number of singletons peeled, the entries of m's core): the rows and
+    columns that `rank` drops, from the positions of m's entries alone."""
+    row_cols: dict[int, set[int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, j in m._num:
+        row_cols.setdefault(i, set()).add(j)
+        col_rows.setdefault(j, set()).add(i)
+    # (lines, cross, k): line k of `lines` holds one entry; dropping it drops
+    # that entry's line of `cross`.  Rows and columns are treated alike.
+    work = [(row_cols, col_rows, i) for i, s in row_cols.items() if len(s) == 1]
+    work += [(col_rows, row_cols, j) for j, s in col_rows.items() if len(s) == 1]
+    peeled = 0
+    while work:
+        lines, cross, k = work.pop()
+        if k not in lines:  # dropped since it was queued
+            continue
+        (other,) = lines.pop(k)
+        peeled += 1
+        for t in cross.pop(other):
+            if t != k:
+                s = lines[t]
+                s.discard(other)
+                if len(s) == 1:
+                    work.append((lines, cross, t))
+                elif not s:
+                    del lines[t]
+    return peeled, {(i, j): v for (i, j), v in m._num.items() if i in row_cols and j in col_rows}
+
+
 def rank(m: Matrix) -> int:
-    return len(pivot_columns(m))
+    """Rank of m: the singletons peeled, plus the pivots of the forward pass
+    on the core left over.
+
+    A row singleton, a row whose only nonzero is at column j, clears column
+    j from every other row by row operations that change nothing else, so
+    rank m = 1 + the rank of m without that row and column j.  A column
+    singleton clears its row by column operations in the same way.  The
+    entries left keep their values, so each drop leaves a submatrix of m,
+    and may make new singletons; a work list peels until none is left
+    (`_peel`).  The peel only reads where the entries are, never their
+    values, so it has no coefficient growth.  A nonzero matrix with one row
+    or one column has rank 1, and one with every entry nonzero (at least
+    2 x 2) has no singleton and goes straight to the kernel.
+    """
+    if not m._num:
+        return 0
+    if m.rows == 1 or m.cols == 1:
+        return 1
+    if len(m._num) == m.rows * m.cols:
+        return len(_echelon(m, reduce=False)[0])
+    peeled, core = _peel(m)
+    if not core:
+        return peeled
+    return peeled + len(_echelon(_matrix(m.rows, m.cols, 1, core), reduce=False)[0])
 
 
 # -- subspaces ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from bicomplex import (
     aeppli,
     betti_vector,
     bott_chern,
+    cli,
     conjugate_dolbeault,
     de_rham,
     direct_sum,
@@ -31,12 +32,13 @@ from bicomplex import (
     validate,
     zigzag,
 )
-from bicomplex.cohomology import TABLES, aeppli_spaces, bott_chern_spaces
+from bicomplex.cohomology import TABLES, Analysis, aeppli_spaces, bott_chern_spaces
 from bicomplex.complexes import transpose_complex
 from bicomplex.linalg import hstack, image_basis, kernel_basis, rank
 from bicomplex.scalars import GaussianRational
-from call_counter import calls_into
+from call_counter import arguments_of, calls_into
 from test_acceptance import PROPERTY_CASES
+from test_cli_golden import ALL_TABLES
 from test_frolicher import NIL4
 
 TABLE_FUNCS = (dolbeault, conjugate_dolbeault, de_rham, bott_chern, aeppli)
@@ -72,36 +74,43 @@ def test_conjugate_dolbeault_horizontal_zigzag():
 # -- one rank formula per table -----------------------------------------------------
 
 
+def ranked(fn, *args) -> list:
+    """The nonzero matrices that fn(*args) hands to `linalg.rank`, whatever
+    name reached it; a zero one returns at once."""
+    return [call["m"] for call in arguments_of(linalg.rank.__code__, fn, *args)
+            if not call["m"].is_zero()]
+
+
 @pytest.mark.parametrize("build", [
     lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
     lambda: random_complex(203, (0, 5, 0, 5), 19),
 ], ids=["nil4", "random203"])
 def test_one_elimination_per_nonzero_differential(build):
     """Each stored d1 or d2 block, and each nonzero total differential, is
-    eliminated once; a zero one costs no elimination."""
+    ranked once."""
     a = build()
     nonzero_degrees = {p + q for p, q in [*a.d1, *a.d2]}
-    for table, eliminations in ((dolbeault, len(a.d2)),
-                                (conjugate_dolbeault, len(a.d1)),
-                                (de_rham, len(nonzero_degrees))):
-        # Calls into the elimination kernel, whatever name reached it.
-        assert calls_into(linalg._echelon.__code__, table, a) == eliminations, table.__name__
+    for table, blocks in ((dolbeault, a.d2.values()),
+                          (conjugate_dolbeault, a.d1.values()),
+                          (de_rham, [Analysis.of(a).totalization.differential(k)
+                                     for k in sorted(nonzero_degrees)])):
+        assert ranked(table, a) == list(blocks), table.__name__
 
 
 def test_de_rham_after_frolicher_eliminates_nothing():
     a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
     frolicher(a)
+    assert calls_into(linalg.rank.__code__, de_rham, a) == 0
     assert calls_into(linalg._echelon.__code__, de_rham, a) == 0
 
 
 def test_aeppli_after_bott_chern_eliminates_only_its_boundaries():
     """The d1 d2 products and their ranks are shared, so Aeppli is left with
-    one elimination per nonzero [d1 | d2] into (p, q)."""
+    one rank per nonzero [d1 | d2] into (p, q)."""
     a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
     bott_chern(a)
     boundaries = [hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)]) for p, q in a.bidegrees()]
-    assert calls_into(linalg._echelon.__code__, aeppli, a) == sum(
-        not m.is_zero() for m in boundaries)
+    assert ranked(aeppli, a) == [m for m in boundaries if not m.is_zero()]
 
 
 def test_an_equal_complex_built_separately_recomputes():
@@ -112,10 +121,58 @@ def test_an_equal_complex_built_separately_recomputes():
     bott_chern(a)
 
     def eliminations(table, c):
-        return calls_into(linalg._echelon.__code__, table, c)
+        return len(ranked(table, c))
 
     assert eliminations(de_rham, a) == 0 < eliminations(de_rham, b)
     assert eliminations(aeppli, a) < eliminations(aeppli, b)
+
+
+def test_peeled_ranks_leave_the_kernel_almost_nothing(capsys):
+    """`rank` peels singleton rows and columns before it eliminates.  nil4's
+    five tables then never call the kernel, and `model iwasawa` with every
+    table calls it only for the four filtered reductions of Frolicher."""
+    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+
+    def five_tables():
+        for table in TABLES.values():
+            table(a)
+
+    assert calls_into(linalg._echelon.__code__, five_tables) == 0
+    argv = ["model", "iwasawa", "--tables", ALL_TABLES]
+    assert calls_into(linalg._echelon.__code__, cli.run, argv) == 4
+    assert capsys.readouterr().out
+
+
+# ROADMAP item 1's dim-7 model without h.
+DIM6 = """\
+name = dim6
+complex_dimension = 6
+kind = lie_algebra
+generators = a, b, c, e, f, g
+d c = a ^ b
+d e = a ^ c + (1/2+i) * b ^ conj(a)
+d f = a ^ b + b ^ conj(b)
+d g = a ^ conj(b) + b ^ conj(a)
+"""
+
+
+def test_peeled_ranks_agree_with_filtered_ranks_on_dim6():
+    """de Rham called first ranks each d_k by peeling; after `frolicher` on
+    an equal complex built separately it reads the ranks of the filtered
+    reductions.  The two agree, and Bott-Chern and Aeppli satisfy Serre
+    duality, h_BC^{p,q} = h_A^{6-p,6-q}, and the symmetry of the real
+    structure, h^{p,q} = h^{q,p}."""
+    a = lie_algebra_model(parse_model_file(DIM6, "dim6")).complex
+    b = lie_algebra_model(parse_model_file(DIM6, "dim6")).complex
+    assert a == b and a is not b
+    peeled = de_rham(a)
+    frolicher(b)
+    assert ranked(de_rham, b) == []
+    assert de_rham(b) == peeled and sum(peeled.entries.values()) > 2
+    bc, ae = bott_chern(a).entries, aeppli(a).entries
+    assert ae == {(6 - p, 6 - q): v for (p, q), v in bc.items()}
+    for table in (bc, ae):
+        assert table == {(q, p): v for (p, q), v in table.items()}
 
 
 @pytest.mark.parametrize("spaces", [bott_chern_spaces, aeppli_spaces])

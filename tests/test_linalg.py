@@ -42,6 +42,7 @@ from oracles import bareiss_rank, member_of_span
 from reference_echelon import reference_echelon
 from reference_matmul import reference_matmul
 from reference_rref import reference_rref
+from test_cohomology import ranked
 from test_frolicher import NIL4, NIL5
 
 
@@ -444,22 +445,43 @@ def test_echelon_matches_reference_kernel():
         assert rref(m) == reference_rref(m), label
 
 
+def form_key(m):
+    return m.rows, m.cols, m._den, tuple(sorted(m._num.items()))
+
+
+def handed_to_rank(fn, *args):
+    """The distinct nonzero matrices that fn(*args) hands to `rank`."""
+    return list({form_key(m): m for m in ranked(fn, *args)}.values())
+
+
+def run_tables(complexes, tables):
+    for a in complexes:
+        for table in tables:
+            table(a)
+
+
 def test_echelon_matches_reference_on_nil4_tables(monkeypatch):
+    """The kernel on every matrix that the nil4 tables and spaces hand to
+    it without levels, and on every matrix they hand to `rank`, most of
+    which `rank` peels without calling the kernel."""
     a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
     seen = {}
     kernel = linalg._echelon
 
     def recording(m, reduce, levels=None):
         if levels is None:
-            seen.setdefault((m.rows, m.cols, m._den, tuple(sorted(m._num.items()))), m)
+            seen.setdefault(form_key(m), m)
         return kernel(m, reduce, levels)
 
+    def tables_and_spaces():
+        run_tables([a], (*TABLES.values(), frolicher))
+        for pq in a.bidegrees():
+            for spaces in (dolbeault_spaces, bott_chern_spaces, aeppli_spaces):
+                spaces(a, *pq)
+
     monkeypatch.setattr(linalg, "_echelon", recording)
-    for table in (*TABLES.values(), frolicher):
-        table(a)
-    for pq in a.bidegrees():
-        for spaces in (dolbeault_spaces, bott_chern_spaces, aeppli_spaces):
-            spaces(a, *pq)
+    for m in handed_to_rank(tables_and_spaces):
+        seen.setdefault(form_key(m), m)
     monkeypatch.undo()
     assert len(seen) >= 80
     for m in seen.values():
@@ -541,11 +563,60 @@ def nil_complexes():
             for name, text in (("nil4", NIL4), ("nil5", NIL5))]
 
 
+def property_complexes():
+    """nil4, nil5 and the property suite's six
+    random_complex(200 + s, (0,5,0,5), 10 + 3s)."""
+    return nil_complexes() + [random_complex(200 + s, (0, 5, 0, 5), 10 + 3 * s)
+                              for s in range(6)]
+
+
+def permuted(m, rng):
+    """m with its rows and its columns each in a seeded random order."""
+    rows, cols = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return Matrix(m.rows, m.cols, {(rows[i], cols[j]): v for (i, j), v in m.entries.items()})
+
+
+def test_rank_matches_reference_pivots():
+    """rank(m) is the number of pivots of the reference kernel on the echelon
+    and level cases, on every matrix that the five tables of nil4, nil5 and
+    the property suite hand to `rank`, and on row and column permutations
+    of those."""
+    table_inputs = handed_to_rank(run_tables, property_complexes(), TABLES.values())
+    assert len(table_inputs) >= 500
+    rng = random.Random(1990)
+    cases = [m for _, m in echelon_cases()] + [m for _, m, _ in leveled_cases()]
+    cases += table_inputs + [permuted(m, rng) for m in table_inputs for _ in range(2)]
+    for m in cases:
+        assert rank(m) == len(reference_echelon(m, False)[0]), (m.rows, m.cols)
+
+
+def test_rank_peels_without_arithmetic():
+    """A permuted triangular matrix peels a row at a time, and an arrow (one
+    full row, one full column) peels a row and then a column.  With 100-bit
+    Gaussian entries, neither rank calls the kernel or a row helper."""
+    rng = random.Random(15)
+
+    def big():
+        return gauss(rng.randrange(1, 2 ** 100), rng.randrange(-2 ** 100, 2 ** 100))
+
+    n = 30
+    triangular = Matrix(n, n, {(i, j): big() for i in range(n) for j in range(i, n)
+                               if j == i or rng.random() < 0.3})
+    arrow = Matrix(n, n, {(i, j): big() for i in range(n) for j in range(n) if not i or not j})
+    for m, want in ((permuted(triangular, rng), n), (permuted(arrow, rng), 2)):
+        assert rank(m) == want == len(reference_echelon(m, False)[0])
+        for helper in (linalg._echelon, linalg._times, linalg._exact_div, linalg._primitive):
+            assert calls_into(helper.__code__, rank, m) == 0, helper.__name__
+
+
 def test_every_bareiss_division_is_exact(monkeypatch):
     """`_exact_div` floors; here it asserts a zero remainder instead, over
-    the echelon cases and the level cases in both passes, and over every
-    table and the Frolicher pages of nil4, nil5 and the property suite's
-    six random_complex(200 + s, (0,5,0,5), 10 + 3s)."""
+    the echelon cases and the level cases in both passes, over every table
+    and the Frolicher pages of nil4, nil5 and the property suite's six
+    random_complex(200 + s, (0,5,0,5), 10 + 3s), and in both passes over
+    every matrix that those tables hand to `rank`."""
     exact_div = linalg._exact_div
     divisions = 0
 
@@ -565,18 +636,18 @@ def test_every_bareiss_division_is_exact(monkeypatch):
     for label, m, levels in leveled_cases():
         for reduce in (False, True):
             _echelon(m, reduce, levels)
-    for a in nil_complexes() + [random_complex(200 + s, (0, 5, 0, 5), 10 + 3 * s)
-                                for s in range(6)]:
-        for table in (*TABLES.values(), frolicher):
-            table(a)
+    for m in handed_to_rank(run_tables, property_complexes(), (*TABLES.values(), frolicher)):
+        for reduce in (False, True):
+            _echelon(m, reduce)
     assert divisions > 10000
 
 
 def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
     """Every input entry of the nil4 and nil5 tables is +-1 or 1/2+i.  Over
-    every forward-pass pivot row of their five tables, no real or imaginary
-    part exceeds 20 bits; with every pivot in the divisor chain and every
-    row rescaled before use they reach 57."""
+    every forward-pass pivot row of their five tables, and of the forward
+    pass on each matrix they hand to `rank`, no real or imaginary part
+    exceeds 20 bits; with every pivot in the divisor chain and every row
+    rescaled before use they reach 57."""
     kernel = linalg._echelon
     bits = 0
 
@@ -589,9 +660,8 @@ def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
         return result
 
     monkeypatch.setattr(linalg, "_echelon", recording)
-    for a in nil_complexes():
-        for table in TABLES.values():
-            table(a)
+    for m in handed_to_rank(run_tables, nil_complexes(), TABLES.values()):
+        linalg._echelon(m, False)
     assert 0 < bits <= 20
 
 
