@@ -44,9 +44,14 @@ Bott-Chern and Aeppli are rank arithmetic as well.  At (p, q),
 
 the dimension of the cycles minus that of the boundaries.  The boundaries
 lie in the cycles exactly when [d1; d2] . d1 d2 = 0, respectively
-d1 d2 . [d1 | d2] = 0; both tables check this with sparse products and
-raise NotASubspace otherwise.  dolbeault_spaces, bott_chern_spaces and
-aeppli_spaces build the explicit subquotients, which induced maps need.
+d1 d2 . [d1 | d2] = 0.  On a complex that `validate` has found valid the
+axioms imply both: [d1; d2] . d1 d2 = [d1 d1 d2; d2 d1 d2] and
+d1 d2 . [d1 | d2] = [d1 d2 d1 | d1 d2 d2], and d1 d1 = 0, d2 d2 = 0 and
+d2 d1 = -d1 d2 make every part zero.  Such a complex makes no containment
+product.  On any other complex both tables check the containment with
+sparse products and raise NotASubspace where it fails.  dolbeault_spaces,
+bott_chern_spaces and aeppli_spaces build the explicit subquotients, which
+induced maps need.
 
 The column, row and de Rham tables are one formula, dim - rank(out) -
 rank(in), with each nonzero differential ranked once: the row table ranks
@@ -61,17 +66,25 @@ through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
 share, each part made on first use: the Totalization, the rank of each total
-differential, the product d1 d2 out of each bidegree with its rank, and the
-cycles and boundaries of each kind at each bidegree or degree (`spaces`).
+differential, one rank memo for the blocks of the four bidegree tables, the
+products d1 d2 that a rank or a containment check needed, and the cycles
+and boundaries of each kind at each bidegree or degree (`spaces`).  The
+rank memo is keyed by block kind (d1, d2, [d1; d2], [d1 | d2], d1 d2) and
+bidegree.  On a complex with a real structure that `validate` has found
+valid, a rank is read from the one stored for its mirror at (q, p): sigma
+carries each block to its mirror's conjugate between invertible factors
+(the proof is in `Analysis`).  The row table after the column table then
+ranks nothing, and Bott-Chern and Aeppli rank about half their blocks.
 `induced_cohomology_map` reads both sides' spaces from there, and the
 E1-isomorphism test, `is_E1_isomorphism`, reads its witnesses off the
 induced Dolbeault map, so neither reduces a complex's spaces twice.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
 peel, then the sparsest-row rule on the core) and stores them.
-`bott_chern` reads d1 d2 into (p, q) and `aeppli` d1 d2 out of (p, q), so
-whichever runs second ranks no product.  The Analysis is kept on the
-complex and dies with it; an equal complex built separately starts afresh.
+`bott_chern` reads the rank of d1 d2 into (p, q) and `aeppli` that of d1 d2
+out of (p, q), so whichever runs second ranks no product.  The Analysis is
+kept on the complex and dies with it; an equal complex built separately
+starts afresh.
 
 Tables store only nonzero dimensions.  Page 1 comes from the filtered
 reduction of the total differential, while the column and row tables use the
@@ -170,15 +183,19 @@ def _cohomology_dims(dims: Mapping, ranks: Mapping[object, int], before: Callabl
 
 
 def dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Column cohomology: dim - rank(d2 out) - rank(d2 in), each block ranked once."""
+    """Column cohomology: dim - rank(d2 out) - rank(d2 in), each block ranked
+    once, through the complex's Analysis."""
+    memo = Analysis.of(a)
     return CohomologyTable("dolbeault", _cohomology_dims(
-        a.dims, {pq: rank(m) for pq, m in a.d2.items()}, lambda pq: (pq[0], pq[1] - 1)))
+        a.dims, {pq: memo.rank("d2", *pq) for pq in a.d2}, lambda pq: (pq[0], pq[1] - 1)))
 
 
 def conjugate_dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Row cohomology: dim - rank(d1 out) - rank(d1 in), each block ranked once."""
+    """Row cohomology: dim - rank(d1 out) - rank(d1 in), each block ranked
+    once, through the complex's Analysis."""
+    memo = Analysis.of(a)
     return CohomologyTable("conjugate_dolbeault", _cohomology_dims(
-        a.dims, {pq: rank(m) for pq, m in a.d1.items()}, lambda pq: (pq[0] - 1, pq[1])))
+        a.dims, {pq: memo.rank("d1", *pq) for pq in a.d1}, lambda pq: (pq[0] - 1, pq[1])))
 
 
 class Totalization:
@@ -241,24 +258,57 @@ class Totalization:
                         [self.complex.dim(*pq) for pq in src], blocks)
 
 
+# The kind of block at (q, p) that a valid real structure carries the block
+# of each kind at (p, q) to, up to invertible factors (see Analysis).
+_MIRROR = {"d1": "d2", "d2": "d1", "d1;d2": "d1;d2", "d1|d2": "d1|d2", "d1d2": "d1d2"}
+
+
 class Analysis:
     """What the tables of one complex share, each part made on first use.
 
     `Analysis.of(a)` is kept on a and dies with it.  It holds the
     Totalization, the rank of each total differential (`total_ranks`, which
-    `frolicher` fills as a by-product), the product d1 d2 out of each
-    bidegree with its rank, which `bott_chern` and `aeppli` share, and the
-    cycles and boundaries of every table that an induced map reads.  It and
-    its Totalization refer back to a weakly, so the two form no reference
-    cycle and are freed as soon as a is dropped, not at the next cyclic
-    garbage collection.
+    `frolicher` fills as a by-product), one rank memo for the blocks of the
+    four bidegree tables, the product d1 d2 out of each bidegree that a rank
+    or a containment check needed, and the cycles and boundaries of every
+    table that an induced map reads.  It and its Totalization refer back to
+    a weakly, so the two form no reference cycle and are freed as soon as a
+    is dropped, not at the next cyclic garbage collection.
+
+    The rank memo is keyed by block kind and bidegree, over five kinds: d1
+    and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into it and d1 d2
+    out of it.  `dolbeault`, `conjugate_dolbeault`, `bott_chern` and
+    `aeppli` read every rank through it (`rank`), so no block is ranked
+    twice, and bott_chern and aeppli share the d1 d2 ranks.
+
+    The mirror rule.  Once `validate` has found a complex with a real
+    structure sigma valid, a rank at (p, q) reads the rank stored for its
+    mirror at (q, p): d1 and d2 swap, and each other kind maps to itself
+    (`_MIRROR`).  This is exact.  The involution makes every block S of
+    sigma invertible, and sigma d1 sigma = d2 gives
+    d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}), so d2^{q,p} is
+    conj(d1^{p,q}) between invertible factors, and conj keeps rank.  The
+    same holds with d1 and d2 swapped, so the stacked [d1; d2] and the
+    joined [d1 | d2] at (q, p) are those at (p, q), conjugated, with their
+    two parts swapped, between invertible block-diagonal factors; and
+    sigma (d1 d2) = -(d1 d2) sigma carries d1 d2 out of (p, q) to that out
+    of (q, p).  Then `conjugate_dolbeault` after `dolbeault` ranks nothing,
+    and `bott_chern` and `aeppli` rank about half their blocks.
+
+    A valid complex, with or without sigma, also needs no containment
+    product: [d1; d2] . d1 d2 = [d1 d1 d2; d2 d1 d2] and
+    d1 d2 . [d1 | d2] = [d1 d2 d1 | d1 d2 d2] vanish by d1 d1 = 0,
+    d2 d2 = 0 and d2 d1 = -d1 d2, so `bott_chern` and `aeppli` check them
+    only where `valid` is false.  A complex never validated, or one with a
+    violation, reads no mirror and skips no check.
     """
 
     def __init__(self, a: DoubleComplex):
         self.complex = a = weakref.proxy(a)
         self.totalization = Totalization(a)
         self.total_ranks: dict[int, int] = {}
-        self._d1d2: dict[BiDegree, tuple[Matrix, int]] = {}
+        self._ranks: dict[tuple[str, int, int], int] = {}
+        self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
 
     @classmethod
@@ -273,12 +323,48 @@ class Analysis:
             self.total_ranks[k] = rank(self.totalization.differential(k))
         return self.total_ranks[k]
 
-    def d1d2(self, p: int, q: int) -> tuple[Matrix, int]:
-        """d1 d2 out of (p, q), into (p + 1, q + 1), and its rank."""
+    def valid(self) -> bool:
+        """Whether `validate` has run on the complex and found nothing."""
+        return self.complex._violations == ()
+
+    def block(self, kind: str, p: int, q: int) -> Matrix:
+        """The block of one of the five kinds at (p, q) (see `rank`)."""
+        a = self.complex
+        if kind == "d1":
+            return a.d1_at(p, q)
+        if kind == "d2":
+            return a.d2_at(p, q)
+        if kind == "d1;d2":
+            return vstack([a.d1_at(p, q), a.d2_at(p, q)])
+        if kind == "d1|d2":
+            return hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)])
+        return self.d1d2(p, q)
+
+    def rank(self, kind: str, p: int, q: int, m: Matrix | None = None) -> int:
+        """The rank of the `kind` block at (p, q): d1 or d2 out of (p, q),
+        "d1;d2" the stacked [d1; d2] out of it, "d1|d2" the joined
+        [d1 | d2] into it, or "d1d2" the product d1 d2 out of it.
+
+        A stored rank is read.  On a valid complex with a real structure, the
+        rank stored for the mirror block at (q, p), if any, is read and
+        stored (see the class notes).  Otherwise `linalg.rank` ranks m, the
+        block the caller has built, or the block built here.
+        """
+        key = kind, p, q
+        if key not in self._ranks:
+            found = None
+            if self.complex.sigma is not None and self.valid():
+                found = self._ranks.get((_MIRROR[kind], q, p))
+            if found is None:
+                found = rank(m if m is not None else self.block(kind, p, q))
+            self._ranks[key] = found
+        return self._ranks[key]
+
+    def d1d2(self, p: int, q: int) -> Matrix:
+        """d1 d2 out of (p, q), into (p + 1, q + 1)."""
         if (p, q) not in self._d1d2:
             a = self.complex
-            m = a.d1_at(p, q + 1) @ a.d2_at(p, q)
-            self._d1d2[(p, q)] = m, rank(m)
+            self._d1d2[(p, q)] = a.d1_at(p, q + 1) @ a.d2_at(p, q)
         return self._d1d2[(p, q)]
 
     def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
@@ -349,21 +435,30 @@ def aeppli_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
     return z, b
 
 
+def _contained(out: Matrix, into: Matrix) -> None:
+    """Raise NotASubspace unless the image of into lies in the kernel of out."""
+    if not (out @ into).is_zero():
+        raise NotASubspace("denominator is not contained in numerator")
+
+
 def bott_chern(a: DoubleComplex) -> CohomologyTable:
     """dim - rank[d1; d2] out of (p, q) - rank(d1 d2 into (p, q)).
 
     The boundaries im(d1 d2) lie in ker d1 & ker d2 exactly when
-    [d1; d2] . d1 d2 = 0; NotASubspace is raised otherwise.  d1 d2 and its
-    rank come from the complex's Analysis, shared with aeppli.
+    [d1; d2] . d1 d2 = 0; unless the complex is known valid, this is checked
+    and NotASubspace raised otherwise.  Every rank comes from the complex's
+    Analysis, d1 d2 shared with aeppli.
     """
     memo = Analysis.of(a)
+    check = not memo.valid()
     entries = {}
     for p, q in a.bidegrees():
-        out = vstack([a.d1_at(p, q), a.d2_at(p, q)])
-        into, into_rank = memo.d1d2(p - 1, q - 1)
-        if not (out @ into).is_zero():
-            raise NotASubspace("denominator is not contained in numerator")
-        entries[(p, q)] = a.dim(p, q) - rank(out) - into_rank
+        into_rank = memo.rank("d1d2", p - 1, q - 1)
+        out = None
+        if check:
+            out = memo.block("d1;d2", p, q)
+            _contained(out, memo.d1d2(p - 1, q - 1))
+        entries[(p, q)] = a.dim(p, q) - memo.rank("d1;d2", p, q, out) - into_rank
     return CohomologyTable("bott_chern", entries)
 
 
@@ -371,17 +466,20 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
     """dim - rank(d1 d2 out of (p, q)) - rank[d1 | d2] into (p, q).
 
     The boundaries im d1 + im d2 lie in ker(d1 d2) exactly when
-    d1 d2 . [d1 | d2] = 0; NotASubspace is raised otherwise.  d1 d2 and its
-    rank come from the complex's Analysis, shared with bott_chern.
+    d1 d2 . [d1 | d2] = 0; unless the complex is known valid, this is checked
+    and NotASubspace raised otherwise.  Every rank comes from the complex's
+    Analysis, d1 d2 shared with bott_chern.
     """
     memo = Analysis.of(a)
+    check = not memo.valid()
     entries = {}
     for p, q in a.bidegrees():
-        out, out_rank = memo.d1d2(p, q)
-        into = hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)])
-        if not (out @ into).is_zero():
-            raise NotASubspace("denominator is not contained in numerator")
-        entries[(p, q)] = a.dim(p, q) - out_rank - rank(into)
+        out_rank = memo.rank("d1d2", p, q)
+        into = None
+        if check:
+            into = memo.block("d1|d2", p, q)
+            _contained(memo.d1d2(p, q), into)
+        entries[(p, q)] = a.dim(p, q) - out_rank - memo.rank("d1|d2", p, q, into)
     return CohomologyTable("aeppli", entries)
 
 

@@ -25,6 +25,14 @@ cycles and boundaries of their subquotients, induced maps and the
 E1-isomorphism test live in `cohomology`; a complex only carries the slot
 for its `cohomology.Analysis`, which holds those spaces and dies with it.
 
+A complex also carries the verdict of `validate`: the first call records
+its violation list in a slot on the complex, and every later call returns
+a copy of that list without a product.  The Analysis reads the slot: only
+on a complex whose recorded list is empty do the tables skip the
+containment products that the axioms imply and read a rank from its
+mirror under the real structure.  A complex never validated, or one with a
+violation, gets no such shortcut.
+
 Sign conventions fixed here and relied on everywhere else:
 
   * tensor:  d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy  with |x| the total
@@ -47,6 +55,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .linalg import (
     Matrix,
     _products_vanish,
+    _times_conjugate_is_identity,
     assemble,
     hstack,
     kron,
@@ -117,11 +126,14 @@ class DoubleComplex:
     sigma: Mapping[BiDegree, Matrix] | None = None
     labels: Mapping[BiDegree, tuple[str, ...]] | None = None
     # Memos that live and die with this complex, not part of its value: the
-    # zero block of each shape that an absent block reads as, and the
-    # cohomology.Analysis of the complex, made on first use.
+    # zero block of each shape that an absent block reads as, the
+    # cohomology.Analysis of the complex, made on first use, and the
+    # violations `validate` found, None until it runs.
     _zeros: dict[tuple[int, int], Matrix] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
+    _violations: tuple[Violation, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _clean_dims(self.dims)
@@ -207,10 +219,15 @@ def validate(a: DoubleComplex) -> list[Violation]:
     Shape consistency is enforced at construction, so this checks the algebra:
     d1 d1 = 0, d2 d2 = 0, d1 d2 + d2 d1 = 0, and the sigma axioms when a real
     structure is present.  The list holds the d-axioms by bidegree, then the
-    sigma axioms by bidegree.  The involution is one product compared with
-    the identity; every other identity is one sum of signed products that
-    must vanish, decided over Z[i] by `linalg._products_vanish` on the blocks
-    themselves.  No scalar is built.
+    sigma axioms by bidegree.  The involution is one product summed over
+    Z[i] and compared entrywise with the identity
+    (`linalg._times_conjugate_is_identity`); every other identity is one sum
+    of signed products that must vanish, decided over Z[i] by
+    `linalg._products_vanish` on the blocks themselves.  No scalar, product
+    matrix or identity matrix is built.
+
+    The list is recorded on a, and a later call returns a copy of it and
+    makes no product.
 
     Each verdict goes into one table.  Under a real structure, a check may
     read the verdict of its mirror at (q, p) instead of computing its own
@@ -234,6 +251,8 @@ def validate(a: DoubleComplex) -> list[Violation]:
     bidegree, so the list is the same either way.  A complex without a real
     structure makes every product.
     """
+    if a._violations is not None:
+        return list(a._violations)
     d1, d2 = a.d1_at, a.d2_at
     dd1, dd2, anti = "d1 . d1 != 0", "d2 . d2 != 0", "d1 d2 + d2 d1 != 0"
     inv, sd1, sd2 = "sigma is not an involution", "sigma d1 sigma != d2", "sigma d2 sigma != d1"
@@ -251,7 +270,7 @@ def validate(a: DoubleComplex) -> list[Violation]:
     if a.sigma is not None:
         s = a.sigma_at
         square = all(a.dim(q, p) == n for (p, q), n in a.dims.items())
-        decide(inv, lambda p, q: s(q, p) @ s(p, q).conjugate() == Matrix.identity(a.dim(p, q)),
+        decide(inv, lambda p, q: _times_conjugate_is_identity(s(q, p), s(p, q)),
                inv if square else None)
         involution = all(holds.values())
         decide(sd1, lambda p, q: _products_vanish([(1, s(p + 1, q), d1(p, q).conjugate()),
@@ -267,8 +286,10 @@ def validate(a: DoubleComplex) -> list[Violation]:
                                                 (1, d1(p, q + 1), d2(p, q))]),
            anti if mirrored else None)
     groups = [(dd1, dd2, anti)] + ([(inv, sd1, sd2)] if a.sigma is not None else [])
-    return [Violation(p, q, identity) for group in groups for p, q in bidegrees
-            for identity in group if not holds[identity, p, q]]
+    found = [Violation(p, q, identity) for group in groups for p, q in bidegrees
+             for identity in group if not holds[identity, p, q]]
+    object.__setattr__(a, "_violations", tuple(found))
+    return found
 
 
 # -- morphisms ----------------------------------------------------------------

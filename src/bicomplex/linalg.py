@@ -95,7 +95,10 @@ commutation of a `Morphism` with d1 and d2) ask only whether a sum of
 signed products vanishes, and `_products_vanish` decides that without
 building a product matrix: each product is brought to the lcm of the
 products' denominators, and all are summed in one (int, int) accumulator,
-the one `__matmul__` uses (`_accumulate`).
+the one `__matmul__` uses (`_accumulate`).  The involution axiom of a real
+structure asks whether a @ conj(b) is the identity, and
+`_times_conjugate_is_identity` compares that accumulator entrywise with the
+identity, conjugating b's entries as it reads them.
 """
 
 from __future__ import annotations
@@ -305,11 +308,13 @@ def _matrix(rows: int, cols: int, den: int, num: Entries) -> Matrix:
     return m
 
 
-def _accumulate(acc: Entries, left: Entries, right: Entries) -> None:
-    """acc += left @ right, every entry an (int, int) pair over Z[i]."""
+def _accumulate(acc: Entries, left: Entries, right: Entries, conjugate: bool = False) -> None:
+    """acc += left @ right, or left @ conj(right) with conjugate=True, every
+    entry an (int, int) pair over Z[i]."""
     by_row: dict[int, list[tuple[int, int, int]]] = {}
+    sign = -1 if conjugate else 1
     for (k, j), (br, bi) in right.items():
-        by_row.setdefault(k, []).append((j, br, bi))
+        by_row.setdefault(k, []).append((j, br, sign * bi))
     for (i, k), (ar, ai) in left.items():
         for j, br, bi in by_row.get(k, ()):
             key = (i, j)
@@ -341,6 +346,21 @@ def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix]]) -> bool:
                 right = {k: (c * x, c * y) for k, (x, y) in right.items()}
         _accumulate(acc, left, right)
     return not any(x or y for x, y in acc.values())
+
+
+def _times_conjugate_is_identity(a: Matrix, b: Matrix) -> bool:
+    """Whether a @ conj(b) is the identity; the caller guarantees that the
+    product is square.
+
+    The product is summed over Z[i] in one accumulator, conjugating b's
+    entries as they are read, and compared entrywise with den_a den_b times
+    the identity: neither conj(b), the product nor the identity is built.
+    """
+    acc: Entries = {}
+    _accumulate(acc, a._num, b._num, conjugate=True)
+    one = (a._den * b._den, 0)
+    return (all(acc.get((i, i)) == one for i in range(a.rows))
+            and all(i == j or v == (0, 0) for (i, j), v in acc.items()))
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:

@@ -1,0 +1,165 @@
+"""The tables read the verdict `validate` records on a complex.
+
+On a complex found valid, Bott-Chern and Aeppli make no containment
+product, and under a real structure a rank at (p, q) is read from its
+mirror at (q, p).  On a complex never validated, or with a violation, every
+table takes the checked route.  Each test compares a validated copy with a
+copy built separately and never validated.
+"""
+
+import random
+
+import pytest
+
+from bicomplex import (
+    NotASubspace,
+    blow_up,
+    conjugate_dolbeault,
+    dolbeault,
+    iwasawa,
+    lie_algebra_model,
+    linalg,
+    parse_model_file,
+    projective_bundle,
+    random_complex,
+    torus,
+    validate,
+)
+from bicomplex.cohomology import TABLES, Analysis
+from bicomplex.complexes import DoubleComplex
+from call_counter import call_log, calls_into
+from test_acceptance import PROPERTY_CASES
+from test_axiom_checks import UNITS, complex_blocks, perturb, positions, with_d1_through_sigma
+from test_cohomology import DIM6
+from test_frolicher import NIL4, NIL5
+
+
+def model(text: str, name: str):
+    return lambda: lie_algebra_model(parse_model_file(text, name)).complex
+
+
+BUILDERS = {
+    "nil4": model(NIL4, "nil4"),
+    "nil5": model(NIL5, "nil5"),
+    "iwasawa": lambda: iwasawa().complex,
+    "dim6": model(DIM6, "dim6"),
+    "torus1": lambda: torus(1).complex,
+    "torus2": lambda: torus(2).complex,
+    "blowup": lambda: blow_up(iwasawa(), torus(1), 2).total,
+    "bundle": lambda: projective_bundle(iwasawa(), 3)[0],
+}
+
+
+def outcome(kind: str, a: DoubleComplex):
+    """The `kind` table of a, or the NotASubspace it raised."""
+    try:
+        return TABLES[kind](a)
+    except NotASubspace as e:
+        return repr(e)
+
+
+def tables(a: DoubleComplex, order) -> dict:
+    return {kind: outcome(kind, a) for kind in order}
+
+
+def assert_mirror_route_exact(build) -> None:
+    """A validated copy gives the never-validated copy's five tables, with
+    the tables run in either order, so each memoized rank is read from
+    mirrors ranked by a different table."""
+    want = tables(build(), TABLES)
+    for order in (list(TABLES), list(reversed(TABLES))):
+        a = build()
+        assert validate(a) == []
+        assert tables(a, order) == want
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_mirror_route_gives_the_same_tables(name):
+    assert BUILDERS[name]().sigma is not None
+    assert_mirror_route_exact(BUILDERS[name])
+
+
+def test_mirror_route_gives_the_same_tables_on_the_property_suite():
+    cases = [case for case in PROPERTY_CASES if case[3]]
+    assert len(cases) >= 15
+    for seed, window, size, with_sigma in cases:
+        assert_mirror_route_exact(lambda: random_complex(seed, window, size, with_sigma=True))
+
+
+def broken_copies():
+    """Builders of nil4 with one sigma entry perturbed, and of nil4 with one
+    d1 entry perturbed and d2 rebuilt through sigma, so that only d-axioms
+    can fail while every sigma identity holds."""
+    a = model(NIL4, "nil4")()
+    out = []
+    for n, (pq, key) in enumerate(positions(random.Random(0), complex_blocks(a, "sigma"), 4)):
+        sigma = dict(a.sigma) | {pq: perturb(a.sigma_at(*pq), key, "unit", UNITS[n % 4])}
+        out.append(lambda sigma=sigma: DoubleComplex(a.dims, a.d1, a.d2, sigma, a.labels))
+    for n, (pq, key) in enumerate(positions(random.Random(0), complex_blocks(a, "d1"), 6)):
+        d1 = dict(a.d1) | {pq: perturb(a.d1_at(*pq), key, "unit", UNITS[n % 4])}
+        out.append(lambda d1=d1: with_d1_through_sigma(a, d1))
+    return out
+
+
+def test_an_invalid_verdict_takes_no_shortcut():
+    """After validate reports a violation, every table makes the rank and
+    product calls of a never-validated copy, in the same order, and gives
+    its table or raises its NotASubspace.  No rank is read from a mirror:
+    the row table, run after the column table, ranks every nonzero d1
+    block."""
+    codes = (linalg.rank.__code__, linalg._accumulate.__code__)
+    seen, raised = set(), set()
+    for build in broken_copies():
+        checked = build()
+        found = validate(checked)
+        if not found:
+            continue
+        seen.update(v.identity for v in found)
+        plain = build()
+        for kind in TABLES:
+            got = call_log(codes, outcome, kind, checked)
+            assert got == call_log(codes, outcome, kind, plain), kind
+            if kind == "conjugate_dolbeault":
+                ranked = [args["m"] for name, args in got if name == "rank"]
+                assert ranked == list(checked.d1.values())
+            assert outcome(kind, checked) == outcome(kind, plain), kind
+            if isinstance(outcome(kind, plain), str):
+                raised.add(kind)
+    assert {"sigma is not an involution", "d1 d2 + d2 d1 != 0"} <= seen
+    assert raised == {"bott_chern", "aeppli"}
+
+
+def test_the_row_table_after_the_column_table_ranks_nothing():
+    a = model(NIL4, "nil4")()
+    assert validate(a) == []
+    dolbeault(a)
+    assert calls_into(linalg.rank.__code__, conjugate_dolbeault, a) == 0
+
+
+def test_a_valid_complex_makes_no_containment_product():
+    """On nil4, every product that Bott-Chern and Aeppli make after validate
+    is a d1 d2 they rank; a never-validated copy makes those products plus
+    one containment product per bidegree and table."""
+
+    def both(a):
+        TABLES["bott_chern"](a)
+        TABLES["aeppli"](a)
+
+    for checked in (True, False):
+        a = model(NIL4, "nil4")()
+        if checked:
+            assert validate(a) == []
+        products = calls_into(linalg._accumulate.__code__, both, a)
+        containments = 0 if checked else 2 * len(a.bidegrees())
+        assert products == len(Analysis.of(a)._d1d2) + containments
+
+
+def test_a_second_validate_returns_the_recorded_verdict():
+    for build in (model(NIL4, "nil4"), broken_copies()[0]):
+        a = build()
+        first = validate(a)
+        assert calls_into(linalg._accumulate.__code__, validate, a) == 0
+        second = validate(a)
+        assert second == first and second is not first
+        second.append(None)
+        assert validate(a) == first
