@@ -67,15 +67,19 @@ through it.
 `Analysis.of(a)` holds what the tables and induced maps of one complex
 share, each part made on first use: the Totalization, the rank of each total
 differential, one rank memo for the blocks of the four bidegree tables, the
-products d1 d2 that a rank or a containment check needed, and the cycles
-and boundaries of each kind at each bidegree or degree (`spaces`).  The
-rank memo is keyed by block kind (d1, d2, [d1; d2], [d1 | d2], d1 d2) and
-bidegree.  On a complex with a real structure that `validate` has found
+products d1 d2 that a rank or a containment check needed, the cycles
+and boundaries of each kind at each bidegree or degree (`spaces`), and
+their coset representatives (`representatives`).  A block whose parts are
+all absent, or a d1 d2 with an absent factor, has rank 0 and is neither
+assembled nor multiplied (`Analysis.absent`).  The rank memo is keyed by
+block kind (d1, d2, [d1; d2], [d1 | d2], d1 d2) and bidegree.  On a complex with a real structure that `validate` has found
 valid, a rank is read from the one stored for its mirror at (q, p): sigma
 carries each block to its mirror's conjugate between invertible factors
 (the proof is in `Analysis`).  The row table after the column table then
 ranks nothing, and Bott-Chern and Aeppli rank about half their blocks.
 `induced_cohomology_map` reads both sides' spaces from there, and the
+source's coset representatives, and reads each key's map off one
+elimination of the target frame (`linalg._induced_map`).  The
 E1-isomorphism test, `is_E1_isomorphism`, reads its witnesses off the
 induced Dolbeault map, so neither reduces a complex's spaces twice.
 `frolicher` stores the total ranks as a by-product of its reductions, and
@@ -103,12 +107,13 @@ from .complexes import BiDegree, DoubleComplex, Morphism, transpose_complex
 from .linalg import (
     Matrix,
     NotASubspace,
+    _induced_map,
     assemble,
     canonical_span,
+    coset_representatives,
     filtered_pivots,
     hstack,
     image_basis,
-    induced_subquotient_map,
     kernel_basis,
     rank,
     vstack,
@@ -271,9 +276,10 @@ class Analysis:
     `frolicher` fills as a by-product), one rank memo for the blocks of the
     four bidegree tables, the product d1 d2 out of each bidegree that a rank
     or a containment check needed, and the cycles and boundaries of every
-    table that an induced map reads.  It and its Totalization refer back to
-    a weakly, so the two form no reference cycle and are freed as soon as a
-    is dropped, not at the next cyclic garbage collection.
+    table that an induced map reads, with the coset representatives of
+    those it maps out of.  It and its Totalization refer back to a weakly,
+    so the two form no reference cycle and are freed as soon as a is
+    dropped, not at the next cyclic garbage collection.
 
     The rank memo is keyed by block kind and bidegree, over five kinds: d1
     and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into it and d1 d2
@@ -310,6 +316,7 @@ class Analysis:
         self._ranks: dict[tuple[str, int, int], int] = {}
         self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
+        self._reps: dict[tuple[str, object], Matrix] = {}
 
     @classmethod
     def of(cls, a: DoubleComplex) -> "Analysis":
@@ -326,6 +333,21 @@ class Analysis:
     def valid(self) -> bool:
         """Whether `validate` has run on the complex and found nothing."""
         return self.complex._violations == ()
+
+    def absent(self, kind: str, p: int, q: int) -> bool:
+        """Whether the `kind` block at (p, q) is zero because its parts are
+        absent: every part of d1, d2, [d1; d2] or [d1 | d2], or either
+        factor of d1 d2.  Read from the stored blocks, with no matrix."""
+        d1, d2 = self.complex.d1, self.complex.d2
+        if kind == "d1":
+            return (p, q) not in d1
+        if kind == "d2":
+            return (p, q) not in d2
+        if kind == "d1;d2":
+            return (p, q) not in d1 and (p, q) not in d2
+        if kind == "d1|d2":
+            return (p - 1, q) not in d1 and (p, q - 1) not in d2
+        return (p, q + 1) not in d1 or (p, q) not in d2
 
     def block(self, kind: str, p: int, q: int) -> Matrix:
         """The block of one of the five kinds at (p, q) (see `rank`)."""
@@ -348,7 +370,8 @@ class Analysis:
         A stored rank is read.  On a valid complex with a real structure, the
         rank stored for the mirror block at (q, p), if any, is read and
         stored (see the class notes).  Otherwise `linalg.rank` ranks m, the
-        block the caller has built, or the block built here.
+        block the caller has built, or the block built here; a block whose
+        parts are absent (`absent`) has rank 0 and is not built.
         """
         key = kind, p, q
         if key not in self._ranks:
@@ -356,15 +379,23 @@ class Analysis:
             if self.complex.sigma is not None and self.valid():
                 found = self._ranks.get((_MIRROR[kind], q, p))
             if found is None:
-                found = rank(m if m is not None else self.block(kind, p, q))
+                if m is None:
+                    found = 0 if self.absent(kind, p, q) else rank(self.block(kind, p, q))
+                else:
+                    found = rank(m)
             self._ranks[key] = found
         return self._ranks[key]
 
     def d1d2(self, p: int, q: int) -> Matrix:
-        """d1 d2 out of (p, q), into (p + 1, q + 1)."""
+        """d1 d2 out of (p, q), into (p + 1, q + 1); the zero block, with no
+        product, where a factor is absent."""
         if (p, q) not in self._d1d2:
             a = self.complex
-            self._d1d2[(p, q)] = a.d1_at(p, q + 1) @ a.d2_at(p, q)
+            if self.absent("d1d2", p, q):
+                found = Matrix.zero(a.dim(p + 1, q + 1), a.dim(p, q))
+            else:
+                found = a.d1_at(p, q + 1) @ a.d2_at(p, q)
+            self._d1d2[(p, q)] = found
         return self._d1d2[(p, q)]
 
     def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
@@ -387,6 +418,16 @@ class Analysis:
                 raise ValueError(f"unknown cohomology kind {kind!r}")
             self._spaces[(kind, x)] = found
         return self._spaces[(kind, x)]
+
+    def representatives(self, kind: str, x) -> Matrix:
+        """The coset representatives of the `kind` cohomology at x, the
+        columns of its cycles that complete its boundaries to a basis
+        (`linalg.coset_representatives`).  Every cycle space `spaces` builds
+        is a basis, so without boundaries they are the cycles themselves."""
+        if (kind, x) not in self._reps:
+            z, b = self.spaces(kind, x)
+            self._reps[(kind, x)] = coset_representatives(z, b) if b.cols else z
+        return self._reps[(kind, x)]
 
 
 def de_rham(a: DoubleComplex) -> CohomologyTable:
@@ -436,8 +477,9 @@ def aeppli_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
 
 
 def _contained(out: Matrix, into: Matrix) -> None:
-    """Raise NotASubspace unless the image of into lies in the kernel of out."""
-    if not (out @ into).is_zero():
+    """Raise NotASubspace unless the image of into lies in the kernel of out;
+    an empty factor makes no product."""
+    if not (out.is_zero() or into.is_zero() or (out @ into).is_zero()):
         raise NotASubspace("denominator is not contained in numerator")
 
 
@@ -455,7 +497,7 @@ def bott_chern(a: DoubleComplex) -> CohomologyTable:
     for p, q in a.bidegrees():
         into_rank = memo.rank("d1d2", p - 1, q - 1)
         out = None
-        if check:
+        if check and not memo.absent("d1;d2", p, q):
             out = memo.block("d1;d2", p, q)
             _contained(out, memo.d1d2(p - 1, q - 1))
         entries[(p, q)] = a.dim(p, q) - memo.rank("d1;d2", p, q, out) - into_rank
@@ -476,7 +518,7 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
     for p, q in a.bidegrees():
         out_rank = memo.rank("d1d2", p, q)
         into = None
-        if check:
+        if check and not memo.absent("d1|d2", p, q):
             into = memo.block("d1|d2", p, q)
             _contained(memo.d1d2(p, q), into)
         entries[(p, q)] = a.dim(p, q) - out_rank - memo.rank("d1|d2", p, q, into)
@@ -595,9 +637,10 @@ def induced_cohomology_map(f: Morphism, kind: str) -> dict:
     """Matrices of the map induced by f on the chosen cohomology.
 
     Keys are bidegrees, or plain degrees for kind="de_rham".  The cycles and
-    boundaries of each side come from the Analysis of its complex.  Coset
-    bases are chosen deterministically, so induced matrices compose
-    functorially.
+    boundaries of each side, and the source's coset representatives, come
+    from the Analysis of its complex; each key is then one elimination of
+    the target frame (`linalg._induced_map`).  Coset bases are chosen
+    deterministically, so induced matrices compose functorially.
     """
     if kind not in TABLES:
         raise ValueError(f"unknown cohomology kind {kind!r}")
@@ -608,7 +651,8 @@ def induced_cohomology_map(f: Morphism, kind: str) -> dict:
     else:
         keys = set(f.source.dims) | set(f.target.dims)
         block = lambda pq: f.block_at(*pq)
-    return {x: induced_subquotient_map(block(x), *source.spaces(kind, x), *target.spaces(kind, x))
+    return {x: _induced_map(block(x), source.representatives(kind, x), source.spaces(kind, x)[1],
+                            *target.spaces(kind, x))
             for x in sorted(keys)}
 
 

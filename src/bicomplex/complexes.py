@@ -59,7 +59,7 @@ from .linalg import (
     assemble,
     hstack,
     kron,
-    pivot_columns,
+    rref,
     solve_columns,
 )
 from .scalars import ONE, gauss
@@ -532,8 +532,8 @@ def tensor(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
                 if not db.is_zero():
                     part = (ca, (cb[0] + step[0], cb[1] + step[1]))
                     if part in index_tgt:
-                        sign = -1 if (ca[0] + ca[1]) % 2 else 1
-                        blocks[(index_tgt[part], ci)] = kron(Matrix.identity(a.dim(*ca)), db).scale(sign)
+                        m = kron(Matrix.identity(a.dim(*ca)), db)
+                        blocks[(index_tgt[part], ci)] = -m if (ca[0] + ca[1]) % 2 else m
             if blocks:
                 out[pq] = assemble(
                     [a.dim(*ca) * b.dim(*cb) for ca, cb in comps[tgt]],
@@ -574,13 +574,13 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     d1 = {}
     d2 = {}
     for p, q in dims:
-        sign = -1 if (p + q) % 2 == 0 else 1  # (-1)^{p+q+1}
+        negate = (p + q) % 2 == 0  # the sign (-1)^{p+q+1} is -1
         src = a.d1_at(n - p - 1, n - q)
         if not src.is_zero():
-            d1[(p, q)] = src.transpose().scale(sign)
+            d1[(p, q)] = -src.transpose() if negate else src.transpose()
         src = a.d2_at(n - p, n - q - 1)
         if not src.is_zero():
-            d2[(p, q)] = src.transpose().scale(sign)
+            d2[(p, q)] = -src.transpose() if negate else src.transpose()
     sigma = None
     if a.sigma is not None:
         sigma = {}
@@ -608,6 +608,14 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     of the target chosen greedily to complete the image; the projection sends
     a vector to its coordinates on those representatives.  The real structure
     descends exactly when the image is sigma-stable, and is dropped otherwise.
+
+    Each bidegree takes one elimination, the RREF R of [block | I].  Its
+    pivots among block's columns must be all of them (else NotInjective),
+    and those among I are the chosen vectors, the columns of lift.  R is
+    E [block | I] for an invertible E, and R is the identity on its pivot
+    columns, the frame [block | lift]; so the right block of R is E, the
+    inverse of the frame, and its rows past block's are the projection.
+    One product checks that the inverse inverts the frame.
     """
     tgt = f.target
     lifts: dict[BiDegree, Matrix] = {}
@@ -618,19 +626,19 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
         n_tgt = tgt.dim(*pq)
         n_src = f.source.dim(*pq)
         block = f.block_at(*pq)
-        pivots = pivot_columns(hstack([block, Matrix.identity(n_tgt)]))
+        identity = Matrix.identity(n_tgt)
+        red, pivots = rref(hstack([block, identity]))
         image_pivots = [p for p in pivots if p < n_src]
         if len(image_pivots) != n_src:
             raise NotInjective(*pq)
         chosen = [p - n_src for p in pivots if p >= n_src]
         dims[pq] = len(chosen)
         lift = Matrix(n_tgt, len(chosen), {(e, k): ONE for k, e in enumerate(chosen)})
-        inverse = solve_columns(hstack([block, lift]), Matrix.identity(n_tgt))
-        if inverse is None:
+        inverse = red[:, n_src:]
+        if inverse @ hstack([block, lift]) != identity:
             raise RuntimeError(f"quotient: the frame at bidegree {pq} is not invertible")
-        proj = inverse[n_src:, :]
         lifts[pq] = lift
-        projs[pq] = proj
+        projs[pq] = inverse[n_src:, :]
         if labels is not None:
             base = tgt.labels.get(pq, tuple(f"e{k}" for k in range(n_tgt)))
             labels[pq] = tuple(base[e] for e in chosen)
@@ -648,7 +656,7 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     q_d1 = induced(tgt.d1_at, (1, 0))
     q_d2 = induced(tgt.d2_at, (0, 1))
     q_sigma = None
-    if tgt.sigma is not None and _image_sigma_stable(f):
+    if tgt.sigma is not None and _image_sigma_stable(f, projs):
         q_sigma = {}
         for pq, n in dims.items():
             tpq = (pq[1], pq[0])
@@ -660,18 +668,15 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     return result, projection
 
 
-def _image_sigma_stable(f: Morphism) -> bool:
-    if f.target.sigma is None:
-        return False
-    for pq, n in f.source.dims.items():
-        if n == 0:
-            continue
-        moved = f.target.sigma_at(*pq) @ f.block_at(*pq).conjugate()
-        dest = f.block_at(pq[1], pq[0])
-        if dest.cols == 0:
-            if not moved.is_zero():
-                return False
-        elif solve_columns(dest, moved) is None:
+def _image_sigma_stable(f: Morphism, projs: Mapping[BiDegree, Matrix]) -> bool:
+    """Whether sigma maps the image of f into itself, given the projection
+    of `quotient` at each bidegree: a vector of A^{q,p} lies in the image
+    exactly when its coordinates off the image, proj^{q,p} of it, vanish,
+    so the test at (p, q) is proj^{q,p} S^{p,q} conj(block^{p,q}) = 0."""
+    for p, q in f.source.dims:
+        proj = projs.get((q, p))
+        if proj is not None and not (
+                proj @ f.target.sigma_at(p, q) @ f.block_at(p, q).conjugate()).is_zero():
             return False
     return True
 

@@ -27,6 +27,17 @@ basis of a span (`canonical_span`, hence sums and intersections) is the
 transpose of the nonzero rows of an RREF.  The vectors that `row` and
 `column` return are tuples of GaussianRational.
 
+A subquotient frame takes one elimination.  The pivots of a prefix of
+columns do not depend on the columns after it, so one RREF of
+[b_tgt | z_tgt | f b_src | f reps_src] decides both containments that make
+f descend to z/b, finds the target's coset representatives, and gives the
+induced matrix as the representatives' rows of its last block
+(`_induced_map`).  `cohomology` keeps each complex's source
+representatives on its Analysis and calls `_induced_map` itself;
+`induced_subquotient_map` finds them with `coset_representatives`.
+`complexes.quotient` reads its chosen vectors and the inverse of its frame
+from one RREF of [block | I] in the same way.
+
 Every elimination runs through one fraction-free kernel, `_echelon`:
 
   * the rows of the form are held as dicts col -> (re, im), one for each
@@ -59,7 +70,8 @@ Every elimination runs through one fraction-free kernel, `_echelon`:
     thirds of the pivots are lone, and keeping them out of the chain keeps
     the coefficients short;
   * pivot columns (`pivot_columns`, hence `image_basis`,
-    `coset_representatives`) need the forward pass alone.  `rref` also
+    `coset_representatives`) need the forward pass alone, and a zero
+    matrix, under `rref` too, no elimination at all.  `rref` also
     clears each pivot column from the earlier pivot rows, found through an
     index from each column to the pivot rows that hold it, and keeps every
     pivot in the chain, since a later step may clear a column from its row.
@@ -103,6 +115,7 @@ identity, conjugating b's entries as it reads them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -563,8 +576,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The canonical RREF, pivot rows normalized to 1.  Each pivot row from the
     fraction-free kernel is multiplied by the conjugate of its pivot entry,
     which makes that entry real, and divided by the gcd of its ints; the
-    pivot entry is then the row's least denominator.
+    pivot entry is then the row's least denominator.  A zero matrix is its
+    own RREF and costs no elimination.
     """
+    if not m._num:
+        return m, ()
     pivots, pivot_rows, _ = _echelon(m, reduce=True)
     rows = [_primitive(_times(row, (row[col][0], -row[col][1])))
             for col, row in zip(pivots, pivot_rows)]
@@ -718,7 +734,9 @@ def coset_representatives(z: Matrix, b: Matrix) -> Matrix:
     """Columns of z completing b to a basis of span(z); their classes span z/b.
 
     Deterministic: greedy from the left over z's columns, so the same (z, b)
-    always yields the same representatives.
+    always yields the same representatives: the columns of z that are pivot
+    columns of [b | z], from the forward pass alone.  Raises NotASubspace
+    unless b's columns are independent.
     """
     pivots = pivot_columns(hstack([b, z]))
     if len([p for p in pivots if p < b.cols]) != b.cols:
@@ -732,25 +750,43 @@ def induced_subquotient_map(f: Matrix, z_src: Matrix, b_src: Matrix,
 
     Coset bases are the deterministic representatives of coset_representatives,
     so induced matrices compose: induced(g @ f) = induced(g) @ induced(f).
-    Raises NotWellDefined unless f maps span(z_src) into span(z_tgt) and
-    span(b_src) into span(b_tgt).
+    The source's are found here, and the map is read off one elimination
+    (`_induced_map`).  Raises NotASubspace unless b_src and b_tgt each have
+    independent columns, and NotWellDefined unless f maps span(b_src) into
+    span(b_tgt) and span(z_src) into span(z_tgt) + span(b_tgt).
     """
     if f.cols != z_src.rows or f.rows != z_tgt.rows:
         raise AmbientMismatch("map shape does not match the ambient spaces")
-    if b_src.cols:
-        fb = f @ b_src
-        if b_tgt.cols == 0:
-            if not fb.is_zero():
-                raise NotWellDefined("f does not map the source boundaries into the target boundaries")
-        elif solve_columns(b_tgt, fb) is None:
-            raise NotWellDefined("f does not map the source boundaries into the target boundaries")
-    reps_src = coset_representatives(z_src, b_src)
-    reps_tgt = coset_representatives(z_tgt, b_tgt)
-    if reps_src.cols == 0:
-        return Matrix.zero(reps_tgt.cols, 0)
-    # Consistency here is exactly f(span z_src) <= span(z_tgt) modulo b_tgt;
-    # combined with the boundary check above it certifies well-definedness.
-    sol = solve_columns(hstack([b_tgt, reps_tgt]), f @ reps_src)
-    if sol is None:
+    return _induced_map(f, coset_representatives(z_src, b_src), b_src, z_tgt, b_tgt)
+
+
+def _induced_map(f: Matrix, reps_src: Matrix, b_src: Matrix,
+                 z_tgt: Matrix, b_tgt: Matrix) -> Matrix:
+    """The induced map of `induced_subquotient_map`, given the source's coset
+    representatives, from one RREF of [b_tgt | z_tgt | f b_src | f reps_src].
+
+    The pivots of a prefix of columns do not depend on the later columns, so:
+    the pivots among b_tgt are all of b_tgt exactly when its columns are
+    independent; those among z_tgt are the target's coset representatives
+    (`coset_representatives(z_tgt, b_tgt)`), one RREF row each; f b_src lies
+    in span(b_tgt) exactly when its block holds no pivot and is zero in the
+    representatives' rows; and, given that, f reps_src lies in
+    span(b_tgt) + span(z_tgt) exactly when its block holds no pivot.  Each
+    column of that block is then the unique combination of the pivot
+    columns its rows give, and the representatives' rows of it are the
+    induced matrix.
+    """
+    nb, nz = b_tgt.cols, z_tgt.cols
+    red, pivots = rref(hstack([b_tgt, z_tgt, f @ b_src, f @ reps_src]))
+    if bisect_left(pivots, nb) != nb:
+        raise NotASubspace("denominator vectors are dependent")
+    # RREF rows nb .. end - 1 are the representatives'; the f reps_src block
+    # starts at column cycles.
+    end = bisect_left(pivots, nb + nz)
+    cycles = nb + nz + b_src.cols
+    if (end < len(pivots) and pivots[end] < cycles) or any(
+            nb <= i < end and nb + nz <= j < cycles for i, j in red._num):
+        raise NotWellDefined("f does not map the source boundaries into the target boundaries")
+    if end < len(pivots):
         raise NotWellDefined("f does not map the source cycles into the target cycles")
-    return sol[b_tgt.cols:, :]
+    return red[nb:end, cycles:]

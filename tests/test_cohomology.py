@@ -34,7 +34,7 @@ from bicomplex import (
 )
 from bicomplex.cohomology import TABLES, Analysis, aeppli_spaces, bott_chern_spaces
 from bicomplex.complexes import transpose_complex
-from bicomplex.linalg import hstack, image_basis, kernel_basis, rank
+from bicomplex.linalg import coset_representatives, hstack, image_basis, kernel_basis, rank
 from bicomplex.scalars import GaussianRational
 from call_counter import arguments_of, calls_into
 from test_acceptance import PROPERTY_CASES
@@ -545,3 +545,22 @@ def test_projective_bundle_quotient_tables(iwasawa_model):
                 for (p, qq), v in t.entries.items():
                     want[(p + i, qq + i)] = want.get((p + i, qq + i), 0) + v
         assert got == want
+
+
+def test_induced_maps_eliminate_at_most_once_per_key():
+    """The source's coset representatives are kept on its Analysis, and each
+    key reads the target's representatives and the map off one elimination:
+    once both sides' spaces are built, a map finds no representatives and
+    makes at most one elimination per key.  On the Iwasawa Serre pairing
+    and on the inclusions of a random complex with a real structure."""
+    a = random_complex(105, (0, 2, 0, 2), 4, with_sigma=True)
+    _, first, second = direct_sum(a, random_complex(106, (0, 2, 0, 2), 3, with_sigma=True))
+    made = 0
+    for f in (serre_pairing_morphism(iwasawa()), first, second):
+        for kind in TABLES:
+            keys = len(induced_cohomology_map(f, kind))
+            eliminations = calls_into(linalg._echelon.__code__, induced_cohomology_map, f, kind)
+            assert eliminations <= keys, kind
+            assert calls_into(coset_representatives.__code__, induced_cohomology_map, f, kind) == 0
+            made += eliminations
+    assert made > 0

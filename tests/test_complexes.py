@@ -21,19 +21,25 @@ from bicomplex import (
     dual,
     euler_characteristic,
     is_E1_isomorphism,
+    iwasawa,
+    projective_bundle,
     quotient,
     random_complex,
     shift,
     square,
     tensor,
+    torus,
     transpose_complex,
     validate,
     zigzag,
 )
+from bicomplex import linalg
 from bicomplex.complexes import ZERO_COMPLEX, rescale
 from bicomplex.linalg import Matrix
 from bicomplex.serialize import dumps_complex
+from call_counter import calls_into
 from helpers import is_injective
+from reference_quotient import reference_quotient
 
 
 def same_core(a, b, with_sigma=True):
@@ -215,11 +221,53 @@ def test_quotient_not_injective():
     assert exc.value.bidegree == (0, 0)
 
 
+def quotient_cases():
+    """name -> injective morphism: the bundle inclusions over torus1, torus2
+    and Iwasawa for r = 2..4, direct-sum inclusions of random complexes
+    with and without a real structure, and an inclusion whose image sigma
+    does not keep."""
+    out = {}
+    for name, base in (("torus1", torus(1)), ("torus2", torus(2)), ("iwasawa", iwasawa())):
+        for r in (2, 3, 4):
+            out[f"bundle {name} r={r}"] = projective_bundle(base, r)[1]
+    for seed, sigma in ((11, False), (12, True), (13, False), (14, True)):
+        a = random_complex(seed, (0, 3, 0, 3), 5, with_sigma=sigma)
+        b = random_complex(seed + 50, (0, 3, 0, 3), 4, with_sigma=sigma)
+        _, ia, ib = direct_sum(a, b)
+        out[f"random{seed} first"] = ia
+        out[f"random{seed} second"] = ib
+    one = Matrix.identity(1)
+    pair = DoubleComplex({(0, 1): 1, (1, 0): 1}, {}, {}, sigma={(0, 1): one, (1, 0): one})
+    out["not sigma-stable"] = Morphism(dot(0, 1), pair, {(0, 1): one})
+    return out
+
+
+def test_quotient_matches_the_two_elimination_frame():
+    """The one-RREF frame gives the quotient complex and the projection of
+    the frame built by two eliminations, and the sigma verdict of a solve
+    per bidegree, exactly."""
+    kept = dropped = 0
+    for name, f in quotient_cases().items():
+        got, want = quotient(f), reference_quotient(f)
+        assert got == want, name
+        if f.target.sigma is not None:
+            kept += got[0].sigma is not None
+            dropped += got[0].sigma is None
+    assert kept > 0 and dropped == 1
+
+
+def test_quotient_eliminates_once_per_bidegree():
+    for name, f in quotient_cases().items():
+        assert calls_into(linalg._echelon.__code__, quotient, f) == len(f.target.dims), name
+
+
 QUOTIENT_UNDER_O = """
 from bicomplex import complexes, direct_sum, dot
 assert False, "asserts are live"
 _, inclusion, _ = direct_sum(dot(0, 0), dot(1, 1))
-complexes.solve_columns = lambda a, rhs: None
+# The true pivots with a zero right block: an inverse that inverts nothing.
+rref = complexes.rref
+complexes.rref = lambda m: (complexes.Matrix.zero(m.rows, m.cols), rref(m)[1])
 try:
     complexes.quotient(inclusion)
 except RuntimeError as error:

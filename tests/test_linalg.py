@@ -277,6 +277,40 @@ def test_induced_map_not_well_defined():
     assert ok == Matrix.identity(1)
 
 
+def _cols(*vectors, n=3):
+    return Matrix.from_columns([vector(v) for v in vectors], n)
+
+
+_E1, _E2 = (1, 0, 0), (0, 1, 0)
+_SWAP = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+_BOUNDARIES = "f does not map the source boundaries into the target boundaries"
+_CYCLES = "f does not map the source cycles into the target cycles"
+_DEPENDENT = "denominator vectors are dependent"
+
+
+@pytest.mark.parametrize("f, z_src, b_src, z_tgt, b_tgt, error, message", [
+    (Matrix.identity(3), Matrix.identity(3), _cols(_E1, _E1), Matrix.identity(3), _cols(_E1),
+     NotASubspace, _DEPENDENT),
+    (Matrix.identity(3), Matrix.identity(3), _cols(_E1), Matrix.identity(3), _cols(_E1, (2, 0, 0)),
+     NotASubspace, _DEPENDENT),
+    # f b_src lies in span(z_tgt) but not in span(b_tgt): a nonzero
+    # coordinate on a target representative.
+    (_SWAP, Matrix.identity(3), _cols(_E1), Matrix.identity(3), _cols(_E1),
+     NotWellDefined, _BOUNDARIES),
+    # f b_src leaves span(z_tgt) as well, and so do the cycles: the
+    # boundaries are reported first.
+    (_SWAP, _cols(_E1), _cols(_E1), _cols(_E1), _cols(_E1), NotWellDefined, _BOUNDARIES),
+    (_SWAP, _cols(_E1), _cols(), _cols(_E1), _cols(), NotWellDefined, _CYCLES),
+], ids=["dependent b_src", "dependent b_tgt", "boundaries into cycles", "boundaries out",
+        "cycles not mapped"])
+def test_induced_map_faults(f, z_src, b_src, z_tgt, b_tgt, error, message):
+    """Each fault raises its own exception class and message, read off the
+    one elimination of the target frame."""
+    with pytest.raises(error) as exc:
+        induced_subquotient_map(f, z_src, b_src, z_tgt, b_tgt)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_induced_map_commuting_square():
     """Coordinates of f(z) on the coset frame agree with applying the induced
     matrix to the coordinates of z, for every cycle generator z."""

@@ -138,8 +138,9 @@ def test_the_row_table_after_the_column_table_ranks_nothing():
 
 def test_a_valid_complex_makes_no_containment_product():
     """On nil4, every product that Bott-Chern and Aeppli make after validate
-    is a d1 d2 they rank; a never-validated copy makes those products plus
-    one containment product per bidegree and table."""
+    is a d1 d2 they rank, one for each with both factors present; a
+    never-validated copy makes those products plus one containment product
+    per bidegree and table whose two factors are nonzero."""
 
     def both(a):
         TABLES["bott_chern"](a)
@@ -150,8 +151,14 @@ def test_a_valid_complex_makes_no_containment_product():
         if checked:
             assert validate(a) == []
         products = calls_into(linalg._accumulate.__code__, both, a)
-        containments = 0 if checked else 2 * len(a.bidegrees())
-        assert products == len(Analysis.of(a)._d1d2) + containments
+        memo = Analysis.of(a)
+        ranked = sum((p, q + 1) in a.d1 and (p, q) in a.d2 for p, q in memo._d1d2)
+        containments = 0 if checked else sum(
+            (not memo.block("d1;d2", p, q).is_zero() and not memo.d1d2(p - 1, q - 1).is_zero())
+            + (not memo.d1d2(p, q).is_zero() and not memo.block("d1|d2", p, q).is_zero())
+            for p, q in a.bidegrees())
+        assert ranked > 0 and (checked or containments > 0)
+        assert products == ranked + containments
 
 
 def test_a_second_validate_returns_the_recorded_verdict():
