@@ -72,16 +72,24 @@ and boundaries of each kind at each bidegree or degree (`spaces`), and
 their coset representatives (`representatives`).  A block whose parts are
 all absent, or a d1 d2 with an absent factor, has rank 0 and is neither
 assembled nor multiplied (`Analysis.absent`).  The rank memo is keyed by
-block kind (d1, d2, [d1; d2], [d1 | d2], d1 d2) and bidegree.  On a complex with a real structure that `validate` has found
-valid, a rank is read from the one stored for its mirror at (q, p): sigma
-carries each block to its mirror's conjugate between invertible factors
-(the proof is in `Analysis`).  The row table after the column table then
-ranks nothing, and Bott-Chern and Aeppli rank about half their blocks.
+block kind (d1, d2, [d1; d2], [d1 | d2], d1 d2) and bidegree.  A [d1; d2]
+or [d1 | d2] block with one part absent is not assembled: it has that
+part's rank, read under the part's own d1 or d2 key.  After the column and
+row tables, Bott-Chern and Aeppli therefore rank only the d1 d2 products
+and the blocks with both parts present.  On a complex with a real
+structure that `validate` has found valid, a rank is read from the one
+stored for its mirror at (q, p): sigma carries each block to its mirror's
+conjugate between invertible factors (the proof is in `Analysis`).  The
+row table after the column table then ranks nothing, and Bott-Chern and
+Aeppli rank about half their blocks.  `complexes.dual` of a complex found
+valid is known valid too, so its tables take the same shortcuts.
 `induced_cohomology_map` reads both sides' spaces from there, and the
 source's coset representatives, and reads each key's map off one
-elimination of the target frame (`linalg._induced_map`).  The
-E1-isomorphism test, `is_E1_isomorphism`, reads its witnesses off the
-induced Dolbeault map, so neither reduces a complex's spaces twice.
+elimination of the target frame (`linalg._induced_map`); the map is kept
+on the Morphism by kind.  The E1-isomorphism test, `is_E1_isomorphism`,
+reads its witnesses off the induced Dolbeault map, so neither reduces a
+complex's spaces twice, and the induced Dolbeault map after the E1 test
+eliminates nothing.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
 peel, then the sparsest-row rule on the core) and stores them.
@@ -287,6 +295,14 @@ class Analysis:
     `aeppli` read every rank through it (`rank`), so no block is ranked
     twice, and bott_chern and aeppli share the d1 d2 ranks.
 
+    The one-part rule.  A [d1; d2] or [d1 | d2] block with exactly one part
+    present has that part's rank, since rank [X; 0] = rank [X | 0] =
+    rank X.  Its rank is read from the memo under the part's own key, d1 or
+    d2 at the part's bidegree (`only_part`), or the part is ranked and
+    stored there; the block is not assembled for its rank.  After
+    `dolbeault` and `conjugate_dolbeault`, `bott_chern` and `aeppli` then
+    rank only d1 d2 products and blocks with both parts present.
+
     The mirror rule.  Once `validate` has found a complex with a real
     structure sigma valid, a rank at (p, q) reads the rank stored for its
     mirror at (q, p): d1 and d2 swap, and each other kind maps to itself
@@ -349,6 +365,18 @@ class Analysis:
             return (p - 1, q) not in d1 and (p, q - 1) not in d2
         return (p, q + 1) not in d1 or (p, q) not in d2
 
+    def only_part(self, kind: str, p: int, q: int) -> tuple[str, int, int] | None:
+        """The key of the one part present in a [d1; d2] or [d1 | d2] block
+        at (p, q), whose rank is the block's; None for any other block."""
+        if kind == "d1;d2":
+            parts = ("d1", p, q), ("d2", p, q)
+        elif kind == "d1|d2":
+            parts = ("d1", p - 1, q), ("d2", p, q - 1)
+        else:
+            return None
+        present = [part for part in parts if not self.absent(*part)]
+        return present[0] if len(present) == 1 else None
+
     def block(self, kind: str, p: int, q: int) -> Matrix:
         """The block of one of the five kinds at (p, q) (see `rank`)."""
         a = self.complex
@@ -369,9 +397,11 @@ class Analysis:
 
         A stored rank is read.  On a valid complex with a real structure, the
         rank stored for the mirror block at (q, p), if any, is read and
-        stored (see the class notes).  Otherwise `linalg.rank` ranks m, the
-        block the caller has built, or the block built here; a block whose
-        parts are absent (`absent`) has rank 0 and is not built.
+        stored (see the class notes).  Otherwise a block with one part
+        present takes that part's rank (`only_part`), and `linalg.rank`
+        ranks any other: m, the block the caller has built, or the block
+        built here; a block whose parts are absent (`absent`) has rank 0
+        and is not built.
         """
         key = kind, p, q
         if key not in self._ranks:
@@ -379,10 +409,13 @@ class Analysis:
             if self.complex.sigma is not None and self.valid():
                 found = self._ranks.get((_MIRROR[kind], q, p))
             if found is None:
-                if m is None:
-                    found = 0 if self.absent(kind, p, q) else rank(self.block(kind, p, q))
-                else:
+                part = self.only_part(kind, p, q)
+                if part is not None:
+                    found = self.rank(*part)
+                elif m is not None:
                     found = rank(m)
+                else:
+                    found = 0 if self.absent(kind, p, q) else rank(self.block(kind, p, q))
             self._ranks[key] = found
         return self._ranks[key]
 
@@ -640,20 +673,24 @@ def induced_cohomology_map(f: Morphism, kind: str) -> dict:
     boundaries of each side, and the source's coset representatives, come
     from the Analysis of its complex; each key is then one elimination of
     the target frame (`linalg._induced_map`).  Coset bases are chosen
-    deterministically, so induced matrices compose functorially.
+    deterministically, so induced matrices compose functorially.  The map
+    is kept on f by kind, and each call returns a fresh dict of it.
     """
     if kind not in TABLES:
         raise ValueError(f"unknown cohomology kind {kind!r}")
-    source, target = Analysis.of(f.source), Analysis.of(f.target)
-    if kind == "de_rham":
-        keys = set(source.totalization.degrees()) | set(target.totalization.degrees())
-        block = lambda k: source.totalization.embed_block(f, k, target.totalization)
-    else:
-        keys = set(f.source.dims) | set(f.target.dims)
-        block = lambda pq: f.block_at(*pq)
-    return {x: _induced_map(block(x), source.representatives(kind, x), source.spaces(kind, x)[1],
+    if kind not in f._induced:
+        source, target = Analysis.of(f.source), Analysis.of(f.target)
+        if kind == "de_rham":
+            keys = set(source.totalization.degrees()) | set(target.totalization.degrees())
+            block = lambda k: source.totalization.embed_block(f, k, target.totalization)
+        else:
+            keys = set(f.source.dims) | set(f.target.dims)
+            block = lambda pq: f.block_at(*pq)
+        f._induced[kind] = {
+            x: _induced_map(block(x), source.representatives(kind, x), source.spaces(kind, x)[1],
                             *target.spaces(kind, x))
             for x in sorted(keys)}
+    return dict(f._induced[kind])
 
 
 # -- E1-isomorphism test --------------------------------------------------------

@@ -31,7 +31,9 @@ a copy of that list without a product.  The Analysis reads the slot: only
 on a complex whose recorded list is empty do the tables skip the
 containment products that the axioms imply and read a rank from its
 mirror under the real structure.  A complex never validated, or one with a
-violation, gets no such shortcut.
+violation, gets no such shortcut.  `dual` of a complex whose recorded list
+is empty records the empty list too: each axiom of the dual is the
+transpose of one of the original's (the proof is in `dual`).
 
 Sign conventions fixed here and relied on everywhere else:
 
@@ -55,6 +57,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .linalg import (
     Matrix,
     _products_vanish,
+    _select_columns,
     _times_conjugate_is_identity,
     assemble,
     hstack,
@@ -307,8 +310,12 @@ class Morphism:
     source: DoubleComplex
     target: DoubleComplex
     blocks: Mapping[BiDegree, Matrix]
-    # The zero block of each shape that an absent block reads as.
+    # Memos that live and die with this morphism, not part of its value: the
+    # zero block of each shape that an absent block reads as, and the map
+    # `cohomology.induced_cohomology_map` found for each kind.
     _zeros: dict[tuple[int, int], Matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _induced: dict[str, dict] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -569,7 +576,34 @@ def tensor(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
 
 
 def dual(a: DoubleComplex, n: int) -> DoubleComplex:
-    """The dual complex of a model of complex dimension n (see module docstring)."""
+    """The dual complex of a model of complex dimension n (see module docstring).
+
+    A dual of a complex that `validate` has found valid is valid too, and
+    records the empty violation list without a product.  Write p* = n - p,
+    q* = n - q, T for the transpose and * for the conjugate transpose.  The
+    dual's blocks at (p, q) are e T(d1^{p*-1,q*}), e T(d2^{p*,q*-1}) and
+    (S^{q*,p*})*, where e = (-1)^{p+q+1}, so e e' = -1 for the signs e, e'
+    of two consecutive steps.  Each axiom of the dual is then the transpose
+    of one of a's, conjugated for the sigma axioms:
+
+      * d1 d1 at (p, q) is -T(d1^{p*-1,q*} d1^{p*-2,q*}), minus the
+        transpose of d1 d1 at (p* - 2, q*); d2 d2 likewise at (p*, q* - 2);
+      * d1 d2 + d2 d1 at (p, q) is minus the transpose of d1 d2 + d2 d1 at
+        (p* - 1, q* - 1);
+      * the involution at (p, q), S'^{q,p} conj(S'^{p,q}), is
+        T(S^{q*,p*} conj(S^{p*,q*})), the transpose of the involution at
+        (p*, q*);
+      * sigma d1 sigma = d2 at (p, q) reads
+        e T(conj(d1^{p*-1,q*}) conj(S^{q*,p*-1})) = e T(conj(S^{q*,p*}) d2^{q*,p*-1}),
+        and conjugated and transposed this is sigma d2 sigma = d1 at
+        (q*, p* - 1).  In the same way sigma d2 sigma = d1 at (p, q) is
+        sigma d1 sigma = d2 at (q* - 1, p*).
+
+    A bidegree named on the right outside a's support is the source of zero
+    blocks only, where the identity holds trivially; every other one is
+    checked by `validate(a)`.  A complex never validated, or with a
+    violation, gives a dual with no verdict, which `validate` decides.
+    """
     dims = {(n - p, n - q): m for (p, q), m in a.dims.items()}
     d1 = {}
     d2 = {}
@@ -588,7 +622,10 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
             s = a.sigma_at(n - q, n - p)
             if not s.is_zero():
                 sigma[(p, q)] = s.conjugate().transpose()
-    return DoubleComplex(dims, d1, d2, sigma)
+    out = DoubleComplex(dims, d1, d2, sigma)
+    if a._violations == ():
+        object.__setattr__(out, "_violations", ())
+    return out
 
 
 def rescale(a: DoubleComplex, unit: Callable[[int, int], int]) -> DoubleComplex:
@@ -615,10 +652,13 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     E [block | I] for an invertible E, and R is the identity on its pivot
     columns, the frame [block | lift]; so the right block of R is E, the
     inverse of the frame, and its rows past block's are the projection.
-    One product checks that the inverse inverts the frame.
+    One product checks that the inverse inverts the frame.  Each induced
+    d1, d2 and sigma block is proj @ block @ lift, and lift is the 0/1
+    matrix of the chosen vectors, so it is read as the chosen columns of
+    proj @ block with no second product.
     """
     tgt = f.target
-    lifts: dict[BiDegree, Matrix] = {}
+    chosen_at: dict[BiDegree, list[int]] = {}
     projs: dict[BiDegree, Matrix] = {}
     dims: dict[BiDegree, int] = {}
     labels: dict[BiDegree, tuple[str, ...]] | None = {} if tgt.labels is not None else None
@@ -637,7 +677,7 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
         inverse = red[:, n_src:]
         if inverse @ hstack([block, lift]) != identity:
             raise RuntimeError(f"quotient: the frame at bidegree {pq} is not invertible")
-        lifts[pq] = lift
+        chosen_at[pq] = chosen
         projs[pq] = inverse[n_src:, :]
         if labels is not None:
             base = tgt.labels.get(pq, tuple(f"e{k}" for k in range(n_tgt)))
@@ -649,8 +689,7 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
             tpq = (pq[0] + step[0], pq[1] + step[1])
             if dims.get(tpq, 0) == 0 or n == 0:
                 continue
-            m = projs[tpq] @ block_at(*pq) @ lifts[pq]
-            out[pq] = m
+            out[pq] = _select_columns(projs[tpq] @ block_at(*pq), chosen_at[pq])
         return out
 
     q_d1 = induced(tgt.d1_at, (1, 0))
@@ -662,7 +701,7 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
             tpq = (pq[1], pq[0])
             if dims.get(tpq, 0) == 0 or n == 0:
                 continue
-            q_sigma[pq] = projs[tpq] @ tgt.sigma_at(*pq) @ lifts[pq]
+            q_sigma[pq] = _select_columns(projs[tpq] @ tgt.sigma_at(*pq), chosen_at[pq])
     result = DoubleComplex(dims, q_d1, q_d2, q_sigma, labels)
     projection = Morphism(tgt, result, {pq: m for pq, m in projs.items() if dims.get(pq, 0)})
     return result, projection

@@ -47,7 +47,9 @@ Every elimination runs through one fraction-free kernel, `_echelon`:
     Bareiss (Math. Comp. 1968), where prev is the pivot entry of the
     previous step in the divisor chain (every step but the lone pivots of
     the forward pass, below).  The division is exact over Z[i], because the
-    rows it yields are minors of the starting matrix;
+    rows it yields are minors of the starting matrix.  `_combine` builds
+    the new row in one pass over t and r, into one dict, with no product
+    row or difference row in between;
   * divisors are lazy: a row records the divisor it is current with, and a
     step that does not touch it does not rescale it.  A later step that
     touches it divides by that divisor in place of prev, and a row picked
@@ -425,21 +427,34 @@ def _primitive(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
     return {j: (a // g, b // g) for j, (a, b) in row.items()} if g > 1 else row
 
 
-def _times(row: dict, s: tuple[int, int]) -> dict:
-    """row * s over Z[i], in a fresh dict."""
-    if s == (1, 0):
-        return dict(row)
+def _combine(row: dict[int, tuple[int, int]], s: tuple[int, int],
+             piv: Mapping[int, tuple[int, int]] = {}, c: tuple[int, int] = (0, 0),
+             d: tuple[int, int] = (1, 0)) -> dict[int, tuple[int, int]]:
+    """(row s - piv c) / d over Z[i], built in one fresh dict: row's columns
+    in row's order, then piv's other columns in piv's order, every zero
+    dropped.  The caller guarantees that the division is exact, and that c
+    is nonzero where piv is not empty."""
     sr, si = s
-    return {j: (a * sr - b * si, a * si + b * sr) for j, (a, b) in row.items()}
-
-
-def _exact_div(row: dict[int, tuple[int, int]], d: tuple[int, int]) -> dict[int, tuple[int, int]]:
-    """row / d over Z[i]; the caller guarantees that the division is exact."""
-    if d == (1, 0):
-        return row
+    cr, ci = c
     dr, di = d
     n = dr * dr + di * di
-    return {j: ((a * dr + b * di) // n, (b * dr - a * di) // n) for j, (a, b) in row.items()}
+    whole = d == (1, 0)
+    out = {}
+    for j, (a, b) in row.items():
+        x, y = a * sr - b * si, a * si + b * sr
+        e = piv.get(j)
+        if e is not None:
+            u, v = e
+            x -= u * cr - v * ci
+            y -= u * ci + v * cr
+            if not (x or y):
+                continue
+        out[j] = (x, y) if whole else ((x * dr + y * di) // n, (y * dr - x * di) // n)
+    for j, (u, v) in piv.items():
+        if j not in row:
+            x, y = v * ci - u * cr, -u * ci - v * cr
+            out[j] = (x, y) if whole else ((x * dr + y * di) // n, (y * dr - x * di) // n)
+    return out
 
 
 def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
@@ -508,7 +523,7 @@ def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
         if d is None:
             piv, d = _primitive(piv), (1, 0)
         if d != prev:
-            piv = _exact_div(_times(piv, prev), d)
+            piv = _combine(piv, prev, d=d)
         rows[best] = piv
         div[best] = pv = piv[col]
         earlier = holders.pop(col, ()) if reduce else ()
@@ -517,17 +532,7 @@ def _echelon(m: Matrix, reduce: bool, levels: Sequence[int] | None = None,
             d = div[t]
             if d is None:
                 row, d = _primitive(row), (1, 0)
-            cr, ci = row[col]
-            new = _times(row, pv)
-            for j, (a, b) in piv.items():
-                x, y = new.get(j, (0, 0))
-                x -= a * cr - b * ci
-                y -= a * ci + b * cr
-                if x or y:
-                    new[j] = (x, y)
-                else:
-                    del new[j]
-            rows[t] = _exact_div(new, d)
+            rows[t] = _combine(row, pv, piv, row[col], d)
             div[t] = pv
         for t in below:
             if rows[t]:
@@ -582,7 +587,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if not m._num:
         return m, ()
     pivots, pivot_rows, _ = _echelon(m, reduce=True)
-    rows = [_primitive(_times(row, (row[col][0], -row[col][1])))
+    rows = [_primitive(_combine(row, (row[col][0], -row[col][1])))
             for col, row in zip(pivots, pivot_rows)]
     den = lcm(*(row[col][0] for col, row in zip(pivots, rows)))
     num = {}

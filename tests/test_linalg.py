@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bicomplex import frolicher, lie_algebra_model, linalg, parse_model_file, random_complex
+from bicomplex import dual, frolicher, lie_algebra_model, linalg, parse_model_file, random_complex
 from bicomplex.cohomology import (
     TABLES,
     Totalization,
@@ -615,9 +615,11 @@ def permuted(m, rng):
 def test_rank_matches_reference_pivots():
     """rank(m) is the number of pivots of the reference kernel on the echelon
     and level cases, on every matrix that the five tables of nil4, nil5 and
-    the property suite hand to `rank`, and on row and column permutations
-    of those."""
-    table_inputs = handed_to_rank(run_tables, property_complexes(), TABLES.values())
+    the property suite, and of their duals dual(a, 5), hand to `rank`, and
+    on row and column permutations of those."""
+    complexes = property_complexes()
+    complexes += [dual(a, 5) for a in complexes]
+    table_inputs = handed_to_rank(run_tables, complexes, TABLES.values())
     assert len(table_inputs) >= 500
     rng = random.Random(1990)
     cases = [m for _, m in echelon_cases()] + [m for _, m, _ in leveled_cases()]
@@ -641,29 +643,32 @@ def test_rank_peels_without_arithmetic():
     arrow = Matrix(n, n, {(i, j): big() for i in range(n) for j in range(n) if not i or not j})
     for m, want in ((permuted(triangular, rng), n), (permuted(arrow, rng), 2)):
         assert rank(m) == want == len(reference_echelon(m, False)[0])
-        for helper in (linalg._echelon, linalg._times, linalg._exact_div, linalg._primitive):
+        for helper in (linalg._echelon, linalg._combine, linalg._primitive):
             assert calls_into(helper.__code__, rank, m) == 0, helper.__name__
 
 
 def test_every_bareiss_division_is_exact(monkeypatch):
-    """`_exact_div` floors; here it asserts a zero remainder instead, over
-    the echelon cases and the level cases in both passes, over every table
-    and the Frolicher pages of nil4, nil5 and the property suite's six
+    """`_combine` floors when it divides (row s - piv c) by d; here each
+    numerator is rebuilt from the arguments and its zero remainder asserted,
+    over the echelon cases and the level cases in both passes, over every
+    table and the Frolicher pages of nil4, nil5 and the property suite's six
     random_complex(200 + s, (0,5,0,5), 10 + 3s), and in both passes over
     every matrix that those tables hand to `rank`."""
-    exact_div = linalg._exact_div
+    combine = linalg._combine
     divisions = 0
 
-    def checked(row, d):
+    def checked(row, s, piv={}, c=(0, 0), d=(1, 0)):
         nonlocal divisions
-        dr, di = d
+        (sr, si), (cr, ci), (dr, di) = s, c, d
         n = dr * dr + di * di
-        assert all((a * dr + b * di) % n == 0 == (b * dr - a * di) % n
-                   for a, b in row.values()), d
+        for j in row.keys() | piv.keys():
+            (a, b), (u, v) = row.get(j, (0, 0)), piv.get(j, (0, 0))
+            x, y = a * sr - b * si - u * cr + v * ci, a * si + b * sr - u * ci - v * cr
+            assert (x * dr + y * di) % n == 0 == (y * dr - x * di) % n, d
         divisions += d != (1, 0)
-        return exact_div(row, d)
+        return combine(row, s, piv, c, d)
 
-    monkeypatch.setattr(linalg, "_exact_div", checked)
+    monkeypatch.setattr(linalg, "_combine", checked)
     for label, m in echelon_cases():
         for reduce in (False, True):
             _echelon(m, reduce)
@@ -710,5 +715,5 @@ def test_lone_pivots_cost_no_arithmetic():
                for i in range(n) for k in range(3) if k == 0 or rng.random() < 0.5}
     m = Matrix(n, 3 * n, entries)
     assert pivot_columns(m) == tuple(range(0, 3 * n, 3))
-    for helper in (linalg._times, linalg._exact_div, linalg._primitive):
+    for helper in (linalg._combine, linalg._primitive):
         assert calls_into(helper.__code__, pivot_columns, m) == 0, helper.__name__

@@ -8,14 +8,18 @@ copy built separately and never validated.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from bicomplex import (
     NotASubspace,
+    aeppli,
     blow_up,
+    bott_chern,
     conjugate_dolbeault,
     dolbeault,
+    dual,
     iwasawa,
     lie_algebra_model,
     linalg,
@@ -170,3 +174,88 @@ def test_a_second_validate_returns_the_recorded_verdict():
         assert second == first and second is not first
         second.append(None)
         assert validate(a) == first
+
+
+# -- the dual inherits the verdict ---------------------------------------------------
+
+
+def dual_cases():
+    """(builder, n) for the property suite, with and without sigma, and for
+    nil4, nil5 and Iwasawa at their complex dimension."""
+    cases = [(partial(random_complex, seed, window, size, with_sigma=with_sigma), window[1])
+             for seed, window, size, with_sigma in PROPERTY_CASES]
+    return cases + [(BUILDERS["nil4"], 4), (BUILDERS["nil5"], 5), (BUILDERS["iwasawa"], 3)]
+
+
+def test_the_dual_of_a_valid_complex_is_known_valid():
+    """dual(a, n) of a complex `validate` found valid records the empty
+    violation list, and its five tables, in either order, are those of the
+    dual of a copy never validated.  `validate` of that dual, which carries
+    no verdict, finds nothing, which checks the inference."""
+    cases = dual_cases()
+    assert sum(build().sigma is not None for build, _ in cases) >= 20
+    for build, n in cases:
+        plain = dual(build(), n)
+        assert plain._violations is None
+        want = tables(plain, TABLES)
+        assert validate(plain) == []
+        for order in (list(TABLES), list(reversed(TABLES))):
+            a = build()
+            assert validate(a) == []
+            d = dual(a, n)
+            assert d._violations == ()
+            assert tables(d, order) == want
+
+
+def test_the_dual_of_an_unchecked_complex_takes_the_checked_route():
+    """The dual of a complex never validated, or with a violation, records
+    no verdict, and every table on it makes the rank and product calls of
+    the dual of a never-validated copy, in the same order, with the same
+    outcome."""
+    codes = (linalg.rank.__code__, linalg._accumulate.__code__)
+    products = 0
+    for build in [BUILDERS["nil4"]] + broken_copies():
+        unchecked = [build()]
+        invalid = build()
+        if validate(invalid):
+            unchecked.append(invalid)
+        for a in unchecked:
+            d, plain = dual(a, 4), dual(build(), 4)
+            assert d._violations is None
+            for kind in TABLES:
+                got = call_log(codes, outcome, kind, d)
+                assert got == call_log(codes, outcome, kind, plain), kind
+                assert outcome(kind, d) == outcome(kind, plain), kind
+                products += sum(name == "_accumulate" for name, _ in got)
+    assert products > 0
+
+
+def test_bott_chern_and_aeppli_rank_no_one_part_block():
+    """After dolbeault and conjugate_dolbeault have ranked every d1 and d2
+    block, every matrix that bott_chern and aeppli hand to `linalg.rank` is
+    a d1 d2 product or a [d1; d2] or [d1 | d2] block with both parts
+    present: a block with one part absent has that part's rank, read from
+    the memo; validated or not."""
+    codes = (Analysis.rank.__code__, linalg.rank.__code__)
+    one_part = 0
+    for build, _ in dual_cases()[-3:] + dual_cases()[::10]:
+        for checked in (False, True):
+            a = build()
+            if checked:
+                assert validate(a) == []
+            dolbeault(a)
+            conjugate_dolbeault(a)
+            parts = {"d1;d2": lambda p, q: ((p, q) in a.d1, (p, q) in a.d2),
+                     "d1|d2": lambda p, q: ((p - 1, q) in a.d1, (p, q - 1) in a.d2)}
+            one_part += sum(sum(present(p, q)) == 1 for present in parts.values()
+                            for p, q in a.bidegrees())
+            for table in (bott_chern, aeppli):
+                asked = None
+                for name, args in call_log(codes, table, a):
+                    if name == "rank" and "self" in args:
+                        asked = args["kind"], args["p"], args["q"]
+                    elif name == "rank":
+                        kind, p, q = asked
+                        two_parts = kind in parts and all(parts[kind](p, q))
+                        assert kind == "d1d2" or two_parts, (table.__name__, asked)
+    assert one_part > 100
