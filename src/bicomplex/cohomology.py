@@ -22,20 +22,28 @@ E_r = Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}) at (p, q), n = p + q, has
 since dim Z_r^p = dim F^p T^n - rho_n(p, p+r), the two summands of the
 denominator meet in d Z_r^{p-r+1}, and dim d Z_s^a = rho(a, oo) - rho(a, a+s).
 
-Every rho_n comes from one elimination of d_n per degree.  Transposed, d_n
-has a row per coordinate of T^n, and each row gets as its level the first
-index p of its component.  The kernel takes each pivot row from the deepest
-level in its bucket (`linalg._echelon`), so a row is only ever changed by
-rows of its own level or a deeper one, and for every a the pivots whose
-pivot row has level >= a are the pivot columns of the rows of F^a T^n.
-The components of T^{n+1} are ordered by increasing p, so reading modulo
-F^b keeps the target columns of level < b, and rho_n(a, b) is the number
-of pivots with source level >= a and target level < b: the pairing count
-of persistence (Cohen-Steiner, Edelsbrunner & Morozov, "Vines and
-vineyards", SoCG 2006; Basu & Parida, Expo. Math. 2017, for the spectral
-sequence).  `frolicher` accumulates these counts once per degree into a
-small table of suffix sums over the source p and prefix sums over the
-target p, so each rho_n(a, b) is one lookup.
+Every rho_n is a count of persistence pairs (Cohen-Steiner, Edelsbrunner &
+Morozov, "Vines and vineyards", SoCG 2006; Basu & Parida, Expo. Math. 2017,
+for the spectral sequence).  `linalg.filtered_pivots` pairs source
+coordinates of d_n, each with its component's p as its level, with target
+coordinates, so that rho_n(a, b) is the number of pairs with source level
+>= a and target level < b.  A pair's length, target level minus source
+level, is >= 0, and the formula regroups as
+
+    dim E_r^{p,q} = dim A^{p,q} - #{pair ends at (p, q) of length < r},
+
+so `frolicher` keeps one histogram of pair ends by bidegree and length and
+reads every page off it.  It pairs the degrees in increasing order and
+clears: d_n's pairing leaves out the coordinates of T^n that d_{n-1}'s pairs
+end at, which d_n d_{n-1} = 0 makes redundant for every rho_n (Chen &
+Kerber, EuroCG 2011).  What is left is peeled first, with no arithmetic:
+a source with one entry left pairs with its target when no deeper source
+shares that target, and a target with one entry left with its source when
+no target of lower level shares that source.  Only the core goes to the
+forward pass (the proofs are in `frolicher` and `linalg.filtered_pivots`).  On the
+nilmanifold models the core is small or empty: nil4 and Iwasawa reach the
+kernel not at all.  The row pages run on the same Totalization with the
+levels q.
 
 Bott-Chern and Aeppli are rank arithmetic as well.  At (p, q),
 
@@ -55,14 +63,11 @@ induced maps need.
 
 The column, row and de Rham tables are one formula, dim - rank(out) -
 rank(in), with each nonzero differential ranked once: the row table ranks
-the blocks of d1 itself, and only the row pages are computed on the
-transposed complex.  `linalg.rank` peels singleton rows and columns before
-it eliminates, reading only where the entries are; on the Koszul
+the blocks of d1 itself.  `linalg.rank` peels singleton rows and columns
+before it eliminates, reading only where the entries are; on the Koszul
 differentials of the nilmanifold models almost nothing is left to
-eliminate.  Frolicher needs pivots in column order under its level rule,
-which a peel does not keep, so its reductions eliminate in full.  TABLES
-maps each of the five kinds to its function, and every caller dispatches
-through it.
+eliminate.  TABLES maps each of the five kinds to its function, and every
+caller dispatches through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
 share, each part made on first use: the Totalization, the rank of each total
@@ -107,11 +112,11 @@ suite.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Mapping
 
-from .complexes import BiDegree, DoubleComplex, Morphism, transpose_complex
+from .complexes import BiDegree, DoubleComplex, Morphism
 from .linalg import (
     Matrix,
     NotASubspace,
@@ -574,15 +579,17 @@ TABLES: dict[str, Callable[[DoubleComplex], CohomologyTable]] = {
 def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceResult:
     """All pages from E_1 until no further differential can act.
 
-    direction="column" starts from column (Dolbeault-style) cohomology,
-    direction="row" from row cohomology; the row case is computed on the
-    transposed complex and transposed back, since the pairing count below
-    needs the total complex's components ordered by the filtration index.
+    direction="column" filters the total complex by the first index p and
+    starts from column (Dolbeault-style) cohomology; direction="row" filters
+    it by the second index q and starts from row cohomology.  Both run on
+    the complex's own Totalization, each coordinate taking its component's
+    p or q as its level.  Bounded support means no differential d_r can be
+    nonzero once r exceeds min(width, height + 1) of the window in the
+    filtered direction, which caps the page list.
 
-    Pages come from ranks alone.  With F^a the components of the total
-    complex with first index >= a, let rho_n(a, b) be the rank of
-    d: T^n -> T^{n+1} restricted to F^a T^n and read modulo F^b T^{n+1}
-    (zero when b <= a).  The page
+    Pages come from ranks alone.  With F^a the coordinates of level >= a,
+    let rho_n(a, b) be the rank of d: T^n -> T^{n+1} restricted to F^a T^n
+    and read modulo F^b T^{n+1} (zero when b <= a).  The page
 
         E_r^{p,q} = Z_r^p / (Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}),
         Z_r^p = F^p T^n & d^{-1}(F^{p+r} T^{n+1}),   n = p + q,
@@ -594,73 +601,96 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
 
     because dim Z_r^p = dim F^p T^n - rho_n(p, p+r), because
     Z_{r-1}^{p+1} & d Z_{r-1}^{p-r+1} = d Z_r^{p-r+1}, and because
-    dim d Z_s^a = rho(a, oo) - rho(a, a+s).
+    dim d Z_s^a = rho(a, oo) - rho(a, a+s); on the row filtration q takes
+    the place of p.
 
-    Every rho_n comes from one elimination of d_n, transposed, whose rows
-    (the coordinates of T^n) carry the first index p of their component as
-    their level (`linalg.filtered_pivots`).  The pivot row of each step is
-    taken from the deepest level present, so for every a the pivots whose
-    pivot row has level >= a are the pivot columns of F^a T^n's rows.  The
-    components of T^{n+1} are ordered by increasing p, so rho_n(a, b) is the
-    number of pivots with source level >= a and target level < b, one
-    lookup in a table of those counts built once per degree.  The number of
-    pivots is rank d_n, which goes to the complex's Analysis for de_rham.
-    Bounded support means no differential d_r can be nonzero once r exceeds
-    min(width, height + 1), which caps the page list.
+    Pairs.  `linalg.filtered_pivots` pairs source coordinates of d_n with
+    target coordinates so that, for all a and b, rho_n(a, b) is the number
+    of pairs with source level >= a and target level < b (the pairing count
+    of persistence).  d keeps each F^a, so a pair's length, target level
+    minus source level, is >= 0.  Regrouped, rho_n(p, p+r) - rho_n(p+1, p+r)
+    counts the pairs of d_n with source end at level p and length < r, and
+    rho_{n-1}(p-r+1, p+1) - rho_{n-1}(p-r+1, p) those of d_{n-1} with
+    target end at level p and length < r.  So
+
+        dim E_r^{p,q} = dim A^{p,q} - #{pair ends at (p, q) of length < r},
+
+    a source end of d_n sitting at the bidegree of degree n and level p,
+    a target end of d_{n-1} at that of degree n and level p.  One histogram
+    of ends by bidegree and length gives every page.  The number of pairs
+    of d_n is rank d_n, which goes to the complex's Analysis for de_rham.
+
+    Clearing (Chen & Kerber, "Persistent homology computation with a
+    twist", EuroCG 2011).  The degrees are paired in increasing order, and
+    d_n's pairing leaves out the source coordinates Y of T^n that d_{n-1}'s
+    pairs end at.  This changes no rho_n(a, b).  The pairs of d_{n-1} pick
+    a nonsingular square of its matrix: taken in the order they are found,
+    a peeled singleton has no entry in the lines of the later pairs, and
+    the core's pivots are independent.  So Y indexes rank d_{n-1}
+    independent rows of d_{n-1}, and im d_{n-1} meets the span of the
+    coordinates outside Y only in 0.  The pair counts make
+    dim(im d_{n-1} & F^a T^n) = rank d_{n-1} - rho_{n-1}(-oo, a) the number
+    of y in Y of level >= a.  So for every a,
+
+        F^a T^n = (im d_{n-1} & F^a T^n) + span(e_j : j not in Y, level >= a),
+
+    a direct sum by dimension, and since d_n d_{n-1} = 0, d_n F^a T^n is
+    spanned by the images of the coordinates of level >= a outside Y.
+    Reading modulo F^b, rho_n(a, b) is unchanged.  Where y is a pivot of
+    the forward pass, it is the leading coordinate of some z = d_{n-1}(x),
+    and d_n z = 0 writes row y of d_n's transpose through rows of later
+    index, hence of level >= level(y): the classic form of the lemma.
+
+    Peel.  Before the forward pass, `filtered_pivots` pairs singletons that
+    respect the levels: a source coordinate with one entry left, whose
+    target has no other source of a deeper level, and a target with one
+    entry left, whose source has no other target of a lower level.  Each
+    drops one count from exactly the rho_n(a, b) its pair belongs to (the
+    proof is in `linalg.filtered_pivots`).  The core left over goes to
+    `linalg._echelon` with the source levels, its targets in order of
+    level; on the row filtration, where components run by increasing p and
+    so by decreasing q, that order is the reverse of the coordinates'.
     """
     if direction not in ("column", "row"):
         raise ValueError("direction must be 'column' or 'row'")
-    if direction == "row":
-        res = frolicher(transpose_complex(a), "column")
-        flip = lambda table: {(q, p): v for (p, q), v in table.items()}
-        return SpectralSequenceResult(
-            "row",
-            tuple((r, flip(t)) for r, t in res.pages),
-            res.degeneration_page,
-            flip(res.e_infinity),
-        )
     if not a.dims:
-        return SpectralSequenceResult("column", ((1, {}),), 1, {})
+        return SpectralSequenceResult(direction, ((1, {}),), 1, {})
     p_min, p_max, q_min, q_max = a.window
-    last = max(1, min(p_max - p_min, q_max - q_min + 1) + 1)
+    if direction == "column":
+        last = max(1, min(p_max - p_min, q_max - q_min + 1) + 1)
+        level, at = (lambda pq: pq[0]), (lambda n, s: (s, n - s))
+        order = a.bidegrees()
+    else:
+        last = max(1, min(q_max - q_min, p_max - p_min + 1) + 1)
+        level, at = (lambda pq: pq[1]), (lambda n, s: (n - s, s))
+        order = sorted(a.dims, key=lambda pq: (pq[1], pq[0]))
     memo = Analysis.of(a)
     tot = memo.totalization
-    levels = {n: [p for p, q in parts for _ in range(a.dim(p, q))]
+    levels = {n: [level(pq) for pq in parts for _ in range(a.dim(*pq))]
               for n, parts in tot.components.items()}
-    # rho_n(lo, hi) is counts[n][lo - lo0][hi - p_min]: the pivots of d_n
-    # with source level >= lo and target level < hi, for every lo and hi the
-    # page formula asks for (lo0 <= lo <= p_max + 1, p_min <= hi <= p_max + last).
-    lo0 = p_min - last + 1
-    size = p_max - p_min + 1 + last
-    zero = [[0] * size] * size
-    counts: dict[int, list[list[int]]] = {}
+    # ends[pq][length]: the pair ends at pq of each length < last.
+    ends = {pq: [0] * last for pq in a.dims}
+    # Degree -> the coordinates of T^n that d_{n-1}'s pairs end at.
+    hit: dict[int, set[int]] = {}
     for n in tot.degrees():
-        target = levels.get(n + 1, [])
-        found = filtered_pivots(tot.differential(n).transpose(), levels[n])
-        memo.total_ranks[n] = len(found)
-        at = [[0] * size for _ in range(size)]
-        for col, s in found:
-            at[s - lo0][target[col] - p_min + 1] += 1
-        for i in reversed(range(size - 1)):
-            at[i] = [x + y for x, y in zip(at[i], at[i + 1])]
-        counts[n] = [list(accumulate(row)) for row in at]
-
-    def rho(n: int, lo: int, hi: int) -> int:
-        return counts.get(n, zero)[lo - lo0][hi - p_min]
+        source, target = levels[n], levels.get(n + 1, [])
+        pairs = filtered_pivots(tot.differential(n), source, target, hit.pop(n, ()))
+        memo.total_ranks[n] = len(pairs)
+        hit[n + 1] = {i for _, i in pairs}
+        for (s, t), count in Counter((source[j], target[i]) for j, i in pairs).items():
+            if t - s < last:
+                ends[at(n, s)][t - s] += count
+                ends[at(n + 1, t)][t - s] += count
 
     pages = []
+    left = dict(a.dims)
     for r in range(1, last + 1):
-        table = {}
-        for p, q in a.bidegrees():
-            n = p + q
-            d = (a.dim(p, q) - rho(n, p, p + r) + rho(n, p + 1, p + r)
-                 + rho(n - 1, p - r + 1, p) - rho(n - 1, p - r + 1, p + 1))
-            if d:
-                table[(p, q)] = d
-        pages.append((r, table))
+        for pq in order:
+            left[pq] -= ends[pq][r - 1]
+        pages.append((r, {pq: left[pq] for pq in order if left[pq]}))
     e_inf = pages[-1][1]
     degeneration = next(r for r, t in pages if t == e_inf)
-    return SpectralSequenceResult("column", tuple(pages), degeneration, dict(e_inf))
+    return SpectralSequenceResult(direction, tuple(pages), degeneration, dict(e_inf))
 
 
 # -- induced maps -----------------------------------------------------------------

@@ -836,9 +836,6 @@ def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:
         for pq, m in a.sigma.items():
             tgt = (pq[1], pq[0])
             left = change.get(tgt, Matrix.identity(m.rows))
-            conj_inv = solve_columns(change[pq].conjugate(), Matrix.identity(m.cols))
-            if conj_inv is None:
-                raise RuntimeError(
-                    f"conjugate random change of basis at bidegree {pq} is not invertible")
-            sigma[pq] = left @ m @ conj_inv
+            # conj(C)^-1 is conj(C^-1): the stored inverse, conjugated.
+            sigma[pq] = left @ m @ inverse[pq].conjugate()
     return DoubleComplex(a.dims, d1, d2, sigma, a.labels)

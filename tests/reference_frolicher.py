@@ -6,11 +6,14 @@ as explicit subquotients of coordinate-vector bases inside the total complex,
 so the two can be compared on any complex.  It reaches into the package's
 `Totalization` and linear algebra, which is why it is not part of
 `oracles.py`.
+
+`transposed_row_pages` keeps the earlier route to the row pages: the column
+pages of the transposed complex, with every bidegree flipped back.
 """
 
 from __future__ import annotations
 
-from bicomplex.cohomology import SpectralSequenceResult, Totalization
+from bicomplex.cohomology import SpectralSequenceResult, Totalization, frolicher
 from bicomplex.complexes import DoubleComplex, transpose_complex
 from bicomplex.linalg import Matrix, canonical_span, hstack, kernel_basis
 from bicomplex.scalars import ONE as _O, ZERO as _Z
@@ -141,3 +144,15 @@ def reference_frolicher(a: DoubleComplex, direction: str = "column") -> Spectral
     e_inf = pages[-1][1]
     degeneration = next(r for r, t in pages if t == e_inf)
     return SpectralSequenceResult("column", tuple(pages), degeneration, dict(e_inf))
+
+
+def transposed_row_pages(a: DoubleComplex) -> SpectralSequenceResult:
+    """frolicher(a, "row") computed as the column pages of transpose_complex(a)."""
+    res = frolicher(transpose_complex(a), "column")
+    flip = lambda table: {(q, p): v for (p, q), v in table.items()}
+    return SpectralSequenceResult(
+        "row",
+        tuple((r, flip(t)) for r, t in res.pages),
+        res.degeneration_page,
+        flip(res.e_infinity),
+    )

@@ -33,13 +33,15 @@ from bicomplex import (
     validate,
     zigzag,
 )
-from bicomplex import linalg
+from bicomplex import complexes, linalg
 from bicomplex.complexes import ZERO_COMPLEX, rescale
 from bicomplex.linalg import Matrix
 from bicomplex.serialize import dumps_complex
 from call_counter import calls_into
 from helpers import is_injective
+from reference_basis_change import reference_random_basis_change
 from reference_quotient import reference_quotient
+from test_acceptance import PROPERTY_CASES
 
 
 def same_core(a, b, with_sigma=True):
@@ -346,6 +348,23 @@ def test_random_complex_sigma_instances():
         a = random_complex(seed, (0, 3, 0, 3), 4, with_sigma=True)
         assert a.sigma is not None
         assert validate(a) == []
+
+
+def test_a_real_structure_reuses_each_inverted_change_of_basis(monkeypatch):
+    """sigma's factor conj(C)^-1 is the stored C^-1 conjugated: every sigma
+    case of the property suite equals the complex built by solving
+    conj(C) X = I again, with one `solve_columns` call per bidegree."""
+    cases = [case for case in PROPERTY_CASES if case[3]]
+    assert len(cases) >= 10
+    solve = linalg.solve_columns.__code__
+    for seed, window, size, _ in cases:
+        a = random_complex(seed, window, size, True)
+        assert calls_into(solve, random_complex, seed, window, size, True) == len(a.dims)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_random_basis_change", reference_random_basis_change)
+            old = random_complex(seed, window, size, True)
+            assert calls_into(solve, random_complex, seed, window, size, True) == 2 * len(a.dims)
+        assert a.sigma and a == old
 
 
 # SHA-256 of dumps_complex, recorded when random_complex still placed sigma

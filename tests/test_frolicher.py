@@ -1,5 +1,8 @@
-"""Frolicher pages: the rank formula against the subquotient construction,
-its elimination count, and the pinned 1024-dimensional nilmanifold."""
+"""Frolicher pages: the rank formula against the subquotient construction
+and the transposed route, the pairs behind it against the unpeeled
+reduction, its elimination count, and the nilmanifold models."""
+
+import random
 
 import pytest
 
@@ -17,10 +20,12 @@ from bicomplex import (
     torus,
     zigzag,
 )
-from bicomplex import linalg
-from bicomplex.cohomology import Totalization
-from call_counter import calls_into
-from reference_frolicher import reference_frolicher
+from bicomplex import cohomology, linalg
+from bicomplex.cohomology import Analysis, Totalization
+from bicomplex.linalg import Matrix, _echelon, filtered_pivots
+from call_counter import call_log, calls_into
+from reference_frolicher import reference_frolicher, transposed_row_pages
+from test_acceptance import PROPERTY_CASES
 
 NIL4 = """\
 name = nil4
@@ -39,6 +44,18 @@ generators = a, b, c, e, f
 d c = a ^ b
 d e = a ^ c + (1/2+i) * b ^ conj(a)
 d f = a ^ b + b ^ conj(b)
+"""
+
+# ROADMAP item 1's dim-7 model without h.
+DIM6 = """\
+name = dim6
+complex_dimension = 6
+kind = lie_algebra
+generators = a, b, c, e, f, g
+d c = a ^ b
+d e = a ^ c + (1/2+i) * b ^ conj(a)
+d f = a ^ b + b ^ conj(b)
+d g = a ^ conj(b) + b ^ conj(a)
 """
 
 # (seed, window, size, with_sigma): 150 complexes, every fifth with a real
@@ -75,20 +92,151 @@ def test_rank_pages_match_subquotients_on_models_and_zigzags():
         assert_same_pages(zigzag((0, 3), length, "d1"))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: iwasawa().complex,
-    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
-    lambda: lie_algebra_model(parse_model_file(NIL5, "nil5")).complex,
-    lambda: random_complex(314, (0, 5, 0, 5), 5),  # the last of RANDOM_CASES
+def model(text, name):
+    return lie_algebra_model(parse_model_file(text, name)).complex
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: iwasawa().complex, 0),
+    (lambda: model(NIL4, "nil4"), 0),
+    (lambda: model(NIL5, "nil5"), 6),
+    (lambda: random_complex(314, (0, 5, 0, 5), 5), 0),  # the last of RANDOM_CASES
 ], ids=["iwasawa", "nil4", "nil5", "random314"])
-def test_one_elimination_per_degree_and_column_cut(build):
-    """One elimination per nonzero total differential serves every column
-    cut, every page and the de Rham ranks."""
+def test_one_elimination_per_degree_and_column_cut(build, calls):
+    """At most one call into the elimination kernel per nonzero total
+    differential serves every column cut, every page and the de Rham ranks.
+    Clearing and the level peel leave it nothing to eliminate on Iwasawa,
+    nil4 and random314, and one core in six of nil5's eight degrees."""
     a = build()
     tot = Totalization(a)
     nonzero = [n for n in tot.degrees() if not tot.differential(n).is_zero()]
     # Calls into the elimination kernel, whatever name reached it.
-    assert calls_into(linalg._echelon.__code__, frolicher, a) == len(nonzero) > 0
+    assert calls_into(linalg._echelon.__code__, frolicher, a) == calls <= len(nonzero)
+    assert nonzero
+
+
+def property_complexes():
+    return [random_complex(seed, window, size, with_sigma=with_sigma)
+            for seed, window, size, with_sigma in PROPERTY_CASES]
+
+
+def test_row_pages_are_the_transposed_column_pages():
+    """The row pages, computed on the complex's own Totalization with levels
+    q, equal the column pages of the transposed complex flipped back, on the
+    property suite, nil4 and nil5."""
+    for a in property_complexes() + [model(NIL4, "nil4"), model(NIL5, "nil5")]:
+        assert frolicher(a, "row") == transposed_row_pages(a)
+
+
+def test_a_row_call_after_a_column_call_builds_no_second_totalization():
+    a = model(NIL4, "nil4")
+    frolicher(a, "column")
+    codes = (Totalization.__init__.__code__, Analysis.__init__.__code__)
+    assert call_log(codes, frolicher, a, "row") == []
+    assert not hasattr(cohomology, "transpose_complex")
+
+
+def filtration_levels(a, direction):
+    """Degree -> the level of each coordinate of T^n: its component's p for
+    the column filtration, q for the row one."""
+    k = 0 if direction == "column" else 1
+    return {n: [pq[k] for pq in parts for _ in range(a.dim(*pq))]
+            for n, parts in Totalization(a).components.items()}
+
+
+def level_pairs(pairs, levels, targets):
+    return sorted((levels[j], targets[i]) for j, i in pairs)
+
+
+def unpeeled_pairs(d, levels, targets):
+    """The level pairs of the filtered forward pass on d's transpose, with
+    no clearing and no peel, its columns put in order of target level."""
+    order = sorted(range(d.rows), key=lambda i: (targets[i], i))
+    index = {i: c for c, i in enumerate(order)}
+    m = Matrix(d.cols, d.rows, {(j, index[i]): v for (i, j), v in d.entries.items()})
+    pivots, _, rows = _echelon(m, False, levels)
+    return sorted((levels[j], targets[order[c]]) for c, j in zip(pivots, rows))
+
+
+def relabelled(tot, levels, rng):
+    """Each T^n's coordinates in a seeded random order: degree -> (d_n,
+    source levels), both relabelled."""
+    perm = {n: rng.sample(range(len(lv)), len(lv)) for n, lv in levels.items()}
+    out = {}
+    for n, lv in levels.items():
+        d, rows = tot.differential(n), perm.get(n + 1, [])
+        moved = Matrix(d.rows, d.cols, {(rows[i], perm[n][j]): v for (i, j), v in d.entries.items()})
+        source = [0] * len(lv)
+        for j, level in enumerate(lv):
+            source[perm[n][j]] = level
+        out[n] = moved, source
+    return out
+
+
+def test_pairs_match_the_unpeeled_reduction_with_and_without_clearing():
+    """filtered_pivots, which peels by level and clears the coordinates that
+    the previous degree's pairs end at, gives every d_n the level pairs of
+    the plain filtered reduction: both filtrations, on the property suite,
+    nil4 and nil5, and again with every T^n's coordinates in a seeded
+    random order."""
+    rng = random.Random(2011)
+    cleared_any = 0
+    for a in property_complexes() + [model(NIL4, "nil4"), model(NIL5, "nil5")]:
+        tot = Totalization(a)
+        for direction in ("column", "row"):
+            levels = filtration_levels(a, direction)
+            want = {n: unpeeled_pairs(tot.differential(n), levels[n], levels.get(n + 1, []))
+                    for n in levels}
+            plain = {n: (tot.differential(n), levels[n]) for n in levels}
+            for labelled in (plain, relabelled(tot, levels, rng)):
+                hit = {}
+                for n in tot.degrees():
+                    d, source = labelled[n]
+                    target = labelled[n + 1][1] if n + 1 in labelled else []
+                    assert level_pairs(filtered_pivots(d, source, target), source, target) == want[n]
+                    cleared = hit.pop(n, set())
+                    pairs = filtered_pivots(d, source, target, cleared)
+                    assert level_pairs(pairs, source, target) == want[n], (direction, n)
+                    hit[n + 1] = {i for _, i in pairs}
+                    cleared_any += len(cleared)
+    assert cleared_any > 1000
+
+
+def test_no_cleared_coordinate_reaches_the_kernel():
+    """Each degree's reduction leaves out exactly the coordinates that the
+    previous degree's pairs end at (the degrees of these complexes have no
+    gap), and none of them is a row of a core handed to the kernel."""
+    checked = 0
+    for a in [model(NIL5, "nil5"), model(DIM6, "dim6")] + property_complexes()[-10:]:
+        for direction in ("column", "row"):
+            calls = call_log((filtered_pivots.__code__, _echelon.__code__), frolicher, a, direction)
+            before, cleared = None, set()
+            for name, args in calls:
+                if name == "filtered_pivots":
+                    want = set()
+                    if before is not None:
+                        want = {i for _, i in filtered_pivots(**before)}
+                    assert set(args["cleared"]) == want
+                    before, cleared = args, set(args["cleared"])
+                else:
+                    rows = {i for i, _ in args["m"].entries}
+                    assert rows and not rows & cleared
+                    checked += bool(cleared)
+    assert checked > 10
+
+
+def test_dim6_pages_and_core():
+    """On the dim-6 model E1 is the Dolbeault table and the E_infinity
+    totals are the Betti numbers; the level peel leaves it a core to
+    eliminate, where nil4 peels to nothing."""
+    a = model(DIM6, "dim6")
+    betti = betti_vector(model(DIM6, "dim6"))
+    assert calls_into(linalg._echelon.__code__, frolicher, a) > 0
+    assert calls_into(linalg._echelon.__code__, frolicher, model(NIL4, "nil4")) == 0
+    ss = frolicher(a)
+    assert ss.page(1) == dict(dolbeault(a).entries)
+    assert tuple(sum(v for (p, q), v in ss.e_infinity.items() if p + q == k)
+                 for k in range(len(betti))) == betti
 
 
 def test_dim5_nilmanifold_pages():

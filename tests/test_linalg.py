@@ -541,17 +541,77 @@ def leveled_cases():
         yield f"nil4 d_{n}", tot.differential(n).transpose(), levels
 
 
+def targeted_cases():
+    """leveled_cases() with a target level for each column, nondecreasing in
+    the column index: seeded for the random matrices, and for nil4's the
+    first index p of the target component."""
+    rng = random.Random(2011)
+    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    components = Totalization(a).components
+    for label, m, levels in leveled_cases():
+        if label.startswith("nil4 d_"):
+            n = int(label[len("nil4 d_"):])
+            targets = [p for p, q in components.get(n + 1, []) for _ in range(a.dim(p, q))]
+        else:
+            targets = sorted(rng.randrange(4) for _ in range(m.cols))
+        yield label, m, levels, targets
+
+
 def test_level_rule_gives_every_filtered_pivot_set():
     """For every level s, the pivots whose pivot row has level >= s are the
     pivot columns of the rows of level >= s, with and without the
-    Gauss-Jordan pass."""
-    for label, m, levels in leveled_cases():
-        found = filtered_pivots(m, levels)
+    Gauss-Jordan pass.  `filtered_pivots`, which peels before the forward
+    pass, pairs the same multiset of (level, target level)."""
+    for label, m, levels, targets in targeted_cases():
+        pivots, _, pivot_rows = _echelon(m, False, levels)
+        found = [(c, levels[i]) for c, i in zip(pivots, pivot_rows)]
         pivots, _, pivot_rows = _echelon(m, True, levels)
         assert [(c, levels[i]) for c, i in zip(pivots, pivot_rows)] == found, label
         for s in set(levels):
             rows = Matrix.from_rows([m.row(i) for i, level in enumerate(levels) if level >= s])
             assert tuple(c for c, level in found if level >= s) == pivot_columns(rows), (label, s)
+        pairs = filtered_pivots(m.transpose(), levels, targets)
+        assert (sorted((levels[j], targets[i]) for j, i in pairs)
+                == sorted((level, targets[c]) for c, level in found)), label
+
+
+def test_filtered_pivots_ignore_the_order_of_rows_and_columns():
+    """With its sources and its targets each in a seeded random order, and
+    their levels moved along, a level case pairs the same multiset of
+    (level, target level) as the forward pass on it unpeeled."""
+    rng = random.Random(2014)
+    for label, m, levels, targets in targeted_cases():
+        pivots, _, pivot_rows = _echelon(m, False, levels)
+        want = sorted((levels[i], targets[c]) for c, i in zip(pivots, pivot_rows))
+        for _ in range(2):
+            rows, cols = rng.sample(range(m.rows), m.rows), rng.sample(range(m.cols), m.cols)
+            d = Matrix(m.cols, m.rows, {(cols[j], rows[i]): v for (i, j), v in m.entries.items()})
+            source, target = [0] * m.rows, [0] * m.cols
+            for i in range(m.rows):
+                source[rows[i]] = levels[i]
+            for j in range(m.cols):
+                target[cols[j]] = targets[j]
+            pairs = filtered_pivots(d, source, target)
+            assert sorted((source[j], target[i]) for j, i in pairs) == want, label
+
+
+def test_the_level_peel_needs_both_rules():
+    """Without its level tests the peel would pair a row singleton under a
+    deeper row of its column, or a column singleton beside a column of lower
+    target in its row.  Here each rule holds back the one singleton that
+    would break the pairs, and the pairs stay those of the forward pass."""
+    one = gauss(1)
+    # Row 0 (level 0) is a singleton in column 0, which row 1 (level 1)
+    # also holds: the pairs are (1, 0) and (0, 1), not (0, 0) and (1, 1).
+    rows_case = Matrix(2, 2, {(0, 0): one, (1, 0): one, (1, 1): one})
+    # Columns 1 and 2 are singletons in rows 0 and 1, which both hold
+    # column 0 (target 0): the pairs are (0, 0) and (0, 1), not (0, 2).
+    cols_case = Matrix(2, 3, {(0, 0): one, (0, 1): one, (1, 0): one, (1, 2): one})
+    for m, levels, targets in ((rows_case, [0, 1], [0, 1]), (cols_case, [0, 0], [0, 1, 2])):
+        pivots, _, pivot_rows = _echelon(m, False, levels)
+        want = sorted((levels[i], targets[c]) for c, i in zip(pivots, pivot_rows))
+        pairs = filtered_pivots(m.transpose(), levels, targets)
+        assert sorted((levels[j], targets[i]) for j, i in pairs) == want
 
 
 def one_touch_matrix(shape, n):
