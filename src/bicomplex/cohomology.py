@@ -66,8 +66,9 @@ rank(in), with each nonzero differential ranked once: the row table ranks
 the blocks of d1 itself.  `linalg.rank` peels singleton rows and columns
 before it eliminates, reading only where the entries are; on the Koszul
 differentials of the nilmanifold models almost nothing is left to
-eliminate.  TABLES maps each of the five kinds to its function, and every
-caller dispatches through it.
+eliminate, and a core with no zero entry is eliminated on lists.  TABLES
+maps each of the five kinds to its function, and every caller dispatches
+through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
 share, each part made on first use: the Totalization, the rank of each total
@@ -97,7 +98,8 @@ complex's spaces twice, and the induced Dolbeault map after the E1 test
 eliminates nothing.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
-peel, then the sparsest-row rule on the core) and stores them.
+peel, then one-step Bareiss on lists if the core has no zero entry, or else
+the sparsest-row rule on it) and stores them.
 `bott_chern` reads the rank of d1 d2 into (p, q) and `aeppli` that of d1 d2
 out of (p, q), so whichever runs second ranks no product.  The Analysis is
 kept on the complex and dies with it; an equal complex built separately

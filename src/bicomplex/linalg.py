@@ -38,7 +38,12 @@ representatives on its Analysis and calls `_induced_map` itself;
 `complexes.quotient` reads its chosen vectors and the inverse of its frame
 from one RREF of [block | I] in the same way.
 
-Every elimination runs through one fraction-free kernel, `_echelon`:
+Every elimination that yields pivots runs through one fraction-free
+kernel, `_echelon`.  `rank`, which needs none, has two routes after its
+peel (below), picked by counting entries: a block whose entries number its
+rows times its columns, the whole input or the peel core, goes to
+`_dense_rank`, one-step Bareiss on lists, and every other core to
+`_echelon`.  The kernel:
 
   * the rows of the form are held as dicts col -> (re, im), one for each
     nonzero row only;
@@ -84,9 +89,17 @@ pre-pass of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO
 1990; Dumas & Villard, CASC 2002): a row or column with one nonzero entry
 counts 1 and drops out with that entry's column or row, until none is left.
 The peel reads only where the entries are, so it does no arithmetic, and
-only the core left over goes to the forward pass.  The Koszul differentials
-of the nilmanifold models peel almost to nothing: their tables reach the
-kernel a handful of times, and the coefficient growth of Bareiss with them.
+only the core left over is eliminated.  The Koszul differentials of the
+nilmanifold models peel almost to nothing: their tables reach the kernel a
+handful of times, and the coefficient growth of Bareiss with them.  A core
+with every entry nonzero on its rows and columns, which a matrix with no
+zero entry is from the start, is ranked by `_dense_rank`: the lines of its
+shorter side as lists, every live row updated at every step, with none of
+the kernel's buckets, heap, lazy divisors or lone pivots, which on the
+small dense blocks of random complexes in random coordinates cost more
+than the arithmetic (one `random` bench pass ranks 319 such blocks, most of
+them 2 x 2 to 5 x 3).  Any other core goes to the kernel's forward pass; a
+sparse core held as lists would cost memory quadratic in its size.
 `filtered_pivots` needs only how many pivots pair each level with each
 target level, and peels too.  There `_peel` takes a level per row and a
 target per column: a row singleton is peeled only if no deeper row shares
@@ -648,8 +661,7 @@ def _peel(positions: Iterable[tuple[int, int]], levels: Sequence[int] | None = N
 
 
 def rank(m: Matrix) -> int:
-    """Rank of m: the singletons peeled, plus the pivots of the forward pass
-    on the core left over.
+    """Rank of m: the singletons peeled, plus the rank of the core left over.
 
     A row singleton, a row whose only nonzero is at column j, clears column
     j from every other row by row operations that change nothing else, so
@@ -659,8 +671,10 @@ def rank(m: Matrix) -> int:
     and may make new singletons; a work list peels until none is left
     (`_peel`).  The peel only reads where the entries are, never their
     values, so it has no coefficient growth.  A nonzero matrix with one row
-    or one column has rank 1, and one with every entry nonzero (at least
-    2 x 2) has no singleton and goes straight to the kernel.
+    or one column has rank 1.  A matrix with every entry nonzero (at least
+    2 x 2) has no singleton and goes straight to `_dense_rank`, as does a
+    core with every entry nonzero on its rows and columns; any other core
+    goes to the forward pass of `_echelon`.
     """
     num = m._num
     if not num:
@@ -668,12 +682,85 @@ def rank(m: Matrix) -> int:
     if m.rows == 1 or m.cols == 1:
         return 1
     if len(num) == m.rows * m.cols:
-        return len(_echelon(m, reduce=False)[0])
+        return _dense_rank(num, range(m.rows), range(m.cols))
     pairs, rows, cols = _peel(num)
     if not rows:
         return len(pairs)
+    # rows holds, for each row of the core, the core's columns it has an entry in.
+    if sum(map(len, rows.values())) == len(rows) * len(cols):
+        return len(pairs) + _dense_rank(num, list(rows), list(cols))
     core = {(i, j): v for (i, j), v in num.items() if i in rows and j in cols}
     return len(pairs) + len(_echelon(_matrix(m.rows, m.cols, 1, core), reduce=False)[0])
+
+
+def _dense_rank(num: Entries, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """Rank of the block of num at rows x cols, each of whose entries is
+    nonzero, by one-step Bareiss elimination on lists (Bareiss, Math. Comp.
+    1968).
+
+    The lines of the shorter side are held as lists of (re, im): a tall
+    block is transposed, which keeps its rank.  On an m x n block with
+    m > n, a pass that updates each row from its pivot column on makes about
+    r (m - n) more entry updates than on the transpose.  Each column in turn
+    takes the first live row with a nonzero entry there as its pivot row,
+    and `_bareiss_step` replaces every other live row t by
+    (pv t - c piv) / prev over Z[i], where pv is the pivot entry, c is t's
+    entry in the column and prev the pivot entry of the step before (1 at
+    the first), and drops the rows that become zero.  A column with no
+    nonzero live entry is skipped and leaves prev as it was.  The rank is
+    the number of pivots.
+
+    Each division is exact.  Every live row is updated at every step, so
+    after pivots in columns c_1 < ... < c_k from pivot rows p_1, ..., p_k,
+    the entry of a live row t in a later column j is, by Sylvester's
+    identity, the minor of the input on rows p_1, ..., p_k, t and columns
+    c_1, ..., c_k, j, and prev is the leading minor on p_1, ..., p_k and
+    c_1, ..., c_k.  A skipped column adds no row and no column to either,
+    so prev stays, and a row that becomes zero stays zero, so dropping it
+    changes no other row.  The numerator pv t - c piv of the next step is
+    prev times such a (k + 2)-minor, a Z[i] multiple of prev.
+    """
+    if len(rows) <= len(cols):
+        lines = [[num[i, j] for j in cols] for i in rows]
+    else:
+        lines = [[num[i, j] for i in rows] for j in cols]
+    prev = (1, 0)
+    pivots = 0
+    while lines and lines[0]:
+        for k, t in enumerate(lines):
+            if t[0] != (0, 0):
+                break
+        else:
+            lines = [t[1:] for t in lines]
+            continue
+        piv = lines.pop(k)
+        lines = _bareiss_step(lines, piv, prev)
+        prev = piv[0]
+        pivots += 1
+    return pivots
+
+
+def _bareiss_step(lines: list[list[tuple[int, int]]], piv: list[tuple[int, int]],
+                  prev: tuple[int, int]) -> list[list[tuple[int, int]]]:
+    """One step of `_dense_rank`: for each row t of lines, with c its first
+    entry and pv piv's, the entries after the first of (pv t - c piv) / prev
+    over Z[i], the rows that become zero left out.  The caller guarantees
+    that the division is exact."""
+    (pr, pi), tail = piv[0], piv[1:]
+    dr, di = prev
+    n = dr * dr + di * di
+    whole = prev == (1, 0)
+    out = []
+    for t in lines:
+        cr, ci = t[0]
+        new = []
+        for (a, b), (u, v) in zip(t[1:], tail):
+            x = pr * a - pi * b - cr * u + ci * v
+            y = pr * b + pi * a - cr * v - ci * u
+            new.append((x, y) if whole else ((x * dr + y * di) // n, (y * dr - x * di) // n))
+        if new.count((0, 0)) < len(new):
+            out.append(new)
+    return out
 
 
 def filtered_pivots(d: Matrix, levels: Sequence[int], targets: Sequence[int],

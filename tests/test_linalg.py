@@ -707,6 +707,166 @@ def test_rank_peels_without_arithmetic():
             assert calls_into(helper.__code__, rank, m) == 0, helper.__name__
 
 
+def dense_cases():
+    """(label, matrix) pairs with every entry nonzero: square, tall and wide;
+    of full rank and of deficient rank; with small and with 100-bit Gaussian
+    entries.  In the "skipped column" ones, the lines that `_dense_rank`
+    holds (the rows, or the columns of a tall matrix) have a column with no
+    nonzero live entry after the first pivot and, from 3 x 4 on, another
+    after the second."""
+    rng = random.Random(1968)
+
+    def small():
+        return rng.choice(GAUSSIAN_POOL)
+
+    def big():
+        return gauss(rng.randrange(1, 2 ** 100), rng.randrange(-2 ** 100, 2 ** 100))
+
+    def full(rows, cols, pick):
+        return Matrix(rows, cols, {(i, j): pick() for i in range(rows) for j in range(cols)})
+
+    def skipping(rows, cols, pick):
+        # A rows x cols matrix, rows <= cols, whose column 1 is a multiple
+        # of column 0, skipped after the first pivot, and whose column 3, if
+        # there is one, is a sum of multiples of the pivot columns 0 and 2,
+        # skipped after the second.
+        m = [[pick() for _ in range(cols)] for _ in range(rows)]
+        a, b, c = pick(), pick(), pick()
+        for row in m:
+            row[1] = a * row[0]
+            if cols > 3:
+                row[3] = b * row[0] + c * row[2]
+        return Matrix.from_rows(m)
+
+    shapes = [(2, 2), (3, 3), (5, 5), (8, 8), (2, 3), (2, 7), (3, 5), (4, 9),
+              (3, 2), (7, 2), (5, 3), (9, 4)]
+    for rows, cols in shapes:
+        short, long = min(rows, cols), max(rows, cols)
+        for size, pick in (("small", small), ("100-bit", big)):
+            for k in range(4):
+                kinds = {
+                    "full": lambda: full(short, long, pick),
+                    "rank 1": lambda: full(short, 1, pick) @ full(1, long, pick),
+                    f"rank {short - 1}": lambda: (full(short, short - 1, pick)
+                                                  @ full(short - 1, long, pick)),
+                    "skipped column": lambda: skipping(short, long, pick),
+                }
+                for kind, draw in kinds.items():
+                    m = draw()
+                    while len(m.entries) < rows * cols:  # redraw until dense
+                        m = draw()
+                    if rows > cols:
+                        m = m.transpose()
+                    yield f"{kind} {rows}x{cols}, {size} {k}", m
+
+
+def dense_table_inputs():
+    """The matrices that the five tables of nil4, nil5 and the property
+    suite, and of their duals dual(a, 5), hand to `rank` and that `rank`
+    ranks by `_dense_rank`, on its whole input or on its peel core."""
+    complexes = property_complexes()
+    complexes += [dual(a, 5) for a in complexes]
+    return [m for m in handed_to_rank(run_tables, complexes, TABLES.values())
+            if calls_into(linalg._dense_rank.__code__, rank, m)]
+
+
+def test_dense_rank_matches_fraction_free_oracle():
+    """On dense matrices, and on seeded row and column permutations of the
+    matrices that the tables hand to the dense route, `rank` equals
+    `bareiss_rank` of tests/oracles.py."""
+    rng = random.Random(1990)
+    cases = list(dense_cases())
+    table_inputs = dense_table_inputs()
+    assert len(table_inputs) >= 300
+    cases += [(f"table {m.rows}x{m.cols}, permuted", permuted(m, rng))
+              for m in table_inputs for _ in range(2)]
+    deficient = 0
+    for label, m in cases:
+        want = bareiss_rank([m.row(i) for i in range(m.rows)])
+        assert rank(m) == want, label
+        deficient += want < min(m.rows, m.cols)
+    assert deficient >= 150
+
+
+def test_rank_dispatches_dense_blocks_to_lists():
+    """A matrix with no zero entry, or whose peel core has none, is ranked
+    on lists by `_dense_rank` and never reaches `_echelon`; a matrix with a
+    sparse core reaches `_echelon` once."""
+    a, b, c, d, e, f = (gauss(2, 1), gauss(1, -2), gauss(3), gauss(-1, 1),
+                        gauss(Fraction(1, 3)), gauss(0, 5))
+    dense = Matrix.from_rows([[a, b, c], [d, e, f], [b, c, a], [e, f, d]])
+    # Column 2 is a singleton: it peels with row 2, and rows 0, 1 by
+    # columns 0, 1 are the core, dense.
+    dense_core = Matrix.from_rows([[a, b, 0], [c, d, 0], [e, 0, f]])
+    # Two entries in every row and every column, three zeros: nothing peels.
+    sparse_core = Matrix.from_rows([[a, b, 0], [0, c, d], [e, 0, f]])
+    for m, want, routes in ((dense, 3, (1, 0)), (dense_core, 3, (1, 0)),
+                            (sparse_core, 3, (0, 1))):
+        assert rank(m) == want == bareiss_rank([m.row(i) for i in range(m.rows)])
+        got = tuple(calls_into(fn.__code__, rank, m) for fn in (linalg._dense_rank, _echelon))
+        assert got == routes, (m, got)
+
+
+def test_dense_rank_updates_each_other_live_row_once_per_pivot(monkeypatch):
+    """On a dense matrix of full rank, each step updates every live row but
+    the pivot row, and on a tall one the lines are the columns: a 6 x 6
+    matrix and a 9 x 4 one (four lines of nine) update 5 + 4 + 3 + 2 + 1 + 0
+    and 3 + 2 + 1 + 0 rows."""
+    step = linalg._bareiss_step
+    updated = []
+
+    def recording(lines, piv, prev):
+        updated.append((len(lines), len(piv)))
+        return step(lines, piv, prev)
+
+    monkeypatch.setattr(linalg, "_bareiss_step", recording)
+    rng = random.Random(6)
+    for rows, cols in ((6, 6), (9, 4)):
+        m = Matrix(rows, cols, {(i, j): gauss(rng.randint(1, 9), rng.randint(-9, 9))
+                                for i in range(rows) for j in range(cols)})
+        updated.clear()
+        assert rank(m) == cols
+        short, long = min(rows, cols), max(rows, cols)
+        assert updated == [(short - 1 - k, long - k) for k in range(short)], (rows, cols)
+
+
+def test_every_dense_division_is_exact(monkeypatch):
+    """`_bareiss_step` floors when it divides (pv t - c piv) by prev; here
+    each numerator is rebuilt from the arguments and its zero remainder
+    asserted, over the dense cases, and over every dense matrix or dense
+    peel core that the tables and the Frolicher pages of nil4, nil5 and the
+    property suite rank.  Steps after a skipped column are among them."""
+    step = linalg._bareiss_step
+    divisions = after_skip = 0
+    width = None
+
+    def checked(lines, piv, prev):
+        nonlocal divisions, after_skip, width
+        (pr, pi), (dr, di) = piv[0], prev
+        n = dr * dr + di * di
+        for t in lines:
+            (cr, ci) = t[0]
+            for (a, b), (u, v) in zip(t[1:], piv[1:]):
+                x, y = pr * a - pi * b - cr * u + ci * v, pr * b + pi * a - cr * v - ci * u
+                assert (x * dr + y * di) % n == 0 == (y * dr - x * di) % n, prev
+                divisions += prev != (1, 0)
+        # A step's rows start at its pivot column, so a pivot row shorter
+        # than the rows the step before left follows a skipped column.
+        if prev != (1, 0) and len(piv) < width:
+            after_skip += 1
+        width = len(piv) - 1
+        return step(lines, piv, prev)
+
+    monkeypatch.setattr(linalg, "_bareiss_step", checked)
+    for label, m in dense_cases():
+        rank(m)
+    assert after_skip >= 100
+    assert divisions > 3000
+    divisions = 0
+    run_tables(property_complexes(), (*TABLES.values(), frolicher))
+    assert divisions >= 400
+
+
 def test_every_bareiss_division_is_exact(monkeypatch):
     """`_combine` floors when it divides (row s - piv c) by d; here each
     numerator is rebuilt from the arguments and its zero remainder asserted,
