@@ -96,6 +96,19 @@ on the Morphism by kind.  The E1-isomorphism test, `is_E1_isomorphism`,
 reads its witnesses off the induced Dolbeault map, so neither reduces a
 complex's spaces twice, and the induced Dolbeault map after the E1 test
 eliminates nothing.
+On a Lie-algebra model of complex dimension n that `validate` has found
+valid, a rank not read from its mirror is read from its Serre partner:
+the block of the same kind at (n - p - 1, n - q) for d1, (n - p, n - q - 1)
+for d2 and (n - p - 1, n - q - 1) for d1 d2, [d1 | d2] into (n - p, n - q)
+for [d1; d2] out of (p, q) and back, and d_{2n-1-k} for d_k; `frolicher`
+reduces only d_0 ... d_{n-1} and mirrors the rest, a pair of levels
+(s, t) giving one of levels (n - t, n - s).  The Serre pairing A ->
+dual(A, n) has signed-permutation blocks, and where it is a morphism of
+double complexes each block is its partner's transpose between them.  That
+holds for unimodular Lie algebras only, so it is checked once per complex
+on the stored blocks, with no product, before the first partner is read
+(the proofs are in `Analysis` and `frolicher`).  The five tables of a
+validated nil5 then rank 40 blocks, against 75 with the mirror alone.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
 peel, then one-step Bareiss on lists if the core has no zero entry, or else
@@ -282,6 +295,56 @@ class Totalization:
 # of each kind at (p, q) to, up to invertible factors (see Analysis).
 _MIRROR = {"d1": "d2", "d2": "d1", "d1;d2": "d1;d2", "d1|d2": "d1|d2", "d1d2": "d1d2"}
 
+# The Serre partner of each kind on a model of complex dimension n: the
+# block of kind at (p, q) is the transpose of the block of the named kind at
+# (n - p + dp, n - q + dq), up to signed permutations (see Analysis).
+_SERRE = {"d1": ("d1", -1, 0), "d2": ("d2", 0, -1), "d1;d2": ("d1|d2", 0, 0),
+          "d1|d2": ("d1;d2", 0, 0), "d1d2": ("d1d2", -1, -1)}
+
+
+def _serre_pairing_holds(a: DoubleComplex) -> bool:
+    """Whether the Serre pairing of a Lie-algebra model, A -> dual(A, n), is
+    a morphism of double complexes, decided on the stored blocks with no
+    product.
+
+    Write c(w) for the index of the complement top ^ w of a monomial w and
+    (-1)^eps(w) for the sign of w ^ (top ^ w).  The Koszul count of that
+    wedge is the sum of the bit positions of w less k(k - 1)/2, k the number
+    of letters of w, so eps(w) is the parity of the odd bits of w plus
+    k(k - 1)/2.  The pairing sends w to (-1)^eps(w) times the dual vector of
+    c(w), and it commutes with d1 at (p, q) exactly when entry (i, j) of
+    d1^{p,q} reappears at (c(j), c(i)) of its partner d1^{n-p-1,n-q} times
+    (-1)^{p+q+1} (-1)^{eps(w_i)+eps(w_j)}, w_i and w_j the monomials of row i
+    and column j; likewise for d2 with the partner d2^{n-p,n-q-1}.  That
+    map of positions is one to one, so with equal denominators and equal
+    numbers of nonzero entries it decides the equality entry by entry.  The
+    rule is symmetric in the two partners, so each pair is compared once.
+    """
+    n, words, index = a._serre
+    top = (1 << 2 * n) - 1
+    odd = sum(1 << bit for bit in range(1, 2 * n, 2))
+    complement, sign = {}, {}
+    for ws in words.values():
+        for w in ws:
+            k = w.bit_count()
+            complement[w] = index[top ^ w]
+            sign[w] = -1 if ((w & odd).bit_count() + k * (k - 1) // 2) & 1 else 1
+    for stored, (dp, dq) in ((a.d1, (1, 0)), (a.d2, (0, 1))):
+        for (p, q), m in stored.items():
+            partner_pq = (n - p - dp, n - q - dq)
+            partner = stored.get(partner_pq)
+            if partner is None or partner._den != m._den or len(partner._num) != len(m._num):
+                return False
+            if partner_pq < (p, q):
+                continue
+            e = 1 if (p + q) % 2 else -1
+            src, tgt, found = words[(p, q)], words[(p + dp, q + dq)], partner._num
+            for (i, j), (x, y) in m._num.items():
+                s = e * sign[src[j]] * sign[tgt[i]]
+                if found.get((complement[src[j]], complement[tgt[i]])) != (s * x, s * y):
+                    return False
+    return True
+
 
 class Analysis:
     """What the tables of one complex share, each part made on first use.
@@ -324,6 +387,46 @@ class Analysis:
     of (q, p).  Then `conjugate_dolbeault` after `dolbeault` ranks nothing,
     and `bott_chern` and `aeppli` rank about half their blocks.
 
+    The Serre rule.  On a Lie-algebra model of complex dimension n that
+    `validate` has found valid, a rank at (p, q) not found from its mirror
+    reads the rank stored for its Serre partner (`_SERRE`): d1 out of
+    (n-p-1, n-q), d2 out of (n-p, n-q-1), [d1 | d2] into (n-p, n-q) for
+    [d1; d2] out of (p, q) and back, and d1 d2 out of (n-p-1, n-q-1); and
+    rank d_k reads rank d_{2n-1-k}.  This is exact once the Serre pairing
+    P: A -> dual(A, n) is a morphism of double complexes.  P^{p,q} sends a
+    monomial w to +-1 times the dual vector of its complement top ^ w, so
+    every block of P is a signed permutation and P is an isomorphism of
+    double complexes.  The dual's d1 at (p, q) is e T(d1^{n-p-1,n-q}), with
+    T the transpose and e = (-1)^{p+q+1}, so P d1 = d1' P reads
+    d1^{p,q} = e (P^{p+1,q})^-1 T(d1^{n-p-1,n-q}) P^{p,q}: the transpose of
+    the partner between signed permutations, of equal rank.  d2 is the
+    same with the partner at (n-p, n-q-1).  Stacking the two gives
+    [d1; d2] out of (p, q) as the transpose of [d1 | d2] into (n-p, n-q)
+    between block-diagonal signed permutations.  The product gives
+    d1 d2 out of (p, q) as the transpose of d2 d1 out of (n-p-1, n-q-1),
+    which is -(d1 d2) there on a valid complex.  Totalized, P is a signed
+    permutation T^k -> (T^{2n-k})*, and the dual's total differential in
+    degree k is (-1)^{k+1} T(d_{2n-1-k}) with its components reordered, so
+    rank d_k = rank d_{2n-1-k}.  The five tables of a validated nil5 rank
+    40 blocks with both rules, 75 with the mirror rule alone.
+
+    Why a check, and not the model's unimodularity.  P is a morphism
+    exactly when the top coefficient of every exact form vanishes, which
+    holds for unimodular Lie algebras, nilpotent ones among them.  But the
+    builder accepts any structure equations with d^2 = 0, and some
+    validate without it: d b = a ^ b validates, its pairing is no
+    morphism, and partner ranks would give de Rham {0: 1, 1: 2, 2: 2,
+    3: 2, 4: 1} instead of {0: 1, 1: 2, 2: 1}.  So before the first rank
+    is read from a partner, `serre_holds` checks on the stored blocks the
+    very identity the proof uses, that each d1 and d2 block is its
+    partner's signed transpose (`_serre_pairing_holds`).  That is the
+    commutation check of building P as a Morphism, with no product and no
+    dual complex built, and it is run once per complex, lazily, its
+    verdict kept.  Only `models.lie_algebra_model` records what it needs
+    (the complex's `_serre`); a shifted, dual, summed or reloaded copy
+    reads no partner, nor does a complex never validated or one whose
+    check fails.
+
     A valid complex, with or without sigma, also needs no containment
     product: [d1; d2] . d1 d2 = [d1 d1 d2; d2 d1 d2] and
     d1 d2 . [d1 | d2] = [d1 d2 d1 | d1 d2 d2] vanish by d1 d1 = 0,
@@ -340,6 +443,7 @@ class Analysis:
         self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
         self._reps: dict[tuple[str, object], Matrix] = {}
+        self._serre_holds: bool | None = None
 
     @classmethod
     def of(cls, a: DoubleComplex) -> "Analysis":
@@ -348,14 +452,47 @@ class Analysis:
         return a._analysis
 
     def total_rank(self, k: int) -> int:
-        """rank d_k: stored, or found by `linalg.rank` and stored."""
+        """rank d_k: stored, read from rank d_{2n-1-k} where the Serre rule
+        holds (see the class notes), or found by `linalg.rank` and stored."""
         if k not in self.total_ranks:
-            self.total_ranks[k] = rank(self.totalization.differential(k))
+            n = self.serre_dimension()
+            partner = None if n is None else self.total_ranks.get(2 * n - 1 - k)
+            if partner is not None and self.serre_holds():
+                self.total_ranks[k] = partner
+            else:
+                self.total_ranks[k] = rank(self.totalization.differential(k))
         return self.total_ranks[k]
 
     def valid(self) -> bool:
         """Whether `validate` has run on the complex and found nothing."""
         return self.complex._violations == ()
+
+    def serre_dimension(self) -> int | None:
+        """n, on a Lie-algebra model of complex dimension n that `validate`
+        has found valid; None on any other complex.  Its pairing is not
+        checked here (`serre_holds`)."""
+        serre = self.complex._serre
+        return serre[0] if serre is not None and self.valid() else None
+
+    def serre_holds(self) -> bool:
+        """Whether the Serre pairing of the complex, a Lie-algebra model, is
+        a morphism of double complexes: checked on the first call, with no
+        product (`_serre_pairing_holds`), and the verdict kept."""
+        if self._serre_holds is None:
+            self._serre_holds = _serre_pairing_holds(self.complex)
+        return self._serre_holds
+
+    def serre_rank(self, kind: str, p: int, q: int) -> int | None:
+        """The rank stored for the Serre partner of the `kind` block at
+        (p, q), where the Serre rule holds (see the class notes); None if
+        there is none, if the rule does not hold, or if the block is absent,
+        whose rank 0 needs no check."""
+        n = self.serre_dimension()
+        if n is None or self.absent(kind, p, q):
+            return None
+        other, dp, dq = _SERRE[kind]
+        found = self._ranks.get((other, n - p + dp, n - q + dq))
+        return found if found is not None and self.serre_holds() else None
 
     def absent(self, kind: str, p: int, q: int) -> bool:
         """Whether the `kind` block at (p, q) is zero because its parts are
@@ -404,17 +541,21 @@ class Analysis:
 
         A stored rank is read.  On a valid complex with a real structure, the
         rank stored for the mirror block at (q, p), if any, is read and
-        stored (see the class notes).  Otherwise a block with one part
-        present takes that part's rank (`only_part`), and `linalg.rank`
-        ranks any other: m, the block the caller has built, or the block
-        built here; a block whose parts are absent (`absent`) has rank 0
-        and is not built.
+        stored (see the class notes).  Failing that, a block not absent on
+        a valid Lie-algebra model reads the rank stored for its Serre
+        partner, if any and if the pairing checks.  Otherwise a block with
+        one part present takes that part's rank (`only_part`), and
+        `linalg.rank` ranks any other: m, the block the caller has built,
+        or the block built here; a block whose parts are absent (`absent`)
+        has rank 0 and is not built.
         """
         key = kind, p, q
         if key not in self._ranks:
             found = None
             if self.complex.sigma is not None and self.valid():
                 found = self._ranks.get((_MIRROR[kind], q, p))
+            if found is None:
+                found = self.serre_rank(kind, p, q)
             if found is None:
                 part = self.only_part(kind, p, q)
                 if part is not None:
@@ -652,6 +793,21 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     `linalg._echelon` with the source levels, its targets in order of
     level; on the row filtration, where components run by increasing p and
     so by decreasing q, that order is the reverse of the coordinates'.
+
+    Serre mirror.  On a Lie-algebra model of complex dimension N whose
+    Serre rule holds (see `Analysis`), only d_0 ... d_{N-1} are reduced,
+    in the order above, with their clearing; for k >= N, a pair of
+    d_{2N-1-k} with levels (s, t) gives a pair of d_k with levels
+    (N - t, N - s), of the same length.  The pairing makes d_k the
+    transpose of d_{2N-1-k} between signed permutations that send a
+    component (p, q) to (N - p, N - q).  So the sources of d_k of level
+    >= a are the targets of d_{2N-1-k} of level <= N - a, and the targets
+    of level < b its sources of level > N - b; hence
+    rho_k(a, b) = rho_{2N-1-k}(N - b + 1, N - a + 1).  A pair (s', t')
+    of d_{2N-1-k} counts in the right side exactly when s' >= N - b + 1
+    and t' < N - a + 1, that is, when (N - t', N - s') counts in
+    rho_k(a, b); the pair counts at every (a, b) fix the pairs' levels, so
+    these are d_k's.  The row filtration is the same with q for p.
     """
     if direction not in ("column", "row"):
         raise ValueError("direction must be 'column' or 'row'")
@@ -674,12 +830,22 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     ends = {pq: [0] * last for pq in a.dims}
     # Degree -> the coordinates of T^n that d_{n-1}'s pairs end at.
     hit: dict[int, set[int]] = {}
+    # Degree -> its pairs counted by (source level, target level).
+    found: dict[int, dict[tuple[int, int], int]] = {}
+    # N, the complex dimension, where the Serre mirror may apply.
+    serre_n = memo.serre_dimension()
     for n in tot.degrees():
-        source, target = levels[n], levels.get(n + 1, [])
-        pairs = filtered_pivots(tot.differential(n), source, target, hit.pop(n, ()))
-        memo.total_ranks[n] = len(pairs)
-        hit[n + 1] = {i for _, i in pairs}
-        for (s, t), count in Counter((source[j], target[i]) for j, i in pairs).items():
+        if serre_n is not None and n >= serre_n and memo.serre_holds():
+            counts = {(serre_n - t, serre_n - s): count for (s, t), count
+                      in found.get(2 * serre_n - 1 - n, {}).items()}
+        else:
+            source, target = levels[n], levels.get(n + 1, [])
+            pairs = filtered_pivots(tot.differential(n), source, target, hit.pop(n, ()))
+            hit[n + 1] = {i for _, i in pairs}
+            counts = Counter((source[j], target[i]) for j, i in pairs)
+        found[n] = counts
+        memo.total_ranks[n] = sum(counts.values())
+        for (s, t), count in counts.items():
             if t - s < last:
                 ends[at(n, s)][t - s] += count
                 ends[at(n + 1, t)][t - s] += count

@@ -33,7 +33,10 @@ containment products that the axioms imply and read a rank from its
 mirror under the real structure.  A complex never validated, or one with a
 violation, gets no such shortcut.  `dual` of a complex whose recorded list
 is empty records the empty list too: each axiom of the dual is the
-transpose of one of the original's (the proof is in `dual`).
+transpose of one of the original's (the proof is in `dual`).  A complex
+built by `models.lie_algebra_model` also carries its complex dimension and
+monomials, from which the Analysis checks the Serre pairing before it reads
+a rank from a Serre partner; every construction here starts without them.
 
 Sign conventions fixed here and relied on everywhere else:
 
@@ -130,12 +133,17 @@ class DoubleComplex:
     labels: Mapping[BiDegree, tuple[str, ...]] | None = None
     # Memos that live and die with this complex, not part of its value: the
     # zero block of each shape that an absent block reads as, the
-    # cohomology.Analysis of the complex, made on first use, and the
-    # violations `validate` found, None until it runs.
+    # cohomology.Analysis of the complex, made on first use, the
+    # violations `validate` found, None until it runs, and, on a
+    # Lie-algebra model only, what the Analysis needs to check its Serre
+    # pairing: (n, monomials by bidegree, index of each monomial), set by
+    # `models.lie_algebra_model`.
     _zeros: dict[tuple[int, int], Matrix] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
     _violations: tuple[Violation, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _serre: tuple[int, Mapping[BiDegree, tuple[int, ...]], Mapping[int, int]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -626,16 +634,6 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     if a._violations == ():
         object.__setattr__(out, "_violations", ())
     return out
-
-
-def rescale(a: DoubleComplex, unit: Callable[[int, int], int]) -> DoubleComplex:
-    """Conjugate by the diagonal family unit(p, q) * id (unit must be +-1)."""
-    d1 = {pq: m.scale(unit(pq[0] + 1, pq[1]) * unit(*pq)) for pq, m in a.d1.items()}
-    d2 = {pq: m.scale(unit(pq[0], pq[1] + 1) * unit(*pq)) for pq, m in a.d2.items()}
-    sigma = None
-    if a.sigma is not None:
-        sigma = {pq: m.scale(unit(pq[1], pq[0]) * unit(*pq)) for pq, m in a.sigma.items()}
-    return DoubleComplex(dict(a.dims), d1, d2, sigma, a.labels)
 
 
 def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:

@@ -57,11 +57,13 @@ Letter = tuple[int, int]
 
 # The largest monomial basis lie_algebra_model builds: 4^n for complex
 # dimension n, so n <= 7.  Every preset, demo and test model and the
-# benchmark's dim-5 nilmanifold (4^5 = 1024) fit.  A dim-7 nilmanifold
-# (16384 monomials) builds in 0.14 to 0.22 s and the command line prints
-# every table of it in 2.5 to 3.4 s within 39 MB (2-core Xeon, Python 3.11);
-# each further dimension multiplies the basis by 4 and the time by about 5,
-# and dimension 10 (4^10, about a million monomials) would not finish.
+# benchmark's dim-5 nilmanifold (4^5 = 1024) fit.  The command line prints
+# every table of a dim-7 nilmanifold (16384 monomials) in 0.5 to 0.8 s
+# within 35 MB (2-core Xeon, Python 3.11.7).  The dim-8 one, with the cap
+# raised in the measuring process, gets every table in 26 to 31 s within
+# 125 MB, nearly all of it in the Frolicher reductions of its middle
+# degrees, and dimension 10 (4^10, about a million monomials) would not
+# finish.
 MAX_MODEL_BASIS = 4 ** 7
 
 # The largest m for which a truncated_polynomial model builds projective
@@ -72,9 +74,9 @@ MAX_PROJECTIVE_DIMENSION = 400
 
 # The most shifted copies the command line builds: `projbundle --rank n`
 # takes n copies of the base, `blowup --codim r` r - 1 copies of the center.
-# 128 copies of the 64-dimensional Iwasawa model get every table in 4.1 s
-# within 32 MB (same host); the time grows about as the square of the count
-# (256 copies: 15.6 s) and with the size of the copied complex.
+# 128 copies of the 64-dimensional Iwasawa model get every table in 0.6 to
+# 0.8 s within 25 MB (same host), and 64 copies in 0.24 s; the time grows
+# faster than the count, and with the size of the copied complex.
 MAX_SHIFTED_COPIES = 128
 
 # The window a serialized complex and `random --window` must lie in: every
@@ -536,7 +538,10 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
         for pq, words in monomials.items()
     }
     complex = DoubleComplex(dims, d1, d2, sigma, labels)
-    return AlgebraModel(complex, (n, n), "lie_algebra", monomials)
+    model = AlgebraModel(complex, (n, n), "lie_algebra", monomials)
+    # What cohomology.Analysis needs to check the Serre pairing, on first use.
+    object.__setattr__(complex, "_serre", (n, model._monomials, model._index))
+    return model
 
 
 def torus(n: int) -> AlgebraModel:
@@ -590,10 +595,11 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     The entry is the sign of their product, so each block is a signed
     permutation, built in O(dim).
 
-    For every model built here this is a valid morphism for the dual's sign
-    convention (the top coefficient of any exact form vanishes), and it is an
-    isomorphism on column cohomology; the construction fails loudly if a
-    hand-made model breaks that.
+    For the presets and every model of a unimodular Lie algebra this is a
+    valid morphism for the dual's sign convention (the top coefficient of
+    any exact form vanishes), and an isomorphism of double complexes.  A
+    model that validates without it, such as d b = a ^ b, makes the
+    construction raise MorphismError.
     """
     tp, tq = model.top_index
     if tp != tq:

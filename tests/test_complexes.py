@@ -34,7 +34,7 @@ from bicomplex import (
     zigzag,
 )
 from bicomplex import complexes, linalg
-from bicomplex.complexes import ZERO_COMPLEX, rescale
+from bicomplex.complexes import ZERO_COMPLEX
 from bicomplex.linalg import Matrix
 from bicomplex.serialize import dumps_complex
 from call_counter import calls_into
@@ -42,6 +42,16 @@ from helpers import is_injective
 from reference_basis_change import reference_random_basis_change
 from reference_quotient import reference_quotient
 from test_acceptance import PROPERTY_CASES
+
+
+def rescale(a: DoubleComplex, unit) -> DoubleComplex:
+    """Conjugate by the diagonal family unit(p, q) * id (unit must be +-1)."""
+    d1 = {pq: m.scale(unit(pq[0] + 1, pq[1]) * unit(*pq)) for pq, m in a.d1.items()}
+    d2 = {pq: m.scale(unit(pq[0], pq[1] + 1) * unit(*pq)) for pq, m in a.d2.items()}
+    sigma = None
+    if a.sigma is not None:
+        sigma = {pq: m.scale(unit(pq[1], pq[0]) * unit(*pq)) for pq, m in a.sigma.items()}
+    return DoubleComplex(dict(a.dims), d1, d2, sigma, a.labels)
 
 
 def same_core(a, b, with_sigma=True):
