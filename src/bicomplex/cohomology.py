@@ -75,40 +75,45 @@ share, each part made on first use: the Totalization, the rank of each total
 differential, one rank memo for the blocks of the four bidegree tables, the
 products d1 d2 that a rank or a containment check needed, the cycles
 and boundaries of each kind at each bidegree or degree (`spaces`), and
-their coset representatives (`representatives`).  A block whose parts are
-all absent, or a d1 d2 with an absent factor, has rank 0 and is neither
-assembled nor multiplied (`Analysis.absent`).  The rank memo is keyed by
-block kind (d1, d2, [d1; d2], [d1 | d2], d1 d2) and bidegree.  A [d1; d2]
-or [d1 | d2] block with one part absent is not assembled: it has that
-part's rank, read under the part's own d1 or d2 key.  After the column and
-row tables, Bott-Chern and Aeppli therefore rank only the d1 d2 products
-and the blocks with both parts present.  On a complex with a real
-structure that `validate` has found valid, a rank is read from the one
-stored for its mirror at (q, p): sigma carries each block to its mirror's
-conjugate between invertible factors (the proof is in `Analysis`).  The
-row table after the column table then ranks nothing, and Bott-Chern and
-Aeppli rank about half their blocks.  `complexes.dual` of a complex found
-valid is known valid too, so its tables take the same shortcuts.
-`induced_cohomology_map` reads both sides' spaces from there, and the
-source's coset representatives, and reads each key's map off one
+their coset representatives (`representatives`).  The rank memo is keyed
+by block kind and bidegree, and `_KINDS` describes each of the five kinds
+once (d1, d2, [d1; d2] out, [d1 | d2] into, d1 d2 out): its parts, how
+they join, its sigma mirror and its Serre partner.  A block whose parts
+are all absent, or a d1 d2 with an absent factor, has rank 0 and is
+neither assembled nor multiplied (`Analysis.absent`).  A [d1; d2] or
+[d1 | d2] block with one part absent is not assembled: it has that part's
+rank, read under the part's own d1 or d2 key.  After the column and row
+tables, Bott-Chern and Aeppli therefore rank only the d1 d2 products and
+the blocks with both parts present.
+
+Ranks are shared along one orbit rule.  Two maps on keys keep rank: the
+mirror M, (p, q) -> (q, p), on a complex with a real structure that
+`validate` has found valid, and the Serre map S, (p, q) -> (n - p, n - q)
+with the shift `_KINDS` gives, on a Lie-algebra model of complex dimension
+n found valid whose Serre pairing checks (`Analysis.serre`).  Both are
+involutions and they commute, so a key's orbit is {k, Mk, Sk, MSk}
+(`Analysis.orbit`): a rank not stored is read from the first key of its
+orbit that is, and a rank found is stored under every key of it.  Total
+ranks do the same with d_k and d_{2n-1-k}, and `frolicher` reduces only
+d_0 ... d_{n-1} where S applies, a pair of levels (s, t) giving one of
+levels (n - t, n - s).  M keeps rank because sigma carries each block to
+its mirror's conjugate between invertible factors; S because the Serre
+pairing A -> dual(A, n) has signed-permutation blocks, and where it is a
+morphism of double complexes each block is its partner's transpose between
+them.  That holds for unimodular Lie algebras only, so
+`models._serre_pairing_holds` checks it once per complex on the stored
+blocks, with no product (the proofs are in `Analysis` and `frolicher`).
+The row table after the column table then ranks nothing, and the five
+tables of a validated nil5 rank 39 blocks, against 75 with the mirror alone
+and 129 never validated.  `complexes.dual` of a complex found valid is
+known valid too, so its tables take the mirror.
+`induced_cohomology_map` reads both sides' spaces from the Analysis, and
+the source's coset representatives, and reads each key's map off one
 elimination of the target frame (`linalg._induced_map`); the map is kept
 on the Morphism by kind.  The E1-isomorphism test, `is_E1_isomorphism`,
 reads its witnesses off the induced Dolbeault map, so neither reduces a
 complex's spaces twice, and the induced Dolbeault map after the E1 test
 eliminates nothing.
-On a Lie-algebra model of complex dimension n that `validate` has found
-valid, a rank not read from its mirror is read from its Serre partner:
-the block of the same kind at (n - p - 1, n - q) for d1, (n - p, n - q - 1)
-for d2 and (n - p - 1, n - q - 1) for d1 d2, [d1 | d2] into (n - p, n - q)
-for [d1; d2] out of (p, q) and back, and d_{2n-1-k} for d_k; `frolicher`
-reduces only d_0 ... d_{n-1} and mirrors the rest, a pair of levels
-(s, t) giving one of levels (n - t, n - s).  The Serre pairing A ->
-dual(A, n) has signed-permutation blocks, and where it is a morphism of
-double complexes each block is its partner's transpose between them.  That
-holds for unimodular Lie algebras only, so it is checked once per complex
-on the stored blocks, with no product, before the first partner is read
-(the proofs are in `Analysis` and `frolicher`).  The five tables of a
-validated nil5 then rank 40 blocks, against 75 with the mirror alone.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
 peel, then one-step Bareiss on lists if the core has no zero entry, or else
@@ -127,7 +132,7 @@ suite.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -146,6 +151,7 @@ from .linalg import (
     rank,
     vstack,
 )
+from .models import _serre_pairing_holds
 
 @dataclass(frozen=True)
 class CohomologyTable:
@@ -291,59 +297,26 @@ class Totalization:
                         [self.complex.dim(*pq) for pq in src], blocks)
 
 
-# The kind of block at (q, p) that a valid real structure carries the block
-# of each kind at (p, q) to, up to invertible factors (see Analysis).
-_MIRROR = {"d1": "d2", "d2": "d1", "d1;d2": "d1;d2", "d1|d2": "d1|d2", "d1d2": "d1d2"}
-
-# The Serre partner of each kind on a model of complex dimension n: the
-# block of kind at (p, q) is the transpose of the block of the named kind at
-# (n - p + dp, n - q + dq), up to signed permutations (see Analysis).
-_SERRE = {"d1": ("d1", -1, 0), "d2": ("d2", 0, -1), "d1;d2": ("d1|d2", 0, 0),
-          "d1|d2": ("d1;d2", 0, 0), "d1d2": ("d1d2", -1, -1)}
+def _product(blocks: list[Matrix]) -> Matrix:
+    first, second = blocks
+    return first @ second
 
 
-def _serre_pairing_holds(a: DoubleComplex) -> bool:
-    """Whether the Serre pairing of a Lie-algebra model, A -> dual(A, n), is
-    a morphism of double complexes, decided on the stored blocks with no
-    product.
-
-    Write c(w) for the index of the complement top ^ w of a monomial w and
-    (-1)^eps(w) for the sign of w ^ (top ^ w).  The Koszul count of that
-    wedge is the sum of the bit positions of w less k(k - 1)/2, k the number
-    of letters of w, so eps(w) is the parity of the odd bits of w plus
-    k(k - 1)/2.  The pairing sends w to (-1)^eps(w) times the dual vector of
-    c(w), and it commutes with d1 at (p, q) exactly when entry (i, j) of
-    d1^{p,q} reappears at (c(j), c(i)) of its partner d1^{n-p-1,n-q} times
-    (-1)^{p+q+1} (-1)^{eps(w_i)+eps(w_j)}, w_i and w_j the monomials of row i
-    and column j; likewise for d2 with the partner d2^{n-p,n-q-1}.  That
-    map of positions is one to one, so with equal denominators and equal
-    numbers of nonzero entries it decides the equality entry by entry.  The
-    rule is symmetric in the two partners, so each pair is compared once.
-    """
-    n, words, index = a._serre
-    top = (1 << 2 * n) - 1
-    odd = sum(1 << bit for bit in range(1, 2 * n, 2))
-    complement, sign = {}, {}
-    for ws in words.values():
-        for w in ws:
-            k = w.bit_count()
-            complement[w] = index[top ^ w]
-            sign[w] = -1 if ((w & odd).bit_count() + k * (k - 1) // 2) & 1 else 1
-    for stored, (dp, dq) in ((a.d1, (1, 0)), (a.d2, (0, 1))):
-        for (p, q), m in stored.items():
-            partner_pq = (n - p - dp, n - q - dq)
-            partner = stored.get(partner_pq)
-            if partner is None or partner._den != m._den or len(partner._num) != len(m._num):
-                return False
-            if partner_pq < (p, q):
-                continue
-            e = 1 if (p + q) % 2 else -1
-            src, tgt, found = words[(p, q)], words[(p + dp, q + dq)], partner._num
-            for (i, j), (x, y) in m._num.items():
-                s = e * sign[src[j]] * sign[tgt[i]]
-                if found.get((complement[src[j]], complement[tgt[i]])) != (s * x, s * y):
-                    return False
-    return True
+# The five kinds of block the bidegree tables rank, each at (p, q) (see
+# Analysis), and for each:
+#   parts   its parts, (d, dp, dq) the stored d1 or d2 block at (p + dp, q + dq);
+#   join    how the parts combine: None for a lone part, vstack, hstack or
+#           _product;
+#   mirror  the kind at (q, p) that a valid real structure carries it to;
+#   serre   (kind, dp, dq), its Serre partner at (n - p + dp, n - q + dq).
+_Kind = namedtuple("_Kind", "parts join mirror serre")
+_KINDS = {
+    "d1": _Kind((("d1", 0, 0),), None, "d2", ("d1", -1, 0)),
+    "d2": _Kind((("d2", 0, 0),), None, "d1", ("d2", 0, -1)),
+    "d1;d2": _Kind((("d1", 0, 0), ("d2", 0, 0)), vstack, "d1;d2", ("d1|d2", 0, 0)),
+    "d1|d2": _Kind((("d1", -1, 0), ("d2", 0, -1)), hstack, "d1|d2", ("d1;d2", 0, 0)),
+    "d1d2": _Kind((("d1", 0, 1), ("d2", 0, 0)), _product, "d1d2", ("d1d2", -1, -1)),
+}
 
 
 class Analysis:
@@ -359,25 +332,38 @@ class Analysis:
     so the two form no reference cycle and are freed as soon as a is
     dropped, not at the next cyclic garbage collection.
 
-    The rank memo is keyed by block kind and bidegree, over five kinds: d1
-    and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into it and d1 d2
-    out of it.  `dolbeault`, `conjugate_dolbeault`, `bott_chern` and
-    `aeppli` read every rank through it (`rank`), so no block is ranked
-    twice, and bott_chern and aeppli share the d1 d2 ranks.
+    The rank memo is keyed by block kind and bidegree, over the five kinds
+    of `_KINDS`: d1 and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into
+    it and d1 d2 out of it.  `absent`, `block` and `rank` read each kind's
+    parts and join there.  `dolbeault`, `conjugate_dolbeault`, `bott_chern`
+    and `aeppli` read every rank through the memo (`rank`), so no block is
+    ranked twice, and bott_chern and aeppli share the d1 d2 ranks.
 
     The one-part rule.  A [d1; d2] or [d1 | d2] block with exactly one part
     present has that part's rank, since rank [X; 0] = rank [X | 0] =
     rank X.  Its rank is read from the memo under the part's own key, d1 or
-    d2 at the part's bidegree (`only_part`), or the part is ranked and
-    stored there; the block is not assembled for its rank.  After
-    `dolbeault` and `conjugate_dolbeault`, `bott_chern` and `aeppli` then
-    rank only d1 d2 products and blocks with both parts present.
+    d2 at the part's bidegree, or the part is ranked and stored there; the
+    block is not assembled for its rank.  After `dolbeault` and
+    `conjugate_dolbeault`, `bott_chern` and `aeppli` then rank only d1 d2
+    products and blocks with both parts present.
 
-    The mirror rule.  Once `validate` has found a complex with a real
-    structure sigma valid, a rank at (p, q) reads the rank stored for its
-    mirror at (q, p): d1 and d2 swap, and each other kind maps to itself
-    (`_MIRROR`).  This is exact.  The involution makes every block S of
-    sigma invertible, and sigma d1 sigma = d2 gives
+    The orbit rule.  Two maps on keys keep rank, each proved below: the
+    mirror M, to the kind `_KINDS` names at (q, p), once `validate` has
+    found a complex with a real structure valid; and the Serre map S, to
+    the partner `_KINDS` names at (n - p + dp, n - q + dq), where `serre`
+    gives n.  Each is an involution, and they commute: M S and S M both
+    send d1 out of (p, q) to d2 out of (n-q, n-p-1), d2 to d1 out of
+    (n-q-1, n-p), [d1; d2] out of (p, q) to [d1 | d2] into (n-q, n-p) and
+    back, and d1 d2 to d1 d2 out of (n-q-1, n-p-1).  So the keys of equal
+    rank that these transfers reach from k are exactly its orbit
+    {k, Mk, Sk, MSk} (`orbit`).  On a miss, `rank` reads the first rank
+    stored in the orbit, or else finds one as above, and stores it under
+    every key of the orbit.  Total ranks do the same with d_k and
+    d_{2n-1-k} (`total_rank`).  The five tables of a validated nil5 rank 39
+    blocks, 75 with M alone and 129 never validated.
+
+    M is exact.  The involution makes every block S of sigma invertible,
+    and sigma d1 sigma = d2 gives
     d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}), so d2^{q,p} is
     conj(d1^{p,q}) between invertible factors, and conj keeps rank.  The
     same holds with d1 and d2 swapped, so the stacked [d1; d2] and the
@@ -387,28 +373,22 @@ class Analysis:
     of (q, p).  Then `conjugate_dolbeault` after `dolbeault` ranks nothing,
     and `bott_chern` and `aeppli` rank about half their blocks.
 
-    The Serre rule.  On a Lie-algebra model of complex dimension n that
-    `validate` has found valid, a rank at (p, q) not found from its mirror
-    reads the rank stored for its Serre partner (`_SERRE`): d1 out of
-    (n-p-1, n-q), d2 out of (n-p, n-q-1), [d1 | d2] into (n-p, n-q) for
-    [d1; d2] out of (p, q) and back, and d1 d2 out of (n-p-1, n-q-1); and
-    rank d_k reads rank d_{2n-1-k}.  This is exact once the Serre pairing
-    P: A -> dual(A, n) is a morphism of double complexes.  P^{p,q} sends a
-    monomial w to +-1 times the dual vector of its complement top ^ w, so
-    every block of P is a signed permutation and P is an isomorphism of
-    double complexes.  The dual's d1 at (p, q) is e T(d1^{n-p-1,n-q}), with
-    T the transpose and e = (-1)^{p+q+1}, so P d1 = d1' P reads
-    d1^{p,q} = e (P^{p+1,q})^-1 T(d1^{n-p-1,n-q}) P^{p,q}: the transpose of
-    the partner between signed permutations, of equal rank.  d2 is the
-    same with the partner at (n-p, n-q-1).  Stacking the two gives
-    [d1; d2] out of (p, q) as the transpose of [d1 | d2] into (n-p, n-q)
-    between block-diagonal signed permutations.  The product gives
-    d1 d2 out of (p, q) as the transpose of d2 d1 out of (n-p-1, n-q-1),
-    which is -(d1 d2) there on a valid complex.  Totalized, P is a signed
-    permutation T^k -> (T^{2n-k})*, and the dual's total differential in
-    degree k is (-1)^{k+1} T(d_{2n-1-k}) with its components reordered, so
-    rank d_k = rank d_{2n-1-k}.  The five tables of a validated nil5 rank
-    40 blocks with both rules, 75 with the mirror rule alone.
+    S is exact on a Lie-algebra model of complex dimension n whose Serre
+    pairing P: A -> dual(A, n) is a morphism of double complexes.  P^{p,q}
+    sends a monomial w to +-1 times the dual vector of its complement
+    top ^ w, so every block of P is a signed permutation and P is an
+    isomorphism of double complexes.  The dual's d1 at (p, q) is
+    e T(d1^{n-p-1,n-q}), with T the transpose and e = (-1)^{p+q+1}, so
+    P d1 = d1' P reads d1^{p,q} = e (P^{p+1,q})^-1 T(d1^{n-p-1,n-q}) P^{p,q}:
+    the transpose of the partner between signed permutations, of equal
+    rank.  d2 is the same with the partner at (n-p, n-q-1).  Stacking the
+    two gives [d1; d2] out of (p, q) as the transpose of [d1 | d2] into
+    (n-p, n-q) between block-diagonal signed permutations.  The product
+    gives d1 d2 out of (p, q) as the transpose of d2 d1 out of
+    (n-p-1, n-q-1), which is -(d1 d2) there on a valid complex.  Totalized,
+    P is a signed permutation T^k -> (T^{2n-k})*, and the dual's total
+    differential in degree k is (-1)^{k+1} T(d_{2n-1-k}) with its
+    components reordered, so rank d_k = rank d_{2n-1-k}.
 
     Why a check, and not the model's unimodularity.  P is a morphism
     exactly when the top coefficient of every exact form vanishes, which
@@ -416,16 +396,16 @@ class Analysis:
     builder accepts any structure equations with d^2 = 0, and some
     validate without it: d b = a ^ b validates, its pairing is no
     morphism, and partner ranks would give de Rham {0: 1, 1: 2, 2: 2,
-    3: 2, 4: 1} instead of {0: 1, 1: 2, 2: 1}.  So before the first rank
-    is read from a partner, `serre_holds` checks on the stored blocks the
-    very identity the proof uses, that each d1 and d2 block is its
-    partner's signed transpose (`_serre_pairing_holds`).  That is the
-    commutation check of building P as a Morphism, with no product and no
-    dual complex built, and it is run once per complex, lazily, its
-    verdict kept.  Only `models.lie_algebra_model` records what it needs
-    (the complex's `_serre`); a shifted, dual, summed or reloaded copy
-    reads no partner, nor does a complex never validated or one whose
-    check fails.
+    3: 2, 4: 1} instead of {0: 1, 1: 2, 2: 1}.  So `serre` checks on the
+    stored blocks the very identity the proof uses, that each d1 and d2
+    block is its partner's signed transpose
+    (`models._serre_pairing_holds`).  That is the commutation check of
+    building P as a Morphism, with no product and no dual complex built,
+    and it is run once per complex, on the first call of `serre` on a
+    validated model, its verdict kept.  Only `models.lie_algebra_model`
+    records what it needs (the complex's `_serre`); a shifted, dual,
+    summed or reloaded copy reads no partner, nor does a complex never
+    validated or one whose check fails.
 
     A valid complex, with or without sigma, also needs no containment
     product: [d1; d2] . d1 d2 = [d1 d1 d2; d2 d1 d2] and
@@ -453,130 +433,126 @@ class Analysis:
 
     def total_rank(self, k: int) -> int:
         """rank d_k: stored, read from rank d_{2n-1-k} where the Serre rule
-        holds (see the class notes), or found by `linalg.rank` and stored."""
-        if k not in self.total_ranks:
-            n = self.serre_dimension()
-            partner = None if n is None else self.total_ranks.get(2 * n - 1 - k)
-            if partner is not None and self.serre_holds():
-                self.total_ranks[k] = partner
-            else:
-                self.total_ranks[k] = rank(self.totalization.differential(k))
-        return self.total_ranks[k]
+        holds (`serre`), or found by `linalg.rank`; stored under both."""
+        found = self.total_ranks.get(k)
+        if found is None:
+            degrees = (k,) if (n := self.serre()) is None else (k, 2 * n - 1 - k)
+            found = next((self.total_ranks[j] for j in degrees if j in self.total_ranks), None)
+            if found is None:
+                found = rank(self.totalization.differential(k))
+            self.total_ranks.update(dict.fromkeys(degrees, found))
+        return found
 
     def valid(self) -> bool:
         """Whether `validate` has run on the complex and found nothing."""
         return self.complex._violations == ()
 
-    def serre_dimension(self) -> int | None:
+    def serre(self) -> int | None:
         """n, on a Lie-algebra model of complex dimension n that `validate`
-        has found valid; None on any other complex.  Its pairing is not
-        checked here (`serre_holds`)."""
+        has found valid and whose Serre pairing is a morphism of double
+        complexes; None on any other complex.  The pairing is checked on the
+        first call that gets that far, with no product
+        (`models._serre_pairing_holds`), and the verdict kept; `valid` is
+        read on every call, since a complex may be validated after its
+        Analysis is made."""
         serre = self.complex._serre
-        return serre[0] if serre is not None and self.valid() else None
-
-    def serre_holds(self) -> bool:
-        """Whether the Serre pairing of the complex, a Lie-algebra model, is
-        a morphism of double complexes: checked on the first call, with no
-        product (`_serre_pairing_holds`), and the verdict kept."""
+        if serre is None or not self.valid():
+            return None
         if self._serre_holds is None:
             self._serre_holds = _serre_pairing_holds(self.complex)
-        return self._serre_holds
+        return serre[0] if self._serre_holds else None
 
-    def serre_rank(self, kind: str, p: int, q: int) -> int | None:
-        """The rank stored for the Serre partner of the `kind` block at
-        (p, q), where the Serre rule holds (see the class notes); None if
-        there is none, if the rule does not hold, or if the block is absent,
-        whose rank 0 needs no check."""
-        n = self.serre_dimension()
-        if n is None or self.absent(kind, p, q):
-            return None
-        other, dp, dq = _SERRE[kind]
-        found = self._ranks.get((other, n - p + dp, n - q + dq))
-        return found if found is not None and self.serre_holds() else None
+    def orbit(self, kind: str, p: int, q: int) -> list[tuple[str, int, int]]:
+        """The keys of the blocks whose rank the transfers show equal to
+        that of the `kind` block at (p, q), itself first: its mirror M
+        where a real structure was found valid, and the Serre partner S of
+        each of those where `serre` gives n (see the class notes)."""
+        keys = [(kind, p, q)]
+        a = self.complex
+        if a.sigma is not None and self.valid():
+            keys.append((_KINDS[kind].mirror, q, p))
+        # The field test spares the call on any complex that is no model.
+        if a._serre is not None and (n := self.serre()) is not None:
+            keys += [(other, n - x + dp, n - y + dq)
+                     for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
+        return keys
+
+    def _present(self, kind: str, p: int, q: int) -> list[tuple[str, int, int]] | None:
+        """The keys of the parts of the `kind` block at (p, q) that are
+        stored, each a d1 or d2 block; None if the block is absent: no part
+        is stored, or a factor of d1 d2 is not."""
+        a = self.complex
+        parts, join = _KINDS[kind][:2]
+        present = []
+        for d, dp, dq in parts:
+            if (p + dp, q + dq) in (a.d1 if d == "d1" else a.d2):
+                present.append((d, p + dp, q + dq))
+            elif join is _product:
+                return None
+        return present or None
 
     def absent(self, kind: str, p: int, q: int) -> bool:
         """Whether the `kind` block at (p, q) is zero because its parts are
-        absent: every part of d1, d2, [d1; d2] or [d1 | d2], or either
-        factor of d1 d2.  Read from the stored blocks, with no matrix."""
-        d1, d2 = self.complex.d1, self.complex.d2
-        if kind == "d1":
-            return (p, q) not in d1
-        if kind == "d2":
-            return (p, q) not in d2
-        if kind == "d1;d2":
-            return (p, q) not in d1 and (p, q) not in d2
-        if kind == "d1|d2":
-            return (p - 1, q) not in d1 and (p, q - 1) not in d2
-        return (p, q + 1) not in d1 or (p, q) not in d2
+        absent: all of them, or either factor of d1 d2.  Read from the
+        stored blocks, with no matrix."""
+        return self._present(kind, p, q) is None
 
-    def only_part(self, kind: str, p: int, q: int) -> tuple[str, int, int] | None:
-        """The key of the one part present in a [d1; d2] or [d1 | d2] block
-        at (p, q), whose rank is the block's; None for any other block."""
-        if kind == "d1;d2":
-            parts = ("d1", p, q), ("d2", p, q)
-        elif kind == "d1|d2":
-            parts = ("d1", p - 1, q), ("d2", p, q - 1)
-        else:
-            return None
-        present = [part for part in parts if not self.absent(*part)]
-        return present[0] if len(present) == 1 else None
+    def _parts(self, kind: str, p: int, q: int) -> list[Matrix]:
+        """The parts of the `kind` block at (p, q), a zero block where one
+        is absent."""
+        a = self.complex
+        parts = []
+        for d, dp, dq in _KINDS[kind].parts:
+            parts.append((a.d1_at if d == "d1" else a.d2_at)(p + dp, q + dq))
+        return parts
 
     def block(self, kind: str, p: int, q: int) -> Matrix:
-        """The block of one of the five kinds at (p, q) (see `rank`)."""
-        a = self.complex
-        if kind == "d1":
-            return a.d1_at(p, q)
-        if kind == "d2":
-            return a.d2_at(p, q)
-        if kind == "d1;d2":
-            return vstack([a.d1_at(p, q), a.d2_at(p, q)])
-        if kind == "d1|d2":
-            return hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)])
-        return self.d1d2(p, q)
+        """The block of one of the five kinds at (p, q) (see `rank`): its
+        parts joined as `_KINDS` says, the product kept (`d1d2`)."""
+        join = _KINDS[kind].join
+        if join is _product:
+            return self.d1d2(p, q)
+        parts = self._parts(kind, p, q)
+        return join(parts) if join else parts[0]
 
     def rank(self, kind: str, p: int, q: int, m: Matrix | None = None) -> int:
         """The rank of the `kind` block at (p, q): d1 or d2 out of (p, q),
         "d1;d2" the stacked [d1; d2] out of it, "d1|d2" the joined
         [d1 | d2] into it, or "d1d2" the product d1 d2 out of it.
 
-        A stored rank is read.  On a valid complex with a real structure, the
-        rank stored for the mirror block at (q, p), if any, is read and
-        stored (see the class notes).  Failing that, a block not absent on
-        a valid Lie-algebra model reads the rank stored for its Serre
-        partner, if any and if the pairing checks.  Otherwise a block with
-        one part present takes that part's rank (`only_part`), and
-        `linalg.rank` ranks any other: m, the block the caller has built,
-        or the block built here; a block whose parts are absent (`absent`)
-        has rank 0 and is not built.
+        A stored rank is read.  Failing that, the first rank stored in the
+        block's `orbit` is.  Otherwise a block whose parts are absent
+        (`absent`) has rank 0 and is not built, a [d1; d2] or [d1 | d2]
+        block with one part present takes that part's rank, and
+        `linalg.rank` ranks any other: m, the block the caller has built, or
+        the block built here.  The rank is stored under every key of the
+        orbit.
         """
-        key = kind, p, q
-        if key not in self._ranks:
-            found = None
-            if self.complex.sigma is not None and self.valid():
-                found = self._ranks.get((_MIRROR[kind], q, p))
-            if found is None:
-                found = self.serre_rank(kind, p, q)
-            if found is None:
-                part = self.only_part(kind, p, q)
-                if part is not None:
-                    found = self.rank(*part)
-                elif m is not None:
-                    found = rank(m)
+        found = self._ranks.get((kind, p, q))
+        if found is None:
+            keys = self.orbit(kind, p, q)
+            for key in keys:
+                if (found := self._ranks.get(key)) is not None:
+                    break
+            else:
+                present = self._present(kind, p, q)
+                if present is None:
+                    found = 0
+                elif len(present) < len(_KINDS[kind].parts):
+                    found = self.rank(*present[0])
                 else:
-                    found = 0 if self.absent(kind, p, q) else rank(self.block(kind, p, q))
-            self._ranks[key] = found
-        return self._ranks[key]
+                    found = rank(self.block(kind, p, q) if m is None else m)
+            for key in keys:
+                self._ranks[key] = found
+        return found
 
     def d1d2(self, p: int, q: int) -> Matrix:
         """d1 d2 out of (p, q), into (p + 1, q + 1); the zero block, with no
         product, where a factor is absent."""
         if (p, q) not in self._d1d2:
             a = self.complex
-            if self.absent("d1d2", p, q):
-                found = Matrix.zero(a.dim(p + 1, q + 1), a.dim(p, q))
-            else:
-                found = a.d1_at(p, q + 1) @ a.d2_at(p, q)
-            self._d1d2[(p, q)] = found
+            self._d1d2[(p, q)] = (Matrix.zero(a.dim(p + 1, q + 1), a.dim(p, q))
+                                  if self.absent("d1d2", p, q) else _product(self._parts("d1d2", p, q)))
         return self._d1d2[(p, q)]
 
     def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
@@ -794,11 +770,11 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     level; on the row filtration, where components run by increasing p and
     so by decreasing q, that order is the reverse of the coordinates'.
 
-    Serre mirror.  On a Lie-algebra model of complex dimension N whose
-    Serre rule holds (see `Analysis`), only d_0 ... d_{N-1} are reduced,
-    in the order above, with their clearing; for k >= N, a pair of
-    d_{2N-1-k} with levels (s, t) gives a pair of d_k with levels
-    (N - t, N - s), of the same length.  The pairing makes d_k the
+    Serre mirror.  Where `Analysis.serre` gives N, on a Lie-algebra model
+    of complex dimension N whose Serre pairing checks (see `Analysis`),
+    only d_0 ... d_{N-1} are reduced, in the order above, with their
+    clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
+    pair of d_k with levels (N - t, N - s), of the same length.  The pairing makes d_k the
     transpose of d_{2N-1-k} between signed permutations that send a
     component (p, q) to (N - p, N - q).  So the sources of d_k of level
     >= a are the targets of d_{2N-1-k} of level <= N - a, and the targets
@@ -832,10 +808,10 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     hit: dict[int, set[int]] = {}
     # Degree -> its pairs counted by (source level, target level).
     found: dict[int, dict[tuple[int, int], int]] = {}
-    # N, the complex dimension, where the Serre mirror may apply.
-    serre_n = memo.serre_dimension()
+    # N, the complex dimension, where the Serre mirror applies.
+    serre_n = memo.serre()
     for n in tot.degrees():
-        if serre_n is not None and n >= serre_n and memo.serre_holds():
+        if serre_n is not None and n >= serre_n:
             counts = {(serre_n - t, serre_n - s): count for (s, t), count
                       in found.get(2 * serre_n - 1 - n, {}).items()}
         else:

@@ -415,14 +415,15 @@ class AlgebraModel:
 
     def __init__(self, complex: DoubleComplex, top_index: BiDegree, kind: str,
                  monomials: Mapping[BiDegree, tuple[int, ...]] | None = None,
-                 truncation: int | None = None):
+                 truncation: int | None = None, index: Mapping[int, int] | None = None):
         self.complex = complex
         self.top_index = top_index
         self.kind = kind
-        self._monomials = dict(monomials) if monomials is not None else None
-        self._index: dict[int, int] = {}
-        if self._monomials is not None:
-            self._index = {w: i for words in self._monomials.values() for i, w in enumerate(words)}
+        self._monomials = monomials
+        # Each monomial's position in its bidegree: lie_algebra_model passes
+        # the dict it built, and a model given only its monomials gets one.
+        self._index = index if index is not None or monomials is None else {
+            w: i for words in monomials.values() for i, w in enumerate(words)}
         self._truncation = truncation
 
     def product(self, pq1: BiDegree, i1: int, pq2: BiDegree, i2: int) -> dict[int, GaussianRational]:
@@ -538,10 +539,9 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
         for pq, words in monomials.items()
     }
     complex = DoubleComplex(dims, d1, d2, sigma, labels)
-    model = AlgebraModel(complex, (n, n), "lie_algebra", monomials)
-    # What cohomology.Analysis needs to check the Serre pairing, on first use.
-    object.__setattr__(complex, "_serre", (n, model._monomials, model._index))
-    return model
+    # What _serre_pairing_holds reads, on the complex's first use of it.
+    object.__setattr__(complex, "_serre", (n, monomials, index))
+    return AlgebraModel(complex, (n, n), "lie_algebra", monomials, index=index)
 
 
 def torus(n: int) -> AlgebraModel:
@@ -586,6 +586,58 @@ def iwasawa() -> AlgebraModel:
     return lie_algebra_model(IWASAWA_SPEC)
 
 
+def _serre_pairing(n: int, monomials: Mapping[BiDegree, tuple[int, ...]],
+                   index: Mapping[int, int]) -> dict[int, tuple[int, int]]:
+    """Each monomial w of a model of complex dimension n -> (the index of its
+    complement top ^ w, the sign +-1 of w ^ (top ^ w)): the one entry of w's
+    column in the Serre pairing.
+
+    The Koszul count of that wedge (`_koszul`) is the sum of the bit
+    positions of w less k(k - 1)/2, k the number of letters of w, so the
+    sign's parity is that of the odd bits of w plus k(k - 1)/2.
+    """
+    top = (1 << 2 * n) - 1
+    odd = sum(1 << bit for bit in range(1, 2 * n, 2))
+    return {w: (index[top ^ w], -1 if ((w & odd).bit_count() + k * (k - 1) // 2) & 1 else 1)
+            for words in monomials.values() for w in words for k in (w.bit_count(),)}
+
+
+def _serre_pairing_holds(a: DoubleComplex) -> bool:
+    """Whether the Serre pairing of a Lie-algebra model, A -> dual(A, n), is
+    a morphism of double complexes, decided on the stored blocks with no
+    product.
+
+    The pairing sends a monomial w to (-1)^eps(w) times the dual vector of
+    c(w), with c(w) and (-1)^eps(w) the complement index and sign of
+    `_serre_pairing`.  It commutes with d1 at (p, q) exactly when entry
+    (i, j) of d1^{p,q} reappears at (c(j), c(i)) of its partner
+    d1^{n-p-1,n-q} times (-1)^{p+q+1} (-1)^{eps(w_i)+eps(w_j)}, w_i and w_j
+    the monomials of row i and column j; likewise for d2 with the partner
+    d2^{n-p,n-q-1}.  That map of positions is one to one, so with equal
+    denominators and equal numbers of nonzero entries it decides the
+    equality entry by entry.  The rule is symmetric in the two partners, so
+    each pair is compared once.
+    """
+    n, words, index = a._serre
+    pairing = _serre_pairing(n, words, index)
+    for stored, (dp, dq) in ((a.d1, (1, 0)), (a.d2, (0, 1))):
+        for (p, q), m in stored.items():
+            partner_pq = (n - p - dp, n - q - dq)
+            partner = stored.get(partner_pq)
+            if partner is None or partner._den != m._den or len(partner._num) != len(m._num):
+                return False
+            if partner_pq < (p, q):
+                continue
+            e = 1 if (p + q) % 2 else -1
+            src, tgt, found = words[(p, q)], words[(p + dp, q + dq)], partner._num
+            for (i, j), (x, y) in m._num.items():
+                (cj, sj), (ci, si) = pairing[src[j]], pairing[tgt[i]]
+                s = e * sj * si
+                if found.get((cj, ci)) != (s * x, s * y):
+                    return False
+    return True
+
+
 def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     """The pairing map A -> dual(A, n), omega |-> (eta |-> top coefficient of
     omega wedge eta).
@@ -593,7 +645,9 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     A basis element pairs with one element only: a monomial w with its
     complement, the top mask minus w, and a class t^p with t^(n-p), index 0.
     The entry is the sign of their product, so each block is a signed
-    permutation, built in O(dim).
+    permutation, built in O(dim).  A Lie-algebra model reads each
+    complement and sign from `_serre_pairing`, the helper the check
+    `_serre_pairing_holds` reads too, and multiplies no monomials.
 
     For the presets and every model of a unimodular Lie algebra this is a
     valid morphism for the dual's sign convention (the top coefficient of
@@ -610,13 +664,13 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
         raise NoTopClass(f"the ({n},{n}) piece has dimension {a.dim(n, n)}, expected 1")
     target = dual(a, n)
     words = model._monomials
-    full = words[(n, n)][0] if words is not None else None
+    pairing = None if words is None else _serre_pairing(n, words, model._index)
     blocks = {}
     for (p, q), m in a.dims.items():
-        partner = (n - p, n - q)
-        entries = {}
-        for i in range(m):
-            j = 0 if words is None else model._index[full ^ words[(p, q)][i]]
-            entries[(j, i)] = model.product((p, q), i, partner, j)[0]
-        blocks[(p, q)] = Matrix(a.dim(*partner), m, entries)
+        if pairing is None:
+            entries = {(0, i): model.product((p, q), i, (n - p, n - q), 0)[0] for i in range(m)}
+        else:
+            entries = {(j, i): ONE if s > 0 else -ONE
+                       for i, (j, s) in enumerate(map(pairing.get, words[(p, q)]))}
+        blocks[(p, q)] = Matrix(a.dim(n - p, n - q), m, entries)
     return Morphism(a, target, blocks)

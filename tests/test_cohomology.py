@@ -7,6 +7,7 @@ from bicomplex import (
     Morphism,
     aeppli,
     betti_vector,
+    blow_up,
     bott_chern,
     cli,
     conjugate_dolbeault,
@@ -29,12 +30,13 @@ from bicomplex import (
     shift,
     square,
     tensor,
+    torus,
     validate,
     zigzag,
 )
-from bicomplex.cohomology import TABLES, Analysis, aeppli_spaces, bott_chern_spaces
+from bicomplex.cohomology import _KINDS, TABLES, Analysis, aeppli_spaces, bott_chern_spaces
 from bicomplex.complexes import transpose_complex
-from bicomplex.linalg import coset_representatives, hstack, image_basis, kernel_basis, rank
+from bicomplex.linalg import coset_representatives, hstack, image_basis, kernel_basis, rank, vstack
 from bicomplex.scalars import GaussianRational
 from call_counter import arguments_of, call_log, calls_into
 from test_acceptance import PROPERTY_CASES
@@ -141,6 +143,50 @@ def test_an_equal_complex_built_separately_recomputes():
 
     assert eliminations(de_rham, a) == 0 < eliminations(de_rham, b)
     assert eliminations(aeppli, a) < eliminations(aeppli, b)
+
+
+# Each kind of block at (p, q), written out: its stored parts, as
+# (d1 or d2, bidegree), and how they join into the block.
+KIND_RULES = {
+    "d1": (lambda p, q: [("d1", p, q)], lambda ms: ms[0]),
+    "d2": (lambda p, q: [("d2", p, q)], lambda ms: ms[0]),
+    "d1;d2": (lambda p, q: [("d1", p, q), ("d2", p, q)], vstack),
+    "d1|d2": (lambda p, q: [("d1", p - 1, q), ("d2", p, q - 1)], hstack),
+    "d1d2": (lambda p, q: [("d1", p, q + 1), ("d2", p, q)], lambda ms: ms[0] @ ms[1]),
+}
+
+
+def test_the_kinds_of_block_follow_the_written_out_rule():
+    """`Analysis.absent`, `Analysis.block` and `Analysis.rank` agree with
+    each kind's parts and join written out above, at every bidegree of the
+    support grown by one: a block is absent when none of its parts is
+    stored, or for d1 d2 when a factor is not; and a [d1; d2] or [d1 | d2]
+    block with one part stored has that part's rank, read under the part's
+    key.  On nil4, on a property-suite complex with a real structure and on
+    a blow-up of Iwasawa."""
+    assert set(_KINDS) == set(KIND_RULES)
+    sigma_case = [case for case in PROPERTY_CASES if case[3]][-1]
+    one_part = 0
+    for a in (lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+              random_complex(*sigma_case[:3], with_sigma=True),
+              blow_up(iwasawa(), torus(1), 2).total):
+        memo = Analysis.of(a)
+        p_min, p_max, q_min, q_max = a.window
+        # The stacked kinds come first, so no part's rank is stored before.
+        for kind, (parts, join) in reversed(KIND_RULES.items()):
+            for p in range(p_min - 1, p_max + 2):
+                for q in range(q_min - 1, q_max + 2):
+                    keys = parts(p, q)
+                    stored = [(x, y) in (a.d1 if d == "d1" else a.d2) for d, x, y in keys]
+                    absent = not all(stored) if kind == "d1d2" else not any(stored)
+                    block = join([(a.d1_at if d == "d1" else a.d2_at)(x, y) for d, x, y in keys])
+                    assert memo.absent(kind, p, q) == absent, (kind, p, q)
+                    assert memo.block(kind, p, q) == block, (kind, p, q)
+                    assert memo.rank(kind, p, q) == rank(block), (kind, p, q)
+                    if len(keys) == 2 and kind != "d1d2" and sum(stored) == 1:
+                        assert keys[stored.index(True)] in memo._ranks, (kind, p, q)
+                        one_part += 1
+    assert one_part > 10
 
 
 def test_peeled_ranks_leave_the_kernel_almost_nothing(capsys):

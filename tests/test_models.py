@@ -362,13 +362,17 @@ def test_builder_matches_reference_word_builder():
 
 
 def test_product_matches_reference_word_builder():
+    """Also for a model given its monomials alone, which builds their index
+    itself."""
     for spec in (IWASAWA_SPEC, ModelSpec("torus2", 2, "lie_algebra", ("phi1", "phi2"), {})):
         model = lie_algebra_model(spec)
+        bare = AlgebraModel(model.complex, model.top_index, model.kind, model._monomials)
         ref = reference_models.lie_algebra_model(spec)
         basis = [(pq, i) for pq, n in model.complex.dims.items() for i in range(n)]
         for pq1, i1 in basis:
             for pq2, i2 in basis:
                 assert model.product(pq1, i1, pq2, i2) == ref.product(pq1, i1, pq2, i2)
+                assert bare.product(pq1, i1, pq2, i2) == ref.product(pq1, i1, pq2, i2)
 
 
 @pytest.mark.parametrize("identity", FAILING)

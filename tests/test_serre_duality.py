@@ -2,7 +2,7 @@
 checks, a rank is read from its Serre partner, and Frolicher reduces only
 d_0 ... d_{n-1}.
 
-The check (`cohomology._serre_pairing_holds`) must agree with building the
+The check (`models._serre_pairing_holds`) must agree with building the
 pairing as a Morphism, and every table and page must equal the one of a
 copy built separately and never validated, which ranks every block.  The
 non-unimodular model `d b = a ^ b` validates, but its pairing is not a
@@ -28,10 +28,11 @@ from bicomplex import (
     transpose_complex,
     validate,
 )
-from bicomplex import cohomology
-from bicomplex.cohomology import _SERRE, TABLES, Analysis
+from bicomplex import models
+from bicomplex.cohomology import _KINDS, TABLES, Analysis
 from bicomplex.complexes import MorphismError
 from call_counter import arguments_of, calls_into
+from test_cohomology import KIND_RULES
 from test_frolicher import DIM6, NIL4, NIL5
 
 # Solvable and not unimodular: validate finds it valid, but its pairing is
@@ -53,6 +54,33 @@ generators = a, b, c
 d b = a ^ b
 d c = -1 * a ^ c
 """
+
+
+def mirror(key):
+    """The sigma mirror of a rank key, written out per kind."""
+    kind, p, q = key
+    return {"d1": "d2", "d2": "d1"}.get(kind, kind), q, p
+
+
+def serre_partner(key, n: int):
+    """The Serre partner of a rank key on a model of complex dimension n,
+    written out per kind."""
+    kind, p, q = key
+    return {"d1": ("d1", n - p - 1, n - q), "d2": ("d2", n - p, n - q - 1),
+            "d1;d2": ("d1|d2", n - p, n - q), "d1|d2": ("d1;d2", n - p, n - q),
+            "d1d2": ("d1d2", n - p - 1, n - q - 1)}[kind]
+
+
+def composite(key, n: int):
+    """The mirror of the Serre partner of a rank key."""
+    return mirror(serre_partner(key, n))
+
+
+def all_parts_stored(a, key) -> bool:
+    """Whether every part of the block, written out per kind, is stored."""
+    kind, p, q = key
+    parts, _ = KIND_RULES[kind]
+    return all((x, y) in (a.d1 if d == "d1" else a.d2) for d, x, y in parts(p, q))
 
 
 def model(text: str, name: str):
@@ -96,8 +124,9 @@ def test_a_non_unimodular_model_reads_no_serre_partner():
     with pytest.raises(MorphismError):
         serre_pairing_morphism(m)
     memo = Analysis.of(a)
-    assert memo.serre_dimension() == 2
-    assert not memo.serre_holds()
+    assert a._serre[0] == 2
+    assert memo.serre() is None
+    assert memo._serre_holds is False
     want = results(MODELS["solvable"]().complex, False)
     assert want["de_rham"].entries == {0: 1, 1: 2, 2: 1}
     assert results(a, False) == want
@@ -109,7 +138,7 @@ def test_a_non_unimodular_model_reads_no_serre_partner():
 @pytest.mark.parametrize("name", MODELS)
 def test_the_check_agrees_with_building_the_pairing(name):
     m = MODELS[name]()
-    assert cohomology._serre_pairing_holds(m.complex) == pairing_builds(m)
+    assert models._serre_pairing_holds(m.complex) == pairing_builds(m)
     assert pairing_builds(m) == (name != "solvable")
 
 
@@ -134,14 +163,23 @@ def test_serre_partners_have_equal_ranks_on_the_checked_route(name):
     results(a, False)
     memo = Analysis.of(a)
     n = a._serre[0]
-    paired = 0
+    paired = mirrored = composed = 0
     for (kind, p, q), r in memo._ranks.items():
-        other, dp, dq = _SERRE[kind]
+        other, dp, dq = _KINDS[kind].serre
         partner = memo._ranks.get((other, n - p + dp, n - q + dq))
         if partner is not None:
             assert partner == r, (kind, p, q)
             paired += 1
+        mirror = memo._ranks.get((_KINDS[kind].mirror, q, p))
+        if mirror is not None:
+            assert mirror == r, (kind, p, q)
+            mirrored += 1
+        both = memo._ranks.get(composite((kind, p, q), n))
+        if both is not None:
+            assert both == r, (kind, p, q)
+            composed += 1
     assert paired > len(memo._ranks) // 2
+    assert mirrored > len(memo._ranks) // 2 and composed > len(memo._ranks) // 2
     for k, r in memo.total_ranks.items():
         assert memo.total_ranks.get(2 * n - 1 - k, 0) == r, k
 
@@ -159,7 +197,7 @@ def test_a_validated_model_reduces_only_the_lower_degrees():
 
 
 def test_the_check_runs_once_and_only_when_a_transfer_would_serve():
-    check = cohomology._serre_pairing_holds.__code__
+    check = models._serre_pairing_holds.__code__
     assert calls_into(check, MODELS["nil4"]) == 0
     a = MODELS["nil4"]().complex
     assert validate(a) == []
@@ -178,5 +216,65 @@ def test_other_complexes_take_the_checked_route():
     for b in copies:
         assert validate(b) == []
         assert b._serre is None
-        assert Analysis.of(b).serre_dimension() is None
-    assert Analysis.of(a).serre_dimension() == 3
+        assert Analysis.of(b).serre() is None
+    assert Analysis.of(a).serre() == 3
+
+
+def test_the_orbit_is_the_written_out_rule():
+    """On a validated nil5 the orbit of every key, over the support grown by
+    one, is the key, its mirror, its Serre partner and their composite; the
+    two maps commute, so the composite is also the partner of the mirror.
+    Never validated, the orbit is the key alone."""
+    a, plain = MODELS["nil5"]().complex, MODELS["nil5"]().complex
+    assert validate(a) == []
+    memo, n = Analysis.of(a), a._serre[0]
+    for kind in _KINDS:
+        for p in range(-1, n + 2):
+            for q in range(-1, n + 2):
+                key = kind, p, q
+                assert composite(key, n) == serre_partner(mirror(key), n)
+                assert memo.orbit(*key) == [key, mirror(key), serre_partner(key, n),
+                                            composite(key, n)]
+                assert Analysis.of(plain).orbit(*key) == [key]
+
+
+@pytest.mark.parametrize("name", ["nil5", "dim6"])
+def test_a_rank_is_read_from_its_composite_partner(name):
+    """A block whose only stored partner is the mirror of its Serre partner
+    reads that rank, ranking nothing, and it is the rank a never-validated
+    copy finds.  The ranks are stored before `validate`, one key per kind,
+    each with its whole orbit unstored."""
+    a, plain = MODELS[name]().complex, MODELS[name]().complex
+    memo, n = Analysis.of(a), a._serre[0]
+    chosen, used = [], set()
+    for kind in _KINDS:
+        for p, q in a.bidegrees():
+            key = kind, p, q
+            orbit = {key, mirror(key), serre_partner(key, n), composite(key, n)}
+            if all_parts_stored(a, key) and len(orbit) == 4 and not orbit & used:
+                chosen.append(key)
+                used |= orbit
+                break
+    assert [kind for kind, _, _ in chosen] == list(_KINDS)
+    for key in chosen:
+        memo.rank(*key)
+    assert set(memo._ranks) == set(chosen)
+    assert validate(a) == []
+    for key in chosen:
+        other = composite(key, n)
+        assert calls_into(linalg.rank.__code__, memo.rank, *other) == 0, key
+        assert memo.rank(*other) == memo._ranks[key] == Analysis.of(plain).rank(*other), key
+
+
+@pytest.mark.parametrize("name, ranked", [("nil4", 25), ("nil5", 39), ("dim6", 55)])
+def test_the_five_tables_of_a_validated_model_rank_this_many_blocks(name, ranked):
+    """The blocks `linalg.rank` gets for the five tables of a validated
+    model, with the composite partners read."""
+    a = MODELS[name]().complex
+    assert validate(a) == []
+
+    def five():
+        for table in TABLES.values():
+            table(a)
+
+    assert calls_into(linalg.rank.__code__, five) == ranked

@@ -140,6 +140,20 @@ def test_the_row_table_after_the_column_table_ranks_nothing():
     assert calls_into(linalg.rank.__code__, conjugate_dolbeault, a) == 0
 
 
+def test_ranks_stored_before_validate_serve_after_it():
+    """The column table, run before `validate`, stores the d2 ranks; the row
+    table, run after it, reads each d1 rank from the mirror, ranking
+    nothing, and gives the table of a copy never validated."""
+    sigma_cases = [case for case in PROPERTY_CASES if case[3]]
+    for build in (model(NIL4, "nil4"), lambda: random_complex(*sigma_cases[-1][:3], with_sigma=True)):
+        assert calls_into(linalg.rank.__code__, conjugate_dolbeault, build()) > 0
+        a = build()
+        dolbeault(a)
+        assert validate(a) == []
+        assert calls_into(linalg.rank.__code__, conjugate_dolbeault, a) == 0
+        assert conjugate_dolbeault(a) == conjugate_dolbeault(build())
+
+
 def test_a_valid_complex_makes_no_containment_product():
     """On nil4, every product that Bott-Chern and Aeppli make after validate
     is a d1 d2 they rank, one for each with both factors present; a
