@@ -14,13 +14,9 @@ from .linalg import (
     NotASubspace,
     NotWellDefined,
     image_basis,
-    induced_subquotient_map,
     kernel_basis,
     rank,
     rref,
-    subquotient_dim,
-    subspace_intersection,
-    subspace_sum,
 )
 from .complexes import (
     DoubleComplex,

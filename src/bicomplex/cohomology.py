@@ -45,30 +45,42 @@ nilmanifold models the core is small or empty: nil4 and Iwasawa reach the
 kernel not at all.  The row pages run on the same Totalization with the
 levels q.
 
-Bott-Chern and Aeppli are rank arithmetic as well.  At (p, q),
+The four bidegree cohomologies are one rule.  Each is, at (p, q),
+ker(out) / im(into) for two blocks, and `_COHOMOLOGIES` names them once
+(kinds of `_KINDS`, at (p + dp, q + dq)):
 
-    dim H_BC = dim A^{p,q} - rank[d1; d2] - rank(d1 d2 into (p, q)),
-    dim H_A  = dim A^{p,q} - rank(d1 d2 out of (p, q)) - rank[d1 | d2 into (p, q)],
+    dolbeault             ker d2 out of (p, q)     / im d2 out of (p, q-1)
+    conjugate_dolbeault   ker d1 out of (p, q)     / im d1 out of (p-1, q)
+    bott_chern            ker [d1; d2] out of it   / im d1 d2 out of (p-1, q-1)
+    aeppli                ker d1 d2 out of it      / im [d1 | d2] into it
 
-the dimension of the cycles minus that of the boundaries.  The boundaries
-lie in the cycles exactly when [d1; d2] . d1 d2 = 0, respectively
-d1 d2 . [d1 | d2] = 0.  On a complex that `validate` has found valid the
-axioms imply both: [d1; d2] . d1 d2 = [d1 d1 d2; d2 d1 d2] and
-d1 d2 . [d1 | d2] = [d1 d2 d1 | d1 d2 d2], and d1 d1 = 0, d2 d2 = 0 and
-d2 d1 = -d1 d2 make every part zero.  Such a complex makes no containment
-product.  On any other complex both tables check the containment with
-sparse products and raise NotASubspace where it fails.  dolbeault_spaces,
-bott_chern_spaces and aeppli_spaces build the explicit subquotients, which
-induced maps need.
+So each table is dim A^{p,q} - rank(out) - rank(into), the dimension of the
+cycles minus that of the boundaries (`_bidegree_table`), and each `spaces`
+is (kernel_basis(out), image_basis(into)) (`Analysis.spaces`).  Two rules
+read the join `_KINDS` gives each block, and nothing else:
 
-The column, row and de Rham tables are one formula, dim - rank(out) -
-rank(in), with each nonzero differential ranked once: the row table ranks
-the blocks of d1 itself.  `linalg.rank` peels singleton rows and columns
-before it eliminates, reading only where the entries are; on the Koszul
-differentials of the nilmanifold models almost nothing is left to
-eliminate, and a core with no zero entry is eliminated on lists.  TABLES
-maps each of the five kinds to its function, and every caller dispatches
-through it.
+  * containment.  The boundaries lie in the cycles exactly when
+    out . into = 0.  Between two lone blocks that is d2 d2 = 0 or
+    d1 d1 = 0, an axiom `validate` reports itself, and no table checks it.
+    Where a block is joined, the product is [d1; d2] . d1 d2 =
+    [d1 d1 d2; d2 d1 d2] or d1 d2 . [d1 | d2] = [d1 d2 d1 | d1 d2 d2],
+    which d1 d1 = 0, d2 d2 = 0 and d2 d1 = -d1 d2 make zero.  So
+    Bott-Chern and Aeppli check it with sparse products, and raise
+    NotASubspace where it fails, on a complex that `validate` has not
+    found valid, and a valid complex makes no containment product;
+  * canonical basis.  A space of a stacked or joined block, the
+    Bott-Chern cycles ker [d1; d2] and the Aeppli boundaries im [d1 | d2],
+    is given by its `canonical_span`, the basis in which the golden digests
+    pin its induced maps; every other space by the kernel or image basis
+    of its block.
+
+The column, row and de Rham tables rank each nonzero differential once:
+the row table ranks the blocks of d1 itself.  `linalg.rank` peels
+singleton rows and columns before it eliminates, reading only where the
+entries are; on the Koszul differentials of the nilmanifold models almost
+nothing is left to eliminate, and a core with no zero entry is eliminated
+on lists.  TABLES maps each of the five kinds to its function, and every
+caller dispatches through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
 share, each part made on first use: the Totalization, the rank of each total
@@ -93,16 +105,17 @@ with the shift `_KINDS` gives, on a Lie-algebra model of complex dimension
 n found valid whose Serre pairing checks (`Analysis.serre`).  Both are
 involutions and they commute, so a key's orbit is {k, Mk, Sk, MSk}
 (`Analysis.orbit`): a rank not stored is read from the first key of its
-orbit that is, and a rank found is stored under every key of it.  Total
-ranks do the same with d_k and d_{2n-1-k}, and `frolicher` reduces only
-d_0 ... d_{n-1} where S applies, a pair of levels (s, t) giving one of
-levels (n - t, n - s).  M keeps rank because sigma carries each block to
-its mirror's conjugate between invertible factors; S because the Serre
-pairing A -> dual(A, n) has signed-permutation blocks, and where it is a
-morphism of double complexes each block is its partner's transpose between
-them.  That holds for unimodular Lie algebras only, so
-`models._serre_pairing_holds` checks it once per complex on the stored
-blocks, with no product (the proofs are in `Analysis` and `frolicher`).
+orbit that is stored, or is absent and so of rank 0, and a rank found is
+stored under every key of it.  Total ranks do the same with d_k and
+d_{2n-1-k}, and `frolicher` reduces only d_0 ... d_{n-1} where S applies,
+a pair of levels (s, t) giving one of levels (n - t, n - s).  M keeps rank
+because sigma carries each block to its mirror's conjugate between
+invertible factors; S because the Serre pairing A -> dual(A, n) has
+signed-permutation blocks, and where it is a morphism of double complexes
+each block is its partner's transpose between them.  That holds for
+unimodular Lie algebras only, so `models._serre_pairing_holds` checks it
+once per complex on the stored blocks, with no product (the proofs are in
+`Analysis` and `frolicher`).
 The row table after the column table then ranks nothing, and the five
 tables of a validated nil5 rank 39 blocks, against 75 with the mirror alone
 and 129 never validated.  `complexes.dual` of a complex found valid is
@@ -208,35 +221,6 @@ class SpectralSequenceResult:
         return self.pages[-1][0]
 
 
-# -- direct rank formulas -------------------------------------------------------
-
-
-def _cohomology_dims(dims: Mapping, ranks: Mapping[object, int], before: Callable) -> dict:
-    """dim - rank(out) - rank(in) at every index of a single complex.
-
-    `ranks` holds the rank of each differential keyed by its source index,
-    and `before(x)` is the index whose differential lands in x; a missing
-    differential has rank 0.
-    """
-    return {x: n - ranks.get(x, 0) - ranks.get(before(x), 0) for x, n in dims.items()}
-
-
-def dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Column cohomology: dim - rank(d2 out) - rank(d2 in), each block ranked
-    once, through the complex's Analysis."""
-    memo = Analysis.of(a)
-    return CohomologyTable("dolbeault", _cohomology_dims(
-        a.dims, {pq: memo.rank("d2", *pq) for pq in a.d2}, lambda pq: (pq[0], pq[1] - 1)))
-
-
-def conjugate_dolbeault(a: DoubleComplex) -> CohomologyTable:
-    """Row cohomology: dim - rank(d1 out) - rank(d1 in), each block ranked
-    once, through the complex's Analysis."""
-    memo = Analysis.of(a)
-    return CohomologyTable("conjugate_dolbeault", _cohomology_dims(
-        a.dims, {pq: memo.rank("d1", *pq) for pq in a.d1}, lambda pq: (pq[0] - 1, pq[1])))
-
-
 class Totalization:
     """The total complex: T^k = sum of A^{p,q} with p + q = k, d = d1 + d2.
 
@@ -318,6 +302,23 @@ _KINDS = {
     "d1d2": _Kind((("d1", 0, 1), ("d2", 0, 0)), _product, "d1d2", ("d1d2", -1, -1)),
 }
 
+# The four bidegree cohomologies, each at (p, q) the kernel of its out
+# block modulo the image of its into block, each block (kind, dp, dq) the
+# `_KINDS` kind at (p + dp, q + dq) (see the module notes).
+_COHOMOLOGIES = {
+    "dolbeault": (("d2", 0, 0), ("d2", 0, -1)),
+    "conjugate_dolbeault": (("d1", 0, 0), ("d1", -1, 0)),
+    "bott_chern": (("d1;d2", 0, 0), ("d1d2", -1, -1)),
+    "aeppli": (("d1d2", 0, 0), ("d1|d2", 0, 0)),
+}
+
+
+def _support(a: DoubleComplex, kind: _Kind) -> set[BiDegree]:
+    """The bidegrees at which a block of this kind is not absent: where a
+    part of it is stored, or for d1 d2 where both factors are."""
+    at = [{(x - dp, y - dq) for x, y in (a.d1 if d == "d1" else a.d2)} for d, dp, dq in kind.parts]
+    return (set.intersection if kind.join is _product else set.union)(*at)
+
 
 class Analysis:
     """What the tables of one complex share, each part made on first use.
@@ -335,9 +336,12 @@ class Analysis:
     The rank memo is keyed by block kind and bidegree, over the five kinds
     of `_KINDS`: d1 and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into
     it and d1 d2 out of it.  `absent`, `block` and `rank` read each kind's
-    parts and join there.  `dolbeault`, `conjugate_dolbeault`, `bott_chern`
-    and `aeppli` read every rank through the memo (`rank`), so no block is
-    ranked twice, and bott_chern and aeppli share the d1 d2 ranks.
+    parts and join there, and `supports` holds, for each kind, the
+    bidegrees at which its block is not absent.  The four bidegree tables
+    read every rank through the memo (`rank`), so no block is ranked twice,
+    and bott_chern and aeppli share the d1 d2 ranks.  `spaces` reads the
+    blocks that `_COHOMOLOGIES` names through `block`, so the spaces and
+    the tables share the kept d1 d2 products.
 
     The one-part rule.  A [d1; d2] or [d1 | d2] block with exactly one part
     present has that part's rank, since rank [X; 0] = rank [X | 0] =
@@ -356,11 +360,14 @@ class Analysis:
     (n-q-1, n-p), [d1; d2] out of (p, q) to [d1 | d2] into (n-q, n-p) and
     back, and d1 d2 to d1 d2 out of (n-q-1, n-p-1).  So the keys of equal
     rank that these transfers reach from k are exactly its orbit
-    {k, Mk, Sk, MSk} (`orbit`).  On a miss, `rank` reads the first rank
-    stored in the orbit, or else finds one as above, and stores it under
-    every key of the orbit.  Total ranks do the same with d_k and
-    d_{2n-1-k} (`total_rank`).  The five tables of a validated nil5 rank 39
-    blocks, 75 with M alone and 129 never validated.
+    {k, Mk, Sk, MSk} (`orbit`).  On a miss, `rank` reads the rank of the
+    first other key of the orbit that is stored, or that is absent and so
+    of rank 0, or else finds one as above, and stores it under every key of
+    the orbit.  A complex with neither sigma nor a Serre record has the
+    key alone for its orbit, and a miss there reads no other key.  Total
+    ranks do the same with d_k and d_{2n-1-k} (`total_rank`).  The five
+    tables of a validated nil5 rank 39 blocks, 75 with M alone and 129
+    never validated.
 
     M is exact.  The involution makes every block S of sigma invertible,
     and sigma d1 sigma = d2 gives
@@ -408,11 +415,10 @@ class Analysis:
     validated or one whose check fails.
 
     A valid complex, with or without sigma, also needs no containment
-    product: [d1; d2] . d1 d2 = [d1 d1 d2; d2 d1 d2] and
-    d1 d2 . [d1 | d2] = [d1 d2 d1 | d1 d2 d2] vanish by d1 d1 = 0,
-    d2 d2 = 0 and d2 d1 = -d1 d2, so `bott_chern` and `aeppli` check them
-    only where `valid` is false.  A complex never validated, or one with a
-    violation, reads no mirror and skips no check.
+    product: where a cohomology's block is joined, its containment product
+    vanishes by the axioms (see the module notes), so `bott_chern` and
+    `aeppli` check it only where `valid` is false.  A complex never
+    validated, or one with a violation, reads no mirror and skips no check.
     """
 
     def __init__(self, a: DoubleComplex):
@@ -420,6 +426,7 @@ class Analysis:
         self.totalization = Totalization(a)
         self.total_ranks: dict[int, int] = {}
         self._ranks: dict[tuple[str, int, int], int] = {}
+        self.supports = {kind: _support(a, k) for kind, k in _KINDS.items()}
         self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
         self._reps: dict[tuple[str, object], Matrix] = {}
@@ -477,25 +484,21 @@ class Analysis:
                      for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
         return keys
 
-    def _present(self, kind: str, p: int, q: int) -> list[tuple[str, int, int]] | None:
-        """The keys of the parts of the `kind` block at (p, q) that are
-        stored, each a d1 or d2 block; None if the block is absent: no part
-        is stored, or a factor of d1 d2 is not."""
-        a = self.complex
-        parts, join = _KINDS[kind][:2]
-        present = []
-        for d, dp, dq in parts:
-            if (p + dp, q + dq) in (a.d1 if d == "d1" else a.d2):
-                present.append((d, p + dp, q + dq))
-            elif join is _product:
-                return None
-        return present or None
-
     def absent(self, kind: str, p: int, q: int) -> bool:
         """Whether the `kind` block at (p, q) is zero because its parts are
-        absent: all of them, or either factor of d1 d2.  Read from the
-        stored blocks, with no matrix."""
-        return self._present(kind, p, q) is None
+        absent: all of them, or either factor of d1 d2 (`supports`)."""
+        return (p, q) not in self.supports[kind]
+
+    def _lone_part(self, kind: str, p: int, q: int) -> tuple[str, int, int] | None:
+        """The key of the one part stored of a [d1; d2] or [d1 | d2] block
+        at (p, q) that has exactly one; None for any other block."""
+        parts, join, _, _ = _KINDS[kind]
+        if join in (vstack, hstack):
+            present = [(d, p + dp, q + dq) for d, dp, dq in parts
+                       if (p + dp, q + dq) in self.supports[d]]
+            if len(present) == 1:
+                return present[0]
+        return None
 
     def _parts(self, kind: str, p: int, q: int) -> list[Matrix]:
         """The parts of the `kind` block at (p, q), a zero block where one
@@ -508,71 +511,71 @@ class Analysis:
 
     def block(self, kind: str, p: int, q: int) -> Matrix:
         """The block of one of the five kinds at (p, q) (see `rank`): its
-        parts joined as `_KINDS` says, the product kept (`d1d2`)."""
+        parts joined as `_KINDS` says.  A d1 d2 product is kept, and is the
+        zero block, with no product, where a factor is absent."""
         join = _KINDS[kind].join
-        if join is _product:
-            return self.d1d2(p, q)
-        parts = self._parts(kind, p, q)
-        return join(parts) if join else parts[0]
+        if join is not _product:
+            parts = self._parts(kind, p, q)
+            return join(parts) if join else parts[0]
+        if (p, q) not in self._d1d2:
+            a = self.complex
+            self._d1d2[(p, q)] = (Matrix.zero(a.dim(p + 1, q + 1), a.dim(p, q))
+                                  if self.absent(kind, p, q) else _product(self._parts(kind, p, q)))
+        return self._d1d2[(p, q)]
 
     def rank(self, kind: str, p: int, q: int, m: Matrix | None = None) -> int:
         """The rank of the `kind` block at (p, q): d1 or d2 out of (p, q),
         "d1;d2" the stacked [d1; d2] out of it, "d1|d2" the joined
         [d1 | d2] into it, or "d1d2" the product d1 d2 out of it.
 
-        A stored rank is read.  Failing that, the first rank stored in the
-        block's `orbit` is.  Otherwise a block whose parts are absent
-        (`absent`) has rank 0 and is not built, a [d1; d2] or [d1 | d2]
-        block with one part present takes that part's rank, and
-        `linalg.rank` ranks any other: m, the block the caller has built, or
-        the block built here.  The rank is stored under every key of the
-        orbit.
+        A stored rank is read.  Failing that, that of the first other key of
+        the block's `orbit` that is stored, or is absent (rank 0), is.
+        Otherwise a block whose parts are absent (`absent`) has rank 0 and
+        is not built, a [d1; d2] or [d1 | d2] block with one part present
+        takes that part's rank (`_lone_part`), and `linalg.rank` ranks any
+        other: m, the block the caller has built, or the block built here.
+        The rank is stored under every key of the orbit.
         """
-        found = self._ranks.get((kind, p, q))
+        key = (kind, p, q)
+        found = self._ranks.get(key)
         if found is None:
-            keys = self.orbit(kind, p, q)
-            for key in keys:
-                if (found := self._ranks.get(key)) is not None:
+            a = self.complex
+            # With neither sigma nor a Serre record the orbit is the key alone.
+            others = () if a.sigma is None and a._serre is None else self.orbit(*key)[1:]
+            for other in others:
+                found = 0 if self.absent(*other) else self._ranks.get(other)
+                if found is not None:
                     break
             else:
-                present = self._present(kind, p, q)
-                if present is None:
+                if self.absent(kind, p, q):
                     found = 0
-                elif len(present) < len(_KINDS[kind].parts):
-                    found = self.rank(*present[0])
+                elif (part := self._lone_part(kind, p, q)) is not None:
+                    found = self.rank(*part)
                 else:
                     found = rank(self.block(kind, p, q) if m is None else m)
-            for key in keys:
-                self._ranks[key] = found
+            self._ranks[key] = found
+            for other in others:
+                self._ranks[other] = found
         return found
-
-    def d1d2(self, p: int, q: int) -> Matrix:
-        """d1 d2 out of (p, q), into (p + 1, q + 1); the zero block, with no
-        product, where a factor is absent."""
-        if (p, q) not in self._d1d2:
-            a = self.complex
-            self._d1d2[(p, q)] = (Matrix.zero(a.dim(p + 1, q + 1), a.dim(p, q))
-                                  if self.absent("d1d2", p, q) else _product(self._parts("d1d2", p, q)))
-        return self._d1d2[(p, q)]
 
     def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
         """(cycles, boundaries) whose quotient is the `kind` cohomology at x,
-        a bidegree, or a degree for de_rham."""
+        a bidegree, or a degree for de_rham.  At a bidegree they are the
+        kernel of the out block and the image of the into block that
+        `_COHOMOLOGIES` names, read through `block`, each the canonical
+        span where its block is stacked or joined (see the module notes)."""
         if (kind, x) not in self._spaces:
-            a = self.complex
-            if kind == "dolbeault":
-                found = dolbeault_spaces(a, *x)
-            elif kind == "conjugate_dolbeault":
-                found = kernel_basis(a.d1_at(*x)), image_basis(a.d1_at(x[0] - 1, x[1]))
-            elif kind == "de_rham":
+            if kind == "de_rham":
                 d = self.totalization.differential
                 found = kernel_basis(d(x)), image_basis(d(x - 1))
-            elif kind == "bott_chern":
-                found = bott_chern_spaces(a, *x)
-            elif kind == "aeppli":
-                found = aeppli_spaces(a, *x)
             else:
-                raise ValueError(f"unknown cohomology kind {kind!r}")
+                (p, q), ((out, dp, dq), (into, ep, eq)) = x, _COHOMOLOGIES[kind]
+                z = kernel_basis(self.block(out, p + dp, q + dq))
+                b = self.block(into, p + ep, q + eq)
+                # The canonical span of b is that of its image basis.
+                found = (canonical_span(z) if _KINDS[out].join in (vstack, hstack) else z,
+                         canonical_span(b) if _KINDS[into].join in (vstack, hstack)
+                         else image_basis(b))
             self._spaces[(kind, x)] = found
         return self._spaces[(kind, x)]
 
@@ -591,10 +594,10 @@ def de_rham(a: DoubleComplex) -> CohomologyTable:
     """Total cohomology: dim T^k - rank d_k - rank d_{k-1}, with the ranks
     from the complex's Analysis."""
     memo = Analysis.of(a)
-    degrees = memo.totalization.degrees()
-    entries = _cohomology_dims({k: memo.totalization.dim(k) for k in degrees},
-                               {k: memo.total_rank(k) for k in degrees}, lambda k: k - 1)
-    return CohomologyTable("de_rham", entries)
+    tot = memo.totalization
+    ranks = {k: memo.total_rank(k) for k in tot.degrees()}
+    return CohomologyTable("de_rham", {k: tot.dim(k) - r - ranks.get(k - 1, 0)
+                                       for k, r in ranks.items()})
 
 
 def betti_vector(a: DoubleComplex) -> tuple[int, ...]:
@@ -611,26 +614,7 @@ def euler_characteristic(a: DoubleComplex) -> int:
     return sum((-1) ** ((p + q) % 2) * n for (p, q), n in a.dims.items())
 
 
-# -- Bott-Chern and Aeppli ------------------------------------------------------
-
-
-def dolbeault_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
-    """(cycles, boundaries) whose quotient is column cohomology at (p, q)."""
-    return kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))
-
-
-def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
-    """(cycles, boundaries) whose quotient is Bott-Chern cohomology at (p, q)."""
-    z = canonical_span(kernel_basis(vstack([a.d1_at(p, q), a.d2_at(p, q)])))
-    b = image_basis(a.d1_at(p - 1, q) @ a.d2_at(p - 1, q - 1))
-    return z, b
-
-
-def aeppli_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:
-    """(cycles, boundaries) whose quotient is Aeppli cohomology at (p, q)."""
-    z = kernel_basis(a.d1_at(p, q + 1) @ a.d2_at(p, q))
-    b = canonical_span(hstack([a.d1_at(p - 1, q), a.d2_at(p, q - 1)]))
-    return z, b
+# -- the four bidegree tables ----------------------------------------------------
 
 
 def _contained(out: Matrix, into: Matrix) -> None:
@@ -638,6 +622,44 @@ def _contained(out: Matrix, into: Matrix) -> None:
     an empty factor makes no product."""
     if not (out.is_zero() or into.is_zero() or (out @ into).is_zero()):
         raise NotASubspace("denominator is not contained in numerator")
+
+
+def _bidegree_table(a: DoubleComplex, kind: str) -> CohomologyTable:
+    """dim A^{p,q} - rank(out) - rank(into) at every (p, q), for the blocks
+    `_COHOMOLOGIES` names for `kind`.  Every rank comes from the complex's
+    Analysis, and an absent block is not ranked.  Where a block is joined
+    and the complex is not known valid, im(into) <= ker(out) is checked
+    first, NotASubspace raised where it fails, and the two blocks it
+    multiplied are the ones ranked (see the module notes)."""
+    memo = Analysis.of(a)
+    (out, op, oq), (into, ip, iq) = _COHOMOLOGIES[kind]
+    live_out, live_into = memo.supports[out], memo.supports[into]
+    check = not memo.valid() and (_KINDS[out].join or _KINDS[into].join) is not None
+    entries = {}
+    for (p, q), n in sorted(a.dims.items()):
+        has_out, has_into = (p + op, q + oq) in live_out, (p + ip, q + iq) in live_into
+        m_out = m_into = None
+        if check and has_out and has_into:
+            m_out, m_into = memo.block(out, p + op, q + oq), memo.block(into, p + ip, q + iq)
+            _contained(m_out, m_into)
+        if has_out:
+            n -= memo.rank(out, p + op, q + oq, m_out)
+        if has_into:
+            n -= memo.rank(into, p + ip, q + iq, m_into)
+        entries[(p, q)] = n
+    return CohomologyTable(kind, entries)
+
+
+def dolbeault(a: DoubleComplex) -> CohomologyTable:
+    """Column cohomology: dim - rank(d2 out) - rank(d2 in), each block ranked
+    once, through the complex's Analysis."""
+    return _bidegree_table(a, "dolbeault")
+
+
+def conjugate_dolbeault(a: DoubleComplex) -> CohomologyTable:
+    """Row cohomology: dim - rank(d1 out) - rank(d1 in), each block ranked
+    once, through the complex's Analysis."""
+    return _bidegree_table(a, "conjugate_dolbeault")
 
 
 def bott_chern(a: DoubleComplex) -> CohomologyTable:
@@ -648,17 +670,7 @@ def bott_chern(a: DoubleComplex) -> CohomologyTable:
     and NotASubspace raised otherwise.  Every rank comes from the complex's
     Analysis, d1 d2 shared with aeppli.
     """
-    memo = Analysis.of(a)
-    check = not memo.valid()
-    entries = {}
-    for p, q in a.bidegrees():
-        into_rank = memo.rank("d1d2", p - 1, q - 1)
-        out = None
-        if check and not memo.absent("d1;d2", p, q):
-            out = memo.block("d1;d2", p, q)
-            _contained(out, memo.d1d2(p - 1, q - 1))
-        entries[(p, q)] = a.dim(p, q) - memo.rank("d1;d2", p, q, out) - into_rank
-    return CohomologyTable("bott_chern", entries)
+    return _bidegree_table(a, "bott_chern")
 
 
 def aeppli(a: DoubleComplex) -> CohomologyTable:
@@ -669,17 +681,7 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
     and NotASubspace raised otherwise.  Every rank comes from the complex's
     Analysis, d1 d2 shared with bott_chern.
     """
-    memo = Analysis.of(a)
-    check = not memo.valid()
-    entries = {}
-    for p, q in a.bidegrees():
-        out_rank = memo.rank("d1d2", p, q)
-        into = None
-        if check and not memo.absent("d1|d2", p, q):
-            into = memo.block("d1|d2", p, q)
-            _contained(memo.d1d2(p, q), into)
-        entries[(p, q)] = a.dim(p, q) - out_rank - memo.rank("d1|d2", p, q, into)
-    return CohomologyTable("aeppli", entries)
+    return _bidegree_table(a, "aeppli")
 
 
 # The five tables by kind: the one map every caller dispatches through.

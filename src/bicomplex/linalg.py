@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
 This is the kernel every cohomology computation reduces to: row reduction,
-kernels, images, sums and intersections of subspaces, and induced maps on
-subquotients Z/B.  Everything is exact and deterministic; identical inputs
+ranks, kernels, images and canonical bases of subspaces, and the maps a
+matrix induces on subquotients Z/B.  Everything is exact and deterministic; identical inputs
 give bit-identical outputs.
 
 A Matrix is stored over Z[i] with one denominator, the layout of Sage's
@@ -23,18 +23,18 @@ is `Matrix.identity(n)` and the zero subspace `Matrix.zero(n, 0)`.
 num): the basis column of free column j holds den at row j, and each pivot
 row i puts minus its entry num[(i, j)] at row pivots[i].  `image_basis` and
 `coset_representatives` select columns of their input, and the canonical
-basis of a span (`canonical_span`, hence sums and intersections) is the
-transpose of the nonzero rows of an RREF.  The vectors that `row` and
-`column` return are tuples of GaussianRational.
+basis of a span (`canonical_span`) is the transpose of the nonzero rows of
+an RREF.  The vectors that `row` and `column` return are tuples of
+GaussianRational.
 
 A subquotient frame takes one elimination.  The pivots of a prefix of
 columns do not depend on the columns after it, so one RREF of
 [b_tgt | z_tgt | f b_src | f reps_src] decides both containments that make
 f descend to z/b, finds the target's coset representatives, and gives the
 induced matrix as the representatives' rows of its last block
-(`_induced_map`).  `cohomology` keeps each complex's source
-representatives on its Analysis and calls `_induced_map` itself;
-`induced_subquotient_map` finds them with `coset_representatives`.
+(`_induced_map`).  Its caller supplies the source's representatives:
+`cohomology` finds them with `coset_representatives` once per complex,
+kind and key, and keeps them on the complex's Analysis.
 `complexes.quotient` reads its chosen vectors and the inverse of its frame
 from one RREF of [block | I] in the same way.
 
@@ -854,38 +854,6 @@ def solve_columns(a: Matrix, rhs: Matrix) -> Matrix | None:
     return _matrix(a.cols, rhs.cols, red._den, num)
 
 
-def is_subspace(inner: Matrix, outer: Matrix) -> bool:
-    if inner.rows != outer.rows:
-        raise AmbientMismatch("bases live in different ambient spaces")
-    return inner.cols == 0 or solve_columns(outer, inner) is not None
-
-
-def subspace_sum(u: Matrix, v: Matrix) -> Matrix:
-    """Canonical basis of span(u) + span(v)."""
-    if u.rows != v.rows:
-        raise AmbientMismatch("bases live in different ambient spaces")
-    return canonical_span(hstack([u, v]))
-
-
-def subspace_intersection(u: Matrix, v: Matrix) -> Matrix:
-    """Canonical basis of span(u) & span(v), via the kernel of [U | -V]."""
-    if u.rows != v.rows:
-        raise AmbientMismatch("bases live in different ambient spaces")
-    if u.cols == 0 or v.cols == 0:
-        return Matrix.zero(u.rows, 0)
-    ker = kernel_basis(hstack([u, -v]))
-    return canonical_span(u @ ker[:u.cols, :])
-
-
-def subquotient_dim(z: Matrix, b: Matrix) -> int:
-    """dim(span(z) / span(b)); raises NotASubspace unless span(b) <= span(z)."""
-    if z.rows != b.rows:
-        raise AmbientMismatch("bases live in different ambient spaces")
-    if not is_subspace(b, z):
-        raise NotASubspace("denominator is not contained in numerator")
-    return z.cols - b.cols
-
-
 def coset_representatives(z: Matrix, b: Matrix) -> Matrix:
     """Columns of z completing b to a basis of span(z); their classes span z/b.
 
@@ -900,26 +868,16 @@ def coset_representatives(z: Matrix, b: Matrix) -> Matrix:
     return _select_columns(z, [p - b.cols for p in pivots if p >= b.cols])
 
 
-def induced_subquotient_map(f: Matrix, z_src: Matrix, b_src: Matrix,
-                            z_tgt: Matrix, b_tgt: Matrix) -> Matrix:
-    """Matrix of the map (z_src/b_src) -> (z_tgt/b_tgt) induced by f.
-
-    Coset bases are the deterministic representatives of coset_representatives,
-    so induced matrices compose: induced(g @ f) = induced(g) @ induced(f).
-    The source's are found here, and the map is read off one elimination
-    (`_induced_map`).  Raises NotASubspace unless b_src and b_tgt each have
-    independent columns, and NotWellDefined unless f maps span(b_src) into
-    span(b_tgt) and span(z_src) into span(z_tgt) + span(b_tgt).
-    """
-    if f.cols != z_src.rows or f.rows != z_tgt.rows:
-        raise AmbientMismatch("map shape does not match the ambient spaces")
-    return _induced_map(f, coset_representatives(z_src, b_src), b_src, z_tgt, b_tgt)
-
-
 def _induced_map(f: Matrix, reps_src: Matrix, b_src: Matrix,
                  z_tgt: Matrix, b_tgt: Matrix) -> Matrix:
-    """The induced map of `induced_subquotient_map`, given the source's coset
-    representatives, from one RREF of [b_tgt | z_tgt | f b_src | f reps_src].
+    """Matrix of the map (z_src/b_src) -> (z_tgt/b_tgt) induced by f, given
+    the source's coset representatives reps_src, from one RREF of
+    [b_tgt | z_tgt | f b_src | f reps_src].  Raises NotASubspace unless
+    b_tgt has independent columns, and NotWellDefined unless f maps
+    span(b_src) into span(b_tgt) and span(z_src) into
+    span(z_tgt) + span(b_tgt).  The target's coset bases are those of
+    `coset_representatives`, so induced matrices compose:
+    induced(g @ f) = induced(g) @ induced(f).
 
     The pivots of a prefix of columns do not depend on the later columns, so:
     the pivots among b_tgt are all of b_tgt exactly when its columns are

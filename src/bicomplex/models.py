@@ -653,7 +653,9 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     valid morphism for the dual's sign convention (the top coefficient of
     any exact form vanishes), and an isomorphism of double complexes.  A
     model that validates without it, such as d b = a ^ b, makes the
-    construction raise MorphismError.
+    construction raise MorphismError.  A model with no one-dimensional
+    (n, n) piece, or a truncated-polynomial one whose product of (p, q)
+    and (n - p, n - q) misses it, raises NoTopClass.
     """
     tp, tq = model.top_index
     if tp != tq:
@@ -668,7 +670,13 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     blocks = {}
     for (p, q), m in a.dims.items():
         if pairing is None:
-            entries = {(0, i): model.product((p, q), i, (n - p, n - q), 0)[0] for i in range(m)}
+            entries = {}
+            for i in range(m):
+                top = model.product((p, q), i, (n - p, n - q), 0)
+                if 0 not in top:
+                    raise NoTopClass(f"the product of ({p},{q}) and ({n - p},{n - q}) "
+                                     f"has no ({n},{n}) coefficient")
+                entries[(0, i)] = top[0]
         else:
             entries = {(j, i): ONE if s > 0 else -ONE
                        for i, (j, s) in enumerate(map(pairing.get, words[(p, q)]))}

@@ -19,14 +19,13 @@ from bicomplex import (
     parse_model_file,
     projective_bundle,
     random_complex,
-    subquotient_dim,
     torus,
     validate,
     zigzag,
 )
-from bicomplex.cohomology import aeppli_spaces, bott_chern_spaces
 from bicomplex.scalars import GaussianRational
 from call_counter import calls_into
+from reference_subquotients import aeppli_spaces, bott_chern_spaces, subquotient_dim
 from test_frolicher import NIL4
 
 # (seed, window, size, with_sigma): 120 complexes, every fourth with a real

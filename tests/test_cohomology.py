@@ -24,6 +24,7 @@ from bicomplex import (
     lie_algebra_model,
     linalg,
     parse_model_file,
+    projective_bundle,
     quotient,
     random_complex,
     serre_pairing_morphism,
@@ -34,11 +35,12 @@ from bicomplex import (
     validate,
     zigzag,
 )
-from bicomplex.cohomology import _KINDS, TABLES, Analysis, aeppli_spaces, bott_chern_spaces
+from bicomplex.cohomology import _KINDS, TABLES, Analysis
 from bicomplex.complexes import transpose_complex
 from bicomplex.linalg import coset_representatives, hstack, image_basis, kernel_basis, rank, vstack
 from bicomplex.scalars import GaussianRational
 from call_counter import arguments_of, call_log, calls_into
+from reference_subquotients import aeppli_spaces, bott_chern_spaces, induced_subquotient_map
 from test_acceptance import PROPERTY_CASES
 from test_cli_golden import ALL_TABLES
 from test_frolicher import DIM6, NIL4
@@ -88,12 +90,12 @@ def ranked(fn, *args) -> list:
     lambda: random_complex(203, (0, 5, 0, 5), 19),
 ], ids=["nil4", "random203"])
 def test_one_elimination_per_nonzero_differential(build):
-    """Each stored d1 or d2 block, and each nonzero total differential, is
-    ranked once."""
+    """Each stored d1 or d2 block, in bidegree order, and each nonzero total
+    differential, is ranked once."""
     a = build()
     nonzero_degrees = {p + q for p, q in [*a.d1, *a.d2]}
-    for table, blocks in ((dolbeault, a.d2.values()),
-                          (conjugate_dolbeault, a.d1.values()),
+    for table, blocks in ((dolbeault, [a.d2[pq] for pq in sorted(a.d2)]),
+                          (conjugate_dolbeault, [a.d1[pq] for pq in sorted(a.d1)]),
                           (de_rham, [Analysis.of(a).totalization.differential(k)
                                      for k in sorted(nonzero_degrees)])):
         assert ranked(table, a) == list(blocks), table.__name__
@@ -189,6 +191,64 @@ def test_the_kinds_of_block_follow_the_written_out_rule():
     assert one_part > 10
 
 
+# Each bidegree cohomology at (p, q), written out: its cycles and
+# boundaries from the stored blocks.  The Bott-Chern and Aeppli ones are
+# the subquotient route's, with the Bott-Chern cycles and the Aeppli
+# boundaries as canonical spans.
+SPACE_RULES = {
+    "dolbeault": lambda a, p, q: (kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))),
+    "conjugate_dolbeault": lambda a, p, q: (kernel_basis(a.d1_at(p, q)),
+                                            image_basis(a.d1_at(p - 1, q))),
+    "bott_chern": bott_chern_spaces,
+    "aeppli": aeppli_spaces,
+}
+
+
+def test_the_spaces_follow_the_written_out_rule():
+    """`Analysis.spaces` of each bidegree cohomology equals its cycles and
+    boundaries written out above, matrix for matrix, at every bidegree of
+    the support grown by one: on nil4, on a blow-up of Iwasawa and on a
+    property-suite complex with a real structure, validated, so that its
+    tables read mirrored ranks and leave some products unbuilt."""
+    assert set(SPACE_RULES) == set(TABLES) - {"de_rham"}
+    sigma_case = [case for case in PROPERTY_CASES if case[3]][-1]
+    validated = random_complex(*sigma_case[:3], with_sigma=True)
+    assert validate(validated) == []
+    for a in (lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+              blow_up(iwasawa(), torus(1), 2).total, validated):
+        bott_chern(a)
+        memo = Analysis.of(a)
+        p_min, p_max, q_min, q_max = a.window
+        for kind, rule in SPACE_RULES.items():
+            for p in range(p_min - 1, p_max + 2):
+                for q in range(q_min - 1, q_max + 2):
+                    assert memo.spaces(kind, (p, q)) == rule(a, p, q), (kind, p, q)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: quotient(projective_bundle(torus(2), 3)[1])[0],
+], ids=["nil4", "bundle_quotient"])
+def test_spaces_after_the_tables_multiply_nothing(build):
+    """The Bott-Chern and Aeppli spaces read the d1 d2 products that the
+    tables keep, and a product with an absent factor is the zero block.
+    After `bott_chern` and `aeppli` on a complex never validated, which
+    ranks every product it reads, their spaces at every bidegree make no
+    product: neither on nil4 nor on a quotient that stores no block."""
+    a = build()
+    assert a._violations is None
+    bott_chern(a)
+    aeppli(a)
+    memo = Analysis.of(a)
+
+    def spaces():
+        for pq in a.bidegrees():
+            for kind in ("bott_chern", "aeppli"):
+                memo.spaces(kind, pq)
+
+    assert calls_into(linalg._accumulate.__code__, spaces) == 0
+
+
 def test_peeled_ranks_leave_the_kernel_almost_nothing(capsys):
     """`rank` peels singleton rows and columns before it eliminates, and
     Frolicher's filtered reductions peel the singletons that respect their
@@ -225,14 +285,16 @@ def test_peeled_ranks_agree_with_filtered_ranks_on_dim6():
         assert table == {(q, p): v for (p, q), v in table.items()}
 
 
-@pytest.mark.parametrize("spaces", [bott_chern_spaces, aeppli_spaces])
-def test_subquotient_spaces_reduce_the_rank_formula_matrices(spaces):
+@pytest.mark.parametrize("kind", ["bott_chern", "aeppli"],
+                         ids=["bott_chern_spaces", "aeppli_spaces"])
+def test_subquotient_spaces_reduce_the_rank_formula_matrices(kind):
     """The Bott-Chern cycles are the canonical span of ker [d1; d2] and the
     Aeppli boundaries that of [d1 | d2]: at most three eliminations per
     bidegree, one stacked matrix, its canonical span and the other space."""
     a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
-    for p, q in a.bidegrees():
-        assert calls_into(linalg._echelon.__code__, spaces, a, p, q) <= 3, (p, q)
+    memo = Analysis.of(a)
+    for pq in a.bidegrees():
+        assert calls_into(linalg._echelon.__code__, memo.spaces, kind, pq) <= 3, pq
 
 
 @pytest.mark.parametrize("build", [
@@ -416,7 +478,6 @@ def test_pages_non_increasing_and_reach_betti():
 def test_e2_matches_homology_of_page_one():
     """Independent route to page 2: take column cohomology with the map
     induced by d1 and compute its homology, bidegree by bidegree."""
-    from bicomplex.linalg import image_basis, induced_subquotient_map, kernel_basis
 
     def column_spaces(a, p, q):
         return kernel_basis(a.d2_at(p, q)), image_basis(a.d2_at(p, q - 1))

@@ -476,6 +476,15 @@ def test_serre_pairing_needs_top_class():
         serre_pairing_morphism(bare)
 
 
+def test_serre_pairing_names_a_product_with_no_top_coefficient():
+    """A truncation below the top index makes the product of (0,0) and
+    (1,1) miss (1,1): NoTopClass names that pair of bidegrees."""
+    short = AlgebraModel(DoubleComplex({(0, 0): 1, (1, 1): 1}, {}, {}), (1, 1),
+                         "truncated_polynomial", truncation=0)
+    with pytest.raises(NoTopClass, match=r"product of \(0,0\) and \(1,1\)"):
+        serre_pairing_morphism(short)
+
+
 # -- the brute-force oracle ----------------------------------------------------------
 
 

@@ -30,10 +30,9 @@ from bicomplex.linalg import (
     canonical_span,
     image_basis,
     kernel_basis,
-    subspace_intersection,
-    subspace_sum,
 )
 from bicomplex.scalars import gauss
+from reference_subquotients import subspace_intersection, subspace_sum
 
 KINDS = ("dolbeault", "conjugate_dolbeault", "bott_chern", "aeppli", "de_rham")
 

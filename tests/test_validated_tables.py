@@ -172,8 +172,10 @@ def test_a_valid_complex_makes_no_containment_product():
         memo = Analysis.of(a)
         ranked = sum((p, q + 1) in a.d1 and (p, q) in a.d2 for p, q in memo._d1d2)
         containments = 0 if checked else sum(
-            (not memo.block("d1;d2", p, q).is_zero() and not memo.d1d2(p - 1, q - 1).is_zero())
-            + (not memo.d1d2(p, q).is_zero() and not memo.block("d1|d2", p, q).is_zero())
+            (not memo.block("d1;d2", p, q).is_zero()
+             and not memo.block("d1d2", p - 1, q - 1).is_zero())
+            + (not memo.block("d1d2", p, q).is_zero()
+               and not memo.block("d1|d2", p, q).is_zero())
             for p, q in a.bidegrees())
         assert ranked > 0 and (checked or containments > 0)
         assert products == ranked + containments
