@@ -9,7 +9,6 @@ complexes.
 
 from .scalars import GaussianRational, gauss, parse_scalar, format_scalar
 from .linalg import (
-    AmbientMismatch,
     Matrix,
     NotASubspace,
     NotWellDefined,

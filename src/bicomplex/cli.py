@@ -45,7 +45,7 @@ from .complexes import (
     validate,
 )
 from .geometry import CodimensionTooSmall, InvalidRank, blow_up, projective_bundle
-from .linalg import AmbientMismatch, NotASubspace, NotWellDefined
+from .linalg import NotASubspace, NotWellDefined
 from .models import ModelError
 from .serialize import SerializeError, loads_complex, parse_morphism_file
 
@@ -346,7 +346,7 @@ def run(argv: list[str]) -> int:
         _emit_tables(a, keys, args)
         return 0
     # Any other exception is a bug in the package, not bad input: it propagates.
-    except (ShapeError, MorphismError, AmbientMismatch, NotASubspace, NotWellDefined) as e:
+    except (ShapeError, MorphismError, NotASubspace, NotWellDefined) as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 2
     except (InputError, ModelError, SerializeError, WindowTooSmall, InvalidRank,

@@ -149,7 +149,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .complexes import BiDegree, DoubleComplex, Morphism
+from .complexes import BiDegree, DoubleComplex, Morphism, _target
 from .linalg import (
     Matrix,
     NotASubspace,
@@ -260,9 +260,9 @@ class Totalization:
         index = {pq: n for n, pq in enumerate(tgt)}
         blocks = {}
         for j, (p, q) in enumerate(src):
-            for stored, to in ((a.d1, (p + 1, q)), (a.d2, (p, q + 1))):
+            for kind, stored in (("d1", a.d1), ("d2", a.d2)):
                 if (p, q) in stored:
-                    blocks[(index[to], j)] = stored[(p, q)]
+                    blocks[(index[_target(kind, p, q)], j)] = stored[(p, q)]
         m = self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
         return m
 
@@ -336,12 +336,12 @@ class Analysis:
     The rank memo is keyed by block kind and bidegree, over the five kinds
     of `_KINDS`: d1 and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into
     it and d1 d2 out of it.  `absent`, `block` and `rank` read each kind's
-    parts and join there, and `supports` holds, for each kind, the
-    bidegrees at which its block is not absent.  The four bidegree tables
-    read every rank through the memo (`rank`), so no block is ranked twice,
-    and bott_chern and aeppli share the d1 d2 ranks.  `spaces` reads the
-    blocks that `_COHOMOLOGIES` names through `block`, so the spaces and
-    the tables share the kept d1 d2 products.
+    parts and join there, and `support(kind)` gives the bidegrees at which
+    its block is not absent, found on the first call for that kind.  The
+    four bidegree tables read every rank through the memo (`rank`), so no
+    block is ranked twice, and bott_chern and aeppli share the d1 d2 ranks.
+    `spaces` reads the blocks that `_COHOMOLOGIES` names through `block`,
+    so the spaces and the tables share the kept d1 d2 products.
 
     The one-part rule.  A [d1; d2] or [d1 | d2] block with exactly one part
     present has that part's rank, since rank [X; 0] = rank [X | 0] =
@@ -426,7 +426,7 @@ class Analysis:
         self.totalization = Totalization(a)
         self.total_ranks: dict[int, int] = {}
         self._ranks: dict[tuple[str, int, int], int] = {}
-        self.supports = {kind: _support(a, k) for kind, k in _KINDS.items()}
+        self._supports: dict[str, set[BiDegree]] = {}
         self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
         self._reps: dict[tuple[str, object], Matrix] = {}
@@ -484,10 +484,18 @@ class Analysis:
                      for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
         return keys
 
+    def support(self, kind: str) -> set[BiDegree]:
+        """The bidegrees at which the `kind` block is not absent, found on
+        the first call for that kind and kept."""
+        found = self._supports.get(kind)
+        if found is None:
+            found = self._supports[kind] = _support(self.complex, _KINDS[kind])
+        return found
+
     def absent(self, kind: str, p: int, q: int) -> bool:
         """Whether the `kind` block at (p, q) is zero because its parts are
-        absent: all of them, or either factor of d1 d2 (`supports`)."""
-        return (p, q) not in self.supports[kind]
+        absent: all of them, or either factor of d1 d2 (`support`)."""
+        return (p, q) not in self.support(kind)
 
     def _lone_part(self, kind: str, p: int, q: int) -> tuple[str, int, int] | None:
         """The key of the one part stored of a [d1; d2] or [d1 | d2] block
@@ -495,7 +503,7 @@ class Analysis:
         parts, join, _, _ = _KINDS[kind]
         if join in (vstack, hstack):
             present = [(d, p + dp, q + dq) for d, dp, dq in parts
-                       if (p + dp, q + dq) in self.supports[d]]
+                       if (p + dp, q + dq) in self.support(d)]
             if len(present) == 1:
                 return present[0]
         return None
@@ -633,7 +641,7 @@ def _bidegree_table(a: DoubleComplex, kind: str) -> CohomologyTable:
     multiplied are the ones ranked (see the module notes)."""
     memo = Analysis.of(a)
     (out, op, oq), (into, ip, iq) = _COHOMOLOGIES[kind]
-    live_out, live_into = memo.supports[out], memo.supports[into]
+    live_out, live_into = memo.support(out), memo.support(into)
     check = not memo.valid() and (_KINDS[out].join or _KINDS[into].join) is not None
     entries = {}
     for (p, q), n in sorted(a.dims.items()):

@@ -20,6 +20,13 @@ Only nonzero data is stored: dims maps bidegrees to positive dimensions and
 differential blocks are kept only when nonzero.  The bidegree rectangle
 outside which everything vanishes is derived, not stored.
 
+Where the block of each map at (p, q) lands, (p+1, q) for d1, (p, q+1) for
+d2 and (q, p) for sigma, is written once, in `_target`.  The shape checks
+and every construction that builds blocks (the direct sum, tensor,
+quotient and the random change of basis) loop over the map names and read
+it, so each carries sigma by the same rule as d1 and d2.  `validate`,
+`dual` and `Morphism` write their identities out in full.
+
 This module holds data and constructions only.  The cohomologies, the
 cycles and boundaries of their subquotients, induced maps and the
 E1-isomorphism test live in `cohomology`; a complex only carries the slot
@@ -114,6 +121,16 @@ def _zero(zeros: dict[tuple[int, int], Matrix], rows: int, cols: int) -> Matrix:
     return m
 
 
+def _target(kind: str, p: int, q: int) -> BiDegree:
+    """Where the block of the map kind ("d1", "d2" or "sigma") at (p, q)
+    lands: d1 raises p, d2 raises q and sigma swaps them."""
+    if kind == "d1":
+        return p + 1, q
+    if kind == "d2":
+        return p, q + 1
+    return q, p
+
+
 def _clean_dims(dims: Mapping[BiDegree, int]) -> dict[BiDegree, int]:
     out = {}
     for pq, n in dims.items():
@@ -149,27 +166,17 @@ class DoubleComplex:
     def __post_init__(self):
         dims = _clean_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-
-        def clean_blocks(blocks, shape_of, what):
-            out = {}
-            for pq, m in blocks.items():
-                rows, cols = shape_of(pq)
+        dim = lambda pq: dims.get(pq, 0)
+        for kind in ("d1", "d2", "sigma") if self.sigma is not None else ("d1", "d2"):
+            clean = {}
+            for pq, m in getattr(self, kind).items():
+                rows, cols = dim(_target(kind, *pq)), dim(pq)
                 if (m.rows, m.cols) != (rows, cols):
                     raise ShapeError(
-                        f"{what} block at {pq} is {m.rows}x{m.cols}, expected {rows}x{cols}"
-                    )
+                        f"{kind} block at {pq} is {m.rows}x{m.cols}, expected {rows}x{cols}")
                 if not m.is_zero():
-                    out[pq] = m
-            return out
-
-        dim = lambda pq: dims.get(pq, 0)
-        object.__setattr__(self, "d1", clean_blocks(
-            self.d1, lambda pq: (dim((pq[0] + 1, pq[1])), dim(pq)), "d1"))
-        object.__setattr__(self, "d2", clean_blocks(
-            self.d2, lambda pq: (dim((pq[0], pq[1] + 1)), dim(pq)), "d2"))
-        if self.sigma is not None:
-            object.__setattr__(self, "sigma", clean_blocks(
-                self.sigma, lambda pq: (dim((pq[1], pq[0])), dim(pq)), "sigma"))
+                    clean[pq] = m
+            object.__setattr__(self, kind, clean)
         if self.labels is not None:
             labels = {pq: tuple(names) for pq, names in self.labels.items() if dim(pq)}
             for pq, names in labels.items():
@@ -471,20 +478,18 @@ def _direct_sum(summands: Sequence[DoubleComplex],
             dims[pq] = dims.get(pq, 0) + n
         offsets.append(offs)
 
-    def place(block_of, target_of):
-        """Per bidegree, the summands' blocks along the diagonal of one block matrix."""
+    def place(kind):
+        """Per bidegree, the summands' blocks of the map kind along the
+        diagonal of one block matrix."""
+        stored = [getattr(s, kind) for s in summands]
         out = {}
-        for pq in dict.fromkeys(pq for s in summands for pq in block_of(s)):
-            blocks = {(k, k): block_of(s)[pq] for k, s in enumerate(summands) if pq in block_of(s)}
-            out[pq] = assemble([s.dim(*target_of(pq)) for s in summands],
+        for pq in dict.fromkeys(pq for blocks in stored for pq in blocks):
+            blocks = {(k, k): b[pq] for k, b in enumerate(stored) if pq in b}
+            tgt = _target(kind, *pq)
+            out[pq] = assemble([s.dim(*tgt) for s in summands],
                                [s.dim(*pq) for s in summands], blocks)
         return out
 
-    d1 = place(lambda s: s.d1, lambda pq: (pq[0] + 1, pq[1]))
-    d2 = place(lambda s: s.d2, lambda pq: (pq[0], pq[1] + 1))
-    sigma = None
-    if summands and all(s.sigma is not None for s in summands):
-        sigma = place(lambda s: s.sigma, lambda pq: (pq[1], pq[0]))
     labels = None
     if summands and all(s.labels is not None for s in summands):
         labels = {}
@@ -495,7 +500,8 @@ def _direct_sum(summands: Sequence[DoubleComplex],
                     for k, name in enumerate(s.labels.get(pq, ("?",) * s.dim(*pq))):
                         names[offs[pq] + k] = name
             labels[pq] = tuple(names)
-    return DoubleComplex(dims, d1, d2, sigma, labels), offsets
+    sigma = place("sigma") if summands and all(s.sigma is not None for s in summands) else None
+    return DoubleComplex(dims, place("d1"), place("d2"), sigma, labels), offsets
 
 
 def _inclusion(s: DoubleComplex, total: DoubleComplex, offsets: dict[BiDegree, int]) -> Morphism:
@@ -521,66 +527,39 @@ def tensor(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
         for pq_b in sorted(b.dims):
             tot = (pq_a[0] + pq_b[0], pq_a[1] + pq_b[1])
             comps.setdefault(tot, []).append((pq_a, pq_b))
-    dims = {
-        pq: sum(a.dim(*ca) * b.dim(*cb) for ca, cb in parts)
-        for pq, parts in comps.items()
-    }
+    sizes = {pq: [a.dim(*ca) * b.dim(*cb) for ca, cb in parts] for pq, parts in comps.items()}
+    position = {pq: {part: k for k, part in enumerate(parts)} for pq, parts in comps.items()}
 
-    def component_dims(pq):
-        return [a.dim(*ca) * b.dim(*cb) for ca, cb in comps[pq]]
-
-    def build(d_of_a, d_of_b, step):
+    def build(kind, terms):
+        """The map kind, from terms(kind, ca, cb, ma, mb): the nonzero blocks
+        out of the part ca (x) cb, each with the part it lands in, given the
+        stored blocks ma of a at ca and mb of b at cb (None where zero)."""
+        fa, fb = getattr(a, kind), getattr(b, kind)
         out = {}
         for pq, parts in comps.items():
-            tgt = (pq[0] + step[0], pq[1] + step[1])
-            if tgt not in comps:
-                continue
-            index_tgt = {part: k for k, part in enumerate(comps[tgt])}
-            blocks = {}
-            for ci, (ca, cb) in enumerate(parts):
-                da = d_of_a(a, ca)
-                if not da.is_zero():
-                    part = ((ca[0] + step[0], ca[1] + step[1]), cb)
-                    if part in index_tgt:
-                        blocks[(index_tgt[part], ci)] = kron(da, Matrix.identity(b.dim(*cb)))
-                db = d_of_b(b, cb)
-                if not db.is_zero():
-                    part = (ca, (cb[0] + step[0], cb[1] + step[1]))
-                    if part in index_tgt:
-                        m = kron(Matrix.identity(a.dim(*ca)), db)
-                        blocks[(index_tgt[part], ci)] = -m if (ca[0] + ca[1]) % 2 else m
+            tgt = _target(kind, *pq)
+            blocks = {(position[tgt][to], ci): m for ci, (ca, cb) in enumerate(parts)
+                      for to, m in terms(kind, ca, cb, fa.get(ca), fb.get(cb))}
             if blocks:
-                out[pq] = assemble(
-                    [a.dim(*ca) * b.dim(*cb) for ca, cb in comps[tgt]],
-                    component_dims(pq),
-                    blocks,
-                )
+                out[pq] = assemble(sizes[tgt], sizes[pq], blocks)
         return out
 
-    d1 = build(lambda c, pq: c.d1_at(*pq), lambda c, pq: c.d1_at(*pq), (1, 0))
-    d2 = build(lambda c, pq: c.d2_at(*pq), lambda c, pq: c.d2_at(*pq), (0, 1))
+    def leibniz(kind, ca, cb, ma, mb):
+        """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy."""
+        if ma is not None:
+            yield (_target(kind, *ca), cb), kron(ma, Matrix.identity(b.dim(*cb)))
+        if mb is not None:
+            m = kron(Matrix.identity(a.dim(*ca)), mb)
+            yield (ca, _target(kind, *cb)), -m if (ca[0] + ca[1]) % 2 else m
 
-    sigma = None
-    if a.sigma is not None and b.sigma is not None:
-        sigma = {}
-        for pq, parts in comps.items():
-            tgt = (pq[1], pq[0])
-            index_tgt = {part: k for k, part in enumerate(comps[tgt])}
-            blocks = {}
-            for ci, (ca, cb) in enumerate(parts):
-                sa = a.sigma_at(*ca)
-                sb = b.sigma_at(*cb)
-                part = ((ca[1], ca[0]), (cb[1], cb[0]))
-                m = kron(sa, sb)
-                if not m.is_zero():
-                    blocks[(index_tgt[part], ci)] = m
-            if blocks:
-                sigma[pq] = assemble(
-                    [a.dim(*ca) * b.dim(*cb) for ca, cb in comps[tgt]],
-                    component_dims(pq),
-                    blocks,
-                )
-    return DoubleComplex(dims, d1, d2, sigma)
+    def conjugate(kind, ca, cb, ma, mb):
+        """sigma(x (x) y) = sigma x (x) sigma y."""
+        if ma is not None and mb is not None:
+            yield (_target(kind, *ca), _target(kind, *cb)), kron(ma, mb)
+
+    sigma = build("sigma", conjugate) if a.sigma is not None and b.sigma is not None else None
+    return DoubleComplex({pq: sum(n) for pq, n in sizes.items()},
+                         build("d1", leibniz), build("d2", leibniz), sigma)
 
 
 def dual(a: DoubleComplex, n: int) -> DoubleComplex:
@@ -681,26 +660,18 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
             base = tgt.labels.get(pq, tuple(f"e{k}" for k in range(n_tgt)))
             labels[pq] = tuple(base[e] for e in chosen)
 
-    def induced(block_at, step):
+    def induced(kind):
         out = {}
-        for pq, n in dims.items():
-            tpq = (pq[0] + step[0], pq[1] + step[1])
-            if dims.get(tpq, 0) == 0 or n == 0:
-                continue
-            out[pq] = _select_columns(projs[tpq] @ block_at(*pq), chosen_at[pq])
+        for pq, m in getattr(tgt, kind).items():
+            to = _target(kind, *pq)
+            if dims[pq] and dims.get(to, 0):
+                out[pq] = _select_columns(projs[to] @ m, chosen_at[pq])
         return out
 
-    q_d1 = induced(tgt.d1_at, (1, 0))
-    q_d2 = induced(tgt.d2_at, (0, 1))
     q_sigma = None
     if tgt.sigma is not None and _image_sigma_stable(f, projs):
-        q_sigma = {}
-        for pq, n in dims.items():
-            tpq = (pq[1], pq[0])
-            if dims.get(tpq, 0) == 0 or n == 0:
-                continue
-            q_sigma[pq] = _select_columns(projs[tpq] @ tgt.sigma_at(*pq), chosen_at[pq])
-    result = DoubleComplex(dims, q_d1, q_d2, q_sigma, labels)
+        q_sigma = induced("sigma")
+    result = DoubleComplex(dims, induced("d1"), induced("d2"), q_sigma, labels)
     projection = Morphism(tgt, result, {pq: m for pq, m in projs.items() if dims.get(pq, 0)})
     return result, projection
 
@@ -818,22 +789,16 @@ def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:
             raise RuntimeError(f"random change of basis at bidegree {pq} is not invertible")
         inverse[pq] = inv
 
-    def conjugated(blocks, target_of):
+    def conjugated(kind):
+        """Each stored block M of the map kind at (p, q) as C M C^-1, C the
+        change at its target and C^-1 the inverse at (p, q); antilinear
+        sigma takes conj(C)^-1, which is conj(C^-1), the stored inverse
+        conjugated.  A stored block is nonzero, so its target has a change."""
         out = {}
-        for pq, m in blocks.items():
-            tgt = target_of(pq)
-            left = change.get(tgt, Matrix.identity(m.rows))
-            out[pq] = left @ m @ inverse[pq]
+        for pq, m in getattr(a, kind).items():
+            right = inverse[pq].conjugate() if kind == "sigma" else inverse[pq]
+            out[pq] = change[_target(kind, *pq)] @ m @ right
         return out
 
-    d1 = conjugated(a.d1, lambda pq: (pq[0] + 1, pq[1]))
-    d2 = conjugated(a.d2, lambda pq: (pq[0], pq[1] + 1))
-    sigma = None
-    if a.sigma is not None:
-        sigma = {}
-        for pq, m in a.sigma.items():
-            tgt = (pq[1], pq[0])
-            left = change.get(tgt, Matrix.identity(m.rows))
-            # conj(C)^-1 is conj(C^-1): the stored inverse, conjugated.
-            sigma[pq] = left @ m @ inverse[pq].conjugate()
-    return DoubleComplex(a.dims, d1, d2, sigma, a.labels)
+    sigma = conjugated("sigma") if a.sigma is not None else None
+    return DoubleComplex(a.dims, conjugated("d1"), conjugated("d2"), sigma, a.labels)

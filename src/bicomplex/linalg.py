@@ -153,10 +153,6 @@ Vector = tuple[GaussianRational, ...]
 Entries = dict[tuple[int, int], tuple[int, int]]
 
 
-class AmbientMismatch(ValueError):
-    """Two subspaces were combined although they live in different ambient spaces."""
-
-
 class NotASubspace(ValueError):
     """A claimed subspace containment span(b) <= span(z) fails."""
 

@@ -47,7 +47,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import BiDegree, DoubleComplex, Morphism, dual
+from .complexes import BiDegree, DoubleComplex, Morphism, _target, dual
 from .linalg import Matrix
 from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
@@ -508,10 +508,10 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     index = {w: i for words in monomials.values() for i, w in enumerate(words)}
     dims = {pq: len(ws) for pq, ws in monomials.items()}
 
-    def blocks_for(rule: Rule, step: BiDegree) -> dict[BiDegree, Matrix]:
+    def blocks_for(rule: Rule, kind: str) -> dict[BiDegree, Matrix]:
         out = {}
         for (p, q), words in monomials.items():
-            tgt = (p + step[0], q + step[1])
+            tgt = _target(kind, p, q)
             if tgt not in monomials:
                 continue
             entries = {(index[new], col): c
@@ -521,8 +521,8 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
                 out[(p, q)] = Matrix(dims[tgt], dims[(p, q)], entries)
         return out
 
-    d1 = blocks_for(d1_rule, (1, 0))
-    d2 = blocks_for(d2_rule, (0, 1))
+    d1 = blocks_for(d1_rule, "d1")
+    d2 = blocks_for(d2_rule, "d2")
 
     # sigma bars every letter of phi_I ^ conj(phi)_J, giving conj(phi)_I ^
     # phi_J = (-1)^{pq} phi_J ^ conj(phi)_I: the halves swap.
@@ -531,7 +531,7 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     for (p, q), words in monomials.items():
         sign = -ONE if p * q % 2 else ONE
         entries = {(index[w >> n | (w & low) << n], col): sign for col, w in enumerate(words)}
-        sigma[(p, q)] = Matrix(dims[(q, p)], dims[(p, q)], entries)
+        sigma[(p, q)] = Matrix(dims[_target("sigma", p, q)], dims[(p, q)], entries)
 
     labels = {
         pq: tuple("^".join(name for k, name in enumerate(letter_names) if w >> k & 1) or "1"

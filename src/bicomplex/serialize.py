@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .complexes import DoubleComplex, Morphism
+from .complexes import DoubleComplex, Morphism, _target
 from .linalg import Matrix
 from .models import MAX_BIDEGREE, MAX_MODEL_BASIS
 from .scalars import format_scalar, parse_scalar
@@ -111,7 +111,7 @@ def loads_complex(text: str) -> DoubleComplex:
             if total > MAX_MODEL_BASIS:
                 raise SerializeError(lineno, f"total dimension {total} is more than the "
                                              f"{MAX_MODEL_BASIS} accepted")
-        elif tag in ("d1", "d2", "sigma"):
+        elif tag in cells:
             if len(parts) != 6:
                 raise SerializeError(lineno, f"{tag} takes p q row col scalar")
             p, q, i, j = (_parse_int(t, lineno, f"{tag} field") for t in parts[1:5])
@@ -132,16 +132,9 @@ def loads_complex(text: str) -> DoubleComplex:
         else:
             raise SerializeError(lineno, f"unknown record {tag!r}")
 
-    def shape(tag, pq):
-        p, q = pq
-        if tag == "d1":
-            return dims.get((p + 1, q), 0), dims.get((p, q), 0)
-        if tag == "d2":
-            return dims.get((p, q + 1), 0), dims.get((p, q), 0)
-        return dims.get((q, p), 0), dims.get((p, q), 0)
-
     def matrices(tag):
-        return {pq: _block(*shape(tag, pq), entries, f"{tag} block at {pq}")
+        return {pq: _block(dims.get(_target(tag, *pq), 0), dims.get(pq, 0), entries,
+                           f"{tag} block at {pq}")
                 for pq, entries in cells[tag].items()}
 
     label_tuples = None

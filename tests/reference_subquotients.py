@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bicomplex.complexes import DoubleComplex
 from bicomplex.linalg import (
-    AmbientMismatch,
     Matrix,
     NotASubspace,
     _induced_map,
@@ -25,6 +24,10 @@ from bicomplex.linalg import (
     solve_columns,
     vstack,
 )
+
+
+class AmbientMismatch(ValueError):
+    """Two subspaces were combined although they live in different ambient spaces."""
 
 
 def bott_chern_spaces(a: DoubleComplex, p: int, q: int) -> tuple[Matrix, Matrix]:

@@ -14,6 +14,7 @@ from bicomplex import (
     ShapeError,
     WindowTooSmall,
     betti_vector,
+    blow_up,
     direct_sum,
     direct_sum_many,
     dolbeault,
@@ -23,6 +24,7 @@ from bicomplex import (
     is_E1_isomorphism,
     iwasawa,
     projective_bundle,
+    projective_space,
     quotient,
     random_complex,
     shift,
@@ -84,10 +86,23 @@ def test_validate_iwasawa(iwasawa_model):
     assert validate(iwasawa_model.complex) == []
 
 
+# A mis-shaped block of each map, on dims whose three targets differ in
+# dimension, and the message that names the shape it was expected to have.
+SHAPE_ERRORS = [
+    ("d1", {(0, 0): Matrix.identity(1)}, "d1 block at (0, 0) is 1x1, expected 2x1"),
+    ("d2", {(0, 0): Matrix.identity(1)}, "d2 block at (0, 0) is 1x1, expected 3x1"),
+    ("sigma", {(1, 0): Matrix.identity(2)}, "sigma block at (1, 0) is 2x2, expected 3x2"),
+]
+
+
 def test_shape_errors_at_construction():
-    with pytest.raises(ShapeError):
-        DoubleComplex({(0, 0): 1}, {(0, 0): Matrix.identity(1)}, {})
-    with pytest.raises(ShapeError):
+    dims = {(0, 0): 1, (1, 0): 2, (0, 1): 3}
+    for kind, blocks, message in SHAPE_ERRORS:
+        maps = {"d1": {}, "d2": {}, "sigma": {}} | {kind: blocks}
+        with pytest.raises(ShapeError) as caught:
+            DoubleComplex(dims, maps["d1"], maps["d2"], maps["sigma"])
+        assert str(caught.value) == message
+    with pytest.raises(ShapeError, match=r"^1 labels for dimension 2 at \(0, 0\)$"):
         DoubleComplex({(0, 0): 2}, {}, {}, labels={(0, 0): ("x",)})
 
 
@@ -401,6 +416,39 @@ def test_random_complex_sigma_serializes_as_recorded():
     for (seed, window, size), digest in SIGMA_DIGESTS.items():
         text = dumps_complex(random_complex(seed, window, size, with_sigma=True))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, window, size)
+
+
+# SHA-256 of dumps_complex for each construction that carries sigma, recorded
+# while tensor, quotient and the random change of basis still built sigma in
+# a loop of its own beside d1 and d2.
+CONSTRUCTION_DIGESTS = {
+    "tensor_iwasawa_p1": "46781adde22391c12be7dd3afbd21d4492cfdb15d17ac699f45d10c24ea2aaec",
+    "tensor_random": "a5fce86fb11b13f4cde99995d0ff9f471ae315639c665008205910e2ccc6b427",
+    "dual_iwasawa": "bfbd0af15a4de7ffea71343718ce9c54729113e9ff0cd809211fac0adb6b86b8",
+    "bundle_quotient": "1ce557c9a667f53d43c5d27a048199e0c505afda32aedd68d1d007aad43b592a",
+    "blow_up": "9a0ba40130cca94f41e12e528964045bf03c37397b7f3dd1c7d01ecfadd1cad9",
+    "direct_sum_random": "dfb12f051a8612680ec0b300bbd12b06f990da310b29300a1fc4d353d2a65d53",
+}
+
+
+def test_constructions_with_sigma_serialize_as_recorded(iwasawa_model, torus1):
+    iw = iwasawa_model.complex
+    built = {
+        "tensor_iwasawa_p1": tensor(iw, projective_space(1).complex),
+        "tensor_random": tensor(random_complex(1, (0, 2, 0, 2), 2, with_sigma=True),
+                                random_complex(2, (0, 2, 0, 2), 2, with_sigma=True)),
+        "dual_iwasawa": dual(iw, 3),
+        "bundle_quotient": quotient(projective_bundle(iw, 3)[1])[0],
+        "blow_up": blow_up(iw, torus1.complex, 2).total,
+        "direct_sum_random": direct_sum_many(
+            [random_complex(3, (0, 2, 0, 2), 3, with_sigma=True),
+             random_complex(4, (0, 3, 0, 3), 2, with_sigma=True)])[0],
+    }
+    assert built.keys() == CONSTRUCTION_DIGESTS.keys()
+    for name, c in built.items():
+        assert c.sigma, name
+        digest = hashlib.sha256(dumps_complex(c).encode()).hexdigest()
+        assert digest == CONSTRUCTION_DIGESTS[name], name
 
 
 def test_random_complex_window_too_small():

@@ -7,7 +7,6 @@ import pytest
 from bicomplex import dual, frolicher, lie_algebra_model, linalg, parse_model_file, random_complex
 from bicomplex.cohomology import TABLES, Analysis, Totalization
 from bicomplex.linalg import (
-    AmbientMismatch,
     Matrix,
     NotASubspace,
     NotWellDefined,
@@ -32,6 +31,7 @@ from reference_echelon import reference_echelon
 from reference_matmul import reference_matmul
 from reference_rref import reference_rref
 from reference_subquotients import (
+    AmbientMismatch,
     induced_subquotient_map,
     is_subspace,
     subquotient_dim,
