@@ -25,8 +25,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import models as _models
 from .cohomology import (
@@ -111,8 +111,7 @@ def resolve_reference(ref: str) -> DoubleComplex:
 ORIENTATION = "degree 0 at the bottom, p increasing to the right"
 
 
-@dataclass(frozen=True)
-class RenderedDiamond:
+class RenderedDiamond(NamedTuple):
     kind: str
     rows: tuple[str, ...]
     orientation: str = ORIENTATION

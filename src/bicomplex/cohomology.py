@@ -146,8 +146,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter, namedtuple
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .complexes import BiDegree, DoubleComplex, Morphism, _target
 from .linalg import (
@@ -166,17 +165,33 @@ from .linalg import (
 )
 from .models import _serre_pairing_holds
 
-@dataclass(frozen=True)
 class CohomologyTable:
-    """Dimensions of one cohomology; keyed by (p, q), or by k for de_rham."""
+    """Dimensions of one cohomology; keyed by (p, q), or by k for de_rham.
 
-    kind: str
-    entries: Mapping
+    Zero entries are dropped.  A read-only value: equality compares kind and
+    entries."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", {k: int(v) for k, v in self.entries.items() if v}
-        )
+    __slots__ = ("kind", "entries")
+
+    def __init__(self, kind: str, entries: Mapping):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "entries", {k: int(v) for k, v in entries.items() if v})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not CohomologyTable:
+            return NotImplemented
+        return (self.kind, self.entries) == (other.kind, other.entries)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CohomologyTable(kind={self.kind!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return CohomologyTable, (self.kind, self.entries)
 
     def at(self, key) -> int:
         return self.entries.get(key, 0)
@@ -194,8 +209,7 @@ class CohomologyTable:
         return {k: tuple(sorted(vs)) for k, vs in sorted(out.items())}
 
 
-@dataclass(frozen=True)
-class SpectralSequenceResult:
+class SpectralSequenceResult(NamedTuple):
     """Pages of a (bounded, hence degenerating) spectral sequence.
 
     pages holds (r, table) from r = 1 up to the page where no further
@@ -880,8 +894,7 @@ def induced_cohomology_map(f: Morphism, kind: str) -> dict:
 # -- E1-isomorphism test --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class E1Witness:
+class E1Witness(NamedTuple):
     p: int
     q: int
     source_dim: int
@@ -893,8 +906,7 @@ class E1Witness:
         return self.source_dim == self.target_dim == self.rank
 
 
-@dataclass(frozen=True)
-class E1Report:
+class E1Report(NamedTuple):
     """Verdict of the column-cohomology comparison, with one witness per bidegree."""
 
     entries: tuple[E1Witness, ...]

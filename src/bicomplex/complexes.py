@@ -61,7 +61,6 @@ Sign conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
@@ -69,11 +68,11 @@ from .linalg import (
     _products_vanish,
     _select_columns,
     _times_conjugate_is_identity,
+    _unit_lower_inverse,
     assemble,
     hstack,
     kron,
     rref,
-    solve_columns,
 )
 from .scalars import ONE, gauss
 
@@ -141,48 +140,75 @@ def _clean_dims(dims: Mapping[BiDegree, int]) -> dict[BiDegree, int]:
     return out
 
 
-@dataclass(frozen=True)
 class DoubleComplex:
-    dims: Mapping[BiDegree, int]
-    d1: Mapping[BiDegree, Matrix]
-    d2: Mapping[BiDegree, Matrix]
-    sigma: Mapping[BiDegree, Matrix] | None = None
-    labels: Mapping[BiDegree, tuple[str, ...]] | None = None
-    # Memos that live and die with this complex, not part of its value: the
+    """A bounded double complex: the dimension of each nonzero A^{p,q}, the
+    nonzero blocks of d1, d2 and, when there is a real structure, sigma, and
+    optional basis labels.  Construction drops zero dimensions and zero
+    blocks and checks every block's shape.  A read-only value: equality
+    compares dims, d1, d2, sigma and labels."""
+
+    # Besides the value, memos that live and die with this complex: the
     # zero block of each shape that an absent block reads as, the
     # cohomology.Analysis of the complex, made on first use, the
     # violations `validate` found, None until it runs, and, on a
     # Lie-algebra model only, what the Analysis needs to check its Serre
     # pairing: (n, monomials by bidegree, index of each monomial), set by
-    # `models.lie_algebra_model`.
-    _zeros: dict[tuple[int, int], Matrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _analysis: object = field(default=None, init=False, repr=False, compare=False)
-    _violations: tuple[Violation, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _serre: tuple[int, Mapping[BiDegree, tuple[int, ...]], Mapping[int, int]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # `models.lie_algebra_model`.  The Analysis holds the complex through a
+    # weak proxy.
+    __slots__ = ("dims", "d1", "d2", "sigma", "labels",
+                 "_zeros", "_analysis", "_violations", "_serre", "__weakref__")
 
-    def __post_init__(self):
-        dims = _clean_dims(self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims: Mapping[BiDegree, int], d1: Mapping[BiDegree, Matrix],
+                 d2: Mapping[BiDegree, Matrix], sigma: Mapping[BiDegree, Matrix] | None = None,
+                 labels: Mapping[BiDegree, tuple[str, ...]] | None = None):
+        dims = _clean_dims(dims)
         dim = lambda pq: dims.get(pq, 0)
-        for kind in ("d1", "d2", "sigma") if self.sigma is not None else ("d1", "d2"):
+        maps = {"d1": d1, "d2": d2, "sigma": sigma}
+        for kind, blocks in maps.items():
+            if blocks is None:
+                continue
             clean = {}
-            for pq, m in getattr(self, kind).items():
+            for pq, m in blocks.items():
                 rows, cols = dim(_target(kind, *pq)), dim(pq)
                 if (m.rows, m.cols) != (rows, cols):
                     raise ShapeError(
                         f"{kind} block at {pq} is {m.rows}x{m.cols}, expected {rows}x{cols}")
                 if not m.is_zero():
                     clean[pq] = m
-            object.__setattr__(self, kind, clean)
-        if self.labels is not None:
-            labels = {pq: tuple(names) for pq, names in self.labels.items() if dim(pq)}
+            maps[kind] = clean
+        if labels is not None:
+            labels = {pq: tuple(names) for pq, names in labels.items() if dim(pq)}
             for pq, names in labels.items():
                 if len(names) != dim(pq):
                     raise ShapeError(f"{len(names)} labels for dimension {dim(pq)} at {pq}")
-            object.__setattr__(self, "labels", labels)
+        put = object.__setattr__
+        put(self, "dims", dims)
+        put(self, "d1", maps["d1"])
+        put(self, "d2", maps["d2"])
+        put(self, "sigma", maps["sigma"])
+        put(self, "labels", labels)
+        put(self, "_zeros", {})
+        put(self, "_analysis", None)
+        put(self, "_violations", None)
+        put(self, "_serre", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not DoubleComplex:
+            return NotImplemented
+        return (self.dims, self.d1, self.d2, self.sigma, self.labels) == (
+            other.dims, other.d1, other.d2, other.sigma, other.labels)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"DoubleComplex(dims={self.dims!r}, d1={self.d1!r}, d2={self.d2!r}, "
+                f"sigma={self.sigma!r}, labels={self.labels!r})")
+
+    def __reduce__(self):
+        return DoubleComplex, (self.dims, self.d1, self.d2, self.sigma, self.labels)
 
     # -- accessors -----------------------------------------------------------
 
@@ -313,39 +339,39 @@ def validate(a: DoubleComplex) -> list[Violation]:
 # -- morphisms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Morphism:
     """A bidegree-preserving map of double complexes, stored blockwise.
 
     Construction fails hard unless every block commutes with both
     differentials; everything downstream assumes it.  Each commutation
     check is one vanishing sum of two products over Z[i], as in `validate`.
+    A read-only value: equality compares source, target and blocks.
     """
 
-    source: DoubleComplex
-    target: DoubleComplex
-    blocks: Mapping[BiDegree, Matrix]
-    # Memos that live and die with this morphism, not part of its value: the
+    # Besides the value, memos that live and die with this morphism: the
     # zero block of each shape that an absent block reads as, and the map
     # `cohomology.induced_cohomology_map` found for each kind.
-    _zeros: dict[tuple[int, int], Matrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _induced: dict[str, dict] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "blocks", "_zeros", "_induced")
 
-    def __post_init__(self):
+    def __init__(self, source: DoubleComplex, target: DoubleComplex,
+                 blocks: Mapping[BiDegree, Matrix]):
         clean = {}
-        for pq, m in self.blocks.items():
-            rows = self.target.dim(*pq)
-            cols = self.source.dim(*pq)
+        for pq, m in blocks.items():
+            rows = target.dim(*pq)
+            cols = source.dim(*pq)
             if (m.rows, m.cols) != (rows, cols):
                 raise ShapeError(f"morphism block at {pq} is {m.rows}x{m.cols}, expected {rows}x{cols}")
             if not m.is_zero():
                 clean[pq] = m
-        object.__setattr__(self, "blocks", clean)
+        put = object.__setattr__
+        put(self, "source", source)
+        put(self, "target", target)
+        put(self, "blocks", clean)
+        put(self, "_zeros", {})
+        put(self, "_induced", {})
         f = self.block_at
-        s1, s2 = self.source.d1_at, self.source.d2_at
-        t1, t2 = self.target.d1_at, self.target.d2_at
+        s1, s2 = source.d1_at, source.d2_at
+        t1, t2 = target.d1_at, target.d2_at
         # A check at (p, q) multiplies f(p, q) and f(p + 1, q), or f(p, q + 1):
         # elsewhere both of its products are zero.
         support = {(p - dp, q - dq) for p, q in clean for dp, dq in ((0, 0), (1, 0), (0, 1))}
@@ -354,6 +380,22 @@ class Morphism:
                 raise MorphismError(f"blocks do not commute with d1 at ({p}, {q})")
             if not _products_vanish([(1, t2(p, q), f(p, q)), (-1, f(p, q + 1), s2(p, q))]):
                 raise MorphismError(f"blocks do not commute with d2 at ({p}, {q})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Morphism:
+            return NotImplemented
+        return (self.source, self.target, self.blocks) == (other.source, other.target, other.blocks)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Morphism(source={self.source!r}, target={self.target!r}, blocks={self.blocks!r})"
+
+    def __reduce__(self):
+        return Morphism, (self.source, self.target, self.blocks)
 
     def block_at(self, p: int, q: int) -> Matrix:
         m = self.blocks.get((p, q))
@@ -764,8 +806,9 @@ def _try_zigzag(rng, length, first, p_min, p_max, q_min, q_max):
     return None
 
 
-def _random_invertible(rng: random.Random, n: int) -> Matrix:
-    """Unit lower times unit upper triangular with small random entries."""
+def _random_unit_factors(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+    """A unit lower and a unit upper triangular n x n matrix with small
+    random entries over Z[i]."""
     pool = [gauss(0), gauss(1), gauss(-1), gauss(2), gauss(0, 1), gauss(1, -1)]
     lower = {(i, i): ONE for i in range(n)}
     upper = {(i, i): ONE for i in range(n)}
@@ -777,17 +820,25 @@ def _random_invertible(rng: random.Random, n: int) -> Matrix:
             v = pool[rng.randrange(len(pool))]
             if v:
                 upper[(j, i)] = v
-    return Matrix(n, n, lower) @ Matrix(n, n, upper)
+    return Matrix(n, n, lower), Matrix(n, n, upper)
+
+
+def _random_invertible(rng: random.Random, n: int) -> Matrix:
+    """Unit lower times unit upper triangular with small random entries,
+    from the same draws as one change of basis of `_random_basis_change`.
+    The test reference that solves for C^-1 by elimination draws C here."""
+    lower, upper = _random_unit_factors(rng, n)
+    return lower @ upper
 
 
 def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:
-    change = {pq: _random_invertible(rng, n) for pq, n in sorted(a.dims.items())}
-    inverse = {}
-    for pq, c in change.items():
-        inv = solve_columns(c, Matrix.identity(c.rows))
-        if inv is None:
-            raise RuntimeError(f"random change of basis at bidegree {pq} is not invertible")
-        inverse[pq] = inv
+    change, inverse = {}, {}
+    for pq, n in sorted(a.dims.items()):
+        lower, upper = _random_unit_factors(rng, n)
+        change[pq] = lower @ upper
+        # (LU)^-1 = U^-1 L^-1, each factor inverted by substitution; the
+        # transpose of a unit upper triangular matrix is unit lower.
+        inverse[pq] = _unit_lower_inverse(upper.transpose()).transpose() @ _unit_lower_inverse(lower)
 
     def conjugated(kind):
         """Each stored block M of the map kind at (p, q) as C M C^-1, C the

@@ -14,7 +14,7 @@ value predicted by the formulas, which is what the tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import TABLES, CohomologyTable, is_E1_isomorphism
 from .complexes import (
@@ -45,8 +45,7 @@ def as_complex(x) -> DoubleComplex:
     raise TypeError(f"expected a double complex or a model, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(NamedTuple):
     total: DoubleComplex
     base_inclusion: Morphism
     center_summands: tuple[DoubleComplex, ...]

@@ -394,6 +394,34 @@ def _times_conjugate_is_identity(a: Matrix, b: Matrix) -> bool:
             and all(i == j or v == (0, 0) for (i, j), v in acc.items()))
 
 
+def _unit_lower_inverse(m: Matrix) -> Matrix:
+    """The inverse of a unit lower-triangular matrix over Z[i]; the caller
+    guarantees that m is one, so its den is 1.
+
+    Forward substitution: column j of X = m^-1 has X[j][j] = 1 and
+    X[i][j] = -sum of m[i][k] X[k][j] over j <= k < i.  No division occurs,
+    and X is again unit lower triangular over Z[i].
+    """
+    below: list[list[tuple[int, int, int]]] = [[] for _ in range(m.rows)]
+    for (i, k), (x, y) in m._num.items():
+        if k < i:
+            below[i].append((k, x, y))
+    num: Entries = {}
+    for j in range(m.rows):
+        col = {j: (1, 0)}
+        for i in range(j + 1, m.rows):
+            re = im = 0
+            for k, x, y in below[i]:
+                c = col.get(k)
+                if c is not None:
+                    re -= x * c[0] - y * c[1]
+                    im -= x * c[1] + y * c[0]
+            if re or im:
+                col[i] = (re, im)
+        num.update(((i, j), v) for i, v in col.items())
+    return _matrix(m.rows, m.rows, 1, num)
+
+
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ValueError("hstack of nothing")

@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import BiDegree, DoubleComplex, Morphism, _target, dual
 from .linalg import Matrix
@@ -135,8 +134,7 @@ class NoTopClass(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class EquationTerm:
+class EquationTerm(NamedTuple):
     """coeff * first ^ second, letters canonically ordered (sign absorbed)."""
 
     coeff: GaussianRational
@@ -148,17 +146,42 @@ class EquationTerm:
         return self.first[0] + self.second[0]
 
 
-@dataclass(frozen=True)
 class ModelSpec:
-    name: str
-    complex_dimension: int
-    kind: str
-    generators: tuple[str, ...]
-    equations: Mapping[str, tuple[EquationTerm, ...]]
+    """A parsed model file: its name, complex dimension, kind, generators and
+    the structure equation of each generator, empty ones dropped.  A
+    read-only value: equality compares the five fields in that order."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "equations",
-                           {g: tuple(ts) for g, ts in self.equations.items() if ts})
+    __slots__ = ("name", "complex_dimension", "kind", "generators", "equations")
+
+    def __init__(self, name: str, complex_dimension: int, kind: str,
+                 generators: tuple[str, ...],
+                 equations: Mapping[str, tuple[EquationTerm, ...]]):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "complex_dimension", complex_dimension)
+        put(self, "kind", kind)
+        put(self, "generators", generators)
+        put(self, "equations", {g: tuple(ts) for g, ts in equations.items() if ts})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ModelSpec:
+            return NotImplemented
+        return (self.name, self.complex_dimension, self.kind, self.generators, self.equations) == (
+            other.name, other.complex_dimension, other.kind, other.generators, other.equations)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"ModelSpec(name={self.name!r}, complex_dimension={self.complex_dimension!r}, "
+                f"kind={self.kind!r}, generators={self.generators!r}, "
+                f"equations={self.equations!r})")
+
+    def __reduce__(self):
+        return ModelSpec, (self.name, self.complex_dimension, self.kind, self.generators,
+                           self.equations)
 
     def parts(self, gen: str) -> tuple[tuple[EquationTerm, ...], ...]:
         """The (2,0), (1,1) and (0,2) pieces of d(gen)."""

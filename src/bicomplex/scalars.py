@@ -9,7 +9,6 @@ of a double complex ever needs.  No rounding occurs anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -21,12 +20,34 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """A number re + im*i with exact rational re and im."""
+    """A number re + im*i with exact rational re and im.
 
-    re: Fraction
-    im: Fraction
+    A read-only value: two scalars are equal when their (re, im) are, and
+    hash as (re, im)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
