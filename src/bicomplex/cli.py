@@ -22,6 +22,7 @@ files in the models grammar, or serialized complex files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -233,6 +234,10 @@ def _validate_or_die(a: DoubleComplex, json_mode: bool) -> int | None:
 # -- argument parsing -------------------------------------------------------------
 
 
+# Built once per process: `prog` is explicit, argparse reads the output
+# streams and the terminal width at print time, and `parse_args` leaves the
+# parser as it was, so every run reads the same parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicomplex",

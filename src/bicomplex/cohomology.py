@@ -119,7 +119,14 @@ once per complex on the stored blocks, with no product (the proofs are in
 The row table after the column table then ranks nothing, and the five
 tables of a validated nil5 rank 39 blocks, against 75 with the mirror alone
 and 129 never validated.  `complexes.dual` of a complex found valid is
-known valid too, so its tables take the mirror.
+known valid too, so its tables take the mirror, and it records its source:
+a rank that its memo, orbit, absent blocks and lone parts do not give is
+read from the source's Analysis at the Serre partner, found and stored
+there if missing, and rank d_k is the source's rank d_{2n-1-k}.  Each
+block of the dual is a signed transpose of its partner, and the dual's
+d1 d2 minus the transpose of the partner's d2 d1, which is -(d1 d2) on the
+valid source (the proof is in `complexes.dual`).  After the source's five
+tables, the dual's rank nothing.
 `induced_cohomology_map` reads both sides' spaces from the Analysis, and
 the source's coset representatives, and reads each key's map off one
 elimination of the target frame (`linalg._induced_map`); the map is kept
@@ -306,7 +313,9 @@ def _product(blocks: list[Matrix]) -> Matrix:
 #   join    how the parts combine: None for a lone part, vstack, hstack or
 #           _product;
 #   mirror  the kind at (q, p) that a valid real structure carries it to;
-#   serre   (kind, dp, dq), its Serre partner at (n - p + dp, n - q + dq).
+#   serre   (kind, dp, dq), its Serre partner at (n - p + dp, n - q + dq):
+#           on a model, a block of equal rank; on dual(a, n), the block of
+#           a it reads its rank from.
 _Kind = namedtuple("_Kind", "parts join mirror serre")
 _KINDS = {
     "d1": _Kind((("d1", 0, 0),), None, "d2", ("d1", -1, 0)),
@@ -425,8 +434,26 @@ class Analysis:
     and it is run once per complex, on the first call of `serre` on a
     validated model, its verdict kept.  Only `models.lie_algebra_model`
     records what it needs (the complex's `_serre`); a shifted, dual,
-    summed or reloaded copy reads no partner, nor does a complex never
-    validated or one whose check fails.
+    summed or reloaded copy carries no Serre verdict, nor does a complex
+    never validated or one whose check fails.  A dual reads its source's
+    ranks instead (below).
+
+    The dual link.  `complexes.dual(a, n)` of an a that `validate` found
+    valid records (a, n) on the dual.  On a miss that the orbit, `absent`
+    and `_lone_part` leave open, the dual's `rank` reads
+    `Analysis.of(a).rank` at the Serre partner of its key, S with n, which
+    finds and stores the rank on a where a's memo lacks it; `total_rank(k)`
+    reads a's `total_rank(2n - 1 - k)`.  Write p* = n - p, q* = n - q.  The
+    dual's d1 and d2 out of (p, q) are e T(d1^{p*-1,q*}) and
+    e T(d2^{p*,q*-1}), e = (-1)^{p+q+1}, so its [d1; d2] out of (p, q) is
+    e T[d1 | d2] into (p*, q*), its [d1 | d2] into (p, q) is
+    (-1)^{p+q} T[d1; d2] out of (p*, q*), and its d_k is
+    (-1)^{k+1} T(d_{2n-1-k}) with the components reordered: equal ranks on
+    any a.  Its d1 d2 out of (p, q) is the product of two consecutive
+    signs, -1, times T(d2 d1) out of (p* - 1, q* - 1), which has the rank
+    of d1 d2 there only where d2 d1 = -d1 d2, on a valid a; so the link is
+    recorded with the verdict and nowhere else.  The dual holds a
+    strongly, so a's ranks outlive a name for a.
 
     A valid complex, with or without sigma, also needs no containment
     product: where a cohomology's block is joined, its containment product
@@ -454,13 +481,21 @@ class Analysis:
 
     def total_rank(self, k: int) -> int:
         """rank d_k: stored, read from rank d_{2n-1-k} where the Serre rule
-        holds (`serre`), or found by `linalg.rank`; stored under both."""
+        holds (`serre`), 0 where T^k is empty, the source's rank
+        d_{2n-1-k} on a dual that records its source, or found by
+        `linalg.rank`; stored under both."""
         found = self.total_ranks.get(k)
         if found is None:
             degrees = (k,) if (n := self.serre()) is None else (k, 2 * n - 1 - k)
             found = next((self.total_ranks[j] for j in degrees if j in self.total_ranks), None)
             if found is None:
-                found = rank(self.totalization.differential(k))
+                if k not in self.totalization.components:
+                    found = 0
+                elif (link := self.complex._dual_of) is not None:
+                    source, n = link
+                    found = Analysis.of(source).total_rank(2 * n - 1 - k)
+                else:
+                    found = rank(self.totalization.differential(k))
             self.total_ranks.update(dict.fromkeys(degrees, found))
         return found
 
@@ -554,8 +589,10 @@ class Analysis:
         the block's `orbit` that is stored, or is absent (rank 0), is.
         Otherwise a block whose parts are absent (`absent`) has rank 0 and
         is not built, a [d1; d2] or [d1 | d2] block with one part present
-        takes that part's rank (`_lone_part`), and `linalg.rank` ranks any
-        other: m, the block the caller has built, or the block built here.
+        takes that part's rank (`_lone_part`), a dual that records its
+        source reads the source's rank at the Serre partner (see the class
+        notes), and `linalg.rank` ranks any other: m, the block the caller
+        has built, or the block built here.
         The rank is stored under every key of the orbit.
         """
         key = (kind, p, q)
@@ -573,6 +610,10 @@ class Analysis:
                     found = 0
                 elif (part := self._lone_part(kind, p, q)) is not None:
                     found = self.rank(*part)
+                elif (link := a._dual_of) is not None:
+                    source, n = link
+                    other, dp, dq = _KINDS[kind].serre
+                    found = Analysis.of(source).rank(other, n - p + dp, n - q + dq)
                 else:
                     found = rank(self.block(kind, p, q) if m is None else m)
             self._ranks[key] = found

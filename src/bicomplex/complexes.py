@@ -40,7 +40,9 @@ containment products that the axioms imply and read a rank from its
 mirror under the real structure.  A complex never validated, or one with a
 violation, gets no such shortcut.  `dual` of a complex whose recorded list
 is empty records the empty list too: each axiom of the dual is the
-transpose of one of the original's (the proof is in `dual`).  A complex
+transpose of one of the original's (the proof is in `dual`).  It also
+records its source, whose Analysis then ranks the dual's blocks: each is a
+signed transpose of a block of the source.  A complex
 built by `models.lie_algebra_model` also carries its complex dimension and
 monomials, from which the Analysis checks the Serre pairing before it reads
 a rank from a Serre partner; every construction here starts without them.
@@ -150,13 +152,18 @@ class DoubleComplex:
     # Besides the value, memos that live and die with this complex: the
     # zero block of each shape that an absent block reads as, the
     # cohomology.Analysis of the complex, made on first use, the
-    # violations `validate` found, None until it runs, and, on a
-    # Lie-algebra model only, what the Analysis needs to check its Serre
-    # pairing: (n, monomials by bidegree, index of each monomial), set by
-    # `models.lie_algebra_model`.  The Analysis holds the complex through a
-    # weak proxy.
+    # violations `validate` found, None until it runs, on a Lie-algebra
+    # model only, what the Analysis needs to check its Serre pairing:
+    # (n, monomials by bidegree, index of each monomial), set by
+    # `models.lie_algebra_model`, and, on `dual(a, n)` of an a found valid
+    # only, (a, n), from which the Analysis reads each rank off a's: every
+    # block of the dual is a signed transpose of one of a's, and its d1 d2
+    # is minus the transpose of a's d2 d1, which is a's d1 d2 transposed
+    # on a valid a (see `dual`).  The dual holds a strongly, so a and all
+    # that a's Analysis keeps live as long as the dual does.  The Analysis
+    # holds the complex through a weak proxy.
     __slots__ = ("dims", "d1", "d2", "sigma", "labels",
-                 "_zeros", "_analysis", "_violations", "_serre", "__weakref__")
+                 "_zeros", "_analysis", "_violations", "_serre", "_dual_of", "__weakref__")
 
     def __init__(self, dims: Mapping[BiDegree, int], d1: Mapping[BiDegree, Matrix],
                  d2: Mapping[BiDegree, Matrix], sigma: Mapping[BiDegree, Matrix] | None = None,
@@ -191,6 +198,7 @@ class DoubleComplex:
         put(self, "_analysis", None)
         put(self, "_violations", None)
         put(self, "_serre", None)
+        put(self, "_dual_of", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -632,6 +640,21 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     blocks only, where the identity holds trivially; every other one is
     checked by `validate(a)`.  A complex never validated, or with a
     violation, gives a dual with no verdict, which `validate` decides.
+
+    The same dual records (a, n), and its Analysis reads every rank off
+    a's.  Its d1 and d2 at (p, q) are e T(d1^{p*-1,q*}) and
+    e T(d2^{p*,q*-1}), so [d1; d2] out of (p, q) is e T[d1 | d2] into
+    (p*, q*), and [d1 | d2] into (p, q), whose two parts share the sign
+    (-1)^{p+q}, is that sign times T[d1; d2] out of (p*, q*): equal ranks
+    on any a.  Its total d_k is (-1)^{k+1} T(d_{2n-1-k}), components
+    reordered.  Its d1 d2 out of (p, q) is e e' T(d2 d1) = -T(d2 d1) out of
+    (p* - 1, q* - 1), and d2 d1 = -d1 d2 there only where a is valid; so
+    the link is recorded with the verdict and nowhere else.  A complex
+    never validated, or with a violation, gives a dual that ranks its own
+    blocks.  The dual holds a strongly: a and everything its Analysis keeps
+    (the total differentials, d1 d2 products, cycles, boundaries and coset
+    representatives) stay in memory as long as the dual does, even where
+    the dual needs only a's ranks.
     """
     dims = {(n - p, n - q): m for (p, q), m in a.dims.items()}
     d1 = {}
@@ -654,6 +677,7 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     out = DoubleComplex(dims, d1, d2, sigma)
     if a._violations == ():
         object.__setattr__(out, "_violations", ())
+        object.__setattr__(out, "_dual_of", (a, n))
     return out
 
 
@@ -821,14 +845,6 @@ def _random_unit_factors(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
             if v:
                 upper[(j, i)] = v
     return Matrix(n, n, lower), Matrix(n, n, upper)
-
-
-def _random_invertible(rng: random.Random, n: int) -> Matrix:
-    """Unit lower times unit upper triangular with small random entries,
-    from the same draws as one change of basis of `_random_basis_change`.
-    The test reference that solves for C^-1 by elimination draws C here."""
-    lower, upper = _random_unit_factors(rng, n)
-    return lower @ upper
 
 
 def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:

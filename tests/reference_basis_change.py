@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import random
 
-from bicomplex.complexes import DoubleComplex, _random_invertible
+from bicomplex.complexes import DoubleComplex, _random_unit_factors
 from bicomplex.linalg import Matrix, solve_columns
+
+
+def _random_invertible(rng: random.Random, n: int) -> Matrix:
+    """Unit lower times unit upper triangular with small random entries,
+    from the same draws as one change of basis of `_random_basis_change`."""
+    lower, upper = _random_unit_factors(rng, n)
+    return lower @ upper
 
 
 def reference_random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:

@@ -102,3 +102,33 @@ def test_closed_stdout_ends_quietly():
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
+    """`run` builds its argument parser once per process.  A bad argv, a
+    `--help` and a table run made one after another in this process print
+    the bytes, and exit with the codes, of each run alone in a fresh one."""
+    from bicomplex import cli
+
+    argvs = (["model", "--bogus"], ["--help"], ["model", "iwasawa", "--json"])
+    # argparse wraps its help text to the terminal width it reads from
+    # COLUMNS, so both sides get the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    in_turn = []
+    for argv in argvs:
+        code = run(list(argv))
+        out, err = capsys.readouterr()
+        in_turn.append((code, out, err))
+    assert cli._build_parser() is cli._build_parser()
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    alone = []
+    for argv in argvs:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from bicomplex.cli import run; "
+             "sys.exit(run(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+        alone.append((done.returncode, done.stdout, done.stderr))
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [1, 0, 0]
+    assert alone[0][2].startswith("usage: bicomplex") and alone[1][1].startswith("usage: bicomplex")

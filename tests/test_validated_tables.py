@@ -7,7 +7,9 @@ table takes the checked route.  Each test compares a validated copy with a
 copy built separately and never validated.
 """
 
+import gc
 import random
+import weakref
 from functools import partial
 
 import pytest
@@ -36,6 +38,7 @@ from test_acceptance import PROPERTY_CASES
 from test_axiom_checks import UNITS, complex_blocks, perturb, positions, with_d1_through_sigma
 from test_cohomology import DIM6
 from test_frolicher import NIL4, NIL5
+from test_serre_duality import serre_partner
 
 
 def model(text: str, name: str):
@@ -192,7 +195,7 @@ def test_a_second_validate_returns_the_recorded_verdict():
         assert validate(a) == first
 
 
-# -- the dual inherits the verdict ---------------------------------------------------
+# -- the dual inherits the verdict and the ranks -------------------------------------
 
 
 def dual_cases():
@@ -244,6 +247,97 @@ def test_the_dual_of_an_unchecked_complex_takes_the_checked_route():
                 assert outcome(kind, d) == outcome(kind, plain), kind
                 products += sum(name == "_accumulate" for name, _ in got)
     assert products > 0
+
+
+def reflected(table, n: int) -> dict:
+    """The entries of a table of a read at the bidegree or degree that
+    dual(a, n) puts them: (n - p, n - q), or 2n - k for de Rham."""
+    return {(2 * n - x if table.kind == "de_rham" else (n - x[0], n - x[1])): v
+            for x, v in table.entries.items()}
+
+
+# Each table of dual(a, n) is a table of a reflected: its column, row and
+# de Rham tables a's own, its Bott-Chern a's Aeppli and its Aeppli a's
+# Bott-Chern.
+DUAL_KIND = dict(zip(TABLES, TABLES)) | {"bott_chern": "aeppli", "aeppli": "bott_chern"}
+
+
+def test_the_dual_of_a_valid_complex_reads_its_ranks_off_its_source():
+    """After the five tables of a validated a, no table of dual(a, n) ranks
+    or multiplies anything: each block rank is read off a's Analysis at its
+    Serre partner, and rank d_k off a's d_{2n-1-k}.  Each table is the one
+    of a that duality reflects onto it."""
+    codes = (linalg.rank.__code__, linalg._accumulate.__code__)
+    for build, n in dual_cases():
+        a = build()
+        assert validate(a) == []
+        mine = tables(a, TABLES)
+        d = dual(a, n)
+        assert d._dual_of[0] is a and d._dual_of[1] == n
+        for kind in TABLES:
+            assert call_log(codes, outcome, kind, d) == [], kind
+            assert outcome(kind, d).entries == reflected(mine[DUAL_KIND[kind]], n), kind
+
+
+def test_the_dual_stores_its_ranks_on_its_source():
+    """With a's tables never computed, the dual's tables rank a's blocks and
+    store each on a's Analysis, under the Serre partner of the dual's key
+    or, where the dual read it from its sigma mirror, of that mirror's key
+    (a key whose orbit holds an absent block has rank 0, and one with a
+    lone part reads it), and rank d_{2n-1-k} there for the dual's d_k.  a's tables called
+    afterwards give the tables of a copy never validated and hand
+    `linalg.rank` zero matrices only: the top total differential, into no
+    coordinates, which no degree of the dual reads, and each d1 d2 of two
+    stored blocks whose d2 d1 has an absent factor, so that the dual's
+    block there is absent and never asked for."""
+    zero_blocks = 0
+    for build, n in dual_cases()[-3:] + dual_cases()[::10]:
+        a = build()
+        assert validate(a) == []
+        d = dual(a, n)
+        tables(d, TABLES)
+        mine, theirs = Analysis.of(a), Analysis.of(d)
+        linked = 0
+        for (kind, p, q), r in theirs._ranks.items():
+            orbit = theirs.orbit(kind, p, q)
+            if not any(theirs.absent(*key) for key in orbit) and theirs._lone_part(kind, p, q) is None:
+                assert r in {mine._ranks.get(serre_partner(key, n)) for key in orbit}, (kind, p, q)
+                linked += 1
+        assert linked or not (d.d1 or d.d2)
+        for k, r in theirs.total_ranks.items():
+            assert mine.total_ranks[2 * n - 1 - k] == r, k
+        ranked = call_log((linalg.rank.__code__,), tables, a, TABLES)
+        assert all(args["m"].is_zero() for _, args in ranked)
+        zero_blocks += sum(args["m"].rows > 0 for _, args in ranked)
+        assert tables(a, TABLES) == tables(build(), TABLES)
+    assert zero_blocks > 0
+
+
+def test_the_dual_of_the_dual_gives_the_tables_of_a():
+    """dual(dual(a, n), n) is a with each A^{p,q} rescaled by (-1)^{p+q},
+    and its tables, each read through the chain of sources, are a's."""
+    for build, n in dual_cases()[-3:] + dual_cases()[::10]:
+        a = build()
+        assert validate(a) == []
+        twice = dual(dual(a, n), n)
+        assert twice._dual_of[0]._dual_of[0] is a
+        assert tables(twice, TABLES) == tables(build(), TABLES)
+
+
+def test_a_dual_keeps_its_source_alive():
+    """The dual holds its source strongly: after `del a` and a collection
+    the source is still there, and the dual's tables are those of the dual
+    of a copy never validated.  Dropping the dual frees both."""
+    for build, n in dual_cases()[-3:] + dual_cases()[::10]:
+        a = build()
+        assert validate(a) == []
+        d, source = dual(a, n), weakref.ref(a)
+        del a
+        gc.collect()
+        assert source() is not None
+        assert tables(d, TABLES) == tables(dual(build(), n), TABLES)
+        del d
+        assert source() is None
 
 
 def test_bott_chern_and_aeppli_rank_no_one_part_block():
