@@ -117,8 +117,8 @@ unimodular Lie algebras only, so `models._serre_pairing_holds` checks it
 once per complex on the stored blocks, with no product (the proofs are in
 `Analysis` and `frolicher`).
 The row table after the column table then ranks nothing, and the five
-tables of a validated nil5 rank 39 blocks, against 75 with the mirror alone
-and 129 never validated.  `complexes.dual` of a complex found valid is
+tables of a validated nil5 rank 38 blocks, against 74 with the mirror alone
+and 128 never validated.  `complexes.dual` of a complex found valid is
 known valid too, so its tables take the mirror, and it records its source:
 a rank that its memo, orbit, absent blocks and lone parts do not give is
 read from the source's Analysis at the Serre partner, found and stored
@@ -389,7 +389,7 @@ class Analysis:
     the orbit.  A complex with neither sigma nor a Serre record has the
     key alone for its orbit, and a miss there reads no other key.  Total
     ranks do the same with d_k and d_{2n-1-k} (`total_rank`).  The five
-    tables of a validated nil5 rank 39 blocks, 75 with M alone and 129
+    tables of a validated nil5 rank 38 blocks, 74 with M alone and 128
     never validated.
 
     M is exact.  The involution makes every block S of sigma invertible,
@@ -481,7 +481,7 @@ class Analysis:
 
     def total_rank(self, k: int) -> int:
         """rank d_k: stored, read from rank d_{2n-1-k} where the Serre rule
-        holds (`serre`), 0 where T^k is empty, the source's rank
+        holds (`serre`), 0 where T^k or T^{k+1} is empty, the source's rank
         d_{2n-1-k} on a dual that records its source, or found by
         `linalg.rank`; stored under both."""
         found = self.total_ranks.get(k)
@@ -489,7 +489,8 @@ class Analysis:
             degrees = (k,) if (n := self.serre()) is None else (k, 2 * n - 1 - k)
             found = next((self.total_ranks[j] for j in degrees if j in self.total_ranks), None)
             if found is None:
-                if k not in self.totalization.components:
+                components = self.totalization.components
+                if k not in components or k + 1 not in components:
                     found = 0
                 elif (link := self.complex._dual_of) is not None:
                     source, n = link

@@ -154,7 +154,7 @@ def unpeeled_pairs(d, levels, targets):
     order = sorted(range(d.rows), key=lambda i: (targets[i], i))
     index = {i: c for c, i in enumerate(order)}
     m = Matrix(d.cols, d.rows, {(j, index[i]): v for (i, j), v in d.entries.items()})
-    pivots, _, rows = _echelon(m, False, levels)
+    pivots, _, rows = _echelon(m, levels)
     return sorted((levels[j], targets[order[c]]) for c, j in zip(pivots, rows))
 
 

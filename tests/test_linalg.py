@@ -118,6 +118,15 @@ def kernel_cases():
 
 
 def test_kernel_matches_reference_gauss_jordan():
+    """The kernel cases, and three larger Gaussian matrices whose
+    back-substitution clears many later pivots of unequal leads; those
+    three are checked against the reference RREF only, since the
+    fraction-free rank oracle takes seconds on them."""
+    rng = random.Random(1997)
+    for rows, cols, density in ((90, 30, 0.3), (30, 90, 0.3), (24, 32, 0.9)):
+        m = Matrix(rows, cols, {(i, j): rng.choice(GAUSSIAN_POOL) for i in range(rows)
+                                for j in range(cols) if rng.random() < density})
+        assert rref(m) == reference_rref(m), (rows, cols)
     cases = list(kernel_cases())
     assert len(cases) >= 300
     deficient = 0
@@ -416,13 +425,12 @@ def proportional(row, other):
 
 
 def assert_echelon_matches_reference(m, label):
-    """Pivots and pivot row indices exactly, pivot rows up to a nonzero
-    Z[i] scalar, in both passes."""
-    for reduce in (False, True):
-        pivots, rows, indices = _echelon(m, reduce)
-        want_pivots, want_rows, want_indices = reference_echelon(m, reduce)
-        assert (pivots, indices) == (want_pivots, want_indices), (label, reduce)
-        assert all(map(proportional, rows, want_rows)), (label, reduce)
+    """Pivots and pivot row indices of the forward pass exactly, pivot rows
+    up to a nonzero Z[i] scalar."""
+    pivots, rows, indices = _echelon(m)
+    want_pivots, want_rows, want_indices = reference_echelon(m, False)
+    assert (pivots, indices) == (want_pivots, want_indices), label
+    assert all(map(proportional, rows, want_rows)), label
 
 
 def sparse_echelon_cases():
@@ -498,10 +506,10 @@ def test_echelon_matches_reference_on_nil4_tables(monkeypatch):
     seen = {}
     kernel = linalg._echelon
 
-    def recording(m, reduce, levels=None):
+    def recording(m, levels=None):
         if levels is None:
             seen.setdefault(form_key(m), m)
-        return kernel(m, reduce, levels)
+        return kernel(m, levels)
 
     def tables_and_spaces():
         run_tables([a], (*TABLES.values(), frolicher))
@@ -555,14 +563,12 @@ def targeted_cases():
 
 def test_level_rule_gives_every_filtered_pivot_set():
     """For every level s, the pivots whose pivot row has level >= s are the
-    pivot columns of the rows of level >= s, with and without the
-    Gauss-Jordan pass.  `filtered_pivots`, which peels before the forward
-    pass, pairs the same multiset of (level, target level)."""
+    pivot columns of the rows of level >= s.  `filtered_pivots`, which
+    peels before the forward pass, pairs the same multiset of (level,
+    target level)."""
     for label, m, levels, targets in targeted_cases():
-        pivots, _, pivot_rows = _echelon(m, False, levels)
+        pivots, _, pivot_rows = _echelon(m, levels)
         found = [(c, levels[i]) for c, i in zip(pivots, pivot_rows)]
-        pivots, _, pivot_rows = _echelon(m, True, levels)
-        assert [(c, levels[i]) for c, i in zip(pivots, pivot_rows)] == found, label
         for s in set(levels):
             rows = Matrix.from_rows([m.row(i) for i, level in enumerate(levels) if level >= s])
             assert tuple(c for c, level in found if level >= s) == pivot_columns(rows), (label, s)
@@ -577,7 +583,7 @@ def test_filtered_pivots_ignore_the_order_of_rows_and_columns():
     (level, target level) as the forward pass on it unpeeled."""
     rng = random.Random(2014)
     for label, m, levels, targets in targeted_cases():
-        pivots, _, pivot_rows = _echelon(m, False, levels)
+        pivots, _, pivot_rows = _echelon(m, levels)
         want = sorted((levels[i], targets[c]) for c, i in zip(pivots, pivot_rows))
         for _ in range(2):
             rows, cols = rng.sample(range(m.rows), m.rows), rng.sample(range(m.cols), m.cols)
@@ -604,7 +610,7 @@ def test_the_level_peel_needs_both_rules():
     # column 0 (target 0): the pairs are (0, 0) and (0, 1), not (0, 2).
     cols_case = Matrix(2, 3, {(0, 0): one, (0, 1): one, (1, 0): one, (1, 2): one})
     for m, levels, targets in ((rows_case, [0, 1], [0, 1]), (cols_case, [0, 0], [0, 1, 2])):
-        pivots, _, pivot_rows = _echelon(m, False, levels)
+        pivots, _, pivot_rows = _echelon(m, levels)
         want = sorted((levels[i], targets[c]) for c, i in zip(pivots, pivot_rows))
         pairs = filtered_pivots(m.transpose(), levels, targets)
         assert sorted((levels[j], targets[i]) for j, i in pairs) == want
@@ -635,10 +641,11 @@ def test_rank_work_follows_the_rows_a_pivot_touches(shape):
 
 @pytest.mark.parametrize("shape", ["bidiagonal", "permutation"])
 def test_rref_work_follows_the_rows_a_pivot_touches(shape):
-    """The Gauss-Jordan pass finds the earlier pivot rows holding a column
-    through an index, not by a scan over every earlier pivot row, which
-    takes seconds on the 8000 x 8000 matrices; on 2000 x 2000 ones the RREF
-    is the reference one."""
+    """Back-substitution reads only the entries of the forward pass's pivot
+    rows, so a pivot row that holds no later pivot column costs one dict
+    lookup per entry and no arithmetic; a pass over every earlier pivot row
+    for each pivot takes seconds on the 8000 x 8000 matrices.  On 2000 x 2000
+    ones the RREF is the reference one."""
     m = one_touch_matrix(shape, 8000)
     start = time.perf_counter()
     assert rref(m) == (Matrix.identity(8000), tuple(range(8000)))
@@ -866,10 +873,11 @@ def test_every_dense_division_is_exact(monkeypatch):
 def test_every_bareiss_division_is_exact(monkeypatch):
     """`_combine` floors when it divides (row s - piv c) by d; here each
     numerator is rebuilt from the arguments and its zero remainder asserted,
-    over the echelon cases and the level cases in both passes, over every
-    table and the Frolicher pages of nil4, nil5 and the property suite's six
-    random_complex(200 + s, (0,5,0,5), 10 + 3s), and in both passes over
-    every matrix that those tables hand to `rank`."""
+    over the forward pass on the echelon cases and the level cases, over
+    every table and the Frolicher pages of nil4, nil5 and the property
+    suite's six random_complex(200 + s, (0,5,0,5), 10 + 3s), and over the
+    forward pass on every matrix that those tables hand to `rank`.  These
+    forward passes and tables divide 5041 times."""
     combine = linalg._combine
     divisions = 0
 
@@ -886,15 +894,12 @@ def test_every_bareiss_division_is_exact(monkeypatch):
 
     monkeypatch.setattr(linalg, "_combine", checked)
     for label, m in echelon_cases():
-        for reduce in (False, True):
-            _echelon(m, reduce)
+        _echelon(m)
     for label, m, levels in leveled_cases():
-        for reduce in (False, True):
-            _echelon(m, reduce, levels)
+        _echelon(m, levels)
     for m in handed_to_rank(run_tables, property_complexes(), (*TABLES.values(), frolicher)):
-        for reduce in (False, True):
-            _echelon(m, reduce)
-    assert divisions > 10000
+        _echelon(m)
+    assert divisions > 4000
 
 
 def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
@@ -906,17 +911,16 @@ def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
     kernel = linalg._echelon
     bits = 0
 
-    def recording(m, reduce, levels=None):
+    def recording(m, levels=None):
         nonlocal bits
-        result = kernel(m, reduce, levels)
-        if not reduce:
-            bits = max([bits] + [abs(x).bit_length() for row in result[1]
-                                 for v in row.values() for x in v])
+        result = kernel(m, levels)
+        bits = max([bits] + [abs(x).bit_length() for row in result[1]
+                             for v in row.values() for x in v])
         return result
 
     monkeypatch.setattr(linalg, "_echelon", recording)
     for m in handed_to_rank(run_tables, nil_complexes(), TABLES.values()):
-        linalg._echelon(m, False)
+        linalg._echelon(m)
     assert 0 < bits <= 20
 
 
