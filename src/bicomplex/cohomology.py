@@ -92,41 +92,42 @@ by block kind and bidegree, and `_KINDS` describes each of the five kinds
 once (d1, d2, [d1; d2] out, [d1 | d2] into, d1 d2 out): its parts, how
 they join, its sigma mirror and its Serre partner.  A block whose parts
 are all absent, or a d1 d2 with an absent factor, has rank 0 and is
-neither assembled nor multiplied (`Analysis.absent`).  A [d1; d2] or
-[d1 | d2] block with one part absent is not assembled: it has that part's
-rank, read under the part's own d1 or d2 key.  After the column and row
-tables, Bott-Chern and Aeppli therefore rank only the d1 d2 products and
-the blocks with both parts present.
+neither assembled nor multiplied (`Analysis.absent`); on a complex found
+valid, where d1 d2 = -d2 d1, so is a d1 d2 where a factor of d2 d1 is
+absent.
 
-Ranks are shared along one orbit rule.  Two maps on keys keep rank: the
-mirror M, (p, q) -> (q, p), on a complex with a real structure that
-`validate` has found valid, and the Serre map S, (p, q) -> (n - p, n - q)
-with the shift `_KINDS` gives, on a Lie-algebra model of complex dimension
-n found valid whose Serre pairing checks (`Analysis.serre`).  Both are
-involutions and they commute, so a key's orbit is {k, Mk, Sk, MSk}
-(`Analysis.orbit`): a rank not stored is read from the first key of its
-orbit that is stored, or is absent and so of rank 0, and a rank found is
-stored under every key of it.  Total ranks do the same with d_k and
-d_{2n-1-k}, and `frolicher` reduces only d_0 ... d_{n-1} where S applies,
-a pair of levels (s, t) giving one of levels (n - t, n - s).  M keeps rank
-because sigma carries each block to its mirror's conjugate between
-invertible factors; S because the Serre pairing A -> dual(A, n) has
-signed-permutation blocks, and where it is a morphism of double complexes
-each block is its partner's transpose between them.  That holds for
-unimodular Lie algebras only, so `models._serre_pairing_holds` checks it
-once per complex on the stored blocks, with no product (the proofs are in
-`Analysis` and `frolicher`).
-The row table after the column table then ranks nothing, and the five
-tables of a validated nil5 rank 38 blocks, against 74 with the mirror alone
-and 128 never validated.  `complexes.dual` of a complex found valid is
-known valid too, so its tables take the mirror, and it records its source:
-a rank that its memo, orbit, absent blocks and lone parts do not give is
-read from the source's Analysis at the Serre partner, found and stored
-there if missing, and rank d_k is the source's rank d_{2n-1-k}.  Each
-block of the dual is a signed transpose of its partner, and the dual's
-d1 d2 minus the transpose of the partner's d2 d1, which is -(d1 d2) on the
-valid source (the proof is in `complexes.dual`).  After the source's five
-tables, the dual's rank nothing.
+Ranks are shared by one equal-rank rule.  Each rank key has an orbit of
+(Analysis, key) pairs whose blocks the axioms show to have its rank
+(`Analysis.orbit`): the key itself; the one part stored of a [d1; d2] or
+[d1 | d2] block that has exactly one, since rank [X; 0] = rank [X | 0] =
+rank X; the mirror M, (p, q) -> (q, p), of each, on a complex with a
+real structure that `validate` has found valid; and the Serre partner S,
+(p, q) -> (n - p, n - q) with the shift `_KINDS` gives, of each of those,
+on the complex b of the Serre record (b, n) of a complex found valid
+(`Analysis.partner`).  A rank not stored is read from the first pair of
+its orbit that is stored, or absent and so of rank 0; failing that its
+own block is ranked once, and the rank is stored under every pair.  A
+lone part's block is the part itself, so no [X; 0] is ever assembled.
+Total ranks do the same over d_k and the partner's d_{2n-1-k}, and
+`frolicher` reduces only d_0 ... d_{n-1} where the partner is the complex
+itself, a pair of levels (s, t) giving one of levels (n - t, n - s).
+
+Two constructions write the Serre record, each with its proof once: a
+Lie-algebra model whose Serre pairing checks (`models.lie_algebra_model`)
+writes (None, n), its partners being its own blocks, and `complexes.dual`
+of a complex a found valid writes (a, n).  M keeps rank because sigma
+carries each block to its mirror's conjugate between invertible factors;
+S on a model because the Serre pairing A -> dual(A, n) has
+signed-permutation blocks and, where it is a morphism of double
+complexes, each block is its partner's transpose between them; S on a
+dual because each block of the dual is a signed transpose of its
+partner, and its d1 d2 minus the transpose of the partner's d2 d1, which
+is -(d1 d2) on the valid source (the proofs are in `Analysis`,
+`frolicher` and `complexes.dual`).  The row table after the column table
+then ranks nothing, and the five tables of a validated nil5 rank 38
+blocks, against 74 with the mirror alone and 128 never validated.  After
+the source's five tables the dual's rank nothing, and after the dual's
+the source's rank nothing.
 `induced_cohomology_map` reads both sides' spaces from the Analysis, and
 the source's coset representatives, and reads each key's map off one
 elimination of the target frame (`linalg._induced_map`); the map is kept
@@ -170,35 +171,19 @@ from .linalg import (
     rank,
     vstack,
 )
-from .models import _serre_pairing_holds
+from .scalars import _Value
 
-class CohomologyTable:
+class CohomologyTable(_Value):
     """Dimensions of one cohomology; keyed by (p, q), or by k for de_rham.
 
     Zero entries are dropped.  A read-only value: equality compares kind and
     entries."""
 
-    __slots__ = ("kind", "entries")
+    __slots__ = _fields = ("kind", "entries")
 
     def __init__(self, kind: str, entries: Mapping):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", {k: int(v) for k, v in entries.items() if v})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not CohomologyTable:
-            return NotImplemented
-        return (self.kind, self.entries) == (other.kind, other.entries)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"CohomologyTable(kind={self.kind!r}, entries={self.entries!r})"
-
-    def __reduce__(self):
-        return CohomologyTable, (self.kind, self.entries)
 
     def at(self, key) -> int:
         return self.entries.get(key, 0)
@@ -310,12 +295,12 @@ def _product(blocks: list[Matrix]) -> Matrix:
 # The five kinds of block the bidegree tables rank, each at (p, q) (see
 # Analysis), and for each:
 #   parts   its parts, (d, dp, dq) the stored d1 or d2 block at (p + dp, q + dq);
-#   join    how the parts combine: None for a lone part, vstack, hstack or
-#           _product;
+#   join    how the parts combine: None for a single part, vstack, hstack
+#           or _product;
 #   mirror  the kind at (q, p) that a valid real structure carries it to;
-#   serre   (kind, dp, dq), its Serre partner at (n - p + dp, n - q + dq):
-#           on a model, a block of equal rank; on dual(a, n), the block of
-#           a it reads its rank from.
+#   serre   (kind, dp, dq), its Serre partner at (n - p + dp, n - q + dq)
+#           on the complex b of the Serre record (b, n): a block of equal
+#           rank, on a model its own and on dual(a, n) one of a's.
 _Kind = namedtuple("_Kind", "parts join mirror serre")
 _KINDS = {
     "d1": _Kind((("d1", 0, 0),), None, "d2", ("d1", -1, 0)),
@@ -336,11 +321,12 @@ _COHOMOLOGIES = {
 }
 
 
-def _support(a: DoubleComplex, kind: _Kind) -> set[BiDegree]:
-    """The bidegrees at which a block of this kind is not absent: where a
-    part of it is stored, or for d1 d2 where both factors are."""
-    at = [{(x - dp, y - dq) for x, y in (a.d1 if d == "d1" else a.d2)} for d, dp, dq in kind.parts]
-    return (set.intersection if kind.join is _product else set.union)(*at)
+def _support(a: DoubleComplex, parts, join) -> set[BiDegree]:
+    """The bidegrees at which a block with these parts and join is not
+    absent: where a part of it is stored, or for a product where every
+    factor is."""
+    at = [{(x - dp, y - dq) for x, y in (a.d1 if d == "d1" else a.d2)} for d, dp, dq in parts]
+    return (set.intersection if join is _product else set.union)(*at)
 
 
 class Analysis:
@@ -366,31 +352,33 @@ class Analysis:
     `spaces` reads the blocks that `_COHOMOLOGIES` names through `block`,
     so the spaces and the tables share the kept d1 d2 products.
 
-    The one-part rule.  A [d1; d2] or [d1 | d2] block with exactly one part
-    present has that part's rank, since rank [X; 0] = rank [X | 0] =
-    rank X.  Its rank is read from the memo under the part's own key, d1 or
-    d2 at the part's bidegree, or the part is ranked and stored there; the
-    block is not assembled for its rank.  After `dolbeault` and
-    `conjugate_dolbeault`, `bott_chern` and `aeppli` then rank only d1 d2
-    products and blocks with both parts present.
-
-    The orbit rule.  Two maps on keys keep rank, each proved below: the
+    The equal-rank rule.  Three maps on keys keep rank, each proved below
+    and each read from `_KINDS`: the lone part L of a [d1; d2] or
+    [d1 | d2] block with exactly one part stored, on any complex; the
     mirror M, to the kind `_KINDS` names at (q, p), once `validate` has
     found a complex with a real structure valid; and the Serre map S, to
-    the partner `_KINDS` names at (n - p + dp, n - q + dq), where `serre`
-    gives n.  Each is an involution, and they commute: M S and S M both
-    send d1 out of (p, q) to d2 out of (n-q, n-p-1), d2 to d1 out of
-    (n-q-1, n-p), [d1; d2] out of (p, q) to [d1 | d2] into (n-q, n-p) and
-    back, and d1 d2 to d1 d2 out of (n-q-1, n-p-1).  So the keys of equal
-    rank that these transfers reach from k are exactly its orbit
-    {k, Mk, Sk, MSk} (`orbit`).  On a miss, `rank` reads the rank of the
-    first other key of the orbit that is stored, or that is absent and so
-    of rank 0, or else finds one as above, and stores it under every key of
-    the orbit.  A complex with neither sigma nor a Serre record has the
-    key alone for its orbit, and a miss there reads no other key.  Total
-    ranks do the same with d_k and d_{2n-1-k} (`total_rank`).  The five
-    tables of a validated nil5 rank 38 blocks, 74 with M alone and 128
-    never validated.
+    the partner `_KINDS` names at (n - p + dp, n - q + dq) on the complex
+    b, where `partner` gives (b, n).  M and S are involutions and commute:
+    M S and S M both send d1 out of (p, q) to d2 out of (n-q, n-p-1), d2 to
+    d1 out of (n-q-1, n-p), [d1; d2] out of (p, q) to [d1 | d2] into
+    (n-q, n-p) and back, and d1 d2 to d1 d2 out of (n-q-1, n-p-1); and M
+    and S carry the lone part of a block to the lone part of its image.
+    So `orbit` gives k and Lk, the mirrors of those, and the partners of
+    all four, each pair (Analysis, key).  On a miss, `rank` reads the
+    first pair that is stored, or absent and so of rank 0; failing that
+    it ranks its own block once (`block`, which is the part itself for a
+    lone part) and stores the rank under every pair, on b too.  Total
+    ranks do the same with d_k and b's d_{2n-1-k} (`total_rank`).  A
+    complex with neither sigma nor a Serre record has the key, and the
+    lone part of a joined block, for its orbit.  After `dolbeault` and
+    `conjugate_dolbeault`, `bott_chern` and `aeppli` then rank only d1 d2
+    products and blocks with both parts present.  The five tables of a
+    validated nil5 rank 38 blocks, 74 with M alone and 128 never
+    validated.
+
+    L is exact: rank [X; 0] = rank [X | 0] = rank X, and the part has the
+    kernel of [X; 0] and the image of [X | 0] too, so `spaces` reads the
+    part as well.
 
     M is exact.  The involution makes every block S of sigma invertible,
     and sigma d1 sigma = d2 gives
@@ -403,22 +391,29 @@ class Analysis:
     of (q, p).  Then `conjugate_dolbeault` after `dolbeault` ranks nothing,
     and `bott_chern` and `aeppli` rank about half their blocks.
 
-    S is exact on a Lie-algebra model of complex dimension n whose Serre
-    pairing P: A -> dual(A, n) is a morphism of double complexes.  P^{p,q}
-    sends a monomial w to +-1 times the dual vector of its complement
-    top ^ w, so every block of P is a signed permutation and P is an
-    isomorphism of double complexes.  The dual's d1 at (p, q) is
-    e T(d1^{n-p-1,n-q}), with T the transpose and e = (-1)^{p+q+1}, so
-    P d1 = d1' P reads d1^{p,q} = e (P^{p+1,q})^-1 T(d1^{n-p-1,n-q}) P^{p,q}:
+    S is exact on a dual.  `complexes.dual(a, n)` of an a that `validate`
+    found valid writes the record (a, n).  Write p* = n - p, q* = n - q.
+    The dual's d1 and d2 out of (p, q) are e T(d1^{p*-1,q*}) and
+    e T(d2^{p*,q*-1}), with T the transpose and e = (-1)^{p+q+1}, so its
+    [d1; d2] out of (p, q) is e T[d1 | d2] into (p*, q*), its [d1 | d2]
+    into (p, q) is (-1)^{p+q} T[d1; d2] out of (p*, q*), and its d_k is
+    (-1)^{k+1} T(d_{2n-1-k}) with the components reordered: equal ranks on
+    any a.  Its d1 d2 out of (p, q) is the product of two consecutive
+    signs, -1, times T(d2 d1) out of (p* - 1, q* - 1), which has the rank
+    of d1 d2 there only where d2 d1 = -d1 d2, on a valid a; so the record
+    is written with the verdict and nowhere else.  The dual holds a
+    strongly, so a's ranks outlive a name for a.
+
+    S is exact on a model.  A Lie-algebra model of complex dimension n
+    whose Serre pairing P: A -> dual(A, n) is a morphism of double
+    complexes has the record (None, n).  P^{p,q} sends a monomial w to +-1
+    times the dual vector of its complement top ^ w, so every block of P
+    is a signed permutation and P is an isomorphism of double complexes,
+    and P d1 = d1' P reads d1^{p,q} = e (P^{p+1,q})^-1 T(d1^{p*-1,q*}) P^{p,q}:
     the transpose of the partner between signed permutations, of equal
-    rank.  d2 is the same with the partner at (n-p, n-q-1).  Stacking the
-    two gives [d1; d2] out of (p, q) as the transpose of [d1 | d2] into
-    (n-p, n-q) between block-diagonal signed permutations.  The product
-    gives d1 d2 out of (p, q) as the transpose of d2 d1 out of
-    (n-p-1, n-q-1), which is -(d1 d2) there on a valid complex.  Totalized,
-    P is a signed permutation T^k -> (T^{2n-k})*, and the dual's total
-    differential in degree k is (-1)^{k+1} T(d_{2n-1-k}) with its
-    components reordered, so rank d_k = rank d_{2n-1-k}.
+    rank; likewise for d2.  Every block, total differential included, is
+    then its own dual's at the same key between signed permutations, and
+    the dual's is a's partner as above.
 
     Why a check, and not the model's unimodularity.  P is a morphism
     exactly when the top coefficient of every exact form vanishes, which
@@ -426,34 +421,14 @@ class Analysis:
     builder accepts any structure equations with d^2 = 0, and some
     validate without it: d b = a ^ b validates, its pairing is no
     morphism, and partner ranks would give de Rham {0: 1, 1: 2, 2: 2,
-    3: 2, 4: 1} instead of {0: 1, 1: 2, 2: 1}.  So `serre` checks on the
-    stored blocks the very identity the proof uses, that each d1 and d2
-    block is its partner's signed transpose
-    (`models._serre_pairing_holds`).  That is the commutation check of
-    building P as a Morphism, with no product and no dual complex built,
-    and it is run once per complex, on the first call of `serre` on a
-    validated model, its verdict kept.  Only `models.lie_algebra_model`
-    records what it needs (the complex's `_serre`); a shifted, dual,
-    summed or reloaded copy carries no Serre verdict, nor does a complex
-    never validated or one whose check fails.  A dual reads its source's
-    ranks instead (below).
-
-    The dual link.  `complexes.dual(a, n)` of an a that `validate` found
-    valid records (a, n) on the dual.  On a miss that the orbit, `absent`
-    and `_lone_part` leave open, the dual's `rank` reads
-    `Analysis.of(a).rank` at the Serre partner of its key, S with n, which
-    finds and stores the rank on a where a's memo lacks it; `total_rank(k)`
-    reads a's `total_rank(2n - 1 - k)`.  Write p* = n - p, q* = n - q.  The
-    dual's d1 and d2 out of (p, q) are e T(d1^{p*-1,q*}) and
-    e T(d2^{p*,q*-1}), e = (-1)^{p+q+1}, so its [d1; d2] out of (p, q) is
-    e T[d1 | d2] into (p*, q*), its [d1 | d2] into (p, q) is
-    (-1)^{p+q} T[d1; d2] out of (p*, q*), and its d_k is
-    (-1)^{k+1} T(d_{2n-1-k}) with the components reordered: equal ranks on
-    any a.  Its d1 d2 out of (p, q) is the product of two consecutive
-    signs, -1, times T(d2 d1) out of (p* - 1, q* - 1), which has the rank
-    of d1 d2 there only where d2 d1 = -d1 d2, on a valid a; so the link is
-    recorded with the verdict and nowhere else.  The dual holds a
-    strongly, so a's ranks outlive a name for a.
+    3: 2, 4: 1} instead of {0: 1, 1: 2, 2: 1}.  So `lie_algebra_model`
+    checks on the blocks it has just built the very identity the proof
+    uses, that each d1 and d2 block is its partner's signed transpose
+    (`models._serre_pairing_holds`), and writes the record only where it
+    holds.  That is the commutation check of building P as a Morphism,
+    with no product and no dual complex built.  A shifted, summed or
+    reloaded copy carries no record, and a record is read only once
+    `validate` has found the complex valid.
 
     A valid complex, with or without sigma, also needs no containment
     product: where a cohomology's block is joined, its containment product
@@ -471,7 +446,6 @@ class Analysis:
         self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
         self._reps: dict[tuple[str, object], Matrix] = {}
-        self._serre_holds: bool | None = None
 
     @classmethod
     def of(cls, a: DoubleComplex) -> "Analysis":
@@ -479,84 +453,59 @@ class Analysis:
             object.__setattr__(a, "_analysis", cls(a))
         return a._analysis
 
-    def total_rank(self, k: int) -> int:
-        """rank d_k: stored, read from rank d_{2n-1-k} where the Serre rule
-        holds (`serre`), 0 where T^k or T^{k+1} is empty, the source's rank
-        d_{2n-1-k} on a dual that records its source, or found by
-        `linalg.rank`; stored under both."""
-        found = self.total_ranks.get(k)
-        if found is None:
-            degrees = (k,) if (n := self.serre()) is None else (k, 2 * n - 1 - k)
-            found = next((self.total_ranks[j] for j in degrees if j in self.total_ranks), None)
-            if found is None:
-                components = self.totalization.components
-                if k not in components or k + 1 not in components:
-                    found = 0
-                elif (link := self.complex._dual_of) is not None:
-                    source, n = link
-                    found = Analysis.of(source).total_rank(2 * n - 1 - k)
-                else:
-                    found = rank(self.totalization.differential(k))
-            self.total_ranks.update(dict.fromkeys(degrees, found))
-        return found
-
     def valid(self) -> bool:
         """Whether `validate` has run on the complex and found nothing."""
         return self.complex._violations == ()
 
-    def serre(self) -> int | None:
-        """n, on a Lie-algebra model of complex dimension n that `validate`
-        has found valid and whose Serre pairing is a morphism of double
-        complexes; None on any other complex.  The pairing is checked on the
-        first call that gets that far, with no product
-        (`models._serre_pairing_holds`), and the verdict kept; `valid` is
-        read on every call, since a complex may be validated after its
-        Analysis is made."""
+    def partner(self) -> tuple["Analysis", int] | None:
+        """(the Analysis of b, n) for a complex with the Serre record (b, n)
+        that `validate` has found valid, this Analysis itself where b is
+        None; None for any other complex.  `valid` is read on every call,
+        since a complex may be validated after its Analysis is made."""
         serre = self.complex._serre
         if serre is None or not self.valid():
             return None
-        if self._serre_holds is None:
-            self._serre_holds = _serre_pairing_holds(self.complex)
-        return serre[0] if self._serre_holds else None
+        b, n = serre
+        return (self if b is None else Analysis.of(b)), n
 
-    def orbit(self, kind: str, p: int, q: int) -> list[tuple[str, int, int]]:
-        """The keys of the blocks whose rank the transfers show equal to
-        that of the `kind` block at (p, q), itself first: its mirror M
-        where a real structure was found valid, and the Serre partner S of
-        each of those where `serre` gives n (see the class notes)."""
+    def orbit(self, kind: str, p: int, q: int) -> list[tuple["Analysis", tuple[str, int, int]]]:
+        """The (Analysis, key) pairs whose blocks the class notes show to
+        have the rank of the `kind` block at (p, q), itself first: the one
+        part stored of a joined block that has exactly one, the mirror M
+        of each where a real structure was found valid, and the key at S
+        on the partner of each of those where `partner` gives one."""
+        parts, join, _, _ = _KINDS[kind]
         keys = [(kind, p, q)]
-        a = self.complex
-        if a.sigma is not None and self.valid():
-            keys.append((_KINDS[kind].mirror, q, p))
-        # The field test spares the call on any complex that is no model.
-        if a._serre is not None and (n := self.serre()) is not None:
-            keys += [(other, n - x + dp, n - y + dq)
-                     for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
-        return keys
+        if join is vstack or join is hstack:
+            present = [(d, p + dp, q + dq) for d, dp, dq in parts
+                       if (p + dp, q + dq) in self.support(d)]
+            if len(present) == 1:
+                keys += present
+        if self.complex.sigma is not None and self.valid():
+            keys += [(_KINDS[k].mirror, y, x) for k, x, y in keys]
+        pairs = [(self, key) for key in keys]
+        if (partner := self.partner()) is not None:
+            b, n = partner
+            pairs += [(b, (other, n - x + dp, n - y + dq))
+                      for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
+        return pairs
 
     def support(self, kind: str) -> set[BiDegree]:
         """The bidegrees at which the `kind` block is not absent, found on
         the first call for that kind and kept."""
         found = self._supports.get(kind)
         if found is None:
-            found = self._supports[kind] = _support(self.complex, _KINDS[kind])
+            parts, join, _, _ = _KINDS[kind]
+            if join is _product and self.valid():
+                # d1 d2 = -d2 d1: absent also where a factor of d2 d1 is.
+                parts += (("d2", 1, 0), ("d1", 0, 0))
+            found = self._supports[kind] = _support(self.complex, parts, join)
         return found
 
     def absent(self, kind: str, p: int, q: int) -> bool:
         """Whether the `kind` block at (p, q) is zero because its parts are
         absent: all of them, or either factor of d1 d2 (`support`)."""
         return (p, q) not in self.support(kind)
-
-    def _lone_part(self, kind: str, p: int, q: int) -> tuple[str, int, int] | None:
-        """The key of the one part stored of a [d1; d2] or [d1 | d2] block
-        at (p, q) that has exactly one; None for any other block."""
-        parts, join, _, _ = _KINDS[kind]
-        if join in (vstack, hstack):
-            present = [(d, p + dp, q + dq) for d, dp, dq in parts
-                       if (p + dp, q + dq) in self.support(d)]
-            if len(present) == 1:
-                return present[0]
-        return None
 
     def _parts(self, kind: str, p: int, q: int) -> list[Matrix]:
         """The parts of the `kind` block at (p, q), a zero block where one
@@ -569,12 +518,17 @@ class Analysis:
 
     def block(self, kind: str, p: int, q: int) -> Matrix:
         """The block of one of the five kinds at (p, q) (see `rank`): its
-        parts joined as `_KINDS` says.  A d1 d2 product is kept, and is the
-        zero block, with no product, where a factor is absent."""
+        parts joined as `_KINDS` says, or the one part stored of a joined
+        block that has exactly one, which has its rank, kernel and image.
+        A d1 d2 product is kept, and is the zero block, with no product,
+        where a factor is absent."""
         join = _KINDS[kind].join
         if join is not _product:
             parts = self._parts(kind, p, q)
-            return join(parts) if join else parts[0]
+            if join is None:
+                return parts[0]
+            stored = [m for m in parts if not m.is_zero()]
+            return stored[0] if len(stored) == 1 else join(parts)
         if (p, q) not in self._d1d2:
             a = self.complex
             self._d1d2[(p, q)] = (Matrix.zero(a.dim(p + 1, q + 1), a.dim(p, q))
@@ -586,40 +540,49 @@ class Analysis:
         "d1;d2" the stacked [d1; d2] out of it, "d1|d2" the joined
         [d1 | d2] into it, or "d1d2" the product d1 d2 out of it.
 
-        A stored rank is read.  Failing that, that of the first other key of
-        the block's `orbit` that is stored, or is absent (rank 0), is.
-        Otherwise a block whose parts are absent (`absent`) has rank 0 and
-        is not built, a [d1; d2] or [d1 | d2] block with one part present
-        takes that part's rank (`_lone_part`), a dual that records its
-        source reads the source's rank at the Serre partner (see the class
-        notes), and `linalg.rank` ranks any other: m, the block the caller
-        has built, or the block built here.
-        The rank is stored under every key of the orbit.
+        The rank of the first pair of the block's `orbit` that is stored,
+        or absent and so of rank 0, is read.  Failing that, `linalg.rank`
+        ranks m, the block the caller has built, or the block built here
+        (`block`), once, and the rank is stored under every pair.
         """
         key = (kind, p, q)
         found = self._ranks.get(key)
         if found is None:
             a = self.complex
-            # With neither sigma nor a Serre record the orbit is the key alone.
-            others = () if a.sigma is None and a._serre is None else self.orbit(*key)[1:]
-            for other in others:
-                found = 0 if self.absent(*other) else self._ranks.get(other)
+            # With neither sigma nor a record, a single block is its own orbit.
+            pairs = (((self, key),) if a.sigma is None and a._serre is None
+                     and _KINDS[kind].join not in (vstack, hstack) else self.orbit(kind, p, q))
+            for memo, other in pairs:
+                found = 0 if memo.absent(*other) else memo._ranks.get(other)
                 if found is not None:
                     break
             else:
-                if self.absent(kind, p, q):
-                    found = 0
-                elif (part := self._lone_part(kind, p, q)) is not None:
-                    found = self.rank(*part)
-                elif (link := a._dual_of) is not None:
-                    source, n = link
-                    other, dp, dq = _KINDS[kind].serre
-                    found = Analysis.of(source).rank(other, n - p + dp, n - q + dq)
-                else:
-                    found = rank(self.block(kind, p, q) if m is None else m)
-            self._ranks[key] = found
-            for other in others:
-                self._ranks[other] = found
+                found = rank(self.block(kind, p, q) if m is None else m)
+            for memo, other in pairs:
+                memo._ranks[other] = found
+        return found
+
+    def total_rank(self, k: int) -> int:
+        """rank d_k, read like a block rank (`rank`) over the pairs
+        (self, k) and, where `partner` gives (b, n), (b, 2n - 1 - k): a
+        pair is absent where the degree or the next one has no coordinates.
+        Failing both, `linalg.rank` ranks d_k, stored under both."""
+        found = self.total_ranks.get(k)
+        if found is None:
+            pairs = [(self, k)]
+            if (partner := self.partner()) is not None:
+                b, n = partner
+                pairs.append((b, 2 * n - 1 - k))
+            for memo, j in pairs:
+                components = memo.totalization.components
+                found = (0 if j not in components or j + 1 not in components
+                         else memo.total_ranks.get(j))
+                if found is not None:
+                    break
+            else:
+                found = rank(self.totalization.differential(k))
+            for memo, j in pairs:
+                memo.total_ranks[j] = found
         return found
 
     def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
@@ -836,9 +799,9 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     level; on the row filtration, where components run by increasing p and
     so by decreasing q, that order is the reverse of the coordinates'.
 
-    Serre mirror.  Where `Analysis.serre` gives N, on a Lie-algebra model
-    of complex dimension N whose Serre pairing checks (see `Analysis`),
-    only d_0 ... d_{N-1} are reduced, in the order above, with their
+    Serre mirror.  Where `Analysis.partner` gives the complex itself and
+    N, on a Lie-algebra model of complex dimension N found valid whose
+    Serre pairing checks (see `Analysis`), only d_0 ... d_{N-1} are reduced, in the order above, with their
     clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
     pair of d_k with levels (N - t, N - s), of the same length.  The pairing makes d_k the
     transpose of d_{2N-1-k} between signed permutations that send a
@@ -875,7 +838,8 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     # Degree -> its pairs counted by (source level, target level).
     found: dict[int, dict[tuple[int, int], int]] = {}
     # N, the complex dimension, where the Serre mirror applies.
-    serre_n = memo.serre()
+    partner = memo.partner()
+    serre_n = partner[1] if partner is not None and partner[0] is memo else None
     for n in tot.degrees():
         if serre_n is not None and n >= serre_n:
             counts = {(serre_n - t, serre_n - s): count for (s, t), count

@@ -41,11 +41,11 @@ mirror under the real structure.  A complex never validated, or one with a
 violation, gets no such shortcut.  `dual` of a complex whose recorded list
 is empty records the empty list too: each axiom of the dual is the
 transpose of one of the original's (the proof is in `dual`).  It also
-records its source, whose Analysis then ranks the dual's blocks: each is a
-signed transpose of a block of the source.  A complex
-built by `models.lie_algebra_model` also carries its complex dimension and
-monomials, from which the Analysis checks the Serre pairing before it reads
-a rank from a Serre partner; every construction here starts without them.
+writes the Serre record (a, n): each of its blocks is a signed transpose
+of the source's block at its Serre partner, so the two complexes share
+their ranks.  A complex built by `models.lie_algebra_model`
+whose Serre pairing checks carries the record (None, n), its partner
+blocks being its own; every other construction here starts without one.
 
 Sign conventions fixed here and relied on everywhere else:
 
@@ -76,7 +76,7 @@ from .linalg import (
     kron,
     rref,
 )
-from .scalars import ONE, gauss
+from .scalars import ONE, _Value, gauss
 
 BiDegree = tuple[int, int]
 
@@ -142,7 +142,7 @@ def _clean_dims(dims: Mapping[BiDegree, int]) -> dict[BiDegree, int]:
     return out
 
 
-class DoubleComplex:
+class DoubleComplex(_Value):
     """A bounded double complex: the dimension of each nonzero A^{p,q}, the
     nonzero blocks of d1, d2 and, when there is a real structure, sigma, and
     optional basis labels.  Construction drops zero dimensions and zero
@@ -152,18 +152,18 @@ class DoubleComplex:
     # Besides the value, memos that live and die with this complex: the
     # zero block of each shape that an absent block reads as, the
     # cohomology.Analysis of the complex, made on first use, the
-    # violations `validate` found, None until it runs, on a Lie-algebra
-    # model only, what the Analysis needs to check its Serre pairing:
-    # (n, monomials by bidegree, index of each monomial), set by
-    # `models.lie_algebra_model`, and, on `dual(a, n)` of an a found valid
-    # only, (a, n), from which the Analysis reads each rank off a's: every
-    # block of the dual is a signed transpose of one of a's, and its d1 d2
-    # is minus the transpose of a's d2 d1, which is a's d1 d2 transposed
-    # on a valid a (see `dual`).  The dual holds a strongly, so a and all
-    # that a's Analysis keeps live as long as the dual does.  The Analysis
-    # holds the complex through a weak proxy.
-    __slots__ = ("dims", "d1", "d2", "sigma", "labels",
-                 "_zeros", "_analysis", "_violations", "_serre", "_dual_of", "__weakref__")
+    # violations `validate` found, None until it runs, and the Serre
+    # record (b, n), None unless a construction proved it: every d1 and d2
+    # block is, up to signed permutations, the transpose of b's block at
+    # its Serre partner (see `cohomology.Analysis`), b None standing for
+    # the complex itself.
+    # `models.lie_algebra_model` writes (None, n) where the model's Serre
+    # pairing checks, and `dual(a, n)` of an a found valid writes (a, n).
+    # The dual holds a strongly, so a and all that a's Analysis keeps live
+    # as long as the dual does.  The Analysis holds the complex through a
+    # weak proxy.
+    _fields = ("dims", "d1", "d2", "sigma", "labels")
+    __slots__ = _fields + ("_zeros", "_analysis", "_violations", "_serre", "__weakref__")
 
     def __init__(self, dims: Mapping[BiDegree, int], d1: Mapping[BiDegree, Matrix],
                  d2: Mapping[BiDegree, Matrix], sigma: Mapping[BiDegree, Matrix] | None = None,
@@ -198,25 +198,6 @@ class DoubleComplex:
         put(self, "_analysis", None)
         put(self, "_violations", None)
         put(self, "_serre", None)
-        put(self, "_dual_of", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not DoubleComplex:
-            return NotImplemented
-        return (self.dims, self.d1, self.d2, self.sigma, self.labels) == (
-            other.dims, other.d1, other.d2, other.sigma, other.labels)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"DoubleComplex(dims={self.dims!r}, d1={self.d1!r}, d2={self.d2!r}, "
-                f"sigma={self.sigma!r}, labels={self.labels!r})")
-
-    def __reduce__(self):
-        return DoubleComplex, (self.dims, self.d1, self.d2, self.sigma, self.labels)
 
     # -- accessors -----------------------------------------------------------
 
@@ -347,7 +328,7 @@ def validate(a: DoubleComplex) -> list[Violation]:
 # -- morphisms ----------------------------------------------------------------
 
 
-class Morphism:
+class Morphism(_Value):
     """A bidegree-preserving map of double complexes, stored blockwise.
 
     Construction fails hard unless every block commutes with both
@@ -359,7 +340,8 @@ class Morphism:
     # Besides the value, memos that live and die with this morphism: the
     # zero block of each shape that an absent block reads as, and the map
     # `cohomology.induced_cohomology_map` found for each kind.
-    __slots__ = ("source", "target", "blocks", "_zeros", "_induced")
+    _fields = ("source", "target", "blocks")
+    __slots__ = _fields + ("_zeros", "_induced")
 
     def __init__(self, source: DoubleComplex, target: DoubleComplex,
                  blocks: Mapping[BiDegree, Matrix]):
@@ -388,22 +370,6 @@ class Morphism:
                 raise MorphismError(f"blocks do not commute with d1 at ({p}, {q})")
             if not _products_vanish([(1, t2(p, q), f(p, q)), (-1, f(p, q + 1), s2(p, q))]):
                 raise MorphismError(f"blocks do not commute with d2 at ({p}, {q})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Morphism:
-            return NotImplemented
-        return (self.source, self.target, self.blocks) == (other.source, other.target, other.blocks)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Morphism(source={self.source!r}, target={self.target!r}, blocks={self.blocks!r})"
-
-    def __reduce__(self):
-        return Morphism, (self.source, self.target, self.blocks)
 
     def block_at(self, p: int, q: int) -> Matrix:
         m = self.blocks.get((p, q))
@@ -641,20 +607,21 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     checked by `validate(a)`.  A complex never validated, or with a
     violation, gives a dual with no verdict, which `validate` decides.
 
-    The same dual records (a, n), and its Analysis reads every rank off
-    a's.  Its d1 and d2 at (p, q) are e T(d1^{p*-1,q*}) and
-    e T(d2^{p*,q*-1}), so [d1; d2] out of (p, q) is e T[d1 | d2] into
-    (p*, q*), and [d1 | d2] into (p, q), whose two parts share the sign
-    (-1)^{p+q}, is that sign times T[d1; d2] out of (p*, q*): equal ranks
-    on any a.  Its total d_k is (-1)^{k+1} T(d_{2n-1-k}), components
-    reordered.  Its d1 d2 out of (p, q) is e e' T(d2 d1) = -T(d2 d1) out of
+    The same dual writes its Serre record (a, n), and the dual and a then
+    share their ranks, each stored once for both (`cohomology.Analysis`).
+    Its d1 and d2 at (p, q) are e T(d1^{p*-1,q*}) and e T(d2^{p*,q*-1}),
+    so [d1; d2] out of (p, q) is e T[d1 | d2] into (p*, q*), and
+    [d1 | d2] into (p, q), whose two parts share the sign (-1)^{p+q}, is
+    that sign times T[d1; d2] out of (p*, q*): equal ranks on any a.  Its
+    total d_k is (-1)^{k+1} T(d_{2n-1-k}), components reordered.  Its
+    d1 d2 out of (p, q) is e e' T(d2 d1) = -T(d2 d1) out of
     (p* - 1, q* - 1), and d2 d1 = -d1 d2 there only where a is valid; so
-    the link is recorded with the verdict and nowhere else.  A complex
-    never validated, or with a violation, gives a dual that ranks its own
-    blocks.  The dual holds a strongly: a and everything its Analysis keeps
-    (the total differentials, d1 d2 products, cycles, boundaries and coset
-    representatives) stay in memory as long as the dual does, even where
-    the dual needs only a's ranks.
+    the record is written with the verdict and nowhere else.  A complex
+    never validated, or with a violation, gives a dual with no record,
+    which ranks its own blocks.  The dual holds a strongly: a and
+    everything its Analysis keeps (the total differentials, d1 d2
+    products, cycles, boundaries and coset representatives) stay in memory
+    as long as the dual does, even where the dual needs only a's ranks.
     """
     dims = {(n - p, n - q): m for (p, q), m in a.dims.items()}
     d1 = {}
@@ -677,7 +644,7 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     out = DoubleComplex(dims, d1, d2, sigma)
     if a._violations == ():
         object.__setattr__(out, "_violations", ())
-        object.__setattr__(out, "_dual_of", (a, n))
+        object.__setattr__(out, "_serre", (a, n))
     return out
 
 

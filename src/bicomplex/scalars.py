@@ -20,34 +20,48 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-class GaussianRational:
-    """A number re + im*i with exact rational re and im.
+class _Value:
+    """A read-only value with the named fields `_fields`, each a slot of
+    the subclass, set by its normalising __init__ with object.__setattr__.
+    Equality compares the fields in order within one class, the repr reads
+    Class(field=value, ...), pickle and deepcopy rebuild the value through
+    __init__, and the value is unhashable unless its class says otherwise."""
 
-    A read-only value: two scalars are equal when their (re, im) are, and
-    hash as (re, im)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction, im: Fraction):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is not GaussianRational:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
+class GaussianRational(_Value):
+    """A number re + im*i with exact rational re and im.
+
+    A read-only value: two scalars are equal when their (re, im) are, and
+    hash as (re, im)."""
+
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
-
-    def __reduce__(self):
-        return GaussianRational, (self.re, self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

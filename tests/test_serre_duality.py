@@ -2,9 +2,10 @@
 checks, a rank is read from its Serre partner, and Frolicher reduces only
 d_0 ... d_{n-1}.
 
-The check (`models._serre_pairing_holds`) must agree with building the
-pairing as a Morphism, and every table and page must equal the one of a
-copy built separately and never validated, which ranks every block.  The
+The check (`models._serre_pairing_holds`), which `lie_algebra_model` runs
+on every model it builds, must agree with building the pairing as a
+Morphism, and every table and page must equal the one of a copy built
+separately and never validated, which ranks every block.  The
 non-unimodular model `d b = a ^ b` validates, but its pairing is not a
 morphism, and reading its ranks from Serre partners would give wrong
 tables.
@@ -123,10 +124,8 @@ def test_a_non_unimodular_model_reads_no_serre_partner():
     assert validate(a) == []
     with pytest.raises(MorphismError):
         serre_pairing_morphism(m)
-    memo = Analysis.of(a)
-    assert a._serre[0] == 2
-    assert memo.serre() is None
-    assert memo._serre_holds is False
+    assert a._serre is None
+    assert Analysis.of(a).partner() is None
     want = results(MODELS["solvable"]().complex, False)
     assert want["de_rham"].entries == {0: 1, 1: 2, 2: 1}
     assert results(a, False) == want
@@ -138,8 +137,10 @@ def test_a_non_unimodular_model_reads_no_serre_partner():
 @pytest.mark.parametrize("name", MODELS)
 def test_the_check_agrees_with_building_the_pairing(name):
     m = MODELS[name]()
-    assert models._serre_pairing_holds(m.complex) == pairing_builds(m)
-    assert pairing_builds(m) == (name != "solvable")
+    a, n = m.complex, m.top_index[0]
+    holds = models._serre_pairing_holds(n, m._monomials, m._index, a.d1, a.d2)
+    assert holds == pairing_builds(m) == (name != "solvable")
+    assert a._serre == ((None, n) if holds else None)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -162,7 +163,7 @@ def test_serre_partners_have_equal_ranks_on_the_checked_route(name):
     a = MODELS[name]().complex
     results(a, False)
     memo = Analysis.of(a)
-    n = a._serre[0]
+    _, n = a._serre
     paired = mirrored = composed = 0
     for (kind, p, q), r in memo._ranks.items():
         other, dp, dq = _KINDS[kind].serre
@@ -196,46 +197,69 @@ def test_a_validated_model_reduces_only_the_lower_degrees():
         assert degrees == [0, 1, 2, 3, 4], direction
 
 
-def test_the_check_runs_once_and_only_when_a_transfer_would_serve():
+def test_the_check_runs_once_per_build_and_never_from_a_table():
+    """`lie_algebra_model` checks the pairing of the model it builds; no
+    table, page or transfer checks it again, on the model or its dual."""
     check = models._serre_pairing_holds.__code__
-    assert calls_into(check, MODELS["nil4"]) == 0
+    assert calls_into(check, MODELS["nil4"]) == 1
     a = MODELS["nil4"]().complex
     assert validate(a) == []
-    assert calls_into(check, results, a, False) == 1
+    assert calls_into(check, results, a, False) == 0
+    assert calls_into(check, results, dual(a, 4), True) == 0
     assert calls_into(check, results, MODELS["nil4"]().complex, False) == 0
 
 
 def test_other_complexes_take_the_checked_route():
-    """Only the complex `lie_algebra_model` built carries what the check
-    needs: a shifted, transposed, dual, summed or reloaded copy does not,
-    even when validated."""
+    """Only the complex `lie_algebra_model` built, and the dual of a
+    complex found valid, carry a Serre record: a shifted, transposed,
+    summed or reloaded copy does not, even when validated."""
     a = MODELS["iwasawa"]().complex
     assert validate(a) == []
-    copies = [shift(a, 0), transpose_complex(a), dual(a, 3), direct_sum(a, a)[0],
+    copies = [shift(a, 0), transpose_complex(a), direct_sum(a, a)[0],
               loads_complex(dumps_complex(a))]
     for b in copies:
         assert validate(b) == []
         assert b._serre is None
-        assert Analysis.of(b).serre() is None
-    assert Analysis.of(a).serre() == 3
+        assert Analysis.of(b).partner() is None
+    memo = Analysis.of(a)
+    assert a._serre == (None, 3) and memo.partner() == (memo, 3)
+    d = dual(a, 3)
+    assert d._serre[0] is a and Analysis.of(d).partner() == (memo, 3)
+
+
+def lone_part(a, key) -> list:
+    """The one stored part of a [d1; d2] or [d1 | d2] block that has
+    exactly one, as a list of its key, written out per kind; [] for any
+    other block."""
+    kind, p, q = key
+    if kind not in ("d1;d2", "d1|d2"):
+        return []
+    parts, _ = KIND_RULES[kind]
+    stored = [part for part in parts(p, q) if part[1:] in (a.d1 if part[0] == "d1" else a.d2)]
+    return stored if len(stored) == 1 else []
 
 
 def test_the_orbit_is_the_written_out_rule():
     """On a validated nil5 the orbit of every key, over the support grown by
-    one, is the key, its mirror, its Serre partner and their composite; the
-    two maps commute, so the composite is also the partner of the mirror.
-    Never validated, the orbit is the key alone."""
+    one, is the key and its lone part, their mirrors, and the Serre partner
+    of each of those, all on the model itself; the two maps commute, so
+    the composite is also the partner of the mirror.  Never validated, the
+    orbit is the key and its lone part."""
     a, plain = MODELS["nil5"]().complex, MODELS["nil5"]().complex
     assert validate(a) == []
-    memo, n = Analysis.of(a), a._serre[0]
+    memo, n = Analysis.of(a), a._serre[1]
     for kind in _KINDS:
         for p in range(-1, n + 2):
             for q in range(-1, n + 2):
                 key = kind, p, q
                 assert composite(key, n) == serre_partner(mirror(key), n)
-                assert memo.orbit(*key) == [key, mirror(key), serre_partner(key, n),
-                                            composite(key, n)]
-                assert Analysis.of(plain).orbit(*key) == [key]
+                keys = [key] + lone_part(a, key)
+                keys += [mirror(k) for k in keys]
+                assert memo.orbit(*key) == ([(memo, k) for k in keys]
+                                            + [(memo, serre_partner(k, n)) for k in keys])
+                unchecked = Analysis.of(plain)
+                assert unchecked.orbit(*key) == [(unchecked, k)
+                                                 for k in [key] + lone_part(plain, key)]
 
 
 @pytest.mark.parametrize("name", ["nil5", "dim6"])
@@ -245,7 +269,7 @@ def test_a_rank_is_read_from_its_composite_partner(name):
     copy finds.  The ranks are stored before `validate`, one key per kind,
     each with its whole orbit unstored."""
     a, plain = MODELS[name]().complex, MODELS[name]().complex
-    memo, n = Analysis.of(a), a._serre[0]
+    memo, n = Analysis.of(a), a._serre[1]
     chosen, used = [], set()
     for kind in _KINDS:
         for p, q in a.bidegrees():
