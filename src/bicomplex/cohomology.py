@@ -124,8 +124,8 @@ dual because each block of the dual is a signed transpose of its
 partner, and its d1 d2 minus the transpose of the partner's d2 d1, which
 is -(d1 d2) on the valid source (the proofs are in `Analysis`,
 `frolicher` and `complexes.dual`).  The row table after the column table
-then ranks nothing, and the five tables of a validated nil5 rank 38
-blocks, against 74 with the mirror alone and 128 never validated.  After
+then ranks nothing, and the five tables of a validated nil5 rank 37
+blocks, against 72 with the mirror alone and 126 never validated.  After
 the source's five tables the dual's rank nothing, and after the dual's
 the source's rank nothing.
 `induced_cohomology_map` reads both sides' spaces from the Analysis, and
@@ -250,6 +250,8 @@ class Totalization:
                 pos += a.dim(*pq)
             self.offsets[k] = off
             self.dims[k] = pos
+        # The degrees k with d_k nonzero: those a stored d1 or d2 block leaves.
+        self.moving = {p + q for blocks in (a.d1, a.d2) for p, q in blocks}
         self._d: dict[int, Matrix] = {}
 
     def degrees(self) -> list[int]:
@@ -373,7 +375,7 @@ class Analysis:
     lone part of a joined block, for its orbit.  After `dolbeault` and
     `conjugate_dolbeault`, `bott_chern` and `aeppli` then rank only d1 d2
     products and blocks with both parts present.  The five tables of a
-    validated nil5 rank 38 blocks, 74 with M alone and 128 never
+    validated nil5 rank 37 blocks, 72 with M alone and 126 never
     validated.
 
     L is exact: rank [X; 0] = rank [X | 0] = rank X, and the part has the
@@ -565,8 +567,9 @@ class Analysis:
     def total_rank(self, k: int) -> int:
         """rank d_k, read like a block rank (`rank`) over the pairs
         (self, k) and, where `partner` gives (b, n), (b, 2n - 1 - k): a
-        pair is absent where the degree or the next one has no coordinates.
-        Failing both, `linalg.rank` ranks d_k, stored under both."""
+        pair is absent, d_j being zero, where no stored d1 or d2 block
+        leaves a bidegree of degree j.  Failing both, `linalg.rank` ranks
+        d_k, stored under both."""
         found = self.total_ranks.get(k)
         if found is None:
             pairs = [(self, k)]
@@ -574,9 +577,7 @@ class Analysis:
                 b, n = partner
                 pairs.append((b, 2 * n - 1 - k))
             for memo, j in pairs:
-                components = memo.totalization.components
-                found = (0 if j not in components or j + 1 not in components
-                         else memo.total_ranks.get(j))
+                found = 0 if j not in memo.totalization.moving else memo.total_ranks.get(j)
                 if found is not None:
                     break
             else:

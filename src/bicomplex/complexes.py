@@ -67,6 +67,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
+    _equal_by_relabeling,
     _products_vanish,
     _select_columns,
     _times_conjugate_is_identity,
@@ -246,18 +247,38 @@ ZERO_COMPLEX = DoubleComplex({}, {}, {}, {}, {})
 # -- validation ---------------------------------------------------------------
 
 
+def _commutes(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix, conjugate: bool = False) -> bool:
+    """Whether s1 @ op(x) == y @ s0, op(x) being conj(x) where conjugate is
+    set: by relabeling stored entries where s1 and s0 are monomial
+    (`linalg._equal_by_relabeling`), and otherwise as one vanishing sum of
+    two products over Z[i] (`linalg._products_vanish`)."""
+    found = _equal_by_relabeling(s1, x, y, s0, conjugate)
+    if found is None:
+        found = _products_vanish([(1, s1, x, conjugate), (-1, y, s0, False)])
+    return found
+
+
 def validate(a: DoubleComplex) -> list[Violation]:
     """All double-complex axioms, blockwise; an empty list means valid.
 
     Shape consistency is enforced at construction, so this checks the algebra:
     d1 d1 = 0, d2 d2 = 0, d1 d2 + d2 d1 = 0, and the sigma axioms when a real
     structure is present.  The list holds the d-axioms by bidegree, then the
-    sigma axioms by bidegree.  The involution is one product summed over
-    Z[i] and compared entrywise with the identity
-    (`linalg._times_conjugate_is_identity`); every other identity is one sum
-    of signed products that must vanish, decided over Z[i] by
-    `linalg._products_vanish` on the blocks themselves.  No scalar, product
-    matrix or identity matrix is built.
+    sigma axioms by bidegree.  Each sigma identity reads S1 op(X) = Y S0,
+    the involution as S^{q,p} conj(S^{p,q}) = 1 . 1.  Where both of its
+    sigma blocks are monomial, square with one entry in each row and each
+    column, as on every Lie-algebra model and its sums, shifts, tensors and
+    duals, it is decided by relabeling: each entry of X is moved and scaled
+    to its one position and compared with Y's entry there
+    (`linalg._equal_by_relabeling`, which holds the proof), with no product.
+    Any other sigma, such as the dense one of a random change of basis,
+    takes the product route: the involution is one product summed over Z[i]
+    and compared entrywise with the identity
+    (`linalg._times_conjugate_is_identity`), and every other identity, the
+    d-axioms always, is one sum of signed products that must vanish,
+    decided over Z[i] by `linalg._products_vanish` on the blocks themselves,
+    conjugating X's entries as it reads them.  No scalar, product matrix or
+    conjugate copy is built.
 
     The list is recorded on a, and a later call returns a copy of it and
     makes no product.
@@ -302,21 +323,25 @@ def validate(a: DoubleComplex) -> list[Violation]:
     mirrored = False
     if a.sigma is not None:
         s = a.sigma_at
+        ones = {n: Matrix.identity(n) for n in set(a.dims.values())}
+
+        def involution(p: int, q: int) -> bool:
+            one = ones[a.dim(p, q)]
+            found = _equal_by_relabeling(s(q, p), s(p, q), one, one, True)
+            return _times_conjugate_is_identity(s(q, p), s(p, q)) if found is None else found
+
         square = all(a.dim(q, p) == n for (p, q), n in a.dims.items())
-        decide(inv, lambda p, q: _times_conjugate_is_identity(s(q, p), s(p, q)),
-               inv if square else None)
-        involution = all(holds.values())
-        decide(sd1, lambda p, q: _products_vanish([(1, s(p + 1, q), d1(p, q).conjugate()),
-                                                   (-1, d2(q, p), s(p, q))]))
-        decide(sd2, lambda p, q: _products_vanish([(1, s(p, q + 1), d2(p, q).conjugate()),
-                                                   (-1, d1(q, p), s(p, q))]),
-               sd1 if involution else None)
+        decide(inv, involution, inv if square else None)
+        involutive = all(holds.values())
+        decide(sd1, lambda p, q: _commutes(s(p + 1, q), d1(p, q), d2(q, p), s(p, q), True))
+        decide(sd2, lambda p, q: _commutes(s(p, q + 1), d2(p, q), d1(q, p), s(p, q), True),
+               sd1 if involutive else None)
         mirrored = all(holds.values())
-    decide(dd1, lambda p, q: _products_vanish([(1, d1(p + 1, q), d1(p, q))]))
-    decide(dd2, lambda p, q: _products_vanish([(1, d2(p, q + 1), d2(p, q))]),
+    decide(dd1, lambda p, q: _products_vanish([(1, d1(p + 1, q), d1(p, q), False)]))
+    decide(dd2, lambda p, q: _products_vanish([(1, d2(p, q + 1), d2(p, q), False)]),
            dd1 if mirrored else None)
-    decide(anti, lambda p, q: _products_vanish([(1, d2(p + 1, q), d1(p, q)),
-                                                (1, d1(p, q + 1), d2(p, q))]),
+    decide(anti, lambda p, q: _products_vanish([(1, d2(p + 1, q), d1(p, q), False),
+                                                (1, d1(p, q + 1), d2(p, q), False)]),
            anti if mirrored else None)
     groups = [(dd1, dd2, anti)] + ([(inv, sd1, sd2)] if a.sigma is not None else [])
     found = [Violation(p, q, identity) for group in groups for p, q in bidegrees
@@ -333,7 +358,11 @@ class Morphism(_Value):
 
     Construction fails hard unless every block commutes with both
     differentials; everything downstream assumes it.  Each commutation
-    check is one vanishing sum of two products over Z[i], as in `validate`.
+    check reads f(p + 1, q) d1 = d1' f(p, q), and likewise for d2, as in
+    `validate`: where both f blocks are monomial, as in the Serre pairing
+    and a scaled identity, it is decided by relabeling stored entries, and
+    otherwise, as for inclusions and projections, as one vanishing sum of
+    two products over Z[i].
     A read-only value: equality compares source, target and blocks.
     """
 
@@ -366,9 +395,9 @@ class Morphism(_Value):
         # elsewhere both of its products are zero.
         support = {(p - dp, q - dq) for p, q in clean for dp, dq in ((0, 0), (1, 0), (0, 1))}
         for p, q in sorted(support):
-            if not _products_vanish([(1, t1(p, q), f(p, q)), (-1, f(p + 1, q), s1(p, q))]):
+            if not _commutes(f(p + 1, q), s1(p, q), t1(p, q), f(p, q)):
                 raise MorphismError(f"blocks do not commute with d1 at ({p}, {q})")
-            if not _products_vanish([(1, t2(p, q), f(p, q)), (-1, f(p, q + 1), s2(p, q))]):
+            if not _commutes(f(p, q + 1), s2(p, q), t2(p, q), f(p, q)):
                 raise MorphismError(f"blocks do not commute with d2 at ({p}, {q})")
 
     def block_at(self, p: int, q: int) -> Matrix:

@@ -128,14 +128,23 @@ the pivot columns of the rows of level >= s, for every s at once.
 Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
 entry is summed as an (int, int) pair over the product of the denominators.
 Identity checks (the double-complex axioms in `complexes.validate`, the
-commutation of a `Morphism` with d1 and d2) ask only whether a sum of
-signed products vanishes, and `_products_vanish` decides that without
-building a product matrix: each product is brought to the lcm of the
+commutation of a `Morphism` with d1 and d2) build no product matrix.  The
+sigma axioms and the commutations read s1 @ op(x) == y @ s0, op the
+identity or conjugation.  Where s1 and s0 are monomial, square with one
+entry in each row and each column (the sigma blocks of every Lie-algebra
+model, the blocks of the Serre pairing), each entry of x lands at one
+position of the left side and each entry of y at one position of the
+right, so `_equal_by_relabeling` compares entries, with no product at all;
+a matrix's column map is found once and kept on it (`_by_column`), since a
+sigma or morphism block meets several checks.
+Every other identity asks whether a sum of signed products vanishes, and
+`_products_vanish` decides that: each product is brought to the lcm of the
 products' denominators, and all are summed in one (int, int) accumulator,
-the one `__matmul__` uses (`_accumulate`).  The involution axiom of a real
-structure asks whether a @ conj(b) is the identity, and
-`_times_conjugate_is_identity` compares that accumulator entrywise with the
-identity, conjugating b's entries as it reads them.
+the one `__matmul__` uses (`_accumulate`), which conjugates its right
+factor's entries as it reads them where a term asks.  The involution axiom
+of a non-monomial real structure asks whether a @ conj(b) is the identity,
+and `_times_conjugate_is_identity` compares that accumulator entrywise with
+the identity.
 """
 
 from __future__ import annotations
@@ -189,9 +198,10 @@ def _scalar(x: int, y: int, den: int) -> GaussianRational:
 class Matrix:
     """Sparse exact matrix over Q(i), stored as (den, {(row, col): (re, im)})
     with den least; absent entries are zero, stored entries never are.
-    Operations return new matrices and never change one in place."""
+    Operations return new matrices and never change one in place, so the
+    monomial form `_by_column` finds can be kept on the matrix."""
 
-    __slots__ = ("rows", "cols", "_den", "_num")
+    __slots__ = ("rows", "cols", "_den", "_num", "_columns")
 
     def __init__(self, rows: int, cols: int,
                  entries: Mapping[tuple[int, int], GaussianRational] | None = None):
@@ -355,21 +365,24 @@ def _accumulate(acc: Entries, left: Entries, right: Entries, conjugate: bool = F
             acc[key] = (x + ar * br - ai * bi, y + ar * bi + ai * br)
 
 
-def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix]]) -> bool:
-    """Whether the sum of sign * (a @ b) over terms (sign, a, b) is zero.
+def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix, bool]]) -> bool:
+    """Whether the sum of sign * (a @ op(b)) over terms (sign, a, b,
+    conjugate) is zero, op(b) being conj(b) where conjugate is set and b
+    otherwise.
 
     The caller guarantees that the products share one shape.  Every product
     is brought to the lcm L of the products' denominators by scaling the
-    factor with fewer entries by sign * L / (den_a den_b), and all of them
-    are summed in one Z[i] accumulator; no scalar is built.  A term with an
-    empty factor is zero and is skipped.
+    factor with fewer entries by sign * L / (den_a den_b), an int, and all
+    of them are summed in one Z[i] accumulator, which conjugates b's
+    entries as it reads them; no scalar and no conjugate copy is built.  A
+    term with an empty factor is zero and is skipped.
     """
-    terms = [(s, a, b) for s, a, b in terms if a._num and b._num]
+    terms = [t for t in terms if t[1]._num and t[2]._num]
     if not terms:
         return True
-    den = lcm(*(a._den * b._den for _, a, b in terms))
+    den = lcm(*(a._den * b._den for _, a, b, _ in terms))
     acc: Entries = {}
-    for sign, a, b in terms:
+    for sign, a, b, conjugate in terms:
         left, right = a._num, b._num
         c = sign * (den // (a._den * b._den))
         if c != 1:
@@ -377,8 +390,65 @@ def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix]]) -> bool:
                 left = {k: (c * x, c * y) for k, (x, y) in left.items()}
             else:
                 right = {k: (c * x, c * y) for k, (x, y) in right.items()}
-        _accumulate(acc, left, right)
+        _accumulate(acc, left, right, conjugate)
     return not any(x or y for x, y in acc.values())
+
+
+def _by_column(m: Matrix) -> dict[int, tuple[int, tuple[int, int]]] | None:
+    """column -> (row, entry) of a monomial m, square with one entry in each
+    row and each column; None for any other m.  Found once and kept on m."""
+    try:
+        return m._columns
+    except AttributeError:
+        num = m._num
+        found = None
+        if m.rows == m.cols == len(num):
+            found = {j: (i, v) for (i, j), v in num.items()}
+            if not len(found) == m.cols == len({i for i, _ in num}):
+                found = None
+        m._columns = found
+        return found
+
+
+def _equal_by_relabeling(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix,
+                         conjugate: bool = False) -> bool | None:
+    """Whether s1 @ op(x) == y @ s0, op(x) being conj(x) where conjugate is
+    set and x otherwise, decided from the stored entries when s1 and s0 are
+    monomial; None when either is not, for the caller to multiply.  The
+    caller guarantees that the two sides share one shape.
+
+    Let s1 hold a_k at (r(k), k) and s0 hold b_j at (c(j), j), with r and c
+    bijections.  Then (s1 op(x))[r(k), j] = a_k op(x[k, j]): each entry of x
+    lands at exactly one position, and distinct entries at distinct ones.
+    Likewise (y s0)[i, j] = y[i, c(j)] b_j, so each entry of y lands at
+    exactly one position.  Z[i] has no zero divisors, so the nonzero entries
+    of the two sides are exactly these.  The sides are therefore equal iff x
+    and y have equally many entries and each x[k, j] finds y[r(k), c(j)]
+    with a_k op(x[k, j]) / (den_s1 den_x) = y[r(k), c(j)] b_j / (den_y den_s0),
+    compared with the denominators cross-multiplied: the x entries then
+    account for every y entry, since their positions are distinct and as
+    many.  No accumulator and no product matrix is needed.
+    """
+    left, right = _by_column(s1), _by_column(s0)
+    if left is None or right is None:
+        return None
+    found = y._num
+    if len(x._num) != len(found):
+        return False
+    cx, cy = y._den * s0._den, s1._den * x._den
+    flip = -1 if conjugate else 1
+    for (k, j), (xr, xi) in x._num.items():
+        r, (ar, ai) = left[k]
+        c, (br, bi) = right[j]
+        got = found.get((r, c))
+        if got is None:
+            return False
+        yr, yi = got
+        xi *= flip
+        if (cx * (ar * xr - ai * xi) != cy * (yr * br - yi * bi)
+                or cx * (ar * xi + ai * xr) != cy * (yr * bi + yi * br)):
+            return False
+    return True
 
 
 def _times_conjugate_is_identity(a: Matrix, b: Matrix) -> bool:

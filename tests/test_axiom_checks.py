@@ -1,9 +1,11 @@
-"""The axiom and morphism checks as vanishing sums over Z[i]: `validate` and
-`Morphism` against the matrix-product checks of `reference_validate`, on
-complexes and morphisms with one entry perturbed at a time, including
-complexes where only the d-axioms fail so that `validate` reads mirrored
-verdicts; a guard that on valid inputs they build no scalar; and a guard on
-the products `validate` makes under a real structure."""
+"""The axiom and morphism checks, by relabeling stored entries where the
+sigma or morphism blocks are monomial and as vanishing sums over Z[i]
+elsewhere: `validate` and `Morphism` against the matrix-product checks of
+`reference_validate`, on complexes and morphisms with one entry perturbed
+at a time, including complexes where only the d-axioms fail so that
+`validate` reads mirrored verdicts; a guard that on valid inputs they
+build no scalar; and guards on the route each check takes and on the
+products `validate` makes under a real structure."""
 
 import random
 from fractions import Fraction
@@ -25,7 +27,7 @@ from bicomplex import (
 )
 from bicomplex import linalg
 from bicomplex.scalars import GaussianRational, I, ONE, ZERO
-from call_counter import calls_into
+from call_counter import call_log, calls_into
 from reference_validate import reference_commutation, reference_validate
 from test_frolicher import NIL4, NIL5
 
@@ -158,15 +160,82 @@ def test_validate_decides_involutions_of_unequal_dimensions_apart():
     assert validate(a) == reference_validate(a)
 
 
-@pytest.mark.parametrize("text, name, most", [(NIL4, "nil4", 90), (NIL5, "nil5", 145)],
+@pytest.mark.parametrize("text, name, most", [(NIL4, "nil4", 26), (NIL5, "nil5", 45)],
                          ids=["nil4", "nil5"])
 def test_validate_decides_each_conjugate_pair_once(text, name, most):
     """A valid complex with a real structure computes neither sigma d2 sigma
     = d1 nor d2 d2 = 0, and the involution and the anticommutator only at
-    p <= q: nil4 and nil5 make 73 and 118 products, where checking every
-    identity at its own bidegree makes 162 and 260."""
+    p <= q.  A model's sigma is monomial, so its sigma identities are
+    relabeled with no product: nil4 and nil5 make 26 and 45 products, all
+    of them d-axiom products, where deciding the sigma identities by
+    products too made 73 and 118, and checking every identity at its own
+    bidegree by products 162 and 260."""
     a = lie_algebra_model(parse_model_file(text, name)).complex
     assert calls_into(linalg._accumulate.__code__, validate, a) <= most
+
+
+def test_a_monomial_sigma_is_decided_by_relabeling():
+    """nil5's sigma identities take no product: no involution product, and
+    every `_accumulate` call is one term of a d-axiom sum, whose factors are
+    d1 and d2 blocks and are not conjugated.  A random complex in random
+    coordinates has a dense sigma and still decides it by products, with
+    the reference's verdict."""
+    a = lie_algebra_model(parse_model_file(NIL5, "nil5")).complex
+    codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__,
+             linalg._times_conjugate_is_identity.__code__)
+    log = call_log(codes, validate, a)
+    blocks = {id(m) for m in (*a.d1.values(), *a.d2.values(), *a._zeros.values())}
+    sums = [args["terms"] for name, args in log if name == "_products_vanish"]
+    assert all(id(m) in blocks and not conj for terms in sums for _, *ms, conj in terms
+               for m in ms)
+    products = sum(1 for terms in sums for _, x, y, _ in terms if x._num and y._num)
+    assert [name for name, _ in log if name != "_products_vanish"] == ["_accumulate"] * products
+    assert all(not args["conjugate"] for name, args in log if name == "_accumulate")
+    assert validate(a) == reference_validate(a) == []
+
+    r = random_complex(205, (0, 5, 0, 5), 20, with_sigma=True)
+    log = call_log(codes, validate, r)
+    assert any(name == "_times_conjugate_is_identity" for name, _ in log)
+    assert any(name == "_accumulate" and args["conjugate"] for name, args in log)
+    assert validate(r) == reference_validate(r)
+
+
+def test_a_rescaled_monomial_sigma_matches_reference():
+    """nil4 in the basis `rescaled_basis` gives: its sigma blocks stay
+    monomial, with entries other than units and unequal denominators, so
+    the relabeling compares cross-multiplied entries.  It is valid with no
+    product in a sigma identity, and single-entry perturbations of its
+    sigma, d1 and d2 blocks find the reference's violations."""
+    a = rescaled_basis(lie_algebra_model(parse_model_file(NIL4, "nil4")).complex)
+    entries = {v for m in a.sigma.values() for v in m.entries.values()}
+    assert not entries <= set(UNITS)
+    assert len({m._den for m in a.sigma.values()}) > 1
+    assert all(linalg._by_column(m) is not None for m in a.sigma.values())
+    assert calls_into(linalg._times_conjugate_is_identity.__code__, validate, a) == 0
+    seen: set = set()
+    assert_same_violations(a, 5, 4, seen)
+    assert {"sigma is not an involution", "sigma d1 sigma != d2"} <= seen
+
+
+def test_a_sigma_with_two_entries_in_one_row_takes_the_product_route():
+    """A square sigma block with one entry in each column but two in one
+    row is not monomial: the relabeling declines it, and `validate` decides
+    its identities by products, with the reference's verdict, as it does
+    after single-entry perturbations."""
+    half = Matrix(2, 2, {(0, 0): ONE, (0, 1): ONE})
+    assert linalg._by_column(half) is None
+    assert linalg._equal_by_relabeling(half, Matrix.identity(2), half, Matrix.identity(2)) is None
+    sigma = {(0, 0): Matrix.identity(1), (0, 1): Matrix.identity(2), (1, 0): half}
+    d1 = {(0, 0): Matrix(2, 1, {(0, 0): ONE})}
+    d2 = {(0, 0): Matrix(2, 1, {(0, 0): ONE, (1, 0): I})}
+    a = DoubleComplex({(0, 0): 1, (0, 1): 2, (1, 0): 2}, d1, d2, sigma)
+    log = call_log((linalg._times_conjugate_is_identity.__code__,
+                    linalg._products_vanish.__code__), validate, a)
+    assert {name for name, _ in log} == {"_times_conjugate_is_identity", "_products_vanish"}
+    got = validate(a)
+    assert got == reference_validate(a) and got
+    for b in perturbed_complexes(a, 3, 6):
+        assert validate(b) == reference_validate(b)
 
 
 def commutation_error(construct, *args) -> str | None:
@@ -202,6 +271,7 @@ def test_morphism_matches_reference_under_single_entry_perturbations(iwasawa_mod
     morphisms += direct_sum_many([random_complex(7, (0, 3, 0, 3), 4, with_sigma=True),
                                   random_complex(8, (0, 3, 0, 3), 5)])[1]
     morphisms.append(serre_pairing_morphism(iwasawa_model))
+    morphisms.append(serre_pairing_morphism(lie_algebra_model(parse_model_file(NIL4, "nil4"))))
     c = GaussianRational.parse("1+2i")
     for seed in range(4):
         morphisms.append(scaled_identity(random_complex(seed, (0, 3, 0, 3), 4), c))
@@ -219,12 +289,23 @@ def test_morphism_matches_reference_under_single_entry_perturbations(iwasawa_mod
 
 def test_morphism_checks_only_where_a_block_acts(iwasawa_model):
     """The unit of the Iwasawa model has one block, at (0, 0): only the checks
-    at (0, 0), (-1, 0) and (0, -1) have a nonzero product, two at each, not
-    two at each of the 16 bidegrees of the target."""
+    at (0, 0), (-1, 0) and (0, -1) can fail, two at each, not two at each of
+    the 16 bidegrees of the target.  Each first tries the relabeling; the
+    two at (0, 0) meet the 3 x 0 blocks at (1, 0) and (0, 1), which are not
+    square, and take products."""
     unit = {(0, 0): Matrix.identity(1)}
-    calls = calls_into(linalg._products_vanish.__code__, Morphism, dot(0, 0),
-                       iwasawa_model.complex, unit)
-    assert calls == 6
+    log = call_log((linalg._equal_by_relabeling.__code__, linalg._products_vanish.__code__),
+                   Morphism, dot(0, 0), iwasawa_model.complex, unit)
+    assert [name for name, _ in log].count("_equal_by_relabeling") == 6
+    assert [name for name, _ in log].count("_products_vanish") == 2
+
+
+def test_a_monomial_morphism_takes_no_product():
+    """Every block of nil4's Serre pairing is a signed permutation, and
+    every block its checks meet outside the support is 0 x 0, so building
+    it relabels stored entries and sums no product."""
+    model = lie_algebra_model(parse_model_file(NIL4, "nil4"))
+    assert calls_into(linalg._products_vanish.__code__, serre_pairing_morphism, model) == 0
 
 
 @pytest.mark.parametrize("build", [
