@@ -67,7 +67,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
+    _by_column,
     _equal_by_relabeling,
+    _matrix,
     _products_vanish,
     _select_columns,
     _times_conjugate_is_identity,
@@ -249,7 +251,8 @@ ZERO_COMPLEX = DoubleComplex({}, {}, {}, {}, {})
 
 def _commutes(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix, conjugate: bool = False) -> bool:
     """Whether s1 @ op(x) == y @ s0, op(x) being conj(x) where conjugate is
-    set: by relabeling stored entries where s1 and s0 are monomial
+    set: by relabeling stored entries where s1 and s0 are partial monomials,
+    with at most one entry in each row and each column
     (`linalg._equal_by_relabeling`), and otherwise as one vanishing sum of
     two products over Z[i] (`linalg._products_vanish`)."""
     found = _equal_by_relabeling(s1, x, y, s0, conjugate)
@@ -266,10 +269,11 @@ def validate(a: DoubleComplex) -> list[Violation]:
     structure is present.  The list holds the d-axioms by bidegree, then the
     sigma axioms by bidegree.  Each sigma identity reads S1 op(X) = Y S0,
     the involution as S^{q,p} conj(S^{p,q}) = 1 . 1.  Where both of its
-    sigma blocks are monomial, square with one entry in each row and each
-    column, as on every Lie-algebra model and its sums, shifts, tensors and
-    duals, it is decided by relabeling: each entry of X is moved and scaled
-    to its one position and compared with Y's entry there
+    sigma blocks are partial monomials, with at most one entry in each row
+    and each column, as on every Lie-algebra model and its sums, shifts,
+    tensors and duals, and wherever a block is zero, it is decided by
+    relabeling: each entry of X is moved and scaled to its one position, or
+    dropped, and compared with Y's entry there
     (`linalg._equal_by_relabeling`, which holds the proof), with no product.
     Any other sigma, such as the dense one of a random change of basis,
     takes the product route: the involution is one product summed over Z[i]
@@ -359,10 +363,11 @@ class Morphism(_Value):
     Construction fails hard unless every block commutes with both
     differentials; everything downstream assumes it.  Each commutation
     check reads f(p + 1, q) d1 = d1' f(p, q), and likewise for d2, as in
-    `validate`: where both f blocks are monomial, as in the Serre pairing
-    and a scaled identity, it is decided by relabeling stored entries, and
-    otherwise, as for inclusions and projections, as one vanishing sum of
-    two products over Z[i].
+    `validate`: where both f blocks are partial monomials, with at most one
+    entry in each row and each column, as in the Serre pairing, a scaled
+    identity, a summand inclusion and the projection of a quotient by one,
+    it is decided by relabeling stored entries, and otherwise as one
+    vanishing sum of two products over Z[i].
     A read-only value: equality compares source, target and blocks.
     """
 
@@ -551,7 +556,7 @@ def _direct_sum(summands: Sequence[DoubleComplex],
 
 def _inclusion(s: DoubleComplex, total: DoubleComplex, offsets: dict[BiDegree, int]) -> Morphism:
     """The inclusion of the summand s of total whose coordinates start at offsets."""
-    blocks = {pq: Matrix(total.dim(*pq), n, {(offsets[pq] + k, k): ONE for k in range(n)})
+    blocks = {pq: _matrix(total.dim(*pq), n, 1, {(offsets[pq] + k, k): (1, 0) for k in range(n)})
               for pq, n in s.dims.items()}
     return Morphism(s, total, blocks)
 
@@ -685,39 +690,57 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     a vector to its coordinates on those representatives.  The real structure
     descends exactly when the image is sigma-stable, and is dropped otherwise.
 
-    Each bidegree takes one elimination, the RREF R of [block | I].  Its
-    pivots among block's columns must be all of them (else NotInjective),
-    and those among I are the chosen vectors, the columns of lift.  R is
-    E [block | I] for an invertible E, and R is the identity on its pivot
-    columns, the frame [block | lift]; so the right block of R is E, the
-    inverse of the frame, and its rows past block's are the projection.
-    One product checks that the inverse inverts the frame.  Each induced
-    d1, d2 and sigma block is proj @ block @ lift, and lift is the 0/1
-    matrix of the chosen vectors, so it is read as the chosen columns of
-    proj @ block with no second product.
+    A block with exactly one entry in each column and at most one in each
+    row, a coordinate inclusion such as the summand inclusions of
+    `direct_sum_many`, `projective_bundle` and `blow_up`, takes no
+    elimination.  Its image is spanned by the target's basis vectors at the
+    rows it hits, so greedy completion chooses the other rows, in order,
+    and the frame [block | lift] has as inverse the rows (1/a) e_r^T of the
+    block's entries a at (r, j), then the chosen rows e_c^T: the projection
+    selects the chosen rows.  Any other block takes one elimination, the
+    RREF R of [block | I].  Its pivots among block's columns must be all of
+    them (else NotInjective), and those among I are the chosen vectors, the
+    columns of lift.  R is E [block | I] for an invertible E, and R is the
+    identity on its pivot columns, the frame; so the right block of R is E,
+    the inverse of the frame, and its rows past block's are the projection.
+    Either way a check that proj block = 0 and proj lift = 1 guards the
+    frame, through `_commutes`: by relabeling where proj is a partial
+    monomial, as on a coordinate inclusion, and by products otherwise.  Each induced d1, d2 and sigma block is proj @ m @ lift, and
+    lift is the 0/1 matrix of the chosen vectors, so it is read as the
+    chosen columns of proj @ m with no second product, and as the submatrix
+    of m at the chosen rows and columns where its target's projection
+    selects rows.
     """
     tgt = f.target
     chosen_at: dict[BiDegree, list[int]] = {}
     projs: dict[BiDegree, Matrix] = {}
+    selects: set[BiDegree] = set()
     dims: dict[BiDegree, int] = {}
     labels: dict[BiDegree, tuple[str, ...]] | None = {} if tgt.labels is not None else None
     for pq in sorted(set(tgt.dims) | set(f.source.dims)):
         n_tgt = tgt.dim(*pq)
         n_src = f.source.dim(*pq)
         block = f.block_at(*pq)
-        identity = Matrix.identity(n_tgt)
-        red, pivots = rref(hstack([block, identity]))
-        image_pivots = [p for p in pivots if p < n_src]
-        if len(image_pivots) != n_src:
-            raise NotInjective(*pq)
-        chosen = [p - n_src for p in pivots if p >= n_src]
-        dims[pq] = len(chosen)
-        lift = Matrix(n_tgt, len(chosen), {(e, k): ONE for k, e in enumerate(chosen)})
-        inverse = red[:, n_src:]
-        if inverse @ hstack([block, lift]) != identity:
+        by_column = _by_column(block)
+        if by_column is not None and len(by_column) == n_src:
+            hit = {i for i, _ in by_column.values()}
+            chosen = [e for e in range(n_tgt) if e not in hit]
+            proj = _matrix(len(chosen), n_tgt, 1, {(k, e): (1, 0) for k, e in enumerate(chosen)})
+            selects.add(pq)
+        else:
+            red, pivots = rref(hstack([block, Matrix.identity(n_tgt)]))
+            if len([p for p in pivots if p < n_src]) != n_src:
+                raise NotInjective(*pq)
+            chosen = [p - n_src for p in pivots if p >= n_src]
+            proj = red[n_src:, n_src:]
+        lift = _matrix(n_tgt, len(chosen), 1, {(e, k): (1, 0) for k, e in enumerate(chosen)})
+        one = Matrix.identity(len(chosen))
+        if not (_commutes(proj, block, Matrix.zero(len(chosen), 0), Matrix.zero(0, n_src))
+                and _commutes(proj, lift, one, one)):
             raise RuntimeError(f"quotient: the frame at bidegree {pq} is not invertible")
+        dims[pq] = len(chosen)
         chosen_at[pq] = chosen
-        projs[pq] = inverse[n_src:, :]
+        projs[pq] = proj
         if labels is not None:
             base = tgt.labels.get(pq, tuple(f"e{k}" for k in range(n_tgt)))
             labels[pq] = tuple(base[e] for e in chosen)
@@ -727,7 +750,13 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
         for pq, m in getattr(tgt, kind).items():
             to = _target(kind, *pq)
             if dims[pq] and dims.get(to, 0):
-                out[pq] = _select_columns(projs[to] @ m, chosen_at[pq])
+                if to in selects:
+                    rows = {e: k for k, e in enumerate(chosen_at[to])}
+                    m = _matrix(len(rows), m.cols, m._den, {
+                        (rows[i], j): v for (i, j), v in m._num.items() if i in rows})
+                else:
+                    m = projs[to] @ m
+                out[pq] = _select_columns(m, chosen_at[pq])
         return out
 
     q_sigma = None

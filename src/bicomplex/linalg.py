@@ -36,7 +36,9 @@ induced matrix as the representatives' rows of its last block
 `cohomology` finds them with `coset_representatives` once per complex,
 kind and key, and keeps them on the complex's Analysis.
 `complexes.quotient` reads its chosen vectors and the inverse of its frame
-from one RREF of [block | I] in the same way.
+from one RREF of [block | I] in the same way, except on a coordinate
+inclusion (one entry in each column, none two in a row), whose frame it
+reads from the block's positions with no elimination.
 
 Every elimination that yields pivots runs through one fraction-free
 kernel, `_echelon`.  `rank`, which needs none, has two routes after its
@@ -128,15 +130,17 @@ the pivot columns of the rows of level >= s, for every s at once.
 Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
 entry is summed as an (int, int) pair over the product of the denominators.
 Identity checks (the double-complex axioms in `complexes.validate`, the
-commutation of a `Morphism` with d1 and d2) build no product matrix.  The
-sigma axioms and the commutations read s1 @ op(x) == y @ s0, op the
-identity or conjugation.  Where s1 and s0 are monomial, square with one
-entry in each row and each column (the sigma blocks of every Lie-algebra
-model, the blocks of the Serre pairing), each entry of x lands at one
-position of the left side and each entry of y at one position of the
-right, so `_equal_by_relabeling` compares entries, with no product at all;
-a matrix's column map is found once and kept on it (`_by_column`), since a
-sigma or morphism block meets several checks.
+commutation of a `Morphism` with d1 and d2, the frame of
+`complexes.quotient`) build no product matrix.  The sigma axioms and the
+commutations read s1 @ op(x) == y @ s0, op the identity or conjugation.
+Where s1 and s0 are partial monomials, with at most one entry in each row
+and each column (the sigma blocks of every Lie-algebra model, the blocks of
+the Serre pairing, of a summand inclusion and of a quotient's projection,
+and every zero block), each entry of x lands at one position of the left
+side or drops out, and each entry of y at one position of the right or
+drops out, so `_equal_by_relabeling` compares entries, with no product at
+all; a matrix's column map is found once and kept on it (`_by_column`),
+since a sigma or morphism block meets several checks.
 Every other identity asks whether a sum of signed products vanishes, and
 `_products_vanish` decides that: each product is brought to the lcm of the
 products' denominators, and all are summed in one (int, int) accumulator,
@@ -199,7 +203,7 @@ class Matrix:
     """Sparse exact matrix over Q(i), stored as (den, {(row, col): (re, im)})
     with den least; absent entries are zero, stored entries never are.
     Operations return new matrices and never change one in place, so the
-    monomial form `_by_column` finds can be kept on the matrix."""
+    column map `_by_column` finds can be kept on the matrix."""
 
     __slots__ = ("rows", "cols", "_den", "_num", "_columns")
 
@@ -395,16 +399,17 @@ def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix, bool]]) -> bool:
 
 
 def _by_column(m: Matrix) -> dict[int, tuple[int, tuple[int, int]]] | None:
-    """column -> (row, entry) of a monomial m, square with one entry in each
-    row and each column; None for any other m.  Found once and kept on m."""
+    """column -> (row, entry) of a partial monomial m, one with at most one
+    entry in each row and each column (a zero matrix is one, with no
+    column); None for any other m.  Found once and kept on m."""
     try:
         return m._columns
     except AttributeError:
         num = m._num
         found = None
-        if m.rows == m.cols == len(num):
+        if len(num) <= min(m.rows, m.cols):
             found = {j: (i, v) for (i, j), v in num.items()}
-            if not len(found) == m.cols == len({i for i, _ in num}):
+            if not len(found) == len(num) == len({i for i, _ in num}):
                 found = None
         m._columns = found
         return found
@@ -414,40 +419,61 @@ def _equal_by_relabeling(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix,
                          conjugate: bool = False) -> bool | None:
     """Whether s1 @ op(x) == y @ s0, op(x) being conj(x) where conjugate is
     set and x otherwise, decided from the stored entries when s1 and s0 are
-    monomial; None when either is not, for the caller to multiply.  The
-    caller guarantees that the two sides share one shape.
+    partial monomials (`_by_column`); None when either is not, for the
+    caller to multiply.  The caller guarantees that the two sides share one
+    shape.
 
-    Let s1 hold a_k at (r(k), k) and s0 hold b_j at (c(j), j), with r and c
-    bijections.  Then (s1 op(x))[r(k), j] = a_k op(x[k, j]): each entry of x
-    lands at exactly one position, and distinct entries at distinct ones.
-    Likewise (y s0)[i, j] = y[i, c(j)] b_j, so each entry of y lands at
-    exactly one position.  Z[i] has no zero divisors, so the nonzero entries
-    of the two sides are exactly these.  The sides are therefore equal iff x
-    and y have equally many entries and each x[k, j] finds y[r(k), c(j)]
-    with a_k op(x[k, j]) / (den_s1 den_x) = y[r(k), c(j)] b_j / (den_y den_s0),
+    Let s1 hold a_k at (r(k), k) for k in K, its nonempty columns, and s0
+    hold b_j at (c(j), j) for j in J, with r and c injective.  Then
+    (s1 op(x))[r(k), j] = a_k op(x[k, j]) for k in K, and row k of x meets
+    no entry of s1 for k outside K: each entry of x in K's rows lands at
+    exactly one position, distinct entries at distinct ones, and the other
+    entries of x are dropped.  Likewise (y s0)[i, j] = y[i, c(j)] b_j for j
+    in J, and zero for j outside J: each entry of y in a column c(j), a row
+    that s0 holds, lands at exactly one position, and the other entries of
+    y are dropped.  Z[i] has no zero divisors, so the nonzero entries of the
+    two sides are exactly those landed.  A kept x[k, j] with j outside J
+    is nonzero on the left where the right is zero, and the sides differ.
+    Otherwise the sides are equal iff the kept entries of x and of y are
+    equally many and each kept x[k, j] finds y[r(k), c(j)] with
+    a_k op(x[k, j]) / (den_s1 den_x) = y[r(k), c(j)] b_j / (den_y den_s0),
     compared with the denominators cross-multiplied: the x entries then
-    account for every y entry, since their positions are distinct and as
-    many.  No accumulator and no product matrix is needed.
+    account for every kept y entry, since their positions are distinct and
+    as many.  Where s1 fills every column and s0 every row, as for every
+    sigma block of a model and the Serre pairing, nothing is dropped and the
+    counts are those of x and y.  No accumulator and no product matrix is
+    needed.  The loop looks j up in s0's columns unguarded: a miss raises
+    KeyError, which is the verdict False, and costs nothing where there is
+    none.
     """
     left, right = _by_column(s1), _by_column(s0)
     if left is None or right is None:
         return None
-    found = y._num
-    if len(x._num) != len(found):
+    xs, found = x._num, y._num
+    if len(left) < s1.cols:
+        xs = {kj: v for kj, v in xs.items() if kj[0] in left}
+    kept = len(found)
+    if len(right) < s0.rows:
+        held = {i for i, _ in right.values()}
+        kept = sum(1 for _, c in found if c in held)
+    if len(xs) != kept:
         return False
     cx, cy = y._den * s0._den, s1._den * x._den
     flip = -1 if conjugate else 1
-    for (k, j), (xr, xi) in x._num.items():
-        r, (ar, ai) = left[k]
-        c, (br, bi) = right[j]
-        got = found.get((r, c))
-        if got is None:
-            return False
-        yr, yi = got
-        xi *= flip
-        if (cx * (ar * xr - ai * xi) != cy * (yr * br - yi * bi)
-                or cx * (ar * xi + ai * xr) != cy * (yr * bi + yi * br)):
-            return False
+    try:
+        for (k, j), (xr, xi) in xs.items():
+            r, (ar, ai) = left[k]
+            c, (br, bi) = right[j]
+            got = found.get((r, c))
+            if got is None:
+                return False
+            yr, yi = got
+            xi *= flip
+            if (cx * (ar * xr - ai * xi) != cy * (yr * br - yi * bi)
+                    or cx * (ar * xi + ai * xr) != cy * (yr * bi + yi * br)):
+                return False
+    except KeyError:  # column j of s0 is empty
+        return False
     return True
 
 

@@ -95,6 +95,8 @@ def loads_complex(text: str) -> DoubleComplex:
     saw_sigma = False
     saw_label = False
     total = 0
+    # Each distinct scalar text is parsed once: a file repeats few of them.
+    scalars: dict = {}
     for lineno, parts in _iter_records(text):
         tag = parts[0]
         if tag == "dim":
@@ -115,10 +117,12 @@ def loads_complex(text: str) -> DoubleComplex:
             if len(parts) != 6:
                 raise SerializeError(lineno, f"{tag} takes p q row col scalar")
             p, q, i, j = (_parse_int(t, lineno, f"{tag} field") for t in parts[1:5])
-            try:
-                v = parse_scalar(parts[5])
-            except ValueError as e:
-                raise SerializeError(lineno, str(e))
+            v = scalars.get(parts[5])
+            if v is None:
+                try:
+                    v = scalars[parts[5]] = parse_scalar(parts[5])
+                except ValueError as e:
+                    raise SerializeError(lineno, str(e))
             _put(cells[tag].setdefault((p, q), {}), (i, j), (v, lineno), lineno,
                  f"{tag} record for entry ({i}, {j}) at ({p}, {q})")
             saw_sigma = saw_sigma or tag == "sigma"

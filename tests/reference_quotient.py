@@ -1,8 +1,9 @@
 """The quotient frame by two eliminations per bidegree, kept as a second route.
 
 `bicomplex.complexes.quotient` reads the chosen vectors and the inverse of
-the frame [block | lift] from one RREF of [block | I], and tests whether
-the image is sigma-stable with one product per bidegree.  This module keeps
+the frame [block | lift] from one RREF of [block | I], or from the block's
+positions where it is a coordinate inclusion, and tests whether the image
+is sigma-stable with one product per bidegree.  This module keeps
 the frame as it was written first: the chosen vectors from the pivot
 columns of [block | I], the inverse of the frame from a second elimination
 that solves [block | lift] X = I, and sigma-stability from a solve per

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from bicomplex import (
 from bicomplex import complexes, linalg
 from bicomplex.complexes import ZERO_COMPLEX
 from bicomplex.linalg import Matrix
+from bicomplex.scalars import gauss
 from bicomplex.serialize import dumps_complex
 from call_counter import calls_into
 from helpers import is_injective
@@ -252,7 +254,10 @@ def quotient_cases():
     """name -> injective morphism: the bundle inclusions over torus1, torus2
     and Iwasawa for r = 2..4, direct-sum inclusions of random complexes
     with and without a real structure, and an inclusion whose image sigma
-    does not keep."""
+    does not keep, all of them coordinate inclusions; scaled coordinate
+    injections, entries 2, i and 1/2 on rows out of order and a bundle
+    inclusion times i; and injections with two entries in a column: the
+    block [1; 1] and the graphs a -> a + a of 2 and of 1 + 2i."""
     out = {}
     for name, base in (("torus1", torus(1)), ("torus2", torus(2)), ("iwasawa", iwasawa())):
         for r in (2, 3, 4):
@@ -266,7 +271,28 @@ def quotient_cases():
     one = Matrix.identity(1)
     pair = DoubleComplex({(0, 1): 1, (1, 0): 1}, {}, {}, sigma={(0, 1): one, (1, 0): one})
     out["not sigma-stable"] = Morphism(dot(0, 1), pair, {(0, 1): one})
+    three = DoubleComplex({(0, 0): 3}, {}, {})
+    five = DoubleComplex({(0, 0): 5}, {}, {})
+    scaled = Matrix(5, 3, {(3, 0): gauss(2), (0, 1): gauss(0, 1), (1, 2): gauss(Fraction(1, 2))})
+    out["scaled 2, i, 1/2"] = Morphism(three, five, {(0, 0): scaled})
+    bundle = projective_bundle(iwasawa(), 3)[1]
+    out["bundle iwasawa r=3 times i"] = Morphism(
+        bundle.source, bundle.target, {pq: m.scale(gauss(0, 1)) for pq, m in bundle.blocks.items()})
+    two = DoubleComplex({(0, 0): 2}, {}, {})
+    out["[1; 1]"] = Morphism(dot(0, 0), two, {(0, 0): Matrix.from_rows([[1], [1]])})
+    for seed, sigma, c in ((15, True, gauss(2)), (16, False, gauss(1, 2))):
+        a = random_complex(seed, (0, 3, 0, 3), 4, with_sigma=sigma)
+        total, ia, ib = direct_sum(a, a)
+        out[f"graph of {c} on random{seed}"] = Morphism(a, total, {
+            pq: ia.block_at(*pq) + ib.block_at(*pq).scale(c) for pq in a.dims})
     return out
+
+
+def is_coordinate(block: Matrix) -> bool:
+    """One entry in each column, and no two in one row."""
+    rows = [i for i, _ in block.entries]
+    cols = [j for _, j in block.entries]
+    return sorted(cols) == list(range(block.cols)) and len(set(rows)) == len(rows)
 
 
 def test_quotient_matches_the_two_elimination_frame():
@@ -284,19 +310,27 @@ def test_quotient_matches_the_two_elimination_frame():
 
 
 def test_quotient_eliminates_once_per_bidegree():
+    """A coordinate inclusion is read with no elimination; any other block
+    takes one."""
+    coordinate = 0
     for name, f in quotient_cases().items():
-        assert calls_into(linalg._echelon.__code__, quotient, f) == len(f.target.dims), name
+        others = [pq for pq in f.target.dims if not is_coordinate(f.block_at(*pq))]
+        coordinate += not others
+        assert calls_into(linalg._echelon.__code__, quotient, f) == len(others), name
+    assert 0 < coordinate < len(quotient_cases())
 
 
 QUOTIENT_UNDER_O = """
-from bicomplex import complexes, direct_sum, dot
+from bicomplex import DoubleComplex, Matrix, Morphism, complexes, dot
 assert False, "asserts are live"
-_, inclusion, _ = direct_sum(dot(0, 0), dot(1, 1))
+# [1; 1] has two entries in its column, so it takes the elimination.
+injection = Morphism(dot(0, 0), DoubleComplex({(0, 0): 2}, {}, {}),
+                     {(0, 0): Matrix.from_rows([[1], [1]])})
 # The true pivots with a zero right block: an inverse that inverts nothing.
 rref = complexes.rref
 complexes.rref = lambda m: (complexes.Matrix.zero(m.rows, m.cols), rref(m)[1])
 try:
-    complexes.quotient(inclusion)
+    complexes.quotient(injection)
 except RuntimeError as error:
     print(error)
 """
