@@ -705,16 +705,14 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
     the inverse of the frame, and its rows past block's are the projection.
     Either way a check that proj block = 0 and proj lift = 1 guards the
     frame, through `_commutes`: by relabeling where proj is a partial
-    monomial, as on a coordinate inclusion, and by products otherwise.  Each induced d1, d2 and sigma block is proj @ m @ lift, and
-    lift is the 0/1 matrix of the chosen vectors, so it is read as the
-    chosen columns of proj @ m with no second product, and as the submatrix
-    of m at the chosen rows and columns where its target's projection
-    selects rows.
+    monomial, as on a coordinate inclusion, and by products otherwise.
+    Each induced d1, d2 and sigma block is proj @ m @ lift, and lift is the
+    0/1 matrix of the chosen vectors, so it is read as the chosen columns
+    of proj @ m with no second product.
     """
     tgt = f.target
     chosen_at: dict[BiDegree, list[int]] = {}
     projs: dict[BiDegree, Matrix] = {}
-    selects: set[BiDegree] = set()
     dims: dict[BiDegree, int] = {}
     labels: dict[BiDegree, tuple[str, ...]] | None = {} if tgt.labels is not None else None
     for pq in sorted(set(tgt.dims) | set(f.source.dims)):
@@ -726,7 +724,6 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
             hit = {i for i, _ in by_column.values()}
             chosen = [e for e in range(n_tgt) if e not in hit]
             proj = _matrix(len(chosen), n_tgt, 1, {(k, e): (1, 0) for k, e in enumerate(chosen)})
-            selects.add(pq)
         else:
             red, pivots = rref(hstack([block, Matrix.identity(n_tgt)]))
             if len([p for p in pivots if p < n_src]) != n_src:
@@ -750,13 +747,7 @@ def quotient(f: Morphism) -> tuple[DoubleComplex, Morphism]:
         for pq, m in getattr(tgt, kind).items():
             to = _target(kind, *pq)
             if dims[pq] and dims.get(to, 0):
-                if to in selects:
-                    rows = {e: k for k, e in enumerate(chosen_at[to])}
-                    m = _matrix(len(rows), m.cols, m._den, {
-                        (rows[i], j): v for (i, j), v in m._num.items() if i in rows})
-                else:
-                    m = projs[to] @ m
-                out[pq] = _select_columns(m, chosen_at[pq])
+                out[pq] = _select_columns(projs[to] @ m, chosen_at[pq])
         return out
 
     q_sigma = None
