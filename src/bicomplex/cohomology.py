@@ -125,9 +125,9 @@ partner, and its d1 d2 minus the transpose of the partner's d2 d1, which
 is -(d1 d2) on the valid source (the proofs are in `Analysis`,
 `frolicher` and `complexes.dual`).  The row table after the column table
 then ranks nothing, and the five tables of a validated nil5 rank 37
-blocks, against 72 with the mirror alone and 126 never validated.  After
-the source's five tables the dual's rank nothing, and after the dual's
-the source's rank nothing.
+blocks, against 72 with the mirror alone and 126 on a copy never
+validated.  After the source's five tables the dual's rank nothing, and
+after the dual's the source's rank nothing.
 `induced_cohomology_map` reads both sides' spaces from the Analysis, and
 the source's coset representatives, and reads each key's map off one
 elimination of the target frame (`linalg._induced_map`); the map is kept
@@ -375,8 +375,8 @@ class Analysis:
     lone part of a joined block, for its orbit.  After `dolbeault` and
     `conjugate_dolbeault`, `bott_chern` and `aeppli` then rank only d1 d2
     products and blocks with both parts present.  The five tables of a
-    validated nil5 rank 37 blocks, 72 with M alone and 126 never
-    validated.
+    validated nil5 rank 37 blocks, 72 with M alone and 126 on a copy
+    never validated.
 
     L is exact: rank [X; 0] = rank [X | 0] = rank X, and the part has the
     kernel of [X; 0] and the image of [X | 0] too, so `spaces` reads the
@@ -456,7 +456,9 @@ class Analysis:
         return a._analysis
 
     def valid(self) -> bool:
-        """Whether `validate` has run on the complex and found nothing."""
+        """Whether the complex is known valid: `validate` has run on it and
+        found nothing, or `complexes.dual` or `models.lie_algebra_model`
+        proved it valid as it built it and recorded the empty list."""
         return self.complex._violations == ()
 
     def partner(self) -> tuple["Analysis", int] | None:

@@ -34,18 +34,22 @@ for its `cohomology.Analysis`, which holds those spaces and dies with it.
 
 A complex also carries the verdict of `validate`: the first call records
 its violation list in a slot on the complex, and every later call returns
-a copy of that list without a product.  The Analysis reads the slot: only
-on a complex whose recorded list is empty do the tables skip the
-containment products that the axioms imply and read a rank from its
-mirror under the real structure.  A complex never validated, or one with a
-violation, gets no such shortcut.  `dual` of a complex whose recorded list
-is empty records the empty list too: each axiom of the dual is the
-transpose of one of the original's (the proof is in `dual`).  It also
-writes the Serre record (a, n): each of its blocks is a signed transpose
-of the source's block at its Serre partner, so the two complexes share
-their ranks.  A complex built by `models.lie_algebra_model`
-whose Serre pairing checks carries the record (None, n), its partner
-blocks being its own; every other construction here starts without one.
+a copy of that list without a product.  Two constructions record the
+empty list as they build, each with its proof once, so `validate` of what
+they build makes no product: `dual` of a complex whose recorded list is
+empty, each axiom of the dual being the transpose of one of the
+original's (the proof is in `dual`), and `models.lie_algebra_model`, whose
+check of d1^2, d2^2 and d1 d2 + d2 d1 on the generators settles the
+axioms for the derivations (the proof is there).  The Analysis reads the
+slot: only on a complex whose recorded list is empty do the tables skip
+the containment products that the axioms imply and read a rank from its
+mirror under the real structure.  A complex with no verdict, or one with
+a violation, gets no such shortcut.  `dual` also writes the Serre record
+(a, n): each of its blocks is a signed transpose of the source's block at
+its Serre partner, so the two complexes share their ranks.  A complex
+built by `models.lie_algebra_model` whose Serre pairing checks carries
+the record (None, n), its partner blocks being its own; every other
+construction here starts with neither record.
 
 Sign conventions fixed here and relied on everywhere else:
 
@@ -155,7 +159,9 @@ class DoubleComplex(_Value):
     # Besides the value, memos that live and die with this complex: the
     # zero block of each shape that an absent block reads as, the
     # cohomology.Analysis of the complex, made on first use, the
-    # violations `validate` found, None until it runs, and the Serre
+    # violations `validate` found, None until it runs unless a
+    # construction proved the complex valid and wrote () (`dual` of a
+    # complex found valid, `models.lie_algebra_model`), and the Serre
     # record (b, n), None unless a construction proved it: every d1 and d2
     # block is, up to signed permutations, the transpose of b's block at
     # its Serre partner (see `cohomology.Analysis`), b None standing for
@@ -285,7 +291,9 @@ def validate(a: DoubleComplex) -> list[Violation]:
     conjugate copy is built.
 
     The list is recorded on a, and a later call returns a copy of it and
-    makes no product.
+    makes no product.  `dual` of a complex found valid and
+    `models.lie_algebra_model` record the empty list as they build, each
+    with its proof, so the first call on what they build makes none either.
 
     Each verdict goes into one table.  Under a real structure, a check may
     read the verdict of its mirror at (q, p) instead of computing its own
@@ -615,7 +623,8 @@ def tensor(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
 def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     """The dual complex of a model of complex dimension n (see module docstring).
 
-    A dual of a complex that `validate` has found valid is valid too, and
+    A dual of a complex whose recorded violation list is empty, found so by
+    `validate` or recorded by `models.lie_algebra_model`, is valid too, and
     records the empty violation list without a product.  Write p* = n - p,
     q* = n - q, T for the transpose and * for the conjugate transpose.  The
     dual's blocks at (p, q) are e T(d1^{p*-1,q*}), e T(d2^{p*,q*-1}) and
@@ -638,8 +647,9 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
 
     A bidegree named on the right outside a's support is the source of zero
     blocks only, where the identity holds trivially; every other one is
-    checked by `validate(a)`.  A complex never validated, or with a
-    violation, gives a dual with no verdict, which `validate` decides.
+    checked by `validate(a)` or settled by the proof a's builder records.
+    A complex with no verdict, or with a violation, gives a dual with no
+    verdict, which `validate` decides.
 
     The same dual writes its Serre record (a, n), and the dual and a then
     share their ranks, each stored once for both (`cohomology.Analysis`).
@@ -651,7 +661,7 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     d1 d2 out of (p, q) is e e' T(d2 d1) = -T(d2 d1) out of
     (p* - 1, q* - 1), and d2 d1 = -d1 d2 there only where a is valid; so
     the record is written with the verdict and nowhere else.  A complex
-    never validated, or with a violation, gives a dual with no record,
+    with no verdict, or with a violation, gives a dual with no record,
     which ranks its own blocks.  The dual holds a strongly: a and
     everything its Analysis keeps (the total differentials, d1 d2
     products, cycles, boundaries and coset representatives) stay in memory

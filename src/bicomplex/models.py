@@ -445,19 +445,31 @@ class AlgebraModel:
 def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     """Extend the structure equations to the full exterior bicomplex.
 
-    Checks d1^2 = d2^2 = d1 d2 + d2 d1 = 0 on all generators (which settles it
-    for the derivations) and raises NotADifferential with a witness otherwise.
-    Raises InvalidDimension up front if the 4^n monomials exceed
-    MAX_MODEL_BASIS.
+    Checks d1^2 = d2^2 = d1 d2 + d2 d1 = 0 on all generators and raises
+    NotADifferential with a witness otherwise.  Raises InvalidDimension up
+    front if the 4^n monomials exceed MAX_MODEL_BASIS.
+
+    A complex that passes is valid, and it records the empty violation list
+    that `validate` would find, so `validate` of it makes no product and its
+    Analysis reads mirrored ranks from the start (the rule `complexes.dual`
+    follows too).  The proof (Chevalley-Eilenberg, Trans. AMS 1948): d1 and
+    d2 are derivations of odd degree, so d1^2 = [d1, d1]/2, d2^2 =
+    [d2, d2]/2 and d1 d2 + d2 d1 = [d1, d2], graded commutators, are
+    derivations, and a derivation of the exterior algebra that vanishes on
+    the generators vanishes.  sigma is conjugation by construction: it bars
+    every letter, an antilinear algebra automorphism, and barring twice
+    gives every monomial back, so it is an involution.  sigma d1 sigma is
+    then a derivation, and d1 and d2 of conj(phi_k) are built as the
+    conjugates of d2 and d1 of phi_k, so it agrees with d2 on every letter;
+    likewise sigma d2 sigma with d1.
 
     The built complex then gets its Serre pairing checked on the blocks just
     made (`_serre_pairing_holds`, with no product), and carries the Serre
     record (None, n) only where the pairing is a morphism of double
     complexes, so that its Analysis reads the rank of each block off its
-    Serre partner once `validate` has found it valid.  The check costs
-    about 0.1 ms on the dim-4 nilmanifold model and 0.4 ms on the dim-5
-    one, against builds of 1.8 and 7.8 ms, checks included (best of 7,
-    2-core Xeon, Python 3.11.7).
+    Serre partner.  The check costs about 0.1 ms on the dim-4 nilmanifold
+    model and 0.4 ms on the dim-5 one, against builds of 1.8 and 7.8 ms,
+    checks included (best of 7, 2-core Xeon, Python 3.11.7).
     """
     if spec.kind != "lie_algebra":
         raise ModelError(f"spec {spec.name!r} has kind {spec.kind!r}")
@@ -551,6 +563,8 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
         for pq, words in monomials.items()
     }
     complex = DoubleComplex(dims, d1, d2, sigma, labels)
+    # Valid by the generator check above; the proof is in the docstring.
+    object.__setattr__(complex, "_violations", ())
     if _serre_pairing_holds(n, monomials, index, complex.d1, complex.d2):
         object.__setattr__(complex, "_serre", (None, n))
     return AlgebraModel(complex, (n, n), "lie_algebra", monomials, index=index)

@@ -43,6 +43,7 @@ from bicomplex.complexes import transpose_complex
 from bicomplex.linalg import coset_representatives, hstack, image_basis, kernel_basis, rank, vstack
 from bicomplex.scalars import GaussianRational
 from call_counter import arguments_of, call_log, calls_into
+from helpers import never_validated
 from reference_subquotients import aeppli_spaces, bott_chern_spaces, induced_subquotient_map
 from test_acceptance import PROPERTY_CASES
 from test_cli_golden import ALL_TABLES
@@ -111,7 +112,7 @@ def ranked(fn, *args) -> list:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: never_validated(lie_algebra_model(parse_model_file(NIL4, "nil4"))),
     lambda: random_complex(203, (0, 5, 0, 5), 19),
 ], ids=["nil4", "random203"])
 def test_one_elimination_per_nonzero_differential(build):
@@ -139,7 +140,7 @@ def test_aeppli_after_bott_chern_eliminates_only_its_boundaries():
     joined block where both parts are stored, and the stored part itself
     where only one is (rank [X | 0] = rank X).  On nil4 that is 13 joined
     blocks and 6 parts, none of which Bott-Chern ranked."""
-    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    a = never_validated(lie_algebra_model(parse_model_file(NIL4, "nil4")))
     bott_chern(a)
     want, joined, parts = [], 0, 0
     for p, q in a.bidegrees():
@@ -194,7 +195,7 @@ def test_the_kinds_of_block_follow_the_written_out_rule():
     assert set(_KINDS) == set(KIND_RULES)
     sigma_case = [case for case in PROPERTY_CASES if case[3]][-1]
     one_part = 0
-    for a in (lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    for a in (never_validated(lie_algebra_model(parse_model_file(NIL4, "nil4"))),
               random_complex(*sigma_case[:3], with_sigma=True),
               blow_up(iwasawa(), torus(1), 2).total):
         memo = Analysis.of(a)
@@ -253,7 +254,7 @@ def test_the_spaces_follow_the_written_out_rule():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: never_validated(lie_algebra_model(parse_model_file(NIL4, "nil4"))),
     lambda: quotient(projective_bundle(torus(2), 3)[1])[0],
 ], ids=["nil4", "bundle_quotient"])
 def test_spaces_after_the_tables_multiply_nothing(build):
@@ -325,7 +326,7 @@ def test_subquotient_spaces_reduce_the_rank_formula_matrices(kind):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: lie_algebra_model(parse_model_file(NIL4, "nil4")).complex,
+    lambda: never_validated(lie_algebra_model(parse_model_file(NIL4, "nil4"))),
     lambda: random_complex(203, (0, 5, 0, 5), 19),
 ], ids=["nil4", "random203"])
 def test_tables_touch_no_fraction(build):

@@ -33,6 +33,7 @@ from bicomplex import models
 from bicomplex.cohomology import _KINDS, TABLES, Analysis
 from bicomplex.complexes import MorphismError
 from call_counter import arguments_of, calls_into
+from helpers import never_validated
 from test_cohomology import KIND_RULES
 from test_frolicher import DIM6, NIL4, NIL5
 
@@ -148,7 +149,7 @@ def test_the_serre_route_gives_the_never_validated_tables_and_pages(name):
     """With the pages before the tables or after them, so the total ranks
     are read from Frolicher's pairs or from `linalg.rank`, and each
     Frolicher direction runs with the memo filled or empty."""
-    want = results(MODELS[name]().complex, False)
+    want = results(never_validated(MODELS[name]()), False)
     for pages_first in (False, True):
         a = MODELS[name]().complex
         assert validate(a) == []
@@ -160,7 +161,7 @@ def test_serre_partners_have_equal_ranks_on_the_checked_route(name):
     """On a copy never validated, which ranks every block, each stored rank
     equals the one stored for its Serre partner, and rank d_k equals
     rank d_{2n-1-k}."""
-    a = MODELS[name]().complex
+    a = never_validated(MODELS[name]())
     results(a, False)
     memo = Analysis.of(a)
     _, n = a._serre
@@ -245,7 +246,7 @@ def test_the_orbit_is_the_written_out_rule():
     of each of those, all on the model itself; the two maps commute, so
     the composite is also the partner of the mirror.  Never validated, the
     orbit is the key and its lone part."""
-    a, plain = MODELS["nil5"]().complex, MODELS["nil5"]().complex
+    a, plain = MODELS["nil5"]().complex, never_validated(MODELS["nil5"]())
     assert validate(a) == []
     memo, n = Analysis.of(a), a._serre[1]
     for kind in _KINDS:
@@ -268,7 +269,7 @@ def test_a_rank_is_read_from_its_composite_partner(name):
     reads that rank, ranking nothing, and it is the rank a never-validated
     copy finds.  The ranks are stored before `validate`, one key per kind,
     each with its whole orbit unstored."""
-    a, plain = MODELS[name]().complex, MODELS[name]().complex
+    a, plain = never_validated(MODELS[name]()), never_validated(MODELS[name]())
     memo, n = Analysis.of(a), a._serre[1]
     chosen, used = [], set()
     for kind in _KINDS:

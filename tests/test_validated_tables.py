@@ -4,12 +4,17 @@ On a complex found valid, Bott-Chern and Aeppli make no containment
 product, and under a real structure a rank at (p, q) is read from its
 mirror at (q, p).  On a complex never validated, or with a violation, every
 table takes the checked route.  Each test compares a validated copy with a
-copy built separately and never validated.
+copy built separately and never validated.  `lie_algebra_model` records
+the verdict its generator check proves, so the model builders here hand
+out `never_validated` copies, and one section checks that recorded verdict
+against `validate` and `reference_validate`.
 """
 
 import gc
+import itertools
 import random
 import weakref
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -35,25 +40,30 @@ from bicomplex import (
 from bicomplex import cohomology
 from bicomplex.cohomology import TABLES, Analysis
 from bicomplex.complexes import DoubleComplex
+from bicomplex.models import IWASAWA_SPEC, EquationTerm, ModelSpec
+from bicomplex.scalars import gauss
 from call_counter import call_log, calls_into
+from helpers import never_validated
+from reference_validate import reference_validate
 from test_acceptance import PROPERTY_CASES
 from test_axiom_checks import UNITS, complex_blocks, perturb, positions, with_d1_through_sigma
 from test_cohomology import DIM6
 from test_frolicher import NIL4, NIL5
-from test_serre_duality import SOLVABLE, serre_partner
+from test_models import LAMBDAS, nil_specs
+from test_serre_duality import NAKAMURA, SOLVABLE, serre_partner
 
 
 def model(text: str, name: str):
-    return lambda: lie_algebra_model(parse_model_file(text, name)).complex
+    return lambda: never_validated(lie_algebra_model(parse_model_file(text, name)))
 
 
 BUILDERS = {
     "nil4": model(NIL4, "nil4"),
     "nil5": model(NIL5, "nil5"),
-    "iwasawa": lambda: iwasawa().complex,
+    "iwasawa": lambda: never_validated(iwasawa()),
     "dim6": model(DIM6, "dim6"),
-    "torus1": lambda: torus(1).complex,
-    "torus2": lambda: torus(2).complex,
+    "torus1": lambda: never_validated(torus(1)),
+    "torus2": lambda: never_validated(torus(2)),
     "blowup": lambda: blow_up(iwasawa(), torus(1), 2).total,
     "bundle": lambda: projective_bundle(iwasawa(), 3)[0],
 }
@@ -195,6 +205,69 @@ def test_a_second_validate_returns_the_recorded_verdict():
         assert second == first and second is not first
         second.append(None)
         assert validate(a) == first
+
+
+# -- a Lie-algebra model is valid by construction -----------------------------------
+
+
+def two_step_specs() -> list[ModelSpec]:
+    """20 seeded two-step nilpotent specs of complex dimension 2 to 4: the
+    first k generators closed, and the d of every other a random sum of
+    Gaussian multiples of wedges of two letters of the closed ones, at most
+    one of them barred.  Every d of a d is then zero, so each is valid."""
+    rng = random.Random(31)
+    specs = []
+    for trial in range(20):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        letters = [(barred, i) for barred in (0, 1) for i in range(k)]
+        pairs = [(x, y) for x, y in itertools.combinations(letters, 2) if x[0] + y[0] < 2]
+        gens = tuple(f"g{i}" for i in range(n))
+        equations = {}
+        for gen in gens[k:]:
+            terms = {}
+            for x, y in rng.sample(pairs, rng.randint(1, len(pairs))):
+                terms[x, y] = gauss(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                    Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            equations[gen] = tuple(EquationTerm(c, x, y) for (x, y), c in terms.items() if c)
+        specs.append(ModelSpec(f"two_step{trial}", n, "lie_algebra", gens, equations))
+    return specs
+
+
+def built_models() -> list:
+    """Every Lie-algebra model the suite builds: the tori of dimension 1 to
+    3, Iwasawa, dim6, the solvable and Nakamura models, nil4 and nil5 at
+    each lambda of the benchmark, and `two_step_specs`."""
+    texts = ((DIM6, "dim6"), (SOLVABLE, "solvable"), (NAKAMURA, "nakamura"))
+    specs = [IWASAWA_SPEC, *(parse_model_file(text, name) for text, name in texts),
+             *(spec for lam in LAMBDAS for spec in nil_specs(lam)), *two_step_specs()]
+    return [torus(n) for n in (1, 2, 3)] + [lie_algebra_model(spec) for spec in specs]
+
+
+def test_a_built_model_carries_the_verdict_both_checks_find():
+    """The verdict `lie_algebra_model` records is the one `validate` finds on
+    a copy never validated, by relabeling and products, and the one the
+    matrix-product checks of `reference_validate` find."""
+    models = built_models()
+    assert len(models) == 33
+    assert sum(bool(m.complex.d1) and bool(m.complex.d2) for m in models) >= 20
+    for i, m in enumerate(models):
+        assert m.complex._violations == (), i
+        assert validate(never_validated(m)) == reference_validate(m.complex) == [], i
+
+
+def test_validate_of_a_built_model_multiplies_nothing():
+    """`validate` of a built model returns the recorded list: no product, no
+    relabeling, no involution check.  The dual of a model never passed to
+    `validate` inherits the verdict and writes the Serre record (a, n)."""
+    codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__,
+             linalg._equal_by_relabeling.__code__, linalg._times_conjugate_is_identity.__code__)
+    for i, m in enumerate(built_models()):
+        a, n = m.complex, m.top_index[0]
+        d = dual(a, n)
+        assert d._violations == () and d._serre[0] is a and d._serre[1] == n, i
+        assert call_log(codes, validate, a) == [], i
+        assert reference_validate(d) == [], i
 
 
 # -- the dual inherits the verdict and the ranks -------------------------------------
