@@ -72,7 +72,9 @@ read the join `_KINDS` gives each block, and nothing else:
     Bott-Chern cycles ker [d1; d2] and the Aeppli boundaries im [d1 | d2],
     is given by its `canonical_span`, the basis in which the golden digests
     pin its induced maps; every other space by the kernel or image basis
-    of its block.
+    of its block.  The Bott-Chern cycles take one RREF, of the stacked
+    block with its columns reversed, whose kernel basis read back in the
+    original order is the canonical one (`linalg._canonical_kernel`).
 
 The column, row and de Rham tables rank each nonzero differential once:
 the row table ranks the blocks of d1 itself.  `linalg.rank` peels
@@ -160,6 +162,7 @@ from .complexes import BiDegree, DoubleComplex, Morphism, _target
 from .linalg import (
     Matrix,
     NotASubspace,
+    _canonical_kernel,
     _induced_map,
     assemble,
     canonical_span,
@@ -600,10 +603,11 @@ class Analysis:
                 found = kernel_basis(d(x)), image_basis(d(x - 1))
             else:
                 (p, q), ((out, dp, dq), (into, ep, eq)) = x, _COHOMOLOGIES[kind]
-                z = kernel_basis(self.block(out, p + dp, q + dq))
+                z = self.block(out, p + dp, q + dq)
                 b = self.block(into, p + ep, q + eq)
                 # The canonical span of b is that of its image basis.
-                found = (canonical_span(z) if _KINDS[out].join in (vstack, hstack) else z,
+                found = (_canonical_kernel(z) if _KINDS[out].join in (vstack, hstack)
+                         else kernel_basis(z),
                          canonical_span(b) if _KINDS[into].join in (vstack, hstack)
                          else image_basis(b))
             self._spaces[(kind, x)] = found

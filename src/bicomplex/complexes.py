@@ -375,7 +375,13 @@ class Morphism(_Value):
     entry in each row and each column, as in the Serre pairing, a scaled
     identity, a summand inclusion and the projection of a quotient by one,
     it is decided by relabeling stored entries, and otherwise as one
-    vanishing sum of two products over Z[i].
+    vanishing sum of two products over Z[i].  The d1 check at (p, q) runs
+    only where f has a block at (p, q) or (p + 1, q) and the source or the
+    target stores a d1 block at (p, q), and the d2 check likewise: anywhere
+    else each side multiplies a zero block, so both are zero and the check
+    holds.  The checks that run go in sorted order, d1 before d2 at each
+    bidegree, so a failing morphism raises the error it would raise with
+    every check made.
     A read-only value: equality compares source, target and blocks.
     """
 
@@ -404,13 +410,16 @@ class Morphism(_Value):
         f = self.block_at
         s1, s2 = source.d1_at, source.d2_at
         t1, t2 = target.d1_at, target.d2_at
-        # A check at (p, q) multiplies f(p, q) and f(p + 1, q), or f(p, q + 1):
-        # elsewhere both of its products are zero.
+        # A d1 check at (p, q) multiplies f(p + 1, q) by the source's d1 and
+        # the target's d1 by f(p, q): where neither d1 is stored, or both f
+        # blocks are zero, both of its products are zero.  Likewise for d2.
+        acts1 = source.d1.keys() | target.d1.keys()
+        acts2 = source.d2.keys() | target.d2.keys()
         support = {(p - dp, q - dq) for p, q in clean for dp, dq in ((0, 0), (1, 0), (0, 1))}
-        for p, q in sorted(support):
-            if not _commutes(f(p + 1, q), s1(p, q), t1(p, q), f(p, q)):
+        for p, q in sorted(support & (acts1 | acts2)):
+            if (p, q) in acts1 and not _commutes(f(p + 1, q), s1(p, q), t1(p, q), f(p, q)):
                 raise MorphismError(f"blocks do not commute with d1 at ({p}, {q})")
-            if not _commutes(f(p, q + 1), s2(p, q), t2(p, q), f(p, q)):
+            if (p, q) in acts2 and not _commutes(f(p, q + 1), s2(p, q), t2(p, q), f(p, q)):
                 raise MorphismError(f"blocks do not commute with d2 at ({p}, {q})")
 
     def block_at(self, p: int, q: int) -> Matrix:

@@ -24,8 +24,10 @@ num): the basis column of free column j holds den at row j, and each pivot
 row i puts minus its entry num[(i, j)] at row pivots[i].  `image_basis` and
 `coset_representatives` select columns of their input, and the canonical
 basis of a span (`canonical_span`) is the transpose of the nonzero rows of
-an RREF.  The vectors that `row` and `column` return are tuples of
-GaussianRational.
+an RREF.  The canonical basis of a kernel needs no second RREF
+(`_canonical_kernel`): the kernel basis of the matrix with its columns
+reversed, read back in the original order, is it.  The vectors that `row`
+and `column` return are tuples of GaussianRational.
 
 A subquotient frame takes one elimination.  The pivots of a prefix of
 columns do not depend on the columns after it, so one RREF of
@@ -87,7 +89,12 @@ rows times its columns, the whole input or the peel core, goes to
     later pivot columns it holds by their pivot rows, already reduced.  The
     columns to clear are read off the row's own entries, so the pass needs
     no index from a column to the rows that hold it, and a row that holds
-    no later pivot column costs no arithmetic.
+    no later pivot column costs no arithmetic.  Only the pivot rows whose
+    pivot entry is not 1 are normalized: a row that leads with 1, as most
+    do on the +-1 blocks of the models and their constructions, is already
+    primitive with a positive lead, so it is neither rescaled nor divided,
+    and where every lead is 1 no row is rebuilt to reach the common
+    denominator.
 
 `rank` needs no pivot column and no pivot row, so it first peels, the
 pre-pass of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO
@@ -691,41 +698,52 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
     The canonical RREF, pivot rows normalized to 1, from the forward pass
-    and back-substitution.  Each pivot row of the forward pass is multiplied
-    by the conjugate of its pivot entry, which makes that entry a positive
-    int, its lead, and divided by the gcd of its ints.  Then, from the last
-    pivot row up, each row that holds later pivot columns is scaled once by
-    the lcm of their pivot rows' leads, each such column is cleared by its
-    pivot row, and the row is divided by the gcd of its ints once, after the
-    last column (a gcd after each column made the RREF of a half-dense
-    60 x 80 Gaussian matrix three to four times slower).  The later rows
-    are already reduced, zero in every pivot column but their own, so
-    clearing one column changes no other pivot column, and each quotient
-    by a lead is exact.  Each row is then its RREF row times its lead, the
-    row's least denominator.  A zero matrix is its own RREF and costs no
+    and back-substitution.  Each pivot row of the forward pass whose pivot
+    entry is not 1 is multiplied by the conjugate of that entry, which
+    makes it a positive int, its lead, and divided by the gcd of its ints.
+    A row whose pivot entry is 1 is left as it is: it already leads with
+    the positive int 1, and an int 1 among its entries makes the gcd 1, so
+    both steps would give the row back.  Then, from the last pivot row up,
+    each row that holds later pivot columns is scaled once by the lcm of
+    their pivot rows' leads, where that lcm is not 1, each such column is
+    cleared by its pivot row, and the row is divided by the gcd of its ints
+    once, after the last column, unless its lead is then 1 (a gcd after
+    each column made the RREF of a half-dense 60 x 80 Gaussian matrix three
+    to four times slower).  The later rows are already reduced, zero in
+    every pivot column but their own, so clearing one column changes no
+    other pivot column, and each quotient by a lead is exact.  Each row is
+    then its RREF row times its lead, the row's least denominator, and is
+    scaled to the common denominator; a row whose scale is 1 keeps its
+    entry pairs as they are.  A zero matrix is its own RREF and costs no
     elimination.
     """
     if not m._num:
         return m, ()
     pivots, rows, _ = _echelon(m)
-    rows = [_primitive(_combine(row, (row[col][0], -row[col][1])))
+    rows = [row if row[col] == (1, 0)
+            else _primitive(_combine(row, (row[col][0], -row[col][1])))
             for col, row in zip(pivots, rows)]
     where = {col: k for k, col in enumerate(pivots)}
     for k in reversed(range(len(rows))):
         row = rows[k]
         later = [where[j] for j in row if j in where and j != pivots[k]]
         if later:
-            row = _combine(row, (lcm(*(rows[i][pivots[i]][0] for i in later)), 0))
+            s = lcm(*(rows[i][pivots[i]][0] for i in later))
+            if s != 1:
+                row = _combine(row, (s, 0))
             for i in later:
                 lead = rows[i][pivots[i]][0]
                 x, y = row[pivots[i]]
                 row = _combine(row, (1, 0), rows[i], (x // lead, y // lead))
-            rows[k] = _primitive(row)
+            rows[k] = row if row[pivots[k]] == (1, 0) else _primitive(row)
     den = lcm(*(row[col][0] for col, row in zip(pivots, rows)))
     num = {}
     for i, (col, row) in enumerate(zip(pivots, rows)):
         c = den // row[col][0]
-        num.update(((i, j), (c * a, c * b)) for j, (a, b) in row.items())
+        if c == 1:
+            num.update(((i, j), v) for j, v in row.items())
+        else:
+            num.update(((i, j), (c * a, c * b)) for j, (a, b) in row.items())
     return _matrix(m.rows, m.cols, den, num), tuple(pivots)
 
 
@@ -955,6 +973,34 @@ def kernel_basis(m: Matrix) -> Matrix:
     num.update(((pivots[i], free[j]), (-x, -y))
                for (i, j), (x, y) in red._num.items() if j in free)
     return _matrix(m.cols, len(free), red._den, num)
+
+
+def _canonical_kernel(m: Matrix) -> Matrix:
+    """`canonical_span(kernel_basis(m))`, from one RREF: the kernel basis
+    of m with its columns reversed, read back in m's column order, the
+    basis vectors in reverse.
+
+    Write r(j) = n - 1 - j for the n columns, m' for m with column j moved
+    to r(j), and F for the free columns of the RREF of m'; v is in ker m
+    exactly when v with entry j moved to r(j) is in ker m'.  The basis
+    vector of `kernel_basis(m')` at f in F is 1 at f and -num[(i, f)] at
+    the pivot column of each RREF row i that holds f, and zero elsewhere,
+    at every other column of F too; an RREF row holds no column before its
+    pivot, so those pivot columns all lie before f.  Read back, the vector
+    is 1 at r(f), zero at r(g) for every other g in F, and nonzero
+    elsewhere only after r(f).  So each vector leads with 1 at r(f) and is
+    zero at the lead of every other one: they are the nonzero rows of a
+    reduced row echelon form whose row space is ker m, once sorted by
+    their leads.  `kernel_basis` orders them by f, so reversing the basis
+    sorts them by r(f).  The RREF of a row space is unique, so these are
+    the columns of `canonical_span(kernel_basis(m))`, exactly.
+    """
+    n = m.cols
+    flipped = kernel_basis(_matrix(m.rows, n, m._den,
+                                   {(i, n - 1 - j): v for (i, j), v in m._num.items()}))
+    k = flipped.cols
+    return _matrix(n, k, flipped._den,
+                   {(n - 1 - i, k - 1 - j): v for (i, j), v in flipped._num.items()})
 
 
 def image_basis(m: Matrix) -> Matrix:

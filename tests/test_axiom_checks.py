@@ -353,14 +353,25 @@ def test_morphism_matches_reference_under_single_entry_perturbations(iwasawa_mod
 
 def test_morphism_checks_only_where_a_block_acts(iwasawa_model):
     """The unit of the Iwasawa model has one block, at (0, 0): only the checks
-    at (0, 0), (-1, 0) and (0, -1) can fail, two at each, not two at each of
-    the 16 bidegrees of the target.  Each is decided by relabeling: the two
-    at (0, 0) meet the 3 x 0 blocks at (1, 0) and (0, 1), which are zero and
-    so partial monomials, and take no product."""
+    at (0, 0), (-1, 0) and (0, -1) could fail, and each of them also needs a
+    d1 or d2 block stored at its bidegree on the source or the target.
+    Neither dot(0, 0) nor the Iwasawa model stores one at any of the three,
+    so both sides of every check are zero, and none is made."""
     unit = {(0, 0): Matrix.identity(1)}
     log = call_log((linalg._equal_by_relabeling.__code__, linalg._products_vanish.__code__),
                    Morphism, dot(0, 0), iwasawa_model.complex, unit)
-    assert [name for name, _ in log].count("_equal_by_relabeling") == 6
+    assert [name for name, _ in log].count("_equal_by_relabeling") == 0
+    assert [name for name, _ in log].count("_products_vanish") == 0
+
+
+def test_an_identity_checks_each_stored_differential_once(iwasawa_model):
+    """The identity of the Iwasawa model is nonzero at every bidegree, so
+    every stored d1 and d2 block meets one check, decided by relabeling the
+    identity blocks, with no product."""
+    a = iwasawa_model.complex
+    log = call_log((linalg._equal_by_relabeling.__code__, linalg._products_vanish.__code__),
+                   Morphism.identity, a)
+    assert [name for name, _ in log].count("_equal_by_relabeling") == len(a.d1) + len(a.d2) == 8
     assert [name for name, _ in log].count("_products_vanish") == 0
 
 

@@ -111,6 +111,21 @@ def ranked(fn, *args) -> list:
             if not call["m"].is_zero()]
 
 
+def test_bott_chern_cycles_take_one_rref():
+    """Where both d1 and d2 leave (p, q), the Bott-Chern cycles are the
+    canonical basis of ker [d1; d2], read off one RREF of the stacked block
+    with its columns reversed; the boundaries take the forward pass alone.
+    The basis is the canonical span of the kernel basis, two RREFs."""
+    a = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
+    both = [pq for pq in a.bidegrees() if pq in a.d1 and pq in a.d2]
+    assert len(both) > 3
+    memo = Analysis.of(a)
+    for pq in both:
+        assert calls_into(linalg.rref.__code__, memo.spaces, "bott_chern", pq) == 1, pq
+        stacked = vstack([a.d1_at(*pq), a.d2_at(*pq)])
+        assert memo.spaces("bott_chern", pq)[0] == linalg.canonical_span(kernel_basis(stacked))
+
+
 @pytest.mark.parametrize("build", [
     lambda: never_validated(lie_algebra_model(parse_model_file(NIL4, "nil4"))),
     lambda: random_complex(203, (0, 5, 0, 5), 19),

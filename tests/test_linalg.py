@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +11,7 @@ from bicomplex.linalg import (
     Matrix,
     NotASubspace,
     NotWellDefined,
+    _canonical_kernel,
     _echelon,
     canonical_span,
     coset_representatives,
@@ -23,7 +25,7 @@ from bicomplex.linalg import (
     solve_columns,
     vector,
 )
-from bicomplex.scalars import ZERO, gauss
+from bicomplex.scalars import ZERO, gauss, I
 
 from call_counter import calls_into
 from helpers import never_validated
@@ -154,6 +156,109 @@ def test_rref_deterministic():
     rng = random.Random(44)
     m = random_matrix(rng, 6, 6)
     assert rref(m) == rref(Matrix(m.rows, m.cols, dict(m.entries)))
+
+
+UNITS = [gauss(1), gauss(-1), gauss(0, 1), gauss(0, -1)]
+NON_UNITS = [gauss(2), gauss(-3), gauss(1, 1), gauss(3, -2)]
+FRACTIONS = [gauss(Fraction(1, 2)), gauss(Fraction(-2, 3)), gauss(0, Fraction(1, 3)),
+             gauss(Fraction(3, 2), Fraction(-1, 2))]
+
+
+def lead_kind(lead):
+    """The class of a forward-pass pivot entry: 1, -1, i, -i or a non-unit."""
+    return {(1, 0): "1", (-1, 0): "-1", (0, 1): "i", (0, -1): "-i"}.get(lead, "non-unit")
+
+
+def unit_lead_cases():
+    """(label, matrix) pairs whose forward-pass pivot entries are the
+    units 1, -1, i, -i and non-units, with and without entries of
+    denominator 2 or 3, so that both some pivot rows and some rows scaled
+    to the common denominator are left as they are, and others rebuilt."""
+    rng = random.Random(1968)
+    pools = [UNITS, UNITS + NON_UNITS, UNITS + FRACTIONS, UNITS + NON_UNITS + FRACTIONS]
+    for k in range(240):
+        pool = pools[k % 4]
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+        density = (0.25, 0.5, 0.8)[k % 3]
+        entries = {(i, j): rng.choice(pool) for i in range(rows) for j in range(cols)
+                   if rng.random() < density}
+        yield f"case {k}: {rows}x{cols}, pool {k % 4}, density {density}", Matrix(rows, cols, entries)
+
+
+def test_rref_leaves_rows_that_lead_with_one_and_matches_the_reference():
+    """`rref` normalizes only the pivot rows whose pivot entry is not 1, and
+    rebuilds only the rows whose scale to the common denominator is not 1.
+    On the unit-lead cases it equals the Gauss-Jordan reference, and the
+    cases reach every kind of lead and both kinds of row scale: a row whose
+    least denominator is the RREF's (scale 1) and one whose is smaller."""
+    leads, scales = set(), set()
+    for label, m in unit_lead_cases():
+        red, pivots = rref(m)
+        assert (red, pivots) == reference_rref(m), label
+        if not pivots:
+            continue
+        forward, rows, _ = _echelon(m)
+        leads.update(lead_kind(row[col]) for col, row in zip(forward, rows))
+        for i in range(len(pivots)):
+            den = lcm(*(x.denominator for v in red.row(i) for x in (v.re, v.im)))
+            scales.add("kept" if den == red._den else "rebuilt")
+    assert leads == {"1", "-1", "i", "-i", "non-unit"}
+    assert scales == {"kept", "rebuilt"}
+
+
+def test_rref_of_rows_that_lead_with_one_rebuilds_no_row():
+    """A permutation matrix of ones: every pivot is alone in its bucket and
+    its row leads with 1, so `rref` neither rescales nor divides a row,
+    while the same matrix with -1 or i leads normalizes each row once."""
+    m = one_touch_matrix("permutation", 12)
+    count = lambda fn, x: calls_into(fn.__code__, rref, x)
+    assert count(linalg._combine, m) == count(linalg._primitive, m) == 0
+    for unit in (gauss(-1), I):
+        scaled = Matrix(12, 12, {k: unit for k in m.entries})
+        assert rref(scaled) == rref(m)
+        assert count(linalg._combine, scaled) == count(linalg._primitive, scaled) == 12
+
+
+def canonical_kernel_cases():
+    """(label, matrix) pairs, every shape from 0 x 0 to 7 x 8, entries
+    Gaussian rationals of denominator 1 to 3: the zero matrix, a dense one
+    (full rank as a rule), a sparse one and a product through a thin middle
+    (rank deficient)."""
+    rng = random.Random(1812)
+
+    def entry():
+        return gauss(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                     Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+
+    def draw(rows, cols, density):
+        return Matrix(rows, cols, {(i, j): v for i in range(rows) for j in range(cols)
+                                   if rng.random() < density and (v := entry())})
+
+    for rows in range(8):
+        for cols in range(9):
+            yield f"zero {rows}x{cols}", Matrix.zero(rows, cols)
+            yield f"dense {rows}x{cols}", draw(rows, cols, 1.0)
+            yield f"sparse {rows}x{cols}", draw(rows, cols, 0.3)
+            middle = rng.randint(1, 3)
+            yield f"rank <= {middle} {rows}x{cols}", draw(rows, middle, 0.8) @ draw(middle, cols, 0.8)
+
+
+def test_canonical_kernel_is_the_canonical_span_of_the_kernel():
+    """`_canonical_kernel(m)`, one RREF of m with its columns reversed,
+    equals the canonical span of the kernel basis, a second RREF, on every
+    case: full rank, rank deficient, zero and empty."""
+    kinds = {"full": 0, "deficient": 0, "zero": 0, "empty": 0}
+    for label, m in canonical_kernel_cases():
+        got = _canonical_kernel(m)
+        assert got == canonical_span(kernel_basis(m)), label
+        assert (m @ got).is_zero() and got.cols == m.cols - rank(m), label
+        if m.rows == 0 or m.cols == 0:
+            kinds["empty"] += 1
+        elif m.is_zero():
+            kinds["zero"] += 1
+        else:
+            kinds["full" if rank(m) == min(m.rows, m.cols) else "deficient"] += 1
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_kernel_identity_is_trivial():
