@@ -85,11 +85,17 @@ on lists.  TABLES maps each of the five kinds to its function, and every
 caller dispatches through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
-share, each part made on first use: the Totalization, the rank of each total
+share, each part made on first use: the rank of each total
 differential, one rank memo for the blocks of the four bidegree tables, the
 products d1 d2 that a rank or a containment check needed, the cycles
 and boundaries of each kind at each bidegree or degree (`spaces`), and
-their coset representatives (`representatives`).  The rank memo is keyed
+their coset representatives (`representatives`).  The total complex is
+not the Analysis's own: `complexes.Totalization.of(a)` keeps one on the
+complex, made by the first of `validate`, `de_rham`, `frolicher` or a de
+Rham induced map to need it, and `Analysis.totalization` reads that one,
+so the total differentials `validate` multiplied are the ones ranked
+here, and a table that needs none, such as a dual's Bott-Chern table,
+builds none.  The rank memo is keyed
 by block kind and bidegree, and `_KINDS` describes each of the five kinds
 once (d1, d2, [d1; d2] out, [d1 | d2] into, d1 d2 out): its parts, how
 they join, its sigma mirror and its Serre partner.  A block whose parts
@@ -158,13 +164,12 @@ import weakref
 from collections import Counter, namedtuple
 from typing import Callable, Mapping, NamedTuple
 
-from .complexes import BiDegree, DoubleComplex, Morphism, _target
+from .complexes import BiDegree, DoubleComplex, Morphism, Totalization
 from .linalg import (
     Matrix,
     NotASubspace,
     _canonical_kernel,
     _induced_map,
-    assemble,
     canonical_span,
     coset_representatives,
     filtered_pivots,
@@ -230,68 +235,6 @@ class SpectralSequenceResult(NamedTuple):
         return self.pages[-1][0]
 
 
-class Totalization:
-    """The total complex: T^k = sum of A^{p,q} with p + q = k, d = d1 + d2.
-
-    Components are ordered by increasing p, which makes the column filtration
-    F^p (components with first index >= p) a span of trailing coordinates.
-    """
-
-    def __init__(self, a: DoubleComplex):
-        self.complex = a
-        comps: dict[int, list[BiDegree]] = {}
-        for p, q in a.bidegrees():
-            comps.setdefault(p + q, []).append((p, q))
-        self.components = {k: sorted(v) for k, v in comps.items()}
-        self.offsets: dict[int, dict[BiDegree, int]] = {}
-        self.dims: dict[int, int] = {}
-        for k, parts in self.components.items():
-            off = {}
-            pos = 0
-            for pq in parts:
-                off[pq] = pos
-                pos += a.dim(*pq)
-            self.offsets[k] = off
-            self.dims[k] = pos
-        # The degrees k with d_k nonzero: those a stored d1 or d2 block leaves.
-        self.moving = {p + q for blocks in (a.d1, a.d2) for p, q in blocks}
-        self._d: dict[int, Matrix] = {}
-
-    def degrees(self) -> list[int]:
-        return sorted(self.components)
-
-    def dim(self, k: int) -> int:
-        return self.dims.get(k, 0)
-
-    def differential(self, k: int) -> Matrix:
-        if k in self._d:
-            return self._d[k]
-        a = self.complex
-        src, tgt = self.components.get(k, []), self.components.get(k + 1, [])
-        index = {pq: n for n, pq in enumerate(tgt)}
-        blocks = {}
-        for j, (p, q) in enumerate(src):
-            for kind, stored in (("d1", a.d1), ("d2", a.d2)):
-                if (p, q) in stored:
-                    blocks[(index[_target(kind, p, q)], j)] = stored[(p, q)]
-        m = self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
-        return m
-
-    def embed_block(self, f: Morphism, k: int, other: "Totalization") -> Matrix:
-        """The degree-k block of the totalized morphism."""
-        src, tgt = self.components.get(k, []), other.components.get(k, [])
-        index = {pq: n for n, pq in enumerate(tgt)}
-        blocks = {}
-        for j, pq in enumerate(src):
-            block = f.block_at(*pq)
-            if pq in index:
-                blocks[(index[pq], j)] = block
-            elif not block.is_zero():
-                raise ValueError("morphism leaves the target support")
-        return assemble([other.complex.dim(*pq) for pq in tgt],
-                        [self.complex.dim(*pq) for pq in src], blocks)
-
-
 def _product(blocks: list[Matrix]) -> Matrix:
     first, second = blocks
     return first @ second
@@ -337,15 +280,18 @@ def _support(a: DoubleComplex, parts, join) -> set[BiDegree]:
 class Analysis:
     """What the tables of one complex share, each part made on first use.
 
-    `Analysis.of(a)` is kept on a and dies with it.  It holds the
-    Totalization, the rank of each total differential (`total_ranks`, which
-    `frolicher` fills as a by-product), one rank memo for the blocks of the
-    four bidegree tables, the product d1 d2 out of each bidegree that a rank
-    or a containment check needed, and the cycles and boundaries of every
-    table that an induced map reads, with the coset representatives of
-    those it maps out of.  It and its Totalization refer back to a weakly,
-    so the two form no reference cycle and are freed as soon as a is
-    dropped, not at the next cyclic garbage collection.
+    `Analysis.of(a)` is kept on a and dies with it.  It holds the rank of
+    each total differential (`total_ranks`, which `frolicher` fills as a
+    by-product), one rank memo for the blocks of the four bidegree tables,
+    the product d1 d2 out of each bidegree that a rank or a containment
+    check needed, and the cycles and boundaries of every table that an
+    induced map reads, with the coset representatives of those it maps out
+    of.  `totalization` is the complex's one `complexes.Totalization`,
+    kept on a and made by whichever of `validate` and the total tables
+    asks first; an Analysis that never reads it builds none.  It and the
+    Totalization refer back to a weakly, so neither forms a reference
+    cycle and both are freed as soon as a is dropped, not at the next
+    cyclic garbage collection.
 
     The rank memo is keyed by block kind and bidegree, over the five kinds
     of `_KINDS`: d1 and d2 out of (p, q), [d1; d2] out of it, [d1 | d2] into
@@ -443,8 +389,8 @@ class Analysis:
     """
 
     def __init__(self, a: DoubleComplex):
-        self.complex = a = weakref.proxy(a)
-        self.totalization = Totalization(a)
+        self.complex = weakref.proxy(a)
+        self._owner = weakref.ref(a)
         self.total_ranks: dict[int, int] = {}
         self._ranks: dict[tuple[str, int, int], int] = {}
         self._supports: dict[str, set[BiDegree]] = {}
@@ -457,6 +403,12 @@ class Analysis:
         if a._analysis is None:
             object.__setattr__(a, "_analysis", cls(a))
         return a._analysis
+
+    @property
+    def totalization(self) -> Totalization:
+        """The complex's one Totalization, shared with `validate` and made
+        on first use (`complexes.Totalization.of`)."""
+        return Totalization.of(self._owner())
 
     def valid(self) -> bool:
         """Whether the complex is known valid: `validate` has run on it and

@@ -27,10 +27,14 @@ quotient and the random change of basis) loop over the map names and read
 it, so each carries sigma by the same rule as d1 and d2.  `validate`,
 `dual` and `Morphism` write their identities out in full.
 
-This module holds data and constructions only.  The cohomologies, the
-cycles and boundaries of their subquotients, induced maps and the
-E1-isomorphism test live in `cohomology`; a complex only carries the slot
-for its `cohomology.Analysis`, which holds those spaces and dies with it.
+This module holds data and constructions, and the total complex.  The
+cohomologies, the cycles and boundaries of their subquotients, induced
+maps and the E1-isomorphism test live in `cohomology`; a complex only
+carries the slot for its `cohomology.Analysis`, which holds those spaces
+and dies with it.  It also carries the slot for its one `Totalization`,
+made on first use by whichever needs it first, `validate`, `de_rham`,
+`frolicher` or a de Rham induced map, and shared by the rest: the total
+differentials are assembled once per complex.
 
 A complex also carries the verdict of `validate`: the first call records
 its violation list in a slot on the complex, and every later call returns
@@ -67,6 +71,7 @@ Sign conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
@@ -76,6 +81,7 @@ from .linalg import (
     _matrix,
     _products_vanish,
     _select_columns,
+    _signed_transpose,
     _times_conjugate_is_identity,
     _unit_lower_inverse,
     assemble,
@@ -83,7 +89,7 @@ from .linalg import (
     kron,
     rref,
 )
-from .scalars import ONE, _Value, gauss
+from .scalars import ONE, _Value
 
 BiDegree = tuple[int, int]
 
@@ -158,7 +164,8 @@ class DoubleComplex(_Value):
 
     # Besides the value, memos that live and die with this complex: the
     # zero block of each shape that an absent block reads as, the
-    # cohomology.Analysis of the complex, made on first use, the
+    # cohomology.Analysis and the Totalization of the complex, each made
+    # on first use and each holding it through a weak proxy, the
     # violations `validate` found, None until it runs unless a
     # construction proved the complex valid and wrote () (`dual` of a
     # complex found valid, `models.lie_algebra_model`), and the Serre
@@ -168,11 +175,11 @@ class DoubleComplex(_Value):
     # the complex itself.
     # `models.lie_algebra_model` writes (None, n) where the model's Serre
     # pairing checks, and `dual(a, n)` of an a found valid writes (a, n).
-    # The dual holds a strongly, so a and all that a's Analysis keeps live
-    # as long as the dual does.  The Analysis holds the complex through a
-    # weak proxy.
+    # The dual holds a strongly, so a and all that a's Analysis and
+    # Totalization keep live as long as the dual does.
     _fields = ("dims", "d1", "d2", "sigma", "labels")
-    __slots__ = _fields + ("_zeros", "_analysis", "_violations", "_serre", "__weakref__")
+    __slots__ = _fields + ("_zeros", "_analysis", "_totalization", "_violations", "_serre",
+                           "__weakref__")
 
     def __init__(self, dims: Mapping[BiDegree, int], d1: Mapping[BiDegree, Matrix],
                  d2: Mapping[BiDegree, Matrix], sigma: Mapping[BiDegree, Matrix] | None = None,
@@ -205,6 +212,7 @@ class DoubleComplex(_Value):
         put(self, "labels", labels)
         put(self, "_zeros", {})
         put(self, "_analysis", None)
+        put(self, "_totalization", None)
         put(self, "_violations", None)
         put(self, "_serre", None)
 
@@ -252,6 +260,68 @@ class DoubleComplex(_Value):
 ZERO_COMPLEX = DoubleComplex({}, {}, {}, {}, {})
 
 
+class Totalization:
+    """The total complex: T^k = sum of A^{p,q} with p + q = k, d = d1 + d2.
+
+    Components are ordered by increasing p, which makes the column filtration
+    F^p (components with first index >= p) a span of trailing coordinates.
+    `Totalization.of(a)` is the one kept on a, made on first use, so each
+    total differential of a complex is assembled once, by `validate`,
+    `cohomology.de_rham` or `cohomology.frolicher`, whichever asks first.
+    It holds the complex through a weak proxy, so the two form no
+    reference cycle.
+    """
+
+    def __init__(self, a: DoubleComplex):
+        self.complex = weakref.proxy(a)
+        self.components: dict[int, list[BiDegree]] = {}
+        self.offsets: dict[int, dict[BiDegree, int]] = {}
+        self.dims: dict[int, int] = {}
+        for pq, n in sorted(a.dims.items()):
+            k = sum(pq)
+            self.components.setdefault(k, []).append(pq)
+            self.offsets.setdefault(k, {})[pq] = self.dims.get(k, 0)
+            self.dims[k] = self.dims.get(k, 0) + n
+        # The degrees k with d_k nonzero: those a stored d1 or d2 block leaves.
+        self.moving = {p + q for blocks in (a.d1, a.d2) for p, q in blocks}
+        self._d: dict[int, Matrix] = {}
+
+    @classmethod
+    def of(cls, a: DoubleComplex) -> "Totalization":
+        if a._totalization is None:
+            object.__setattr__(a, "_totalization", cls(a))
+        return a._totalization
+
+    def degrees(self) -> list[int]:
+        return sorted(self.components)
+
+    def dim(self, k: int) -> int:
+        return self.dims.get(k, 0)
+
+    def component(self, k: int, i: int) -> BiDegree:
+        """The bidegree of the component of T^k that holds coordinate i."""
+        return [pq for pq, off in self.offsets[k].items() if off <= i][-1]
+
+    def differential(self, k: int) -> Matrix:
+        if k not in self._d:
+            a = self.complex
+            src, tgt = self.components.get(k, []), self.components.get(k + 1, [])
+            index = {pq: n for n, pq in enumerate(tgt)}
+            blocks = {(index[_target(kind, *pq)], j): stored[pq] for j, pq in enumerate(src)
+                      for kind, stored in (("d1", a.d1), ("d2", a.d2)) if pq in stored}
+            self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
+        return self._d[k]
+
+    def embed_block(self, f: Morphism, k: int, other: "Totalization") -> Matrix:
+        """The degree-k block of the totalized morphism.  A block f stores
+        is nonzero, so its bidegree is a component of other's T^k."""
+        src, tgt = self.components.get(k, []), other.components.get(k, [])
+        index = {pq: n for n, pq in enumerate(tgt)}
+        blocks = {(index[pq], j): f.blocks[pq] for j, pq in enumerate(src) if pq in f.blocks}
+        return assemble([other.complex.dim(*pq) for pq in tgt],
+                        [self.complex.dim(*pq) for pq in src], blocks)
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -268,26 +338,39 @@ def _commutes(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix, conjugate: bool = Fa
 
 
 def validate(a: DoubleComplex) -> list[Violation]:
-    """All double-complex axioms, blockwise; an empty list means valid.
+    """All double-complex axioms; an empty list means valid.
 
     Shape consistency is enforced at construction, so this checks the algebra:
     d1 d1 = 0, d2 d2 = 0, d1 d2 + d2 d1 = 0, and the sigma axioms when a real
     structure is present.  The list holds the d-axioms by bidegree, then the
-    sigma axioms by bidegree.  Each sigma identity reads S1 op(X) = Y S0,
-    the involution as S^{q,p} conj(S^{p,q}) = 1 . 1.  Where both of its
-    sigma blocks are partial monomials, with at most one entry in each row
-    and each column, as on every Lie-algebra model and its sums, shifts,
-    tensors and duals, and wherever a block is zero, it is decided by
-    relabeling: each entry of X is moved and scaled to its one position, or
-    dropped, and compared with Y's entry there
-    (`linalg._equal_by_relabeling`, which holds the proof), with no product.
-    Any other sigma, such as the dense one of a random change of basis,
-    takes the product route: the involution is one product summed over Z[i]
-    and compared entrywise with the identity
-    (`linalg._times_conjugate_is_identity`), and every other identity, the
-    d-axioms always, is one sum of signed products that must vanish,
-    decided over Z[i] by `linalg._products_vanish` on the blocks themselves,
-    conjugating X's entries as it reads them.  No scalar, product matrix or
+    sigma axioms by bidegree.
+
+    The three d-axioms say together that d^2 = 0 on the total complex, and
+    are read off it one degree at a time.  For each degree k at which d_k
+    and d_{k+1} are both nonzero, the complex's `Totalization` gives one
+    product d_{k+1} d_k.  Its block from the component (p, q) to (p+2, q),
+    (p+1, q+1) or (p, q+2) is d1 d1, d1 d2 + d2 d1 or d2 d2 at (p, q), and
+    it has no other block; so each of its nonzero entries marks one identity
+    failing at one bidegree, and each identity at each bidegree is checked
+    exactly once.  A degree where d_k or d_{k+1} is zero holds every
+    identity there.  The total differentials are assembled once and kept
+    on the Totalization, where `cohomology.de_rham` and
+    `cohomology.frolicher` read them.
+
+    Each sigma identity reads S1 op(X) = Y S0, the involution as
+    S^{q,p} conj(S^{p,q}) = 1 . 1.  Where both of its sigma blocks are
+    partial monomials, with at most one entry in each row and each column,
+    as on every Lie-algebra model and its sums, shifts, tensors and duals,
+    and wherever a block is zero, it is decided by relabeling: each entry
+    of X is moved and scaled to its one position, or dropped, and compared
+    with Y's entry there (`linalg._equal_by_relabeling`, which holds the
+    proof), with no product.  Any other sigma, such as the dense one of a
+    random change of basis, takes the product route: the involution is one
+    product summed over Z[i] and compared entrywise with the identity
+    (`linalg._times_conjugate_is_identity`), and every other sigma identity
+    is one sum of signed products that must vanish, decided over Z[i] by
+    `linalg._products_vanish` on the blocks themselves, conjugating X's
+    entries as it reads them.  On a valid complex no scalar and no
     conjugate copy is built.
 
     The list is recorded on a, and a later call returns a copy of it and
@@ -295,9 +378,9 @@ def validate(a: DoubleComplex) -> list[Violation]:
     `models.lie_algebra_model` record the empty list as they build, each
     with its proof, so the first call on what they build makes none either.
 
-    Each verdict goes into one table.  Under a real structure, a check may
-    read the verdict of its mirror at (q, p) instead of computing its own
-    (write S for the sigma blocks); each rule is exact:
+    Under a real structure, a check may read the verdict of its mirror at
+    (q, p) instead of computing its own (write S for the sigma blocks);
+    each rule is exact:
 
       * the involution at (p, q) with p > q reads the one at (q, p), once
         dim A^{p,q} = dim A^{q,p} at every bidegree.  A one-sided inverse of
@@ -307,15 +390,19 @@ def validate(a: DoubleComplex) -> list[Violation]:
         once the involution holds at every bidegree.  Conjugate the second,
         multiply by S^{p,q+1} on the left and S^{p,q} on the right, and use
         the involution at (q+1, p) and at (p, q).
-      * d2 d2 = 0 at (p, q) reads d1 d1 = 0 at (q, p), and the anticommutator
-        at (p, q) with p > q reads the one at (q, p), once every sigma
-        identity holds.  Then d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}),
-        so each product at (q, p) is its mirror at (p, q), conjugated and
-        multiplied by invertible sigma blocks on both sides.
+      * the d-axioms at (p, q) with p > q read those at (q, p), d1 d1 = 0
+        from d2 d2 = 0, d2 d2 = 0 from d1 d1 = 0 and the anticommutator
+        from itself, once every sigma identity holds.  Then
+        d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}) and likewise with
+        d1 and d2 swapped, so each product at (p, q) is its mirror at
+        (q, p), conjugated and multiplied by invertible sigma blocks on both
+        sides.  The components of T^k run by increasing p, so those with
+        p <= q are a prefix of its coordinates, and d_{k+1} multiplies only
+        those columns of d_k.
 
     Where a condition fails, the checks it guards are computed at their own
     bidegree, so the list is the same either way.  A complex without a real
-    structure makes every product.
+    structure multiplies every column.
     """
     if a._violations is not None:
         return list(a._violations)
@@ -349,15 +436,24 @@ def validate(a: DoubleComplex) -> list[Violation]:
         decide(sd2, lambda p, q: _commutes(s(p, q + 1), d2(p, q), d1(q, p), s(p, q), True),
                sd1 if involutive else None)
         mirrored = all(holds.values())
-    decide(dd1, lambda p, q: _products_vanish([(1, d1(p + 1, q), d1(p, q), False)]))
-    decide(dd2, lambda p, q: _products_vanish([(1, d2(p, q + 1), d2(p, q), False)]),
-           dd1 if mirrored else None)
-    decide(anti, lambda p, q: _products_vanish([(1, d2(p + 1, q), d1(p, q), False),
-                                                (1, d1(p, q + 1), d2(p, q), False)]),
-           anti if mirrored else None)
+    t = Totalization.of(a)
+    # The identity that the block of d_{k+1} d_k from (p, q) to (p + s, .)
+    # checks, by s, and the identity at (q, p) that each mirrors.
+    by_shift, mirror = (dd2, anti, dd1), {dd1: dd2, dd2: dd1, anti: anti}
+    for k in sorted(t.moving & {k - 1 for k in t.moving}):
+        d = t.differential(k)
+        if mirrored:
+            cut = next((off for (p, q), off in t.offsets[k].items() if p > q), d.cols)
+            d = _matrix(d.rows, cut, d._den, {ij: x for ij, x in d._num.items() if ij[1] < cut})
+        for i, j in (t.differential(k + 1) @ d)._num:
+            (p, q), (x, _) = t.component(k, j), t.component(k + 2, i)
+            identity = by_shift[x - p]
+            holds[identity, p, q] = False
+            if mirrored:
+                holds[mirror[identity], q, p] = False
     groups = [(dd1, dd2, anti)] + ([(inv, sd1, sd2)] if a.sigma is not None else [])
     found = [Violation(p, q, identity) for group in groups for p, q in bidegrees
-             for identity in group if not holds[identity, p, q]]
+             for identity in group if not holds.get((identity, p, q), True)]
     object.__setattr__(a, "_violations", tuple(found))
     return found
 
@@ -672,29 +768,22 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     the record is written with the verdict and nowhere else.  A complex
     with no verdict, or with a violation, gives a dual with no record,
     which ranks its own blocks.  The dual holds a strongly: a and
-    everything its Analysis keeps (the total differentials, d1 d2
-    products, cycles, boundaries and coset representatives) stay in memory
-    as long as the dual does, even where the dual needs only a's ranks.
+    everything its Analysis and Totalization keep (the total
+    differentials, d1 d2 products, cycles, boundaries and coset
+    representatives) stay in memory as long as the dual does, even where
+    the dual needs only a's ranks.  Each d1 and d2 block of the dual is
+    built in one pass, as the signed transpose of the block a stores.
     """
     dims = {(n - p, n - q): m for (p, q), m in a.dims.items()}
-    d1 = {}
-    d2 = {}
-    for p, q in dims:
-        negate = (p + q) % 2 == 0  # the sign (-1)^{p+q+1} is -1
-        src = a.d1_at(n - p - 1, n - q)
-        if not src.is_zero():
-            d1[(p, q)] = -src.transpose() if negate else src.transpose()
-        src = a.d2_at(n - p, n - q - 1)
-        if not src.is_zero():
-            d2[(p, q)] = -src.transpose() if negate else src.transpose()
-    sigma = None
-    if a.sigma is not None:
-        sigma = {}
-        for p, q in dims:
-            s = a.sigma_at(n - q, n - p)
-            if not s.is_zero():
-                sigma[(p, q)] = s.conjugate().transpose()
-    out = DoubleComplex(dims, d1, d2, sigma)
+
+    def flipped(blocks, dp, dq):
+        """(-1)^{p+q+1} T(blocks at (p* - dp, q* - dq)) at each (p, q)."""
+        return {(p, q): _signed_transpose(blocks[at], 1 if (p + q) % 2 else -1)
+                for p, q in dims if (at := (n - p - dp, n - q - dq)) in blocks}
+
+    sigma = None if a.sigma is None else {(p, q): a.sigma[at].conjugate().transpose()
+                                          for p, q in dims if (at := (n - q, n - p)) in a.sigma}
+    out = DoubleComplex(dims, flipped(a.d1, 1, 0), flipped(a.d2, 0, 1), sigma)
     if a._violations == ():
         object.__setattr__(out, "_violations", ())
         object.__setattr__(out, "_serre", (a, n))
@@ -868,18 +957,18 @@ def _try_zigzag(rng, length, first, p_min, p_max, q_min, q_max):
 def _random_unit_factors(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
     """A unit lower and a unit upper triangular n x n matrix with small
     random entries over Z[i]."""
-    pool = [gauss(0), gauss(1), gauss(-1), gauss(2), gauss(0, 1), gauss(1, -1)]
-    lower = {(i, i): ONE for i in range(n)}
-    upper = {(i, i): ONE for i in range(n)}
+    pool = [(0, 0), (1, 0), (-1, 0), (2, 0), (0, 1), (1, -1)]
+    lower = {(i, i): (1, 0) for i in range(n)}
+    upper = {(i, i): (1, 0) for i in range(n)}
     for i in range(n):
         for j in range(i):
             v = pool[rng.randrange(len(pool))]
-            if v:
+            if v != (0, 0):
                 lower[(i, j)] = v
             v = pool[rng.randrange(len(pool))]
-            if v:
+            if v != (0, 0):
                 upper[(j, i)] = v
-    return Matrix(n, n, lower), Matrix(n, n, upper)
+    return _matrix(n, n, 1, lower), _matrix(n, n, 1, upper)
 
 
 def _random_basis_change(rng: random.Random, a: DoubleComplex) -> DoubleComplex:

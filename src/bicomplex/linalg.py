@@ -136,11 +136,12 @@ the pivot columns of the rows of level >= s, for every s at once.
 
 Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
 entry is summed as an (int, int) pair over the product of the denominators.
-Identity checks (the double-complex axioms in `complexes.validate`, the
-commutation of a `Morphism` with d1 and d2, the frame of
-`complexes.quotient`) build no product matrix.  The sigma axioms and the
-commutations read s1 @ op(x) == y @ s0, op the identity or conjugation.
-Where s1 and s0 are partial monomials, with at most one entry in each row
+The d-axioms in `complexes.validate` are the blocks of one product
+d_{k+1} d_k of total differentials per degree, zero on a valid complex.
+The other identity checks (the sigma axioms, the commutation of a
+`Morphism` with d1 and d2, the frame of `complexes.quotient`) build no
+product matrix.  The sigma axioms and the commutations read
+s1 @ op(x) == y @ s0, op the identity or conjugation.  Where s1 and s0 are partial monomials, with at most one entry in each row
 and each column (the sigma blocks of every Lie-algebra model, the blocks of
 the Serre pairing, of a summand inclusion and of a quotient's projection,
 and every zero block), each entry of x lands at one position of the left
@@ -947,6 +948,12 @@ def filtered_pivots(d: Matrix, levels: Sequence[int], targets: Sequence[int],
 
 
 # -- subspaces ---------------------------------------------------------------
+
+
+def _signed_transpose(m: Matrix, sign: int) -> Matrix:
+    """sign * transpose(m), for sign +-1, in one pass over m's entries."""
+    return _matrix(m.cols, m.rows, m._den,
+                   {(j, i): (sign * x, sign * y) for (i, j), (x, y) in m._num.items()})
 
 
 def _select_columns(m: Matrix, cols: Sequence[int]) -> Matrix:

@@ -557,11 +557,15 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
         entries = {(index[w >> n | (w & low) << n], col): sign for col, w in enumerate(words)}
         sigma[(p, q)] = Matrix(dims[_target("sigma", p, q)], dims[(p, q)], entries)
 
-    labels = {
-        pq: tuple("^".join(name for k, name in enumerate(letter_names) if w >> k & 1) or "1"
-                  for w in words)
-        for pq, words in monomials.items()
-    }
+    # A label joins its plain letters, those of w & low, with its barred
+    # ones, those of w >> n, each half joined once per subset; "1" for
+    # the empty monomial.
+    half = lambda names: [["^".join(x for i, x in enumerate(names) if s >> i & 1) for s in subs]
+                          for subs in subsets]
+    plain, barred = half(letter_names[:n]), half(letter_names[n:])
+    labels = {(p, q): tuple(f"{x}^{y}" if x and y else x or y or "1"
+                            for x in plain[p] for y in barred[q])
+              for p, q in monomials}
     complex = DoubleComplex(dims, d1, d2, sigma, labels)
     # Valid by the generator check above; the proof is in the docstring.
     object.__setattr__(complex, "_violations", ())

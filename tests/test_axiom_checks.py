@@ -1,6 +1,7 @@
 """The axiom and morphism checks, by relabeling stored entries where the
-sigma or morphism blocks are monomial and as vanishing sums over Z[i]
-elsewhere: `validate` and `Morphism` against the matrix-product checks of
+sigma or morphism blocks are monomial, as vanishing sums over Z[i]
+elsewhere, and the d-axioms as the blocks of d^2 on the total complex:
+`validate` and `Morphism` against the matrix-product checks of
 `reference_validate`, on complexes and morphisms with one entry perturbed
 at a time, including complexes where only the d-axioms fail so that
 `validate` reads mirrored verdicts; a guard that on valid inputs they
@@ -26,6 +27,7 @@ from bicomplex import (
     validate,
 )
 from bicomplex import linalg
+from bicomplex.complexes import Totalization
 from bicomplex.scalars import GaussianRational, I, ONE, ZERO
 from call_counter import call_log, calls_into
 from helpers import never_validated
@@ -164,37 +166,43 @@ def test_validate_decides_involutions_of_unequal_dimensions_apart():
     assert validate(a) == reference_validate(a)
 
 
-@pytest.mark.parametrize("text, name, most", [(NIL4, "nil4", 26), (NIL5, "nil5", 45)],
+@pytest.mark.parametrize("text, name, most", [(NIL4, "nil4", 5), (NIL5, "nil5", 7)],
                          ids=["nil4", "nil5"])
 def test_validate_decides_each_conjugate_pair_once(text, name, most):
     """A valid complex with a real structure computes neither sigma d2 sigma
-    = d1 nor d2 d2 = 0, and the involution and the anticommutator only at
-    p <= q.  A model's sigma is monomial, so its sigma identities are
-    relabeled with no product: nil4 and nil5 make 26 and 45 products, all
-    of them d-axiom products, where deciding the sigma identities by
-    products too made 73 and 118, and checking every identity at its own
-    bidegree by products 162 and 260."""
+    = d1 nor the d-axioms at p > q, and the involution only at p <= q.  A
+    model's sigma is monomial, so its sigma identities are relabeled with
+    no product: nil4 and nil5 make 5 and 7 products, one block of d^2 per
+    degree, where one vanishing sum per identity and bidegree made 26 and
+    45, deciding the sigma identities by products too 73 and 118, and
+    checking every identity at its own bidegree by products 162 and 260."""
     a = never_validated(lie_algebra_model(parse_model_file(text, name)))
     assert calls_into(linalg._accumulate.__code__, validate, a) <= most
 
 
 def test_a_monomial_sigma_is_decided_by_relabeling():
-    """nil5's sigma identities take no product: no involution product, and
-    every `_accumulate` call is one term of a d-axiom sum, whose factors are
-    d1 and d2 blocks and are not conjugated.  A random complex in random
-    coordinates has a dense sigma and still decides it by products, with
-    the reference's verdict."""
+    """nil5's sigma identities take no product: no involution product and
+    no vanishing sum.  Its d-axioms take one unconjugated `_accumulate` per
+    degree k at which d_k and d_{k+1} are nonzero, d_{k+1} times the
+    columns of d_k's components with p <= q, the mirror giving the rest.  A
+    random complex in random coordinates has a dense sigma and still
+    decides it by products, with the reference's verdict."""
     a = never_validated(lie_algebra_model(parse_model_file(NIL5, "nil5")))
     codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__,
              linalg._times_conjugate_is_identity.__code__)
     log = call_log(codes, validate, a)
-    blocks = {id(m) for m in (*a.d1.values(), *a.d2.values(), *a._zeros.values())}
-    sums = [args["terms"] for name, args in log if name == "_products_vanish"]
-    assert all(id(m) in blocks and not conj for terms in sums for _, *ms, conj in terms
-               for m in ms)
-    products = sum(1 for terms in sums for _, x, y, _ in terms if x._num and y._num)
-    assert [name for name, _ in log if name != "_products_vanish"] == ["_accumulate"] * products
-    assert all(not args["conjugate"] for name, args in log if name == "_accumulate")
+    tot = Totalization.of(a)
+    degrees = [k for k in tot.degrees() if {k, k + 1} <= tot.moving]
+    assert [name for name, _ in log] == ["_accumulate"] * len(degrees)
+    halved = 0
+    for (_, args), k in zip(log, degrees):
+        d = tot.differential(k)
+        cut = sum(a.dim(p, q) for p, q in tot.components[k] if p <= q)
+        halved += cut < d.cols
+        assert not args["conjugate"]
+        assert args["left"] is tot.differential(k + 1)._num
+        assert args["right"] == d[:, :cut]._num
+    assert halved == len(degrees) == 7
     assert validate(a) == reference_validate(a) == []
 
     r = random_complex(205, (0, 5, 0, 5), 20, with_sigma=True)
