@@ -377,16 +377,7 @@ def _run_check(args) -> int:
             "schema": 1,
             "kind": "e1iso",
             "ok": report.ok,
-            "entries": [
-                {
-                    "p": w.p, "q": w.q,
-                    "source_dim": w.source_dim,
-                    "target_dim": w.target_dim,
-                    "rank": w.rank,
-                    "bijective": w.bijective,
-                }
-                for w in report.entries
-            ],
+            "entries": [w._asdict() | {"bijective": w.bijective} for w in report.entries],
         }
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return 0

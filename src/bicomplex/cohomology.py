@@ -85,40 +85,42 @@ on lists.  TABLES maps each of the five kinds to its function, and every
 caller dispatches through it.
 
 `Analysis.of(a)` holds what the tables and induced maps of one complex
-share, each part made on first use: the rank of each total
-differential, one rank memo for the blocks of the four bidegree tables, the
-products d1 d2 that a rank or a containment check needed, the cycles
-and boundaries of each kind at each bidegree or degree (`spaces`), and
-their coset representatives (`representatives`).  The total complex is
+share, each part made on first use: each table it has found, by kind
+(`Analysis.table`), the rank of each total differential, one rank memo
+for the blocks of the four bidegree tables, the products d1 d2 that a
+rank or a containment check needed, the cycles and boundaries of each
+kind at each bidegree or degree (`spaces`), and their coset
+representatives (`representatives`).  A table asked for again is one
+dict read, handed out as a fresh CohomologyTable.  The total complex is
 not the Analysis's own: `complexes.Totalization.of(a)` keeps one on the
 complex, made by the first of `validate`, `de_rham`, `frolicher` or a de
 Rham induced map to need it, and `Analysis.totalization` reads that one,
 so the total differentials `validate` multiplied are the ones ranked
-here, and a table that needs none, such as a dual's Bott-Chern table,
-builds none.  The rank memo is keyed
-by block kind and bidegree, and `_KINDS` describes each of the five kinds
-once (d1, d2, [d1; d2] out, [d1 | d2] into, d1 d2 out): its parts, how
-they join, its sigma mirror and its Serre partner.  A block whose parts
-are all absent, or a d1 d2 with an absent factor, has rank 0 and is
-neither assembled nor multiplied (`Analysis.absent`); on a complex found
-valid, where d1 d2 = -d2 d1, so is a d1 d2 where a factor of d2 d1 is
-absent.
+here, and a table that needs none, such as any table of a dual, builds
+none.  The rank memo is keyed by block kind and bidegree, and `_KINDS`
+describes each of the five kinds once (d1, d2, [d1; d2] out, [d1 | d2]
+into, d1 d2 out): its parts, how they join, its sigma mirror and its
+Serre partner.  A block whose parts are all absent, or a d1 d2 with an
+absent factor, has rank 0 and is neither assembled nor multiplied
+(`Analysis.absent`); on a complex found valid, where d1 d2 = -d2 d1, so
+is a d1 d2 where a factor of d2 d1 is absent.
 
 Ranks are shared by one equal-rank rule.  Each rank key has an orbit of
-(Analysis, key) pairs whose blocks the axioms show to have its rank
-(`Analysis.orbit`): the key itself; the one part stored of a [d1; d2] or
-[d1 | d2] block that has exactly one, since rank [X; 0] = rank [X | 0] =
-rank X; the mirror M, (p, q) -> (q, p), of each, on a complex with a
-real structure that `validate` has found valid; and the Serre partner S,
-(p, q) -> (n - p, n - q) with the shift `_KINDS` gives, of each of those,
-on the complex b of the Serre record (b, n) of a complex found valid
-(`Analysis.partner`).  A rank not stored is read from the first pair of
-its orbit that is stored, or absent and so of rank 0; failing that its
-own block is ranked once, and the rank is stored under every pair.  A
-lone part's block is the part itself, so no [X; 0] is ever assembled.
-Total ranks do the same over d_k and the partner's d_{2n-1-k}, and
-`frolicher` reduces only d_0 ... d_{n-1} where the partner is the complex
-itself, a pair of levels (s, t) giving one of levels (n - t, n - s).
+keys whose blocks the axioms show to have its rank (`Analysis.orbit`):
+the key itself; the one part stored of a [d1; d2] or [d1 | d2] block
+that has exactly one, since rank [X; 0] = rank [X | 0] = rank X; the
+mirror M, (p, q) -> (q, p), of each, on a complex with a real structure
+that `validate` has found valid; and the Serre partner S,
+(p, q) -> (n - p, n - q) with the shift `_KINDS` gives, of each of
+those, on a complex found valid whose Serre record (None, n) makes it
+its own partner (`Analysis.partner`).  A rank not stored is read from
+the first key of its orbit that is stored, or absent and so of rank 0;
+failing that its own block is ranked once, and the rank is stored under
+every key.  A lone part's block is the part itself, so no [X; 0] is ever
+assembled.  Total ranks do the same over d_k and d_{2n-1-k}, and
+`frolicher` reduces only d_0 ... d_{n-1} on such a complex, a pair of
+levels (s, t) giving one of levels (n - t, n - s).  No rank is ever
+stored on another complex's Analysis.
 
 Two constructions write the Serre record, each with its proof once: a
 Lie-algebra model whose Serre pairing checks (`models.lie_algebra_model`)
@@ -127,15 +129,18 @@ of a complex a found valid writes (a, n).  M keeps rank because sigma
 carries each block to its mirror's conjugate between invertible factors;
 S on a model because the Serre pairing A -> dual(A, n) has
 signed-permutation blocks and, where it is a morphism of double
-complexes, each block is its partner's transpose between them; S on a
-dual because each block of the dual is a signed transpose of its
-partner, and its d1 d2 minus the transpose of the partner's d2 d1, which
-is -(d1 d2) on the valid source (the proofs are in `Analysis`,
-`frolicher` and `complexes.dual`).  The row table after the column table
-then ranks nothing, and the five tables of a validated nil5 rank 37
-blocks, against 72 with the mirror alone and 126 on a copy never
-validated.  After the source's five tables the dual's rank nothing, and
-after the dual's the source's rank nothing.
+complexes, each block is its partner's transpose between them.  The
+record (a, n) is read a whole table at a time: each block of the dual
+is a signed transpose of its partner on a, and its d1 d2 minus the
+transpose of a's d2 d1, which is -(d1 d2) on the valid a, so each table
+of the dual is a table of a reflected, its column, row and de Rham
+tables a's own and its Bott-Chern and Aeppli tables a's Aeppli and
+Bott-Chern (`Analysis.table`; the proofs are in `Analysis`, `frolicher`
+and `complexes.dual`).  The row table after the column table then ranks
+nothing, and the five tables of a validated nil5 rank 37 blocks, against
+72 with the mirror alone and 126 on a copy never validated.  After a's
+five tables the dual's are five dict reads; called first, they find a's
+tables on a's Analysis, and the dual's own Analysis stores no rank.
 `induced_cohomology_map` reads both sides' spaces from the Analysis, and
 the source's coset representatives, and reads each key's map off one
 elimination of the target frame (`linalg._induced_map`); the map is kept
@@ -247,8 +252,8 @@ def _product(blocks: list[Matrix]) -> Matrix:
 #           or _product;
 #   mirror  the kind at (q, p) that a valid real structure carries it to;
 #   serre   (kind, dp, dq), its Serre partner at (n - p + dp, n - q + dq)
-#           on the complex b of the Serre record (b, n): a block of equal
-#           rank, on a model its own and on dual(a, n) one of a's.
+#           on a complex with the Serre record (None, n), a model's: a
+#           block of equal rank on the same complex.
 _Kind = namedtuple("_Kind", "parts join mirror serre")
 _KINDS = {
     "d1": _Kind((("d1", 0, 0),), None, "d2", ("d1", -1, 0)),
@@ -257,6 +262,11 @@ _KINDS = {
     "d1|d2": _Kind((("d1", -1, 0), ("d2", 0, -1)), hstack, "d1|d2", ("d1;d2", 0, 0)),
     "d1d2": _Kind((("d1", 0, 1), ("d2", 0, 0)), _product, "d1d2", ("d1d2", -1, -1)),
 }
+
+# The table of b that each table of a complex with the Serre record (b, n)
+# is, reflected: Bott-Chern and Aeppli trade places, and every other kind
+# is b's own (see Analysis).
+_SERRE_TABLES = {"bott_chern": "aeppli", "aeppli": "bott_chern"}
 
 # The four bidegree cohomologies, each at (p, q) the kernel of its out
 # block modulo the image of its into block, each block (kind, dp, dq) the
@@ -280,9 +290,10 @@ def _support(a: DoubleComplex, parts, join) -> set[BiDegree]:
 class Analysis:
     """What the tables of one complex share, each part made on first use.
 
-    `Analysis.of(a)` is kept on a and dies with it.  It holds the rank of
-    each total differential (`total_ranks`, which `frolicher` fills as a
-    by-product), one rank memo for the blocks of the four bidegree tables,
+    `Analysis.of(a)` is kept on a and dies with it.  It holds each table
+    found, by kind (`table`), the rank of each total differential
+    (`total_ranks`, which `frolicher` fills as a by-product), one rank memo
+    for the blocks of the four bidegree tables,
     the product d1 d2 out of each bidegree that a rank or a containment
     check needed, and the cycles and boundaries of every table that an
     induced map reads, with the coset representatives of those it maps out
@@ -308,18 +319,18 @@ class Analysis:
     [d1 | d2] block with exactly one part stored, on any complex; the
     mirror M, to the kind `_KINDS` names at (q, p), once `validate` has
     found a complex with a real structure valid; and the Serre map S, to
-    the partner `_KINDS` names at (n - p + dp, n - q + dq) on the complex
-    b, where `partner` gives (b, n).  M and S are involutions and commute:
+    the partner `_KINDS` names at (n - p + dp, n - q + dq), where
+    `partner` gives n.  M and S are involutions and commute:
     M S and S M both send d1 out of (p, q) to d2 out of (n-q, n-p-1), d2 to
     d1 out of (n-q-1, n-p), [d1; d2] out of (p, q) to [d1 | d2] into
     (n-q, n-p) and back, and d1 d2 to d1 d2 out of (n-q-1, n-p-1); and M
     and S carry the lone part of a block to the lone part of its image.
     So `orbit` gives k and Lk, the mirrors of those, and the partners of
-    all four, each pair (Analysis, key).  On a miss, `rank` reads the
-    first pair that is stored, or absent and so of rank 0; failing that
+    all four, each a key of this Analysis.  On a miss, `rank` reads the
+    first key that is stored, or absent and so of rank 0; failing that
     it ranks its own block once (`block`, which is the part itself for a
-    lone part) and stores the rank under every pair, on b too.  Total
-    ranks do the same with d_k and b's d_{2n-1-k} (`total_rank`).  A
+    lone part) and stores the rank under every key.  Total ranks do the
+    same with d_k and d_{2n-1-k} (`total_rank`).  A
     complex with neither sigma nor a Serre record has the key, and the
     lone part of a joined block, for its orbit.  After `dolbeault` and
     `conjugate_dolbeault`, `bott_chern` and `aeppli` then rank only d1 d2
@@ -342,18 +353,29 @@ class Analysis:
     of (q, p).  Then `conjugate_dolbeault` after `dolbeault` ranks nothing,
     and `bott_chern` and `aeppli` rank about half their blocks.
 
-    S is exact on a dual.  `complexes.dual(a, n)` of an a that `validate`
-    found valid writes the record (a, n).  Write p* = n - p, q* = n - q.
-    The dual's d1 and d2 out of (p, q) are e T(d1^{p*-1,q*}) and
-    e T(d2^{p*,q*-1}), with T the transpose and e = (-1)^{p+q+1}, so its
-    [d1; d2] out of (p, q) is e T[d1 | d2] into (p*, q*), its [d1 | d2]
-    into (p, q) is (-1)^{p+q} T[d1; d2] out of (p*, q*), and its d_k is
-    (-1)^{k+1} T(d_{2n-1-k}) with the components reordered: equal ranks on
-    any a.  Its d1 d2 out of (p, q) is the product of two consecutive
-    signs, -1, times T(d2 d1) out of (p* - 1, q* - 1), which has the rank
-    of d1 d2 there only where d2 d1 = -d1 d2, on a valid a; so the record
-    is written with the verdict and nowhere else.  The dual holds a
-    strongly, so a's ranks outlive a name for a.
+    S is exact on a dual, a whole table at a time.  `complexes.dual(a, n)`
+    of an a that `validate` found valid writes the record (a, n).  Write
+    p* = n - p, q* = n - q.  The dual's d1 and d2 out of (p, q) are
+    e T(d1^{p*-1,q*}) and e T(d2^{p*,q*-1}), with T the transpose and
+    e = (-1)^{p+q+1}.  So its d2 out of (p, q) and into (p, q) have the
+    ranks of a's d2 into and out of (p*, q*), and its column table at
+    (p, q) is a's at (p*, q*); the row table likewise with d1.  Its d_k is
+    (-1)^{k+1} T(d_{2n-1-k}) with the components reordered, so its de
+    Rham table at k is a's at 2n - k.  Its [d1; d2] out of (p, q) is
+    e T[d1 | d2] into (p*, q*), and its [d1 | d2] into (p, q) is
+    (-1)^{p+q} T[d1; d2] out of (p*, q*).  Its d1 d2 out of (p, q) is the
+    product of two consecutive signs, -1, times T(d2 d1) out of
+    (p* - 1, q* - 1), which is T(d1 d2) there where d2 d1 = -d1 d2, on a
+    valid a; so its d1 d2 out of and into (p, q) have the ranks of a's
+    d1 d2 into and out of (p*, q*).  Its Bott-Chern table at (p, q),
+    dim - rank [d1; d2] out - rank d1 d2 into, is then a's Aeppli table
+    at (p*, q*), dim - rank d1 d2 out - rank [d1 | d2] into, and its
+    Aeppli table a's Bott-Chern table.  So `table` reads each table of
+    the dual off a's, reflected, with `_SERRE_TABLES` naming the kind,
+    and the dual ranks nothing of its own.  The Bott-Chern and Aeppli
+    step needs a valid a, so the record is written with the verdict and
+    nowhere else.  The dual holds a strongly, so a's tables outlive a
+    name for a.
 
     S is exact on a model.  A Lie-algebra model of complex dimension n
     whose Serre pairing P: A -> dual(A, n) is a morphism of double
@@ -397,6 +419,7 @@ class Analysis:
         self._d1d2: dict[BiDegree, Matrix] = {}
         self._spaces: dict[tuple[str, object], tuple[Matrix, Matrix]] = {}
         self._reps: dict[tuple[str, object], Matrix] = {}
+        self._tables: dict[str, dict] = {}
 
     @classmethod
     def of(cls, a: DoubleComplex) -> "Analysis":
@@ -416,23 +439,23 @@ class Analysis:
         proved it valid as it built it and recorded the empty list."""
         return self.complex._violations == ()
 
-    def partner(self) -> tuple["Analysis", int] | None:
-        """(the Analysis of b, n) for a complex with the Serre record (b, n)
-        that `validate` has found valid, this Analysis itself where b is
-        None; None for any other complex.  `valid` is read on every call,
-        since a complex may be validated after its Analysis is made."""
+    def partner(self) -> int | None:
+        """n for a complex with the Serre record (None, n), its own Serre
+        partner, that `validate` has found valid; None for any other
+        complex.  A dual's record (b, n) is read by `table`, a whole table
+        at a time, and never here.  `valid` is read on every call, since a
+        complex may be validated after its Analysis is made."""
         serre = self.complex._serre
-        if serre is None or not self.valid():
+        if serre is None or serre[0] is not None or not self.valid():
             return None
-        b, n = serre
-        return (self if b is None else Analysis.of(b)), n
+        return serre[1]
 
-    def orbit(self, kind: str, p: int, q: int) -> list[tuple["Analysis", tuple[str, int, int]]]:
-        """The (Analysis, key) pairs whose blocks the class notes show to
-        have the rank of the `kind` block at (p, q), itself first: the one
-        part stored of a joined block that has exactly one, the mirror M
-        of each where a real structure was found valid, and the key at S
-        on the partner of each of those where `partner` gives one."""
+    def orbit(self, kind: str, p: int, q: int) -> list[tuple[str, int, int]]:
+        """The keys whose blocks the class notes show to have the rank of
+        the `kind` block at (p, q), itself first: the one part stored of a
+        joined block that has exactly one, the mirror M of each where a
+        real structure was found valid, and the Serre partner S of each of
+        those where `partner` gives n."""
         parts, join, _, _ = _KINDS[kind]
         keys = [(kind, p, q)]
         if join is vstack or join is hstack:
@@ -442,12 +465,10 @@ class Analysis:
                 keys += present
         if self.complex.sigma is not None and self.valid():
             keys += [(_KINDS[k].mirror, y, x) for k, x, y in keys]
-        pairs = [(self, key) for key in keys]
-        if (partner := self.partner()) is not None:
-            b, n = partner
-            pairs += [(b, (other, n - x + dp, n - y + dq))
-                      for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
-        return pairs
+        if (n := self.partner()) is not None:
+            keys += [(other, n - x + dp, n - y + dq)
+                     for k, x, y in keys for other, dp, dq in (_KINDS[k].serre,)]
+        return keys
 
     def support(self, kind: str) -> set[BiDegree]:
         """The bidegrees at which the `kind` block is not absent, found on
@@ -499,48 +520,68 @@ class Analysis:
         "d1;d2" the stacked [d1; d2] out of it, "d1|d2" the joined
         [d1 | d2] into it, or "d1d2" the product d1 d2 out of it.
 
-        The rank of the first pair of the block's `orbit` that is stored,
+        The rank of the first key of the block's `orbit` that is stored,
         or absent and so of rank 0, is read.  Failing that, `linalg.rank`
         ranks m, the block the caller has built, or the block built here
-        (`block`), once, and the rank is stored under every pair.
+        (`block`), once, and the rank is stored under every key.
         """
         key = (kind, p, q)
         found = self._ranks.get(key)
         if found is None:
             a = self.complex
             # With neither sigma nor a record, a single block is its own orbit.
-            pairs = (((self, key),) if a.sigma is None and a._serre is None
-                     and _KINDS[kind].join not in (vstack, hstack) else self.orbit(kind, p, q))
-            for memo, other in pairs:
-                found = 0 if memo.absent(*other) else memo._ranks.get(other)
+            keys = ((key,) if a.sigma is None and a._serre is None
+                    and _KINDS[kind].join not in (vstack, hstack) else self.orbit(kind, p, q))
+            for other in keys:
+                found = 0 if self.absent(*other) else self._ranks.get(other)
                 if found is not None:
                     break
             else:
                 found = rank(self.block(kind, p, q) if m is None else m)
-            for memo, other in pairs:
-                memo._ranks[other] = found
+            for other in keys:
+                self._ranks[other] = found
         return found
 
     def total_rank(self, k: int) -> int:
-        """rank d_k, read like a block rank (`rank`) over the pairs
-        (self, k) and, where `partner` gives (b, n), (b, 2n - 1 - k): a
-        pair is absent, d_j being zero, where no stored d1 or d2 block
-        leaves a bidegree of degree j.  Failing both, `linalg.rank` ranks
-        d_k, stored under both."""
+        """rank d_k, read like a block rank (`rank`) over the degrees k and,
+        where `partner` gives n, 2n - 1 - k: d_j is absent, and zero, where
+        no stored d1 or d2 block leaves a bidegree of degree j.  Failing
+        both, `linalg.rank` ranks d_k, stored under both."""
         found = self.total_ranks.get(k)
         if found is None:
-            pairs = [(self, k)]
-            if (partner := self.partner()) is not None:
-                b, n = partner
-                pairs.append((b, 2 * n - 1 - k))
-            for memo, j in pairs:
-                found = 0 if j not in memo.totalization.moving else memo.total_ranks.get(j)
+            n = self.partner()
+            degrees = [k] if n is None else [k, 2 * n - 1 - k]
+            tot = self.totalization
+            for j in degrees:
+                found = 0 if j not in tot.moving else self.total_ranks.get(j)
                 if found is not None:
                     break
             else:
-                found = rank(self.totalization.differential(k))
-            for memo, j in pairs:
-                memo.total_ranks[j] = found
+                found = rank(tot.differential(k))
+            for j in degrees:
+                self.total_ranks[j] = found
+        return found
+
+    def table(self, kind: str) -> dict:
+        """The nonzero entries of the `kind` table in sorted bidegree, or
+        degree, order, made on the first call and kept.  On a complex with
+        the Serre record (b, n), they are b's table of the kind
+        `_SERRE_TABLES` names read at (n - p, n - q), or at 2n - k for de
+        Rham; on any other, `_bidegree_table` or `_de_rham` finds them.
+        The table functions hand out a fresh CohomologyTable of them, so no
+        caller holds the kept dict."""
+        found = self._tables.get(kind)
+        if found is None:
+            b, n = self.complex._serre or (None, 0)
+            if b is None:
+                made = _de_rham(self) if kind == "de_rham" else _bidegree_table(self, kind)
+                found = {x: h for x, h in made.items() if h}
+            else:
+                # b's entries run in sorted order, which reflecting reverses.
+                source = reversed(Analysis.of(b).table(_SERRE_TABLES.get(kind, kind)).items())
+                found = ({2 * n - k: h for k, h in source} if kind == "de_rham"
+                         else {(n - p, n - q): h for (p, q), h in source})
+            self._tables[kind] = found
         return found
 
     def spaces(self, kind: str, x) -> tuple[Matrix, Matrix]:
@@ -576,14 +617,18 @@ class Analysis:
         return self._reps[(kind, x)]
 
 
-def de_rham(a: DoubleComplex) -> CohomologyTable:
-    """Total cohomology: dim T^k - rank d_k - rank d_{k-1}, with the ranks
-    from the complex's Analysis."""
-    memo = Analysis.of(a)
+def _de_rham(memo: Analysis) -> dict[int, int]:
+    """dim T^k - rank d_k - rank d_{k-1} at each degree k, each rank from
+    `Analysis.total_rank`."""
     tot = memo.totalization
     ranks = {k: memo.total_rank(k) for k in tot.degrees()}
-    return CohomologyTable("de_rham", {k: tot.dim(k) - r - ranks.get(k - 1, 0)
-                                       for k, r in ranks.items()})
+    return {k: tot.dim(k) - r - ranks.get(k - 1, 0) for k, r in ranks.items()}
+
+
+def de_rham(a: DoubleComplex) -> CohomologyTable:
+    """Total cohomology: dim T^k - rank d_k - rank d_{k-1}, kept on the
+    complex's Analysis (`Analysis.table`)."""
+    return CohomologyTable("de_rham", Analysis.of(a).table("de_rham"))
 
 
 def betti_vector(a: DoubleComplex) -> tuple[int, ...]:
@@ -610,19 +655,18 @@ def _contained(out: Matrix, into: Matrix) -> None:
         raise NotASubspace("denominator is not contained in numerator")
 
 
-def _bidegree_table(a: DoubleComplex, kind: str) -> CohomologyTable:
+def _bidegree_table(memo: Analysis, kind: str) -> dict[BiDegree, int]:
     """dim A^{p,q} - rank(out) - rank(into) at every (p, q), for the blocks
     `_COHOMOLOGIES` names for `kind`.  Every rank comes from the complex's
     Analysis, and an absent block is not ranked.  Where a block is joined
     and the complex is not known valid, im(into) <= ker(out) is checked
     first, NotASubspace raised where it fails, and the two blocks it
     multiplied are the ones ranked (see the module notes)."""
-    memo = Analysis.of(a)
     (out, op, oq), (into, ip, iq) = _COHOMOLOGIES[kind]
     live_out, live_into = memo.support(out), memo.support(into)
     check = not memo.valid() and (_KINDS[out].join or _KINDS[into].join) is not None
     entries = {}
-    for (p, q), n in sorted(a.dims.items()):
+    for (p, q), n in sorted(memo.complex.dims.items()):
         has_out, has_into = (p + op, q + oq) in live_out, (p + ip, q + iq) in live_into
         m_out = m_into = None
         if check and has_out and has_into:
@@ -633,19 +677,19 @@ def _bidegree_table(a: DoubleComplex, kind: str) -> CohomologyTable:
         if has_into:
             n -= memo.rank(into, p + ip, q + iq, m_into)
         entries[(p, q)] = n
-    return CohomologyTable(kind, entries)
+    return entries
 
 
 def dolbeault(a: DoubleComplex) -> CohomologyTable:
     """Column cohomology: dim - rank(d2 out) - rank(d2 in), each block ranked
     once, through the complex's Analysis."""
-    return _bidegree_table(a, "dolbeault")
+    return CohomologyTable("dolbeault", Analysis.of(a).table("dolbeault"))
 
 
 def conjugate_dolbeault(a: DoubleComplex) -> CohomologyTable:
     """Row cohomology: dim - rank(d1 out) - rank(d1 in), each block ranked
     once, through the complex's Analysis."""
-    return _bidegree_table(a, "conjugate_dolbeault")
+    return CohomologyTable("conjugate_dolbeault", Analysis.of(a).table("conjugate_dolbeault"))
 
 
 def bott_chern(a: DoubleComplex) -> CohomologyTable:
@@ -656,7 +700,7 @@ def bott_chern(a: DoubleComplex) -> CohomologyTable:
     and NotASubspace raised otherwise.  Every rank comes from the complex's
     Analysis, d1 d2 shared with aeppli.
     """
-    return _bidegree_table(a, "bott_chern")
+    return CohomologyTable("bott_chern", Analysis.of(a).table("bott_chern"))
 
 
 def aeppli(a: DoubleComplex) -> CohomologyTable:
@@ -667,7 +711,7 @@ def aeppli(a: DoubleComplex) -> CohomologyTable:
     and NotASubspace raised otherwise.  Every rank comes from the complex's
     Analysis, d1 d2 shared with bott_chern.
     """
-    return _bidegree_table(a, "aeppli")
+    return CohomologyTable("aeppli", Analysis.of(a).table("aeppli"))
 
 
 # The five tables by kind: the one map every caller dispatches through.
@@ -758,10 +802,10 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     level; on the row filtration, where components run by increasing p and
     so by decreasing q, that order is the reverse of the coordinates'.
 
-    Serre mirror.  Where `Analysis.partner` gives the complex itself and
-    N, on a Lie-algebra model of complex dimension N found valid whose
-    Serre pairing checks (see `Analysis`), only d_0 ... d_{N-1} are reduced, in the order above, with their
-    clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
+    Serre mirror.  Where `Analysis.partner` gives N, on a Lie-algebra
+    model of complex dimension N found valid whose Serre pairing checks
+    (see `Analysis`), only d_0 ... d_{N-1} are reduced, in the order
+    above, with their clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
     pair of d_k with levels (N - t, N - s), of the same length.  The pairing makes d_k the
     transpose of d_{2N-1-k} between signed permutations that send a
     component (p, q) to (N - p, N - q).  So the sources of d_k of level
@@ -797,8 +841,7 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     # Degree -> its pairs counted by (source level, target level).
     found: dict[int, dict[tuple[int, int], int]] = {}
     # N, the complex dimension, where the Serre mirror applies.
-    partner = memo.partner()
-    serre_n = partner[1] if partner is not None and partner[0] is memo else None
+    serre_n = memo.partner()
     for n in tot.degrees():
         if serre_n is not None and n >= serre_n:
             counts = {(serre_n - t, serre_n - s): count for (s, t), count

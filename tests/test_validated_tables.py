@@ -270,7 +270,7 @@ def test_validate_of_a_built_model_multiplies_nothing():
         assert reference_validate(d) == [], i
 
 
-# -- the dual inherits the verdict and the ranks -------------------------------------
+# -- the dual inherits the verdict and the tables -------------------------------------
 
 
 def dual_cases():
@@ -339,9 +339,8 @@ DUAL_KIND = dict(zip(TABLES, TABLES)) | {"bott_chern": "aeppli", "aeppli": "bott
 
 def test_the_dual_of_a_valid_complex_reads_its_ranks_off_its_source():
     """After the five tables of a validated a, no table of dual(a, n) ranks
-    or multiplies anything: each block rank is read off a's Analysis at its
-    Serre partner, and rank d_k off a's d_{2n-1-k}.  Each table is the one
-    of a that duality reflects onto it."""
+    or multiplies anything: each is read off a's table of the kind that
+    duality reflects onto it, and equals that table reflected."""
     codes = (linalg.rank.__code__, linalg._accumulate.__code__)
     for build, n in dual_cases():
         a = build()
@@ -355,24 +354,57 @@ def test_the_dual_of_a_valid_complex_reads_its_ranks_off_its_source():
 
 
 def test_the_dual_stores_its_ranks_on_its_source():
-    """With a's tables never computed, the dual's tables rank the dual's
-    blocks and store each rank on a's Analysis too, under the Serre partner
-    of the dual's key, and rank d_k under a's d_{2n-1-k}.  a's tables
-    called afterwards then rank nothing, d1 d2 included: on a valid
-    complex a d1 d2 block whose d2 d1 has an absent factor is absent too,
-    on both sides.  They give the tables of a copy never validated."""
+    """With a's tables never computed, the dual's tables are a's tables
+    reflected, and a's are found on a's Analysis: the dual's own Analysis
+    stores no rank and no total rank, while a's holds the ranks of its own
+    blocks.  a's tables called afterwards are read from its table memo and
+    make no `linalg.rank` call.  They give the tables of a copy never
+    validated."""
     for build, n in dual_cases()[-3:] + dual_cases()[::10]:
         a = build()
         assert validate(a) == []
         d = dual(a, n)
-        tables(d, TABLES)
-        mine, theirs = Analysis.of(a), Analysis.of(d)
-        for key, r in theirs._ranks.items():
-            assert mine._ranks[serre_partner(key, n)] == r, key
-        for k, r in theirs.total_ranks.items():
-            assert mine.total_ranks[2 * n - 1 - k] == r, k
+        theirs = tables(d, TABLES)
+        mine = Analysis.of(a)
+        assert Analysis.of(d)._ranks == {} and Analysis.of(d).total_ranks == {}
+        assert mine._ranks and wrong_ranks([a]) == []
         assert call_log((linalg.rank.__code__,), tables, a, TABLES) == []
-        assert tables(a, TABLES) == tables(build(), TABLES)
+        want = tables(build(), TABLES)
+        assert tables(a, TABLES) == want
+        for kind in TABLES:
+            assert theirs[kind].entries == reflected(want[DUAL_KIND[kind]], n), kind
+
+
+def test_the_dual_of_a_tabled_complex_walks_no_orbit():
+    """After a's five tables, the five tables of dual(a, n) are five table
+    reads: no `Analysis.orbit`, `Analysis.rank` or `Analysis.total_rank`
+    call, on either complex."""
+    codes = (Analysis.orbit.__code__, Analysis.rank.__code__, Analysis.total_rank.__code__)
+    for build, n in dual_cases()[-3:] + dual_cases()[::10]:
+        a = build()
+        assert validate(a) == []
+        tables(a, TABLES)
+        d = dual(a, n)
+        assert call_log(codes, tables, d, TABLES) == []
+
+
+def test_a_returned_table_is_a_copy():
+    """Each call returns a fresh CohomologyTable: emptying or editing the
+    entries of one leaves the next call's table of that complex, and of
+    its dual, unchanged."""
+    for build, n in dual_cases()[-3:]:
+        a = build()
+        assert validate(a) == []
+        d = dual(a, n)
+        for c in (a, d):
+            want = tables(build() if c is a else dual(build(), n), TABLES)
+            for kind, table in tables(c, TABLES).items():
+                first = next(iter(table.entries))
+                table.entries[first] += 1
+                table.entries[("x", "y")] = 7
+                assert TABLES[kind](c) == want[kind], kind
+                table.entries.clear()
+                assert TABLES[kind](c) == want[kind], kind
 
 
 def test_the_dual_of_the_dual_gives_the_tables_of_a():
