@@ -118,7 +118,7 @@ the first key of its orbit that is stored, or absent and so of rank 0;
 failing that its own block is ranked once, and the rank is stored under
 every key.  A lone part's block is the part itself, so no [X; 0] is ever
 assembled.  Total ranks do the same over d_k and d_{2n-1-k}, and
-`frolicher` reduces only d_0 ... d_{n-1} on such a complex, a pair of
+`frolicher` reduces at most d_0 ... d_{n-1} on such a complex, a pair of
 levels (s, t) giving one of levels (n - t, n - s).  No rank is ever
 stored on another complex's Analysis.
 
@@ -151,7 +151,13 @@ eliminates nothing.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
 peel, then one-step Bareiss on lists if the core has no zero entry, or else
-the sparsest-row rule on it) and stores them.
+the sparsest-row rule on it) and stores them.  Called after them,
+`frolicher` reads back a held E1 table (`dolbeault`, or
+`conjugate_dolbeault` for rows) and the held ranks: a degree whose rank
+equals the sum of the d2 (d1) ranks the table gives has only pairs of
+length 0, and is read, not reduced (the proof is in `frolicher`).  A
+random pass, which runs the tables first, reduces 8 of the 51 total
+differentials it pairs: 8 no block leaves, and 35 are read.
 `bott_chern` reads the rank of d1 d2 into (p, q) and `aeppli` that of d1 d2
 out of (p, q), so whichever runs second ranks no product.  The Analysis is
 kept on the complex and dies with it; an equal complex built separately
@@ -770,6 +776,27 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     a target end of d_{n-1} at that of degree n and level p.  One histogram
     of ends by bidegree and length gives every page.  The number of pairs
     of d_n is rank d_n, which goes to the complex's Analysis for de_rham.
+    A degree that no stored block leaves has d_n = 0 and no pair, and is
+    neither assembled nor reduced.
+
+    Length-0 pairs.  d2 keeps the level p and d1 raises it by 1, so
+    rho_n(s, s+1), the rank of F^s T^n -> T^{n+1} / F^{s+1} T^{n+1}, is
+    rank d2^{s,n-s}: it counts the pairs of d_n with source level s and
+    length 0.  Every pair has length >= 0, so where
+    sum_s rank d2^{s,n-s} = rank d_n every pair of d_n has length 0, its
+    counts are {(s, s): rank d2^{s,n-s}}, and d_n needs no reduction.  A
+    sum of dots and squares, whose sequence degenerates at E1 (Deligne,
+    Griffiths, Morgan & Sullivan, Invent. Math. 1975; Stelzig,
+    arXiv:1812.00865), meets this in every degree.  Both sides are read,
+    never computed: the ranks of d2 from the E1 table the complex's
+    Analysis holds, if `dolbeault` has run, by one recursion up each
+    column from its lowest bidegree,
+    rank d2 out of (p, q) = dim A^{p,q} - h^{p,q} - rank d2 out of (p, q-1),
+    and rank d_n from the Analysis's total ranks, if `de_rham` or an
+    earlier Frolicher call has stored it.  A degree missing either is
+    reduced, so a complex that holds neither is paired as before.  The row
+    filtration is the same with d1, q and `conjugate_dolbeault`, the
+    recursion running along each row.
 
     Clearing (Chen & Kerber, "Persistent homology computation with a
     twist", EuroCG 2011).  The degrees are paired in increasing order, and
@@ -791,6 +818,8 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     the forward pass, it is the leading coordinate of some z = d_{n-1}(x),
     and d_n z = 0 writes row y of d_n's transpose through rows of later
     index, hence of level >= level(y): the classic form of the lemma.
+    Clearing is optional, so a degree reduced after one that was read, or
+    not moving, clears nothing.
 
     Peel.  Before the forward pass, `filtered_pivots` pairs singletons that
     respect the levels: a source coordinate with one entry left, whose
@@ -804,8 +833,8 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
 
     Serre mirror.  Where `Analysis.partner` gives N, on a Lie-algebra
     model of complex dimension N found valid whose Serre pairing checks
-    (see `Analysis`), only d_0 ... d_{N-1} are reduced, in the order
-    above, with their clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
+    (see `Analysis`), only d_0 ... d_{N-1} are reduced or read, in the
+    order above, with their clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
     pair of d_k with levels (N - t, N - s), of the same length.  The pairing makes d_k the
     transpose of d_{2N-1-k} between signed permutations that send a
     component (p, q) to (N - p, N - q).  So the sources of d_k of level
@@ -832,8 +861,18 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
         order = sorted(a.dims, key=lambda pq: (pq[1], pq[0]))
     memo = Analysis.of(a)
     tot = memo.totalization
-    levels = {n: [level(pq) for pq in parts for _ in range(a.dim(*pq))]
-              for n, parts in tot.components.items()}
+    # Degree -> its length-0 pair counts, read off a held E1 table: the rank
+    # of d2 (d1 for rows) out of each component, up its column (row).
+    flat: dict[int, dict[tuple[int, int], int]] = {}
+    held = memo._tables.get("dolbeault" if direction == "column" else "conjugate_dolbeault")
+    if held is not None:
+        out: dict[BiDegree, int] = {}
+        for pq in order:
+            n, s = sum(pq), level(pq)
+            out[pq] = a.dim(*pq) - held.get(pq, 0) - out.get(at(n - 1, s), 0)
+            if out[pq]:
+                flat.setdefault(n, {})[(s, s)] = out[pq]
+    levels: dict[int, list[int]] = {}
     # ends[pq][length]: the pair ends at pq of each length < last.
     ends = {pq: [0] * last for pq in a.dims}
     # Degree -> the coordinates of T^n that d_{n-1}'s pairs end at.
@@ -846,8 +885,16 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
         if serre_n is not None and n >= serre_n:
             counts = {(serre_n - t, serre_n - s): count for (s, t), count
                       in found.get(2 * serre_n - 1 - n, {}).items()}
+        elif n not in tot.moving:
+            counts = {}
+        elif n in flat and sum(flat[n].values()) == memo.total_ranks.get(n):
+            counts = flat[n]
         else:
-            source, target = levels[n], levels.get(n + 1, [])
+            for k in (n, n + 1):
+                if k not in levels:
+                    levels[k] = [level(pq) for pq in tot.components.get(k, ())
+                                 for _ in range(a.dim(*pq))]
+            source, target = levels[n], levels[n + 1]
             pairs = filtered_pivots(tot.differential(n), source, target, hit.pop(n, ()))
             hit[n + 1] = {i for _, i in pairs}
             counts = Counter((source[j], target[i]) for j, i in pairs)

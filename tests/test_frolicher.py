@@ -1,15 +1,21 @@
 """Frolicher pages: the rank formula against the subquotient construction
 and the transposed route, the pairs behind it against the unpeeled
-reduction, its elimination count, and the nilmanifold models."""
+reduction, its elimination count, the degrees it reads off a held E1 table
+instead of reducing, and the nilmanifold models."""
 
 import random
 
 import pytest
 
 from bicomplex import (
+    DoubleComplex,
     betti_vector,
     blow_up,
+    conjugate_dolbeault,
+    de_rham,
+    direct_sum_many,
     dolbeault,
+    dot,
     euler_characteristic,
     frolicher,
     iwasawa,
@@ -17,14 +23,17 @@ from bicomplex import (
     parse_model_file,
     projective_bundle,
     random_complex,
+    square,
     torus,
+    validate,
     zigzag,
 )
 from bicomplex import cohomology, linalg
 from bicomplex.cohomology import Analysis, Totalization
 from bicomplex.linalg import Matrix, _echelon, filtered_pivots
-from call_counter import call_log, calls_into
+from call_counter import arguments_of, call_log, calls_into
 from helpers import never_validated
+from oracles import bareiss_rank
 from reference_frolicher import reference_frolicher, transposed_row_pages
 from test_acceptance import PROPERTY_CASES
 
@@ -264,3 +273,107 @@ def test_dim5_nilmanifold_pages():
     assert row.pages == tuple((r, flip(t)) for r, t in column.pages)
     assert row.degeneration_page == column.degeneration_page
     assert row.e_infinity == flip(column.e_infinity)
+
+
+# -- degrees read off a held E1 table ---------------------------------------------
+
+
+def with_held_tables(a):
+    """a, validated, with its column, row and de Rham tables held: every
+    degree whose pairs those fix is then read, not reduced."""
+    validate(a)
+    dolbeault(a), conjugate_dolbeault(a), de_rham(a)
+    return a
+
+
+def without_sigma(a):
+    return DoubleComplex(a.dims, a.d1, a.d2)
+
+
+def held_route_cases():
+    """(name, build) pairs: the property suite, with and without sigma, and
+    nil4, nil5 and Iwasawa, each as built (sigma and Serre record) and as a
+    copy with neither."""
+    models = {"nil4": lambda: model(NIL4, "nil4"), "nil5": lambda: model(NIL5, "nil5"),
+              "iwasawa": lambda: iwasawa().complex}
+    cases = [(f"random{seed}", lambda c=(seed, window, size, sigma):
+              random_complex(c[0], c[1], c[2], with_sigma=c[3]))
+             for seed, window, size, sigma in PROPERTY_CASES]
+    for name, build in models.items():
+        cases += [(name, build), (f"{name}-no-sigma", lambda b=build: without_sigma(b()))]
+    return cases
+
+
+def test_the_held_route_matches_a_fresh_copy_and_the_subquotients():
+    """Frolicher after the tables, which reads the degrees whose pairs all
+    have length 0, gives the pages of a fresh copy, which reduces every
+    moving degree, and those of the subquotient construction, in both
+    directions.  Page 1 is then partly read off the Dolbeault table itself,
+    so the subquotient route is the independent check.  nil5 is compared
+    with its fresh copy only: its subquotient route takes seconds."""
+    read = 0
+    for name, build in held_route_cases():
+        for direction in ("column", "row"):
+            a, fresh = with_held_tables(build()), frolicher(build(), direction)
+            calls = calls_into(filtered_pivots.__code__, frolicher, a, direction)
+            read += len(Totalization.of(a).moving) - calls
+            assert frolicher(a, direction) == fresh, (name, direction)
+            if not name.startswith("nil5"):
+                assert fresh == reference_frolicher(build(), direction), (name, direction)
+    assert read > 700
+
+
+def length_zero_count(a, direction, n):
+    """The pairs of d_n of length 0: the ranks of d2 (d1 for rows) out of
+    the components of T^n, by fraction-free elimination."""
+    blocks = a.d2 if direction == "column" else a.d1
+    return sum(bareiss_rank([m.row(i) for i in range(m.rows)])
+               for (p, q), m in blocks.items() if p + q == n)
+
+
+def test_only_degrees_with_longer_pairs_are_reduced():
+    """After the tables, `filtered_pivots` receives exactly the moving
+    degrees whose rank exceeds their length-0 pair count, in increasing
+    order: on the property suite, and on sigma copies of Iwasawa and nil4
+    without the Serre record, whose upper degrees are then not mirrored."""
+    copies = [DoubleComplex(b.dims, b.d1, b.d2, b.sigma)
+              for b in (iwasawa().complex, model(NIL4, "nil4"))]
+    read = 0
+    for a in property_complexes() + copies:
+        with_held_tables(a)
+        tot = Totalization.of(a)
+        for direction in ("column", "row"):
+            want = [n for n in sorted(tot.moving)
+                    if linalg.rank(tot.differential(n)) > length_zero_count(a, direction, n)]
+            calls = arguments_of(filtered_pivots.__code__, frolicher, a, direction)
+            assert [k for call in calls for k in sorted(tot.moving)
+                    if tot.differential(k) is call["d"]] == want, direction
+            read += len(tot.moving) - len(want)
+    assert read > 700
+
+
+def test_dots_and_squares_reduce_nothing_after_their_tables():
+    """A sum of dots and squares has only pairs of length 0, so once its
+    E1 table and de Rham ranks are held, Frolicher reads every degree:
+    no call to `filtered_pivots` or the kernel, and E1 = E_infinity."""
+    a, _ = direct_sum_many([dot(0, 0), square(0, 0), square(1, 0), dot(1, 1),
+                            square(0, 1), square(1, 1), dot(2, 1), square(2, 2)])
+    de_rham(a)
+    for direction, table in (("column", dolbeault), ("row", conjugate_dolbeault)):
+        assert calls_into(filtered_pivots.__code__, frolicher, a, direction) > 0
+        table(a)
+        codes = (filtered_pivots.__code__, _echelon.__code__)
+        assert call_log(codes, frolicher, a, direction) == []
+        ss = frolicher(a, direction)
+        assert ss == reference_frolicher(a, direction)
+        assert ss.degeneration_page == 1 and ss.page(1) == dict(table(a).entries)
+
+
+def test_frolicher_never_ranks():
+    """Frolicher reads its pairs from `filtered_pivots` or a held table, and
+    never calls `linalg.rank`, before the tables or after them."""
+    # The ten largest random complexes and the six model cases.
+    for name, build in held_route_cases()[-16:]:
+        for direction in ("column", "row"):
+            for a in (build(), with_held_tables(build())):
+                assert calls_into(linalg.rank.__code__, frolicher, a, direction) == 0, name
