@@ -52,34 +52,35 @@ rows times its columns, the whole input or the peel core, goes to
   * the rows of the form are held as dicts col -> (re, im), one for each
     nonzero row only;
   * a step with pivot row r and pivot entry pv replaces each row t holding c
-    in the pivot column by (pv t - c r) / prev, the one-step rule of
-    Bareiss (Math. Comp. 1968), where prev is the pivot entry of the
-    previous step in the divisor chain (every step but the lone pivots,
-    below).  The division is exact over Z[i], because the rows it yields
-    are minors of the starting matrix.  `_combine` builds the new row in
-    one pass over t and r, into one dict, with no product row or
-    difference row in between;
-  * divisors are lazy: a row records the divisor it is current with, and a
-    step that does not touch it does not rescale it.  A later step that
-    touches it divides by that divisor in place of prev, and a row picked
-    as pivot row is first rescaled by prev / (its divisor);
-  * a row untouched so far is the input row as stored.  It is divided by
-    the gcd of its ints only when it first takes part in a step, as pivot
-    row or as a row to clear; that scales one input row, so every later
-    division stays exact, and rows no step reaches cost no arithmetic;
+    in the pivot column by (pv/g) t - (c/g) r, g a gcd of pv and c over
+    Z[i] (`_gcd`, Euclid with rounded quotients), and divides the new row
+    by the gcd of its ints (`_primitive`).  Both divisions are exact.  This
+    is the one division rule: there is no divisor chain, and no row is
+    rescaled to keep up with one.  `_combine` builds the new row in one
+    pass over t and r, into one dict, with no product row or difference
+    row in between;
+  * every row the pass holds is a nonzero multiple of the row that plain
+    Gaussian elimination over Q(i), with the same pivots, holds.  It is so
+    for the input rows, and if t and r are lambda and mu times their
+    Gaussian rows t', r', with entries c' and pv', then
+    (pv/g) t - (c/g) r = (pv/g) lambda (t' - (c'/pv') r'), Gaussian
+    elimination's update times a nonzero scalar; dividing by an int keeps
+    that.  A row and its multiple have the same support, so the lead
+    columns, the buckets, the row lengths and hence every pivot and pivot
+    row are those of Gaussian elimination, whatever the multiples.  The
+    gcd and the content keep the multiples small: in Frolicher's cores of
+    the nilmanifold models no pivot row part exceeds 4 bits on dim 6 and 6
+    on dim 8, where a Bareiss divisor chain reached 57 and 890;
+  * a row untouched so far is the input row as stored, and rows no step
+    reaches cost no arithmetic;
   * the rows not yet pivot rows wait in buckets by their leading column,
     and a heap holds the columns of the nonempty buckets.  A step cancels
     the pivot column of a row and adds only later columns, so the rows a
     pivot must clear are exactly the rest of its bucket, and each survivor
     moves to a later bucket.  A pivot's bookkeeping is bounded by the rows
-    it touches and one heap operation each, not by the live rows;
-  * a pivot alone in its bucket clears nothing: it is recorded, and it is
-    neither rescaled nor made the divisor prev.  Every live row is zero in
-    its column, so the rest of the pass is Bareiss on the matrix without
-    that row and column, and the divisor chain runs only through pivots
-    that clear a row.  On the nilmanifold models about two thirds of the
-    pivots are lone, and keeping them out of the chain keeps the
-    coefficients short;
+    it touches and one heap operation each, not by the live rows.  A pivot
+    alone in its bucket clears nothing: it is recorded, and costs no
+    arithmetic;
   * the kernel is the forward pass only.  Pivot columns (`pivot_columns`,
     hence `image_basis`, `coset_representatives`) need nothing more, and a
     zero matrix, under `rref` too, no elimination at all.  `rref` brings
@@ -103,15 +104,17 @@ counts 1 and drops out with that entry's column or row, until none is left.
 The peel reads only where the entries are, so it does no arithmetic, and
 only the core left over is eliminated.  The Koszul differentials of the
 nilmanifold models peel almost to nothing: their tables reach the kernel a
-handful of times, and the coefficient growth of Bareiss with them.  A core
-with every entry nonzero on its rows and columns, which a matrix with no
-zero entry is from the start, is ranked by `_dense_rank`: the lines of its
-shorter side as lists, every live row updated at every step, with none of
-the kernel's buckets, heap, lazy divisors or lone pivots, which on the
-small dense blocks of random complexes in random coordinates cost more
-than the arithmetic (one `random` bench pass ranks 319 such blocks, most of
-them 2 x 2 to 5 x 3).  Any other core goes to the kernel's forward pass; a
-sparse core held as lists would cost memory quadratic in its size.
+handful of times.  A core with every entry nonzero on its rows and columns,
+which a matrix with no zero entry is from the start, is ranked by
+`_dense_rank`: one-step Bareiss on the lines of its shorter side as lists,
+every live row updated at every step, with none of the kernel's buckets,
+heap, gcds or lone pivots, which on the small dense blocks of random
+complexes in random coordinates cost more than the arithmetic (one `random`
+bench pass ranks 319 such blocks, most of them 2 x 2 to 5 x 3).  It is the
+one place a Bareiss divisor is kept: its rows are minors of the block, and
+dividing by the previous pivot is cheaper there than a gcd per row.  Any
+other core goes to the kernel's forward pass; a sparse core held as lists
+would cost memory quadratic in its size.
 `filtered_pivots` needs only how many pivots pair each level with each
 target level, and peels too.  There `_peel` takes a level per row and a
 target per column: a row singleton is peeled only if no deeper row shares
@@ -122,11 +125,12 @@ its row.  Each such pair then counts in exactly the blocks of rows of level
 need the pivots in column order or the pivot rows, which a peel does not
 give, and call `_echelon` directly.
 
-The pivot rows are defined up to a nonzero Z[i] scalar only: which scalar
-depends on the divisor chain, and callers read pivots, pivot row indices or
-the canonical RREF.  The pivot row is the sparsest candidate, ties to the
-lowest index.  The rows are scalar multiples of those of Gauss-Jordan
-elimination on Q(i), so the choice, and the fill-in, are the same as there.
+The pivot rows are defined up to a nonzero scalar only: which scalar
+depends on the gcds and contents met on the way, and callers read pivots,
+pivot row indices or the canonical RREF.  The pivot row is the sparsest
+candidate, ties to the lowest index.  The rows are scalar multiples of
+those of Gaussian elimination on Q(i), so the choice, and the fill-in, are
+the same as there.
 On the core of `filtered_pivots` each row has a level
 (`cohomology.frolicher` levels each source coordinate of d_n by its
 filtration index).  The pivot row is then the sparsest candidate of the
@@ -577,18 +581,28 @@ def _primitive(row: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
     return {j: (a // g, b // g) for j, (a, b) in row.items()} if g > 1 else row
 
 
+def _gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd of a and b over Z[i], by Euclid with each quotient rounded to
+    the nearest Gaussian integer, so each remainder has at most half the
+    norm of its divisor."""
+    while b != (0, 0):
+        (ar, ai), (br, bi) = a, b
+        n = br * br + bi * bi
+        # The quotient a conj(b) / n, each part rounded.
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
 def _combine(row: dict[int, tuple[int, int]], s: tuple[int, int],
              piv: Mapping[int, tuple[int, int]] = {}, c: tuple[int, int] = (0, 0),
-             d: tuple[int, int] = (1, 0)) -> dict[int, tuple[int, int]]:
-    """(row s - piv c) / d over Z[i], built in one fresh dict: row's columns
-    in row's order, then piv's other columns in piv's order, every zero
-    dropped.  The caller guarantees that the division is exact, and that c
-    is nonzero where piv is not empty."""
+             ) -> dict[int, tuple[int, int]]:
+    """row s - piv c over Z[i], built in one fresh dict: row's columns in
+    row's order, then piv's other columns in piv's order, every zero
+    dropped."""
     sr, si = s
     cr, ci = c
-    dr, di = d
-    n = dr * dr + di * di
-    whole = d == (1, 0)
     out = {}
     for j, (a, b) in row.items():
         x, y = a * sr - b * si, a * si + b * sr
@@ -599,27 +613,30 @@ def _combine(row: dict[int, tuple[int, int]], s: tuple[int, int],
             y -= u * ci + v * cr
             if not (x or y):
                 continue
-        out[j] = (x, y) if whole else ((x * dr + y * di) // n, (y * dr - x * di) // n)
+        out[j] = (x, y)
     for j, (u, v) in piv.items():
         if j not in row:
-            x, y = v * ci - u * cr, -u * ci - v * cr
-            out[j] = (x, y) if whole else ((x * dr + y * di) // n, (y * dr - x * di) // n)
+            out[j] = (v * ci - u * cr, -u * ci - v * cr)
     return out
 
 
 def _echelon(m: Matrix, levels: Sequence[int] | None = None,
              ) -> tuple[list[int], list[dict[int, tuple[int, int]]], list[int]]:
     """Pivot columns of m, its pivot rows, and the index in m of each pivot
-    row, by the forward pass of lazy Bareiss elimination over Z[i] (see the
-    module notes).  Each pivot row is a nonzero Z[i] multiple of its echelon
-    row; which multiple is not defined.
+    row, by the forward pass of fraction-free Gaussian elimination over
+    Z[i] with content-divided rows (see the module notes).  Each pivot row
+    is a nonzero multiple of the row that Gaussian elimination over Q(i)
+    holds, so the pivots and pivot rows are Gaussian elimination's; which
+    multiple is not defined.
 
     Columns are taken in order, each from the least nonempty lead-column
     bucket: its pivot row is the sparsest row of the bucket, ties to the
     lowest index, and the rows to eliminate are the rest of it, which then
-    move to the buckets of their new leading columns.  A pivot alone in its
-    bucket costs no arithmetic and stays out of the divisor chain.  A row is
-    divided by the gcd of its ints when it first takes part in a step.
+    move to the buckets of their new leading columns.  A pivot row piv with
+    pivot entry pv makes each such row t, holding c in the pivot column,
+    into (pv/g) t - (c/g) piv, g a gcd of pv and c over Z[i] (`_gcd`),
+    divided by the gcd of its ints (`_primitive`).  A pivot alone in its
+    bucket, and a row no step reaches, cost no arithmetic.
 
     levels, one int per row, restricts the pivot row to the deepest level
     present in the bucket.  The pass then changes a row only by rows of its
@@ -636,10 +653,6 @@ def _echelon(m: Matrix, levels: Sequence[int] | None = None,
             nonzero.append(i)
         else:
             row[j] = v
-    # The divisor each row is current with; an input row, untouched so far,
-    # has none.
-    div: list[tuple[int, int] | None] = [None] * m.rows
-    prev = (1, 0)
     buckets: dict[int, list[int]] = {}
     for i in nonzero:
         buckets.setdefault(min(rows[i]), []).append(i)
@@ -661,23 +674,15 @@ def _echelon(m: Matrix, levels: Sequence[int] | None = None,
             below.remove(best)
         pivots.append(col)
         pivot_rows.append(best)
-        if not below:
-            continue
         piv = rows[best]
-        d = div[best]
-        if d is None:
-            piv, d = _primitive(piv), (1, 0)
-        if d != prev:
-            piv = _combine(piv, prev, d=d)
-        rows[best] = piv
-        div[best] = pv = piv[col]
+        pv = piv[col]
         for t in below:
             row = rows[t]
-            d = div[t]
-            if d is None:
-                row, d = _primitive(row), (1, 0)
-            rows[t] = row = _combine(row, pv, piv, row[col], d)
-            div[t] = pv
+            c = row[col]
+            gr, gi = _gcd(pv, c)
+            n = gr * gr + gi * gi
+            s, c = [((x * gr + y * gi) // n, (y * gr - x * gi) // n) for x, y in (pv, c)]
+            rows[t] = row = _primitive(_combine(row, s, piv, c))
             if row:
                 lead = min(row)
                 if lead in buckets:
@@ -685,7 +690,6 @@ def _echelon(m: Matrix, levels: Sequence[int] | None = None,
                 else:
                     buckets[lead] = [t]
                     heappush(heap, lead)
-        prev = pv
     return pivots, [rows[i] for i in pivot_rows], pivot_rows
 
 

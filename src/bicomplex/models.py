@@ -58,12 +58,10 @@ Letter = tuple[int, int]
 # The largest monomial basis lie_algebra_model builds: 4^n for complex
 # dimension n, so n <= 7.  Every preset, demo and test model and the
 # benchmark's dim-5 nilmanifold (4^5 = 1024) fit.  The command line prints
-# every table of a dim-7 nilmanifold (16384 monomials) in 0.5 to 0.8 s
-# within 35 MB (2-core Xeon, Python 3.11.7).  The dim-8 one, with the cap
-# raised in the measuring process, gets every table in 26 to 31 s within
-# 125 MB, nearly all of it in the Frolicher reductions of its middle
-# degrees, and dimension 10 (4^10, about a million monomials) would not
-# finish.
+# every table of a dim-7 nilmanifold (16384 monomials) in 0.2 s within
+# 29 MB (2-core Xeon, Python 3.11.7).  The dim-8 one, with the cap
+# raised in the measuring process, gets every table in 1.8 to 1.9 s within
+# 85 MB; no test covers a model that large yet, so the cap stays.
 MAX_MODEL_BASIS = 4 ** 7
 
 # The largest m for which a truncated_polynomial model builds projective

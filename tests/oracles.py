@@ -1,16 +1,18 @@
 """Independent reference implementations used only to cross-check the package.
 
 Nothing here imports from bicomplex's computational paths: ranks come from a
-fraction-free (Bareiss) elimination, and the Iwasawa tables are brute-forced
-from the structure equation d phi3 = -phi1 ^ phi2 on a bitmask monomial
-basis.  Keeping these separate is the point; do not "fix" them to reuse the
-package internals.
+fraction-free (Bareiss) elimination, a gcd over Z[i] from a search over
+candidate divisors, and the Iwasawa tables are brute-forced from the
+structure equation d phi3 = -phi1 ^ phi2 on a bitmask monomial basis.
+Keeping these separate is the point; do not "fix" them to reuse the package
+internals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 
 def bareiss_rank(rows) -> int:
@@ -46,6 +48,38 @@ def member_of_span(vectors, v) -> bool:
     """Is v in the span of vectors?  Decided purely by rank comparisons."""
     base = [list(w) for w in vectors]
     return bareiss_rank(base) == bareiss_rank(base + [list(v)])
+
+
+# -- a gcd over Z[i] by search ---------------------------------------------------
+#
+# A Gaussian integer is a pair (re, im) of ints, its norm re^2 + im^2.
+
+
+def gaussian_divides(d: tuple[int, int], x: tuple[int, int]) -> bool:
+    """Does the nonzero d divide x over Z[i]?  x conj(d) must be a multiple
+    of the norm of d in both parts."""
+    (dr, di), (xr, xi) = d, x
+    n = dr * dr + di * di
+    return (xr * dr + xi * di) % n == 0 == (xi * dr - xr * di) % n
+
+
+def gaussian_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A common divisor of a and b of largest norm, found by trying every
+    d with norm at most the least norm of a nonzero one of a and b (every
+    divisor of a nonzero x has norm at most that of x); (0, 0) when both
+    are zero.  A common divisor of largest norm is a gcd: every common
+    divisor divides a gcd, so its norm is at most the gcd's.  Only d with
+    re > 0 and im >= 0 are tried, one of each four associates d, i d, -d
+    and -i d, which divide the same numbers."""
+    bound = min((x[0] ** 2 + x[1] ** 2 for x in (a, b) if x != (0, 0)), default=0)
+    best, top = (0, 0), 0
+    r = isqrt(bound)
+    for dr in range(1, r + 1):
+        for di in range(r + 1):
+            n = dr * dr + di * di
+            if top < n <= bound and gaussian_divides((dr, di), a) and gaussian_divides((dr, di), b):
+                best, top = (dr, di), n
+    return best
 
 
 # -- brute-forced Iwasawa tables ------------------------------------------------

@@ -1,16 +1,18 @@
-"""The elimination kernel with a scan over every live row, kept as a second route.
+"""An independent Bareiss route to the forward pass of the elimination kernel.
 
 `bicomplex.linalg._echelon` keeps the rows that are not yet pivot rows in
-buckets by their leading column, keeps pivots that clear no row out of the
-divisor chain, and divides a row by the gcd of its ints only when it first
-takes part in a step.  This module keeps the plain lazy Bareiss kernel: each
-pivot scans every live row for the next pivot column, for the pivot row and
-for the rows to eliminate; every row is made primitive up front, and every
-pivot joins the divisor chain.  The choices are the same, so the two must
+buckets by their leading column, and makes each row it clears into
+(pv/g) t - (c/g) r, g a gcd over Z[i], divided by the gcd of its ints.
+This module eliminates another way, by lazy one-step Bareiss: each pivot
+scans every live row for the next pivot column, for the pivot row and for
+the rows to eliminate; every row is made primitive up front, every pivot
+joins the divisor chain, and each row is divided exactly by the divisor it
+is current with.  Both keep each row a nonzero multiple of the row of
+Gaussian elimination over Q(i) with the same choices, so the two must
 return the same pivots and pivot row indices on every matrix, and pivot
-rows equal up to a nonzero Z[i] scalar.  It has no row levels: the kernel's
-calls without them are the ones it checks.  It reads only the stored form of
-a `Matrix` and copies the row helpers it calls.
+rows equal up to a nonzero scalar.  It has no row levels: the kernel's
+calls without them are the ones it checks.  It reads only the stored form
+of a `Matrix` and has its own row helpers.
 """
 
 from __future__ import annotations

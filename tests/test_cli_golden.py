@@ -17,6 +17,8 @@ import pytest
 
 from bicomplex.cli import run
 
+from test_models import DIM7
+
 ALL_TABLES = "e1,e2,einf,derham,bc,aeppli,rows"
 REPO = Path(__file__).resolve().parent.parent
 KODAIRA_THURSTON = str(REPO / "demos" / "models" / "kodaira_thurston.model")
@@ -85,6 +87,19 @@ def test_cli_output_is_pinned(name, capsys):
     got = run(list(argv))
     out, err = capsys.readouterr()
     assert (got, sha256(out), sha256(err)) == (code, out_digest, err_digest), (out, err)
+
+
+def test_dim7_model_output_is_pinned(tmp_path, capsys):
+    """Every table of the dim-7 nilmanifold, the largest model the builder
+    admits.  Unlike the presets, its Frolicher reductions leave the
+    elimination kernel cores of up to 629 pivots after the peel, so these
+    bytes pin the kernel's pivots where the peel does not decide them."""
+    path = tmp_path / "nil7.model"
+    path.write_text(DIM7)
+    got = run(["model", str(path), "--tables", ALL_TABLES])
+    out, err = capsys.readouterr()
+    assert (got, sha256(out), err) == (
+        0, "d157bf773ac5978633906b4de78541db34294cfe15eefa8d5a5fea384078e300", ""), err
 
 
 def test_closed_stdout_ends_quietly():

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -29,7 +29,7 @@ from bicomplex.scalars import ZERO, gauss, I
 
 from call_counter import calls_into
 from helpers import never_validated
-from oracles import bareiss_rank, member_of_span
+from oracles import bareiss_rank, gaussian_divides, gaussian_gcd, member_of_span
 from reference_echelon import reference_echelon
 from reference_matmul import reference_matmul
 from reference_rref import reference_rref
@@ -976,44 +976,70 @@ def test_every_dense_division_is_exact(monkeypatch):
     assert divisions >= 400
 
 
-def test_every_bareiss_division_is_exact(monkeypatch):
-    """`_combine` floors when it divides (row s - piv c) by d; here each
-    numerator is rebuilt from the arguments and its zero remainder asserted,
-    over the forward pass on the echelon cases and the level cases, over
-    every table and the Frolicher pages of nil4, nil5 and the property
-    suite's six random_complex(200 + s, (0,5,0,5), 10 + 3s), and over the
-    forward pass on every matrix that those tables hand to `rank`.  These
-    forward passes and tables divide 5041 times."""
-    combine = linalg._combine
-    divisions = 0
+def test_gaussian_gcd_matches_search():
+    """For every a and b over Z[i] with parts in [-6, 6], units and zero
+    among them, `_gcd` gives a common divisor of a and b with the norm of
+    the one `gaussian_gcd` of tests/oracles.py finds by search, the largest
+    norm of any common divisor; two zeros give zero."""
+    values = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    for a in values:
+        for b in values:
+            g, want = linalg._gcd(a, b), gaussian_gcd(a, b)
+            assert g[0] ** 2 + g[1] ** 2 == want[0] ** 2 + want[1] ** 2, (a, b, g, want)
+            if g != (0, 0):
+                assert gaussian_divides(g, a) and gaussian_divides(g, b), (a, b, g)
 
-    def checked(row, s, piv={}, c=(0, 0), d=(1, 0)):
-        nonlocal divisions
-        (sr, si), (cr, ci), (dr, di) = s, c, d
-        n = dr * dr + di * di
-        for j in row.keys() | piv.keys():
-            (a, b), (u, v) = row.get(j, (0, 0)), piv.get(j, (0, 0))
-            x, y = a * sr - b * si - u * cr + v * ci, a * si + b * sr - u * ci - v * cr
-            assert (x * dr + y * di) % n == 0 == (y * dr - x * di) % n, d
-        divisions += d != (1, 0)
-        return combine(row, s, piv, c, d)
 
-    monkeypatch.setattr(linalg, "_combine", checked)
+def test_every_content_division_is_exact(monkeypatch):
+    """The forward pass divides pv and c by their gcd g over Z[i], and each
+    new row by the gcd of its ints, both by floor division; here each g is
+    checked to divide pv and c with zero remainders, and each row that
+    `_primitive` returns to be its argument over that int gcd, with ints of
+    gcd 1.  The inputs are the forward pass on the echelon cases and the
+    level cases, every table and the Frolicher pages of nil4, nil5 and the
+    property suite's six random_complex(200 + s, (0,5,0,5), 10 + 3s), and
+    the forward pass on every matrix that those tables hand to `rank`.
+    6833 of their gcds are not units, and 5068 of their rows have an int
+    gcd above 1."""
+    kernel_gcd, primitive = linalg._gcd, linalg._primitive
+    non_units = divided = 0
+
+    def checked_gcd(a, b):
+        nonlocal non_units
+        g = kernel_gcd(a, b)
+        assert gaussian_divides(g, a) and gaussian_divides(g, b), (a, b, g)
+        non_units += g[0] ** 2 + g[1] ** 2 != 1
+        return g
+
+    def checked_primitive(row):
+        nonlocal divided
+        out = primitive(row)
+        ints = [x for v in row.values() for x in v]
+        g = gcd(*ints)
+        assert [g * x for v in out.values() for x in v] == ints, row
+        assert gcd(*(x for v in out.values() for x in v)) == (1 if row else 0), row
+        divided += g > 1
+        return out
+
+    monkeypatch.setattr(linalg, "_gcd", checked_gcd)
+    monkeypatch.setattr(linalg, "_primitive", checked_primitive)
     for label, m in echelon_cases():
         _echelon(m)
     for label, m, levels in leveled_cases():
         _echelon(m, levels)
     for m in handed_to_rank(run_tables, property_complexes(), (*TABLES.values(), frolicher)):
         _echelon(m)
-    assert divisions > 4000
+    assert non_units >= 6800
+    assert divided >= 5000
 
 
 def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
     """Every input entry of the nil4 and nil5 tables is +-1 or 1/2+i.  Over
     every forward-pass pivot row of their five tables, and of the forward
     pass on each matrix they hand to `rank`, no real or imaginary part
-    exceeds 20 bits; with every pivot in the divisor chain and every row
-    rescaled before use they reach 57."""
+    exceeds 4 bits: each row is divided by the gcd of its ints after every
+    step.  With Bareiss's divisor chain in its place they reached 20 bits,
+    and 57 with every pivot in that chain."""
     kernel = linalg._echelon
     bits = 0
 
@@ -1027,7 +1053,7 @@ def test_forward_pass_rows_stay_short_on_nil4_and_nil5(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", recording)
     for m in handed_to_rank(run_tables, nil_complexes(), TABLES.values()):
         linalg._echelon(m)
-    assert 0 < bits <= 20
+    assert 0 < bits <= 4
 
 
 def test_lone_pivots_cost_no_arithmetic():
