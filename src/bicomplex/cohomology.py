@@ -123,13 +123,14 @@ levels (s, t) giving one of levels (n - t, n - s).  No rank is ever
 stored on another complex's Analysis.
 
 Two constructions write the Serre record, each with its proof once: a
-Lie-algebra model whose Serre pairing checks (`models.lie_algebra_model`)
-writes (None, n), its partners being its own blocks, and `complexes.dual`
-of a complex a found valid writes (a, n).  M keeps rank because sigma
-carries each block to its mirror's conjugate between invertible factors;
-S on a model because the Serre pairing A -> dual(A, n) has
-signed-permutation blocks and, where it is a morphism of double
-complexes, each block is its partner's transpose between them.  The
+Lie-algebra model whose Serre pairing is a morphism
+(`models.lie_algebra_model`) writes (None, n), its partners being its own
+blocks, and `complexes.dual` of a complex a found valid writes (a, n).
+M keeps rank because sigma carries each block to its mirror's conjugate
+between invertible factors; S on a model because the Serre pairing
+A -> dual(A, n) has signed-permutation blocks and, where it is a
+morphism of double complexes, each block is its partner's transpose
+between them.  The
 record (a, n) is read a whole table at a time: each block of the dual
 is a signed transpose of its partner on a, and its d1 d2 minus the
 transpose of a's d2 d1, which is -(d1 d2) on the valid a, so each table
@@ -394,20 +395,19 @@ class Analysis:
     then its own dual's at the same key between signed permutations, and
     the dual's is a's partner as above.
 
-    Why a check, and not the model's unimodularity.  P is a morphism
-    exactly when the top coefficient of every exact form vanishes, which
-    holds for unimodular Lie algebras, nilpotent ones among them.  But the
+    When P is a morphism: exactly when the top coefficient of every exact
+    form vanishes, that is when d into (n, n) is zero, which holds exactly
+    for unimodular Lie algebras, nilpotent ones among them.  But the
     builder accepts any structure equations with d^2 = 0, and some
     validate without it: d b = a ^ b validates, its pairing is no
     morphism, and partner ranks would give de Rham {0: 1, 1: 2, 2: 2,
     3: 2, 4: 1} instead of {0: 1, 1: 2, 2: 1}.  So `lie_algebra_model`
-    checks on the blocks it has just built the very identity the proof
-    uses, that each d1 and d2 block is its partner's signed transpose
-    (`models._serre_pairing_holds`), and writes the record only where it
-    holds.  That is the commutation check of building P as a Morphism,
-    with no product and no dual complex built.  A shifted, summed or
-    reloaded copy carries no record, and a record is read only once
-    `validate` has found the complex valid.
+    writes the record only where neither d1 out of (n - 1, n) nor d2 out
+    of (n, n - 1) is stored, reading two keys of the blocks it has just
+    built; its docstring proves that this is the condition for P to
+    commute with d1 and d2.  A shifted, summed or reloaded copy carries no
+    record, and a record is read only once `validate` has found the
+    complex valid.
 
     A valid complex, with or without sigma, also needs no containment
     product: where a cohomology's block is joined, its containment product
@@ -832,9 +832,9 @@ def frolicher(a: DoubleComplex, direction: str = "column") -> SpectralSequenceRe
     so by decreasing q, that order is the reverse of the coordinates'.
 
     Serre mirror.  Where `Analysis.partner` gives N, on a Lie-algebra
-    model of complex dimension N found valid whose Serre pairing checks
-    (see `Analysis`), only d_0 ... d_{N-1} are reduced or read, in the
-    order above, with their clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
+    model of complex dimension N found valid whose Serre pairing is a
+    morphism (see `Analysis`), only d_0 ... d_{N-1} are reduced or read,
+    in the order above, with their clearing; for k >= N, a pair of d_{2N-1-k} with levels (s, t) gives a
     pair of d_k with levels (N - t, N - s), of the same length.  The pairing makes d_k the
     transpose of d_{2N-1-k} between signed permutations that send a
     component (p, q) to (N - p, N - q).  So the sources of d_k of level

@@ -51,9 +51,9 @@ mirror under the real structure.  A complex with no verdict, or one with
 a violation, gets no such shortcut.  `dual` also writes the Serre record
 (a, n): each of its blocks is a signed transpose of the source's block at
 its Serre partner, so each of its tables is one of the source's,
-reflected, and is read off it.  A complex
-built by `models.lie_algebra_model` whose Serre pairing checks carries
-the record (None, n), its partner blocks being its own; every other
+reflected, and is read off it.  A complex built by
+`models.lie_algebra_model` whose Serre pairing is a morphism carries the
+record (None, n), its partner blocks being its own; every other
 construction here starts with neither record.
 
 Sign conventions fixed here and relied on everywhere else:
@@ -84,7 +84,6 @@ from .linalg import (
     _products_vanish,
     _select_columns,
     _signed_transpose,
-    _times_conjugate_is_identity,
     _unit_lower_inverse,
     assemble,
     hstack,
@@ -173,12 +172,11 @@ class DoubleComplex(_Value):
     # complex found valid, `models.lie_algebra_model`), and the Serre
     # record (b, n), None unless a construction proved it: every d1 and d2
     # block is, up to signed permutations, the transpose of b's block at
-    # its Serre partner (see `cohomology.Analysis`), b None standing for
-    # the complex itself.
-    # `models.lie_algebra_model` writes (None, n) where the model's Serre
-    # pairing checks, and `dual(a, n)` of an a found valid writes (a, n).
-    # The dual holds a strongly, so a and all that a's Analysis and
-    # Totalization keep live as long as the dual does.
+    # its Serre partner (see `cohomology.Analysis`).  `dual(a, n)` of an a
+    # found valid writes (a, n) and holds a strongly, so a and all that
+    # a's Analysis and Totalization keep live as long as the dual does;
+    # `models.lie_algebra_model` writes (None, n), b the complex itself,
+    # where no d1 or d2 block lands in (n, n).
     _fields = ("dims", "d1", "d2", "sigma", "labels")
     __slots__ = _fields + ("_zeros", "_analysis", "_totalization", "_violations", "_serre",
                            "__weakref__")
@@ -380,13 +378,12 @@ def validate(a: DoubleComplex) -> list[Violation]:
     of X is moved and scaled to its one position, or dropped, and compared
     with Y's entry there (`linalg._equal_by_relabeling`, which holds the
     proof), with no product.  Any other sigma, such as the dense one of a
-    random change of basis, takes the product route: the involution is one
-    product summed over Z[i] and compared entrywise with the identity
-    (`linalg._times_conjugate_is_identity`), and every other sigma identity
-    is one sum of signed products that must vanish, decided over Z[i] by
+    random change of basis, takes the product route: each sigma identity,
+    the involution as S^{q,p} conj(S^{p,q}) - 1 . 1, is one sum of signed
+    products that must vanish, decided over Z[i] by
     `linalg._products_vanish` on the blocks themselves, conjugating X's
-    entries as it reads them.  On a valid complex no scalar and no
-    conjugate copy is built.
+    entries as it reads them.  Both routes are `_commutes`.  On a valid
+    complex no scalar and no conjugate copy is built.
 
     The list is recorded on a, and a later call returns a copy of it and
     makes no product.  `dual` of a complex found valid and
@@ -444,8 +441,7 @@ def validate(a: DoubleComplex) -> list[Violation]:
 
         def involution(p: int, q: int) -> bool:
             one = ones[a.dim(p, q)]
-            found = _equal_by_relabeling(s(q, p), s(p, q), one, one, True)
-            return _times_conjugate_is_identity(s(q, p), s(p, q)) if found is None else found
+            return _commutes(s(q, p), s(p, q), one, one, True)
 
         square = all(a.dim(q, p) == n for (p, q), n in a.dims.items())
         decide(inv, involution, inv if square else None)

@@ -158,9 +158,8 @@ Every other identity asks whether a sum of signed products vanishes, and
 products' denominators, and all are summed in one (int, int) accumulator,
 the one `__matmul__` uses (`_accumulate`), which conjugates its right
 factor's entries as it reads them where a term asks.  The involution axiom
-of a non-monomial real structure asks whether a @ conj(b) is the identity,
-and `_times_conjugate_is_identity` compares that accumulator entrywise with
-the identity.
+of a non-monomial real structure is one such sum too, a @ conj(b) less the
+identity times itself.
 """
 
 from __future__ import annotations
@@ -487,21 +486,6 @@ def _equal_by_relabeling(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix,
     except KeyError:  # column j of s0 is empty
         return False
     return True
-
-
-def _times_conjugate_is_identity(a: Matrix, b: Matrix) -> bool:
-    """Whether a @ conj(b) is the identity; the caller guarantees that the
-    product is square.
-
-    The product is summed over Z[i] in one accumulator, conjugating b's
-    entries as they are read, and compared entrywise with den_a den_b times
-    the identity: neither conj(b), the product nor the identity is built.
-    """
-    acc: Entries = {}
-    _accumulate(acc, a._num, b._num, conjugate=True)
-    one = (a._den * b._den, 0)
-    return (all(acc.get((i, i)) == one for i in range(a.rows))
-            and all(i == j or v == (0, 0) for (i, j), v in acc.items()))
 
 
 def _unit_lower_inverse(m: Matrix) -> Matrix:

@@ -473,13 +473,25 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     gcd(den, every x_j den / d_j) is den / L, since for each prime p of L
     some x_j L / d_j is prime to p.
 
-    The built complex then gets its Serre pairing checked on the blocks just
-    made (`_serre_pairing_holds`, with no product), and carries the Serre
-    record (None, n) only where the pairing is a morphism of double
-    complexes, so that its Analysis reads the rank of each block off its
-    Serre partner.  The check costs about 0.1 ms on the dim-4 nilmanifold
-    model and 0.45 ms on the dim-5 one, against builds of 1.1 and 4.9 ms,
-    checks included (best of 7, 2-core Xeon, Python 3.11.7).
+    The built complex carries the Serre record (None, n), so that its
+    Analysis reads the rank of each block off its Serre partner, exactly
+    where the Serre pairing P: A -> dual(A, n) of `serre_pairing_morphism`
+    is a morphism of double complexes, and that holds exactly where neither
+    d1 out of (n - 1, n) nor d2 out of (n, n - 1) is stored: where d into
+    (n, n) is zero, which is where the Lie algebra is unimodular (Koszul,
+    Bull. SMF 1950).  The proof: write <x, y> for the top coefficient of
+    x ^ y, and take omega in A^{p,q} and eta in A^{n-p-1,n-q}.  P commutes
+    with d1 at (p, q) iff <d1 omega, eta> = (-1)^{p+q+1} <omega, d1 eta>
+    for all such omega and eta, by the sign of the dual's d1.  d1 is a
+    derivation, so the top coefficient of d1(omega ^ eta) = d1 omega ^ eta
+    + (-1)^{p+q} omega ^ d1 eta is the difference of the two sides.  If
+    d1^{n-1,n} = 0 that coefficient is zero, and P commutes with d1 at
+    every (p, q).  Conversely, eta = 1 gives <d1 omega, 1> = 0, the top
+    coefficient of d1 omega, for every omega in A^{n-1,n}, so a commuting
+    P forces d1^{n-1,n} = 0.  The same argument, with eta in
+    A^{n-p,n-q-1}, holds for d2 at (n, n - 1).  sigma carries d1^{n-1,n}
+    to d2^{n,n-1}, so the two are stored together; the rule reads both
+    keys, as the proof does, and computes no complement map.
     """
     if spec.kind != "lie_algebra":
         raise ModelError(f"spec {spec.name!r} has kind {spec.kind!r}")
@@ -586,7 +598,7 @@ def lie_algebra_model(spec: ModelSpec) -> AlgebraModel:
     complex = DoubleComplex(dims, d1, d2, sigma, labels)
     # Valid by the generator check above; the proof is in the docstring.
     object.__setattr__(complex, "_violations", ())
-    if _serre_pairing_holds(n, monomials, index, complex.d1, complex.d2):
+    if (n - 1, n) not in complex.d1 and (n, n - 1) not in complex.d2:
         object.__setattr__(complex, "_serre", (None, n))
     return AlgebraModel(complex, (n, n), "lie_algebra", monomials, index=index)
 
@@ -649,46 +661,6 @@ def _serre_pairing(n: int, monomials: Mapping[BiDegree, tuple[int, ...]],
             for words in monomials.values() for w in words for k in (w.bit_count(),)}
 
 
-def _serre_pairing_holds(n: int, words: Mapping[BiDegree, tuple[int, ...]],
-                         index: Mapping[int, int], d1: Mapping[BiDegree, Matrix],
-                         d2: Mapping[BiDegree, Matrix]) -> bool:
-    """Whether the Serre pairing of a Lie-algebra model of complex dimension
-    n, with the monomials words by bidegree, their index and the stored
-    blocks d1 and d2, is a morphism A -> dual(A, n) of double complexes,
-    decided on the stored blocks with no product.
-
-    The pairing sends a monomial w to (-1)^eps(w) times the dual vector of
-    c(w), with c(w) and (-1)^eps(w) the complement index and sign of
-    `_serre_pairing`.  It commutes with d1 at (p, q) exactly when entry
-    (i, j) of d1^{p,q} reappears at (c(j), c(i)) of its partner
-    d1^{n-p-1,n-q} times (-1)^{p+q+1} (-1)^{eps(w_i)+eps(w_j)}, w_i and w_j
-    the monomials of row i and column j; likewise for d2 with the partner
-    d2^{n-p,n-q-1}.  That map of positions is one to one, so with equal
-    denominators and equal numbers of nonzero entries it decides the
-    equality entry by entry.  The rule is symmetric in the two partners, so
-    each pair is compared once.  `lie_algebra_model` runs it once per build,
-    on the blocks it has just made (about 0.4 ms on the dim-5 nilmanifold
-    model), and no table runs it again.
-    """
-    pairing = _serre_pairing(n, words, index)
-    for stored, (dp, dq) in ((d1, (1, 0)), (d2, (0, 1))):
-        for (p, q), m in stored.items():
-            partner_pq = (n - p - dp, n - q - dq)
-            partner = stored.get(partner_pq)
-            if partner is None or partner._den != m._den or len(partner._num) != len(m._num):
-                return False
-            if partner_pq < (p, q):
-                continue
-            e = 1 if (p + q) % 2 else -1
-            src, tgt, found = words[(p, q)], words[(p + dp, q + dq)], partner._num
-            for (i, j), (x, y) in m._num.items():
-                (cj, sj), (ci, si) = pairing[src[j]], pairing[tgt[i]]
-                s = e * sj * si
-                if found.get((cj, ci)) != (s * x, s * y):
-                    return False
-    return True
-
-
 def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     """The pairing map A -> dual(A, n), omega |-> (eta |-> top coefficient of
     omega wedge eta).
@@ -697,12 +669,13 @@ def serre_pairing_morphism(model: AlgebraModel) -> Morphism:
     complement, the top mask minus w, and a class t^p with t^(n-p), index 0.
     The entry is the sign of their product, so each block is a signed
     permutation, built in O(dim).  A Lie-algebra model reads each
-    complement and sign from `_serre_pairing`, the helper the check
-    `_serre_pairing_holds` reads too, and multiplies no monomials.
+    complement and sign from `_serre_pairing` and multiplies no monomials.
 
     For the presets and every model of a unimodular Lie algebra this is a
     valid morphism for the dual's sign convention (the top coefficient of
-    any exact form vanishes), and an isomorphism of double complexes.  A
+    any exact form vanishes), and an isomorphism of double complexes; it is
+    one exactly where the model stores no d1 or d2 block into (n, n), the
+    rule `lie_algebra_model` proves and writes the Serre record by.  A
     model that validates without it, such as d b = a ^ b, makes the
     construction raise MorphismError.  A model with no one-dimensional
     (n, n) piece, or a truncated-polynomial one whose product of (p, q)

@@ -29,7 +29,7 @@ from bicomplex import (
 from bicomplex import linalg
 from bicomplex.complexes import Totalization
 from bicomplex.scalars import GaussianRational, I, ONE, ZERO
-from call_counter import call_log, calls_into
+from call_counter import arguments_of, call_log, calls_into
 from helpers import never_validated
 from reference_validate import reference_commutation, reference_validate
 from test_frolicher import NIL4, NIL5
@@ -180,17 +180,24 @@ def test_validate_decides_each_conjugate_pair_once(text, name, most):
     assert calls_into(linalg._accumulate.__code__, validate, a) <= most
 
 
+def involution_terms(terms) -> bool:
+    """Whether the terms of a `_products_vanish` call are those of the
+    involution S^{q,p} conj(S^{p,q}) - 1 . 1."""
+    (s1, _, _, conj1), (s2, x, y, conj2) = terms
+    return (s1, conj1, s2, conj2) == (1, True, -1, False) and x == y == Matrix.identity(x.rows)
+
+
 def test_a_monomial_sigma_is_decided_by_relabeling():
-    """nil5's sigma identities take no product: no involution product and
-    no vanishing sum.  Its d-axioms take one unconjugated `_accumulate` per
-    degree k at which d_k and d_{k+1} are nonzero: the columns of d_k's
-    components with p <= q, the mirror giving the rest, times the columns
-    of d_{k+1}'s components with p <= q + 1, which hold their image.  A
-    random complex in random coordinates has a dense sigma and still
-    decides it by products, with the reference's verdict."""
+    """nil5's sigma identities take no product: no vanishing sum, the
+    involution's included.  Its d-axioms take one unconjugated
+    `_accumulate` per degree k at which d_k and d_{k+1} are nonzero: the
+    columns of d_k's components with p <= q, the mirror giving the rest,
+    times the columns of d_{k+1}'s components with p <= q + 1, which hold
+    their image.  A random complex in random coordinates has a dense sigma
+    and still decides it by products, the involution's among them, with
+    the reference's verdict."""
     a = never_validated(lie_algebra_model(parse_model_file(NIL5, "nil5")))
-    codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__,
-             linalg._times_conjugate_is_identity.__code__)
+    codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__)
     log = call_log(codes, validate, a)
     tot = Totalization.of(a)
     degrees = [k for k in tot.degrees() if {k, k + 1} <= tot.moving]
@@ -209,7 +216,8 @@ def test_a_monomial_sigma_is_decided_by_relabeling():
 
     r = random_complex(205, (0, 5, 0, 5), 20, with_sigma=True)
     log = call_log(codes, validate, r)
-    assert any(name == "_times_conjugate_is_identity" for name, _ in log)
+    assert any(name == "_products_vanish" and involution_terms(args["terms"])
+               for name, args in log)
     assert any(name == "_accumulate" and args["conjugate"] for name, args in log)
     assert validate(r) == reference_validate(r)
 
@@ -225,7 +233,7 @@ def test_a_rescaled_monomial_sigma_matches_reference():
     assert not entries <= set(UNITS)
     assert len({m._den for m in a.sigma.values()}) > 1
     assert all(linalg._by_column(m) is not None for m in a.sigma.values())
-    assert calls_into(linalg._times_conjugate_is_identity.__code__, validate, a) == 0
+    assert calls_into(linalg._products_vanish.__code__, validate, a) == 0
     seen: set = set()
     assert_same_violations(a, 5, 4, seen)
     assert {"sigma is not an involution", "sigma d1 sigma != d2"} <= seen
@@ -243,9 +251,8 @@ def test_a_sigma_with_two_entries_in_one_row_takes_the_product_route():
     d1 = {(0, 0): Matrix(2, 1, {(0, 0): ONE})}
     d2 = {(0, 0): Matrix(2, 1, {(0, 0): ONE, (1, 0): I})}
     a = DoubleComplex({(0, 0): 1, (0, 1): 2, (1, 0): 2}, d1, d2, sigma)
-    log = call_log((linalg._times_conjugate_is_identity.__code__,
-                    linalg._products_vanish.__code__), validate, a)
-    assert {name for name, _ in log} == {"_times_conjugate_is_identity", "_products_vanish"}
+    log = arguments_of(linalg._products_vanish.__code__, validate, a)
+    assert {involution_terms(args["terms"]) for args in log} == {True, False}
     got = validate(a)
     assert got == reference_validate(a) and got
     for b in perturbed_complexes(a, 3, 6):

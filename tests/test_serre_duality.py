@@ -1,15 +1,18 @@
 """The Serre rule: on a Lie-algebra model found valid whose Serre pairing
-checks, a rank is read from its Serre partner, and Frolicher reduces only
-d_0 ... d_{n-1}.
+is a morphism, a rank is read from its Serre partner, and Frolicher
+reduces only d_0 ... d_{n-1}.
 
-The check (`models._serre_pairing_holds`), which `lie_algebra_model` runs
-on every model it builds, must agree with building the pairing as a
-Morphism, and every table and page must equal the one of a copy built
+`lie_algebra_model` writes the Serre record (None, n) exactly where no d1
+or d2 block it built lands in (n, n).  That must agree with building the
+pairing as a Morphism, on the presets and on seeded random structure
+equations, and every table and page must equal the one of a copy built
 separately and never validated, which ranks every block.  The
 non-unimodular model `d b = a ^ b` validates, but its pairing is not a
 morphism, and reading its ranks from Serre partners would give wrong
 tables.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -31,9 +34,10 @@ from bicomplex import (
 )
 from bicomplex import models
 from bicomplex.cohomology import _KINDS, TABLES, Analysis
-from bicomplex.complexes import MorphismError
+from bicomplex.complexes import DoubleComplex, MorphismError
+from bicomplex.models import NotADifferential
 from call_counter import arguments_of, calls_into
-from helpers import never_validated
+from helpers import never_validated, random_structure_equations
 from test_cohomology import KIND_RULES
 from test_frolicher import DIM6, NIL4, NIL5
 
@@ -135,13 +139,49 @@ def test_a_non_unimodular_model_reads_no_serre_partner():
     assert results(b, True) == want
 
 
+def lands_on_top(a, n: int) -> bool:
+    """Whether a stored d1 or d2 block of a has its target at (n, n)."""
+    return (any((p + 1, q) == (n, n) for p, q in a.d1)
+            or any((p, q + 1) == (n, n) for p, q in a.d2))
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_the_check_agrees_with_building_the_pairing(name):
+    """The record is written exactly where the pairing builds, and that is
+    every model here but the non-unimodular one."""
     m = MODELS[name]()
     a, n = m.complex, m.top_index[0]
-    holds = models._serre_pairing_holds(n, m._monomials, m._index, a.d1, a.d2)
-    assert holds == pairing_builds(m) == (name != "solvable")
+    holds = a._serre == (None, n)
+    assert holds == pairing_builds(m) == (name != "solvable") == (not lands_on_top(a, n))
     assert a._serre == ((None, n) if holds else None)
+
+
+def test_the_record_follows_the_top_bidegree_on_random_structure_equations():
+    """On at least 200 seeded random models that build, n = 2 to 4,
+    nilpotent, solvable and not unimodular: the record is written exactly
+    where `serre_pairing_morphism` builds, and exactly where no d1 or d2
+    block lands in (n, n).  A recorded model with n <= 3 gets the five
+    tables and both page lists of a copy with neither a record nor a
+    verdict, which ranks every block."""
+    seen: Counter = Counter()
+    compared = 0
+    for seed in range(300):
+        try:
+            m = lie_algebra_model(parse_model_file(random_structure_equations(seed)))
+        except NotADifferential:
+            continue
+        a, n = m.complex, m.top_index[0]
+        assert a._serre in (None, (None, n)), seed
+        recorded = a._serre is not None
+        assert recorded == pairing_builds(m) == (not lands_on_top(a, n)), seed
+        seen[n, recorded] += 1
+        if recorded and n <= 3:
+            plain = DoubleComplex(a.dims, a.d1, a.d2, a.sigma, a.labels)
+            assert plain._serre is plain._violations is None
+            assert results(a, False) == results(plain, False), seed
+            compared += 1
+    assert sum(seen.values()) >= 200 and compared >= 50
+    assert all(seen[n, r] >= 10 for n in (2, 3, 4) for r in (False, True)), seen
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -199,16 +239,16 @@ def test_a_validated_model_reduces_only_the_lower_degrees():
         assert degrees == [1, 2, 3, 4], direction
 
 
-def test_the_check_runs_once_per_build_and_never_from_a_table():
-    """`lie_algebra_model` checks the pairing of the model it builds; no
-    table, page or transfer checks it again, on the model or its dual."""
-    check = models._serre_pairing_holds.__code__
-    assert calls_into(check, MODELS["nil4"]) == 1
+def test_a_build_computes_no_complement_map():
+    """`lie_algebra_model` writes the record from two keys of its blocks:
+    neither the build nor any table, page or transfer, on the model or its
+    dual, computes the pairing's complement map."""
+    pairing = models._serre_pairing.__code__
+    assert calls_into(pairing, MODELS["nil4"]) == 0
     a = MODELS["nil4"]().complex
-    assert validate(a) == []
-    assert calls_into(check, results, a, False) == 0
-    assert calls_into(check, results, dual(a, 4), True) == 0
-    assert calls_into(check, results, MODELS["nil4"]().complex, False) == 0
+    assert a._serre == (None, 4) and validate(a) == []
+    assert calls_into(pairing, results, a, False) == 0
+    assert calls_into(pairing, results, dual(a, 4), True) == 0
 
 
 def test_other_complexes_take_the_checked_route():

@@ -261,7 +261,7 @@ def test_validate_of_a_built_model_multiplies_nothing():
     relabeling, no involution check.  The dual of a model never passed to
     `validate` inherits the verdict and writes the Serre record (a, n)."""
     codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__,
-             linalg._equal_by_relabeling.__code__, linalg._times_conjugate_is_identity.__code__)
+             linalg._equal_by_relabeling.__code__)
     for i, m in enumerate(built_models()):
         a, n = m.complex, m.top_index[0]
         d = dual(a, n)
