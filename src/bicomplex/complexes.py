@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import random
 import weakref
-from itertools import islice
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
@@ -81,7 +80,6 @@ from .linalg import (
     _by_column,
     _equal_by_relabeling,
     _matrix,
-    _products_vanish,
     _select_columns,
     _signed_transpose,
     _unit_lower_inverse,
@@ -267,7 +265,8 @@ class Totalization:
     F^p (components with first index >= p) a span of trailing coordinates.
     `Totalization.of(a)` is the one kept on a, made on first use, so each
     total differential of a complex is assembled once, by `validate`,
-    `cohomology.de_rham` or `cohomology.frolicher`, whichever asks first.
+    `cohomology.de_rham` or `cohomology.frolicher`, whichever asks first;
+    `validate` multiplies two consecutive ones whole.
     It holds the complex through a weak proxy, so the two form no
     reference cycle.
     """
@@ -314,17 +313,6 @@ class Totalization:
             self._d[k] = assemble([a.dim(*pq) for pq in tgt], [a.dim(*pq) for pq in src], blocks)
         return self._d[k]
 
-    def leading(self, k: int, rows: int, cols: int) -> Matrix:
-        """The first `cols` columns of d_k, which end where a component of
-        T^k does, as a matrix of its first `rows` rows, which hold all
-        their entries.  The entries of d_k run by source component, so
-        those columns' are its first ones: counted off the stored blocks
-        and copied with no test per entry."""
-        a, d = self.complex, self.differential(k)
-        count = sum(len(blocks[pq]._num) for pq, off in self.offsets.get(k, {}).items()
-                    if off < cols for blocks in (a.d1, a.d2) if pq in blocks)
-        return _matrix(rows, cols, d._den, dict(islice(d._num.items(), count)))
-
     def embed_block(self, f: Morphism, k: int, other: "Totalization") -> Matrix:
         """The degree-k block of the totalized morphism.  A block f stores
         is nonzero, so its bidegree is a component of other's T^k."""
@@ -342,11 +330,11 @@ def _commutes(s1: Matrix, x: Matrix, y: Matrix, s0: Matrix, conjugate: bool = Fa
     """Whether s1 @ op(x) == y @ s0, op(x) being conj(x) where conjugate is
     set: by relabeling stored entries where s1 and s0 are partial monomials,
     with at most one entry in each row and each column
-    (`linalg._equal_by_relabeling`), and otherwise as one vanishing sum of
-    two products over Z[i] (`linalg._products_vanish`)."""
+    (`linalg._equal_by_relabeling`), and otherwise by multiplying out both
+    sides and comparing them."""
     found = _equal_by_relabeling(s1, x, y, s0, conjugate)
     if found is None:
-        found = _products_vanish([(1, s1, x, conjugate), (-1, y, s0, False)])
+        found = s1 @ (x.conjugate() if conjugate else x) == y @ s0
     return found
 
 
@@ -378,21 +366,18 @@ def validate(a: DoubleComplex) -> list[Violation]:
     of X is moved and scaled to its one position, or dropped, and compared
     with Y's entry there (`linalg._equal_by_relabeling`, which holds the
     proof), with no product.  Any other sigma, such as the dense one of a
-    random change of basis, takes the product route: each sigma identity,
-    the involution as S^{q,p} conj(S^{p,q}) - 1 . 1, is one sum of signed
-    products that must vanish, decided over Z[i] by
-    `linalg._products_vanish` on the blocks themselves, conjugating X's
-    entries as it reads them.  Both routes are `_commutes`.  On a valid
-    complex no scalar and no conjugate copy is built.
+    random change of basis, takes the product route: both sides are
+    multiplied out, X conjugated first, and compared.  Both routes are
+    `_commutes`.  On a valid complex no scalar is built.
 
     The list is recorded on a, and a later call returns a copy of it and
     makes no product.  `dual` of a complex found valid and
     `models.lie_algebra_model` record the empty list as they build, each
     with its proof, so the first call on what they build makes none either.
 
-    Under a real structure, a check may read the verdict of its mirror at
-    (q, p) instead of computing its own (write S for the sigma blocks);
-    each rule is exact:
+    Under a real structure, a sigma identity may read the verdict of its
+    mirror at (q, p) instead of computing its own (write S for the sigma
+    blocks); each rule is exact:
 
       * the involution at (p, q) with p > q reads the one at (q, p), once
         dim A^{p,q} = dim A^{q,p} at every bidegree.  A one-sided inverse of
@@ -402,22 +387,9 @@ def validate(a: DoubleComplex) -> list[Violation]:
         once the involution holds at every bidegree.  Conjugate the second,
         multiply by S^{p,q+1} on the left and S^{p,q} on the right, and use
         the involution at (q+1, p) and at (p, q).
-      * the d-axioms at (p, q) with p > q read those at (q, p), d1 d1 = 0
-        from d2 d2 = 0, d2 d2 = 0 from d1 d1 = 0 and the anticommutator
-        from itself, once every sigma identity holds.  Then
-        d2^{q,p} = S^{p+1,q} conj(d1^{p,q}) conj(S^{q,p}) and likewise with
-        d1 and d2 swapped, so each product at (p, q) is its mirror at
-        (q, p), conjugated and multiplied by invertible sigma blocks on both
-        sides.  The components of T^k run by increasing p, so those with
-        p <= q are a prefix of its coordinates, and d_{k+1} multiplies only
-        those columns of d_k.  Their image lies in the components of
-        T^{k+1} with p <= q + 1, again a prefix, so only those columns of
-        d_{k+1} take part; both prefixes are the first entries of their
-        differentials, copied whole (`Totalization.leading`).
 
     Where a condition fails, the checks it guards are computed at their own
-    bidegree, so the list is the same either way.  A complex without a real
-    structure multiplies every column.
+    bidegree, so the list is the same either way.
     """
     if a._violations is not None:
         return list(a._violations)
@@ -434,7 +406,6 @@ def validate(a: DoubleComplex) -> list[Violation]:
             seen = holds.get((mirror, q, p))
             holds[identity, p, q] = check(p, q) if seen is None else seen
 
-    mirrored = False
     if a.sigma is not None:
         s = a.sigma_at
         ones = {n: Matrix.identity(n) for n in set(a.dims.values())}
@@ -449,25 +420,14 @@ def validate(a: DoubleComplex) -> list[Violation]:
         decide(sd1, lambda p, q: _commutes(s(p + 1, q), d1(p, q), d2(q, p), s(p, q), True))
         decide(sd2, lambda p, q: _commutes(s(p, q + 1), d2(p, q), d1(q, p), s(p, q), True),
                sd1 if involutive else None)
-        mirrored = all(holds.values())
     t = Totalization.of(a)
     # The identity that the block of d_{k+1} d_k from (p, q) to (p + s, .)
-    # checks, by s, and the identity at (q, p) that each mirrors.
-    by_shift, mirror = (dd2, anti, dd1), {dd1: dd2, dd2: dd1, anti: anti}
+    # checks, by s.
+    by_shift = (dd2, anti, dd1)
     for k in sorted(t.moving & {k - 1 for k in t.moving}):
-        d, left = t.differential(k), t.differential(k + 1)
-        if mirrored:
-            # The columns of the components with p <= q, and the rows of
-            # those with p <= q + 1, which hold their image.
-            cut = next((off for (p, q), off in t.offsets[k].items() if p > q), d.cols)
-            image = next((off for (p, q), off in t.offsets[k + 1].items() if p > q + 1), d.rows)
-            d, left = t.leading(k, image, cut), t.leading(k + 1, left.rows, image)
-        for i, j in (left @ d)._num:
+        for i, j in (t.differential(k + 1) @ t.differential(k)).entries:
             (p, q), (x, _) = t.component(k, j), t.component(k + 2, i)
-            identity = by_shift[x - p]
-            holds[identity, p, q] = False
-            if mirrored:
-                holds[mirror[identity], q, p] = False
+            holds[by_shift[x - p], p, q] = False
     groups = [(dd1, dd2, anti)] + ([(inv, sd1, sd2)] if a.sigma is not None else [])
     found = [Violation(p, q, identity) for group in groups for p, q in bidegrees
              for identity in group if not holds.get((identity, p, q), True)]
@@ -487,12 +447,12 @@ class Morphism(_Value):
     `validate`: where both f blocks are partial monomials, with at most one
     entry in each row and each column, as in the Serre pairing, a scaled
     identity, a summand inclusion and the projection of a quotient by one,
-    it is decided by relabeling stored entries, and otherwise as one
-    vanishing sum of two products over Z[i].  The d1 check at (p, q) runs
-    only where f has a block at (p, q) or (p + 1, q) and the source or the
-    target stores a d1 block at (p, q), and the d2 check likewise: anywhere
-    else each side multiplies a zero block, so both are zero and the check
-    holds.  The checks that run go in sorted order, d1 before d2 at each
+    it is decided by relabeling stored entries, and otherwise by
+    multiplying out both sides and comparing them.  The d1 check at (p, q)
+    runs only where f has a block at (p, q) or (p + 1, q) and the source or
+    the target stores a d1 block at (p, q), and the d2 check likewise:
+    anywhere else each side multiplies a zero block, so both are zero and
+    the check holds.  The checks that run go in sorted order, d1 before d2 at each
     bidegree, so a failing morphism raises the error it would raise with
     every check made.
     A read-only value: equality compares source, target and blocks.

@@ -109,6 +109,11 @@ def modification_summand_check(a_x, a_y, f: Morphism) -> bool:
 
     This is the direct-summand content of a modification at model level: a
     split injection on column cohomology splits off every E1-invariant
-    functor.
+    functor.  f must run from a_x to a_y (each as a complex, or a model
+    carrying one): ValueError otherwise.
     """
+    for name, given, end in (("source", a_x, f.source), ("target", a_y, f.target)):
+        given = as_complex(given)
+        if end is not given and end != given:
+            raise ValueError(f"the morphism's {name} is not the complex given for it")
     return all(w.rank == w.source_dim for w in is_E1_isomorphism(f).entries)

@@ -139,27 +139,23 @@ level or a deeper one, and the pivots whose pivot row has level >= s are
 the pivot columns of the rows of level >= s, for every s at once.
 
 Matrix products (`Matrix.__matmul__`) multiply the two forms: each output
-entry is summed as an (int, int) pair over the product of the denominators.
-The d-axioms in `complexes.validate` are the blocks of one product
-d_{k+1} d_k of total differentials per degree, zero on a valid complex.
-The other identity checks (the sigma axioms, the commutation of a
-`Morphism` with d1 and d2, the frame of `complexes.quotient`) build no
-product matrix.  The sigma axioms and the commutations read
-s1 @ op(x) == y @ s0, op the identity or conjugation.  Where s1 and s0 are partial monomials, with at most one entry in each row
-and each column (the sigma blocks of every Lie-algebra model, the blocks of
-the Serre pairing, of a summand inclusion and of a quotient's projection,
-and every zero block), each entry of x lands at one position of the left
-side or drops out, and each entry of y at one position of the right or
-drops out, so `_equal_by_relabeling` compares entries, with no product at
-all; a matrix's column map is found once and kept on it (`_by_column`),
-since a sigma or morphism block meets several checks.
-Every other identity asks whether a sum of signed products vanishes, and
-`_products_vanish` decides that: each product is brought to the lcm of the
-products' denominators, and all are summed in one (int, int) accumulator,
-the one `__matmul__` uses (`_accumulate`), which conjugates its right
-factor's entries as it reads them where a term asks.  The involution axiom
-of a non-monomial real structure is one such sum too, a @ conj(b) less the
-identity times itself.
+entry is summed as an (int, int) pair over the product of the denominators
+(`_accumulate`).  The d-axioms in `complexes.validate` are the blocks of one
+product d_{k+1} d_k of total differentials per degree, zero on a valid
+complex.  The other identity checks (the sigma axioms, the commutation of a
+`Morphism` with d1 and d2, the frame of `complexes.quotient`) read
+s1 @ op(x) == y @ s0, op the identity or conjugation.  Where s1 and s0 are
+partial monomials, with at most one entry in each row and each column (the
+sigma blocks of every Lie-algebra model, the blocks of the Serre pairing, of
+a summand inclusion and of a quotient's projection, and every zero block),
+each entry of x lands at one position of the left side or drops out, and
+each entry of y at one position of the right or drops out, so
+`_equal_by_relabeling` compares entries, with no product at all; a matrix's
+column map is found once and kept on it (`_by_column`), since a sigma or
+morphism block meets several checks.  Every other identity multiplies out
+both sides with the public `Matrix` algebra, x conjugated first where op
+asks, and compares the two forms with `==`, which is exact since equal
+matrices have equal forms.
 """
 
 from __future__ import annotations
@@ -366,47 +362,16 @@ def _matrix(rows: int, cols: int, den: int, num: Entries) -> Matrix:
     return m
 
 
-def _accumulate(acc: Entries, left: Entries, right: Entries, conjugate: bool = False) -> None:
-    """acc += left @ right, or left @ conj(right) with conjugate=True, every
-    entry an (int, int) pair over Z[i]."""
+def _accumulate(acc: Entries, left: Entries, right: Entries) -> None:
+    """acc += left @ right, every entry an (int, int) pair over Z[i]."""
     by_row: dict[int, list[tuple[int, int, int]]] = {}
-    sign = -1 if conjugate else 1
     for (k, j), (br, bi) in right.items():
-        by_row.setdefault(k, []).append((j, br, sign * bi))
+        by_row.setdefault(k, []).append((j, br, bi))
     for (i, k), (ar, ai) in left.items():
         for j, br, bi in by_row.get(k, ()):
             key = (i, j)
             x, y = acc.get(key, (0, 0))
             acc[key] = (x + ar * br - ai * bi, y + ar * bi + ai * br)
-
-
-def _products_vanish(terms: Iterable[tuple[int, Matrix, Matrix, bool]]) -> bool:
-    """Whether the sum of sign * (a @ op(b)) over terms (sign, a, b,
-    conjugate) is zero, op(b) being conj(b) where conjugate is set and b
-    otherwise.
-
-    The caller guarantees that the products share one shape.  Every product
-    is brought to the lcm L of the products' denominators by scaling the
-    factor with fewer entries by sign * L / (den_a den_b), an int, and all
-    of them are summed in one Z[i] accumulator, which conjugates b's
-    entries as it reads them; no scalar and no conjugate copy is built.  A
-    term with an empty factor is zero and is skipped.
-    """
-    terms = [t for t in terms if t[1]._num and t[2]._num]
-    if not terms:
-        return True
-    den = lcm(*(a._den * b._den for _, a, b, _ in terms))
-    acc: Entries = {}
-    for sign, a, b, conjugate in terms:
-        left, right = a._num, b._num
-        c = sign * (den // (a._den * b._den))
-        if c != 1:
-            if len(left) <= len(right):
-                left = {k: (c * x, c * y) for k, (x, y) in left.items()}
-            else:
-                right = {k: (c * x, c * y) for k, (x, y) in right.items()}
-        _accumulate(acc, left, right, conjugate)
-    return not any(x or y for x, y in acc.values())
 
 
 def _by_column(m: Matrix) -> dict[int, tuple[int, tuple[int, int]]] | None:

@@ -1,11 +1,18 @@
 """The axiom and morphism checks by matrix products, kept as a second route.
 
-`bicomplex.complexes.validate` and `Morphism` decide each identity as one
-vanishing sum of signed products over Z[i], and build no product matrix.
-This module keeps the checks as they were written first: every product is
-a `Matrix`, the anticommutator is a matrix sum, and the sigma and morphism
-identities compare two products with `!=`.  It shares only `Matrix`, the
-complex accessors, `Violation` and `MorphismError` with the package.
+`bicomplex.complexes.validate` reads the d-axioms off d^2 on the total
+complex, reads some sigma identities off their mirrors, and decides the
+sigma identities and the commutations of a `Morphism` by relabeling stored
+entries where the blocks are partial monomials.  This module keeps the
+checks as they were written first, one per identity and bidegree: every
+product is a `Matrix`, the anticommutator is a matrix sum, and the sigma
+and morphism identities compare two products with `!=`.  It shares only
+`Matrix`, the complex accessors, `Violation` and `MorphismError` with the
+package.  Where the package's blocks are not partial monomials it
+multiplies out and compares both sides with the same `Matrix.__matmul__`
+and `Matrix.__eq__` as this module, so there the two are not independent;
+`test_axiom_checks` checks that route against the Q(i) products of
+`reference_matmul`.
 """
 
 from __future__ import annotations

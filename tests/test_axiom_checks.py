@@ -1,10 +1,11 @@
 """The axiom and morphism checks, by relabeling stored entries where the
-sigma or morphism blocks are monomial, as vanishing sums over Z[i]
+sigma or morphism blocks are monomial, by multiplying out both sides
 elsewhere, and the d-axioms as the blocks of d^2 on the total complex:
 `validate` and `Morphism` against the matrix-product checks of
 `reference_validate`, on complexes and morphisms with one entry perturbed
-at a time, including complexes where only the d-axioms fail so that
-`validate` reads mirrored verdicts; a guard that on valid inputs they
+at a time, including complexes where only the d-axioms fail while every
+sigma identity holds; the product route of `_commutes` against the Q(i)
+products of `reference_matmul`; a guard that on valid inputs the checks
 build no scalar; and guards on the route each check takes and on the
 products `validate` makes under a real structure."""
 
@@ -27,10 +28,11 @@ from bicomplex import (
     validate,
 )
 from bicomplex import linalg
-from bicomplex.complexes import Totalization
+from bicomplex.complexes import Totalization, _commutes
 from bicomplex.scalars import GaussianRational, I, ONE, ZERO
 from call_counter import arguments_of, call_log, calls_into
 from helpers import never_validated
+from reference_matmul import reference_matmul
 from reference_validate import reference_commutation, reference_validate
 from test_frolicher import NIL4, NIL5
 from test_models import LAMBDAS, nil_specs
@@ -133,10 +135,10 @@ def with_d1_through_sigma(a: DoubleComplex, d1: dict) -> DoubleComplex:
 
 
 def test_validate_matches_reference_where_only_d_axioms_fail(iwasawa_model):
-    """With every sigma identity holding, validate reads d2 d2 and the
-    anticommutator at p > q from their mirrors at (q, p).  Perturbing one
-    entry of d1 and rebuilding d2 through sigma breaks only d-axioms, so the
-    mirrored verdicts must still find exactly reference_validate's list."""
+    """Perturbing one entry of d1 and rebuilding d2 through sigma breaks
+    only d-axioms, with every sigma identity holding: the d-axioms, read
+    off d^2 on the total complex at every bidegree, must still find
+    exactly reference_validate's list."""
     nil4 = lie_algebra_model(parse_model_file(NIL4, "nil4")).complex
     r = random_complex(4, (0, 3, 0, 3), 4, with_sigma=True)
     seen: set = set()
@@ -169,56 +171,45 @@ def test_validate_decides_involutions_of_unequal_dimensions_apart():
 @pytest.mark.parametrize("text, name, most", [(NIL4, "nil4", 5), (NIL5, "nil5", 7)],
                          ids=["nil4", "nil5"])
 def test_validate_decides_each_conjugate_pair_once(text, name, most):
-    """A valid complex with a real structure computes neither sigma d2 sigma
-    = d1 nor the d-axioms at p > q, and the involution only at p <= q.  A
-    model's sigma is monomial, so its sigma identities are relabeled with
-    no product: nil4 and nil5 make 5 and 7 products, one block of d^2 per
-    degree, where one vanishing sum per identity and bidegree made 26 and
-    45, deciding the sigma identities by products too 73 and 118, and
-    checking every identity at its own bidegree by products 162 and 260."""
+    """A valid complex with a real structure computes no sigma d2 sigma =
+    d1, and the involution only at p <= q.  A model's sigma is monomial, so
+    its sigma identities are relabeled with no product: nil4 and nil5 make
+    5 and 7 products, one d_{k+1} d_k per degree, where one vanishing sum
+    per identity and bidegree made 26 and 45, deciding the sigma identities
+    by products too 73 and 118, and checking every identity at its own
+    bidegree by products 162 and 260."""
     a = never_validated(lie_algebra_model(parse_model_file(text, name)))
     assert calls_into(linalg._accumulate.__code__, validate, a) <= most
 
 
-def involution_terms(terms) -> bool:
-    """Whether the terms of a `_products_vanish` call are those of the
-    involution S^{q,p} conj(S^{p,q}) - 1 . 1."""
-    (s1, _, _, conj1), (s2, x, y, conj2) = terms
-    return (s1, conj1, s2, conj2) == (1, True, -1, False) and x == y == Matrix.identity(x.rows)
+def conjugated_in(fn, *args) -> list:
+    """The matrices `Matrix.conjugate` is called on during fn(*args): the X
+    of each identity S1 conj(X) = Y S0 that takes the product route."""
+    return [call["self"] for call in arguments_of(Matrix.conjugate.__code__, fn, *args)]
 
 
 def test_a_monomial_sigma_is_decided_by_relabeling():
-    """nil5's sigma identities take no product: no vanishing sum, the
-    involution's included.  Its d-axioms take one unconjugated
-    `_accumulate` per degree k at which d_k and d_{k+1} are nonzero: the
-    columns of d_k's components with p <= q, the mirror giving the rest,
-    times the columns of d_{k+1}'s components with p <= q + 1, which hold
-    their image.  A random complex in random coordinates has a dense sigma
-    and still decides it by products, the involution's among them, with
-    the reference's verdict."""
+    """nil5's sigma identities take no product: nothing is conjugated, the
+    involution's X included.  Its d-axioms take one `_accumulate` per
+    degree k at which d_k and d_{k+1} are nonzero, with the whole d_{k+1}
+    and d_k.  A random complex in random coordinates has a dense sigma and
+    still decides it by products, the involution's among them, with the
+    reference's verdict."""
     a = never_validated(lie_algebra_model(parse_model_file(NIL5, "nil5")))
-    codes = (linalg._accumulate.__code__, linalg._products_vanish.__code__)
-    log = call_log(codes, validate, a)
+    log = call_log((linalg._accumulate.__code__, Matrix.conjugate.__code__), validate, a)
     tot = Totalization.of(a)
     degrees = [k for k in tot.degrees() if {k, k + 1} <= tot.moving]
     assert [name for name, _ in log] == ["_accumulate"] * len(degrees)
-    halved = 0
+    assert len(degrees) == 7
     for (_, args), k in zip(log, degrees):
-        d = tot.differential(k)
-        cut = sum(a.dim(p, q) for p, q in tot.components[k] if p <= q)
-        image = sum(a.dim(p, q) for p, q in tot.components[k + 1] if p <= q + 1)
-        halved += cut < d.cols
-        assert not args["conjugate"]
-        assert args["left"] == tot.differential(k + 1)[:, :image]._num
-        assert args["right"] == d[:, :cut]._num
-    assert halved == len(degrees) == 7
+        assert args["left"] == tot.differential(k + 1)._num
+        assert args["right"] == tot.differential(k)._num
     assert validate(a) == reference_validate(a) == []
 
     r = random_complex(205, (0, 5, 0, 5), 20, with_sigma=True)
-    log = call_log(codes, validate, r)
-    assert any(name == "_products_vanish" and involution_terms(args["terms"])
-               for name, args in log)
-    assert any(name == "_accumulate" and args["conjugate"] for name, args in log)
+    conjugated = conjugated_in(validate, r)
+    assert any(m is x for m in conjugated for x in r.sigma.values())
+    assert any(m is x for m in conjugated for x in r.d1.values())
     assert validate(r) == reference_validate(r)
 
 
@@ -233,7 +224,7 @@ def test_a_rescaled_monomial_sigma_matches_reference():
     assert not entries <= set(UNITS)
     assert len({m._den for m in a.sigma.values()}) > 1
     assert all(linalg._by_column(m) is not None for m in a.sigma.values())
-    assert calls_into(linalg._products_vanish.__code__, validate, a) == 0
+    assert calls_into(Matrix.conjugate.__code__, validate, a) == 0
     seen: set = set()
     assert_same_violations(a, 5, 4, seen)
     assert {"sigma is not an involution", "sigma d1 sigma != d2"} <= seen
@@ -242,8 +233,8 @@ def test_a_rescaled_monomial_sigma_matches_reference():
 def test_a_sigma_with_two_entries_in_one_row_takes_the_product_route():
     """A square sigma block with one entry in each column but two in one
     row is not monomial: the relabeling declines it, and `validate` decides
-    its identities by products, with the reference's verdict, as it does
-    after single-entry perturbations."""
+    the involution and sigma d1 sigma = d2 that it meets by products, with
+    the reference's verdict, as it does after single-entry perturbations."""
     half = Matrix(2, 2, {(0, 0): ONE, (0, 1): ONE})
     assert linalg._by_column(half) is None
     assert linalg._equal_by_relabeling(half, Matrix.identity(2), half, Matrix.identity(2)) is None
@@ -251,8 +242,9 @@ def test_a_sigma_with_two_entries_in_one_row_takes_the_product_route():
     d1 = {(0, 0): Matrix(2, 1, {(0, 0): ONE})}
     d2 = {(0, 0): Matrix(2, 1, {(0, 0): ONE, (1, 0): I})}
     a = DoubleComplex({(0, 0): 1, (0, 1): 2, (1, 0): 2}, d1, d2, sigma)
-    log = arguments_of(linalg._products_vanish.__code__, validate, a)
-    assert {involution_terms(args["terms"]) for args in log} == {True, False}
+    conjugated = conjugated_in(validate, a)
+    assert any(m is a.sigma[(0, 1)] for m in conjugated)
+    assert any(m is a.d1[(0, 0)] for m in conjugated)
     got = validate(a)
     assert got == reference_validate(a) and got
     for b in perturbed_complexes(a, 3, 6):
@@ -277,8 +269,8 @@ def sparse(rng: random.Random, rows: int, cols: int) -> dict:
 
 def test_relabeling_matches_the_products_on_partial_monomials():
     """s1 op(x) = y s0 with s1 and s0 partial monomials of every shape up to
-    4 x 4, empty rows and columns included: the relabeling agrees with the
-    vanishing sum of the two products, with conjugation on and off.  Half
+    4 x 4, empty rows and columns included: the relabeling agrees with
+    multiplying out both sides, with conjugation on and off.  Half
     the cases build y to make the sides equal where s0's empty columns
     allow, with extra entries in the columns of y that s0 drops, and then
     maybe move one entry, so both verdicts occur often."""
@@ -303,9 +295,54 @@ def test_relabeling_matches_the_products_on_partial_monomials():
                 y = Matrix(r, c, entries | {key: entries.get(key, ZERO) + rng.choice(SCALARS)})
         got = linalg._equal_by_relabeling(s1, x, y, s0, conjugate)
         assert got is not None
-        assert got == linalg._products_vanish([(1, s1, x, conjugate), (-1, y, s0, False)])
+        assert got == (s1 @ (x.conjugate() if conjugate else x) == y @ s0)
         verdicts.append(got)
     assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+
+
+def dense(rng: random.Random, rows: int, cols: int, pool) -> Matrix:
+    return Matrix(rows, cols, {(i, j): rng.choice(pool) for i in range(rows)
+                               for j in range(cols) if rng.random() < 0.8})
+
+
+def conjugated(m: Matrix) -> Matrix:
+    """conj(m), entry by entry in Q(i)."""
+    return Matrix(m.rows, m.cols, {k: v.conjugate() for k, v in m.entries.items()})
+
+
+def test_the_product_route_matches_q_i_products():
+    """s1 op(x) = y s0 with s1 or s0 not a partial monomial, so the
+    relabeling declines and `_commutes` multiplies out both sides: it agrees
+    with both sides summed entry by entry in Q(i) (`reference_matmul`), with
+    conjugation on and off.  s1 and s0 draw their entries from pools with
+    different denominators.  Half the cases build x and y from one w, so
+    that s1 op(x) = s1 w s0 = y s0, and then maybe move one entry of y, so
+    both verdicts occur often."""
+    rng = random.Random(11)
+    halves = (ONE, I, GaussianRational.parse("1/2"), GaussianRational.parse("-3/4+1/2i"))
+    thirds = (-ONE, GaussianRational.parse("2/3"), GaussianRational.parse("1-1/9i"))
+    verdicts, unequal = [], 0
+    for _ in range(1200):
+        r, k, c, j = (rng.randint(1, 3) for _ in range(4))
+        s1, s0 = dense(rng, r, k, halves), dense(rng, c, j, thirds)
+        if linalg._equal_by_relabeling(s1, Matrix.zero(k, j), Matrix.zero(r, c), s0) is not None:
+            continue
+        conjugate = rng.random() < 0.5
+        op = conjugated if conjugate else (lambda m: m)
+        x = Matrix(k, j, sparse(rng, k, j))
+        y = Matrix(r, c, sparse(rng, r, c))
+        if rng.random() < 0.5:
+            w = Matrix(k, c, sparse(rng, k, c))
+            x, y = op(reference_matmul(w, s0)), reference_matmul(s1, w)
+            if rng.random() < 0.3:
+                key = (rng.randrange(r), rng.randrange(c))
+                y = Matrix(r, c, y.entries | {key: y.entries.get(key, ZERO) + rng.choice(SCALARS)})
+        want = reference_matmul(s1, op(x)).entries == reference_matmul(y, s0).entries
+        assert _commutes(s1, x, y, s0, conjugate) == want
+        verdicts.append(want)
+        unequal += s1._den != s0._den
+    assert len(verdicts) >= 1000 and unequal > 500
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
 
 def test_two_entries_in_a_row_or_a_column_are_not_relabeled():
@@ -375,10 +412,9 @@ def test_morphism_checks_only_where_a_block_acts(iwasawa_model):
     Neither dot(0, 0) nor the Iwasawa model stores one at any of the three,
     so both sides of every check are zero, and none is made."""
     unit = {(0, 0): Matrix.identity(1)}
-    log = call_log((linalg._equal_by_relabeling.__code__, linalg._products_vanish.__code__),
+    log = call_log((linalg._equal_by_relabeling.__code__, Matrix.__matmul__.__code__),
                    Morphism, dot(0, 0), iwasawa_model.complex, unit)
-    assert [name for name, _ in log].count("_equal_by_relabeling") == 0
-    assert [name for name, _ in log].count("_products_vanish") == 0
+    assert log == []
 
 
 def test_an_identity_checks_each_stored_differential_once(iwasawa_model):
@@ -386,18 +422,18 @@ def test_an_identity_checks_each_stored_differential_once(iwasawa_model):
     every stored d1 and d2 block meets one check, decided by relabeling the
     identity blocks, with no product."""
     a = iwasawa_model.complex
-    log = call_log((linalg._equal_by_relabeling.__code__, linalg._products_vanish.__code__),
+    log = call_log((linalg._equal_by_relabeling.__code__, Matrix.__matmul__.__code__),
                    Morphism.identity, a)
     assert [name for name, _ in log].count("_equal_by_relabeling") == len(a.d1) + len(a.d2) == 8
-    assert [name for name, _ in log].count("_products_vanish") == 0
+    assert [name for name, _ in log].count("__matmul__") == 0
 
 
 def test_a_monomial_morphism_takes_no_product():
     """Every block of nil4's Serre pairing is a signed permutation, and
     every block its checks meet outside the support is 0 x 0, so building
-    it relabels stored entries and sums no product."""
+    it relabels stored entries and multiplies no matrices."""
     model = lie_algebra_model(parse_model_file(NIL4, "nil4"))
-    assert calls_into(linalg._products_vanish.__code__, serre_pairing_morphism, model) == 0
+    assert calls_into(Matrix.__matmul__.__code__, serre_pairing_morphism, model) == 0
 
 
 @pytest.mark.parametrize("build", [

@@ -152,6 +152,17 @@ def test_modification_summand_check_serre(iwasawa_model):
     assert modification_summand_check(iwasawa_model.complex, phi.target, phi)
 
 
+def test_modification_summand_check_refuses_other_endpoints(iwasawa_model, torus1):
+    """The check answers for f, so a source or target other than f's own,
+    as a complex or as a model carrying one, is an error, not a verdict."""
+    phi = serre_pairing_morphism(iwasawa_model)
+    assert modification_summand_check(iwasawa_model, phi.target, phi)
+    with pytest.raises(ValueError, match="source"):
+        modification_summand_check(torus1, phi.target, phi)
+    with pytest.raises(ValueError, match="target"):
+        modification_summand_check(iwasawa_model.complex, iwasawa_model.complex, phi)
+
+
 def test_as_complex_type_error():
     with pytest.raises(TypeError):
         as_complex(42)

@@ -1,7 +1,9 @@
 import random
 import time
+import tokenize
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -1069,3 +1071,18 @@ def test_lone_pivots_cost_no_arithmetic():
     assert pivot_columns(m) == tuple(range(0, 3 * n, 3))
     for helper in (linalg._combine, linalg._primitive):
         assert calls_into(helper.__code__, pivot_columns, m) == 0, helper.__name__
+
+
+def test_only_linalg_reads_the_stored_form():
+    """No module of the package but `linalg` reads a Matrix's stored form:
+    no attribute access `._num` or `._den` appears in any other source
+    file's tokens."""
+    readers = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        with path.open("rb") as source:
+            tokens = [t for t in tokenize.tokenize(source.readline)
+                      if t.type in (tokenize.OP, tokenize.NAME)]
+        if any(dot.string == "." and name.string in ("_num", "_den")
+               for dot, name in zip(tokens, tokens[1:])):
+            readers.add(path.name)
+    assert readers == {"linalg.py"}
