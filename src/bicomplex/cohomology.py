@@ -144,11 +144,12 @@ five tables the dual's are five dict reads; called first, they find a's
 tables on a's Analysis, and the dual's own Analysis stores no rank.
 `induced_cohomology_map` reads both sides' spaces from the Analysis, and
 the source's coset representatives, and reads each key's map off one
-elimination of the target frame (`linalg._induced_map`); the map is kept
-on the Morphism by kind.  The E1-isomorphism test, `is_E1_isomorphism`,
-reads its witnesses off the induced Dolbeault map, so neither reduces a
-complex's spaces twice, and the induced Dolbeault map after the E1 test
-eliminates nothing.
+elimination of the target frame, or, where the target has no boundaries,
+off the target cycles' unit rows with no elimination
+(`linalg._induced_map`); the map is kept on the Morphism by kind.  The
+E1-isomorphism test, `is_E1_isomorphism`, reads its witnesses off the
+induced Dolbeault map, so neither reduces a complex's spaces twice, and
+the induced Dolbeault map after the E1 test eliminates nothing.
 `frolicher` stores the total ranks as a by-product of its reductions, and
 `de_rham` reads them or, called first, ranks d_n with `linalg.rank` (the
 peel, then one-step Bareiss on lists if the core has no zero entry, or else
@@ -925,7 +926,9 @@ def induced_cohomology_map(f: Morphism, kind: str) -> dict:
     Keys are bidegrees, or plain degrees for kind="de_rham".  The cycles and
     boundaries of each side, and the source's coset representatives, come
     from the Analysis of its complex; each key is then one elimination of
-    the target frame (`linalg._induced_map`).  Coset bases are chosen
+    the target frame, except where the target has no boundaries, whose map
+    is read off the unit rows of the target cycles with no elimination
+    (`linalg._induced_map`).  Coset bases are chosen
     deterministically, so induced matrices compose functorially.  The map
     is kept on f by kind, and each call returns a fresh dict of it.
     """

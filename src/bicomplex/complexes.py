@@ -368,7 +368,9 @@ def validate(a: DoubleComplex) -> list[Violation]:
     proof), with no product.  Any other sigma, such as the dense one of a
     random change of basis, takes the product route: both sides are
     multiplied out, X conjugated first, and compared.  Both routes are
-    `_commutes`.  On a valid complex no scalar is built.
+    `_commutes`, except that the involution's product route compares
+    S^{q,p} conj(S^{p,q}) with the identity itself, and multiplies no
+    1 . 1.  On a valid complex no scalar is built.
 
     The list is recorded on a, and a later call returns a copy of it and
     makes no product.  `dual` of a complex found valid and
@@ -411,8 +413,9 @@ def validate(a: DoubleComplex) -> list[Violation]:
         ones = {n: Matrix.identity(n) for n in set(a.dims.values())}
 
         def involution(p: int, q: int) -> bool:
-            one = ones[a.dim(p, q)]
-            return _commutes(s(q, p), s(p, q), one, one, True)
+            one, back, there = ones[a.dim(p, q)], s(q, p), s(p, q)
+            found = _equal_by_relabeling(back, there, one, one, True)
+            return back @ there.conjugate() == one if found is None else found
 
         square = all(a.dim(q, p) == n for (p, q), n in a.dims.items())
         decide(inv, involution, inv if square else None)

@@ -29,11 +29,15 @@ an RREF.  The canonical basis of a kernel needs no second RREF
 reversed, read back in the original order, is it.  The vectors that `row`
 and `column` return are tuples of GaussianRational.
 
-A subquotient frame takes one elimination.  The pivots of a prefix of
-columns do not depend on the columns after it, so one RREF of
-[b_tgt | z_tgt | f b_src | f reps_src] decides both containments that make
-f descend to z/b, finds the target's coset representatives, and gives the
-induced matrix as the representatives' rows of its last block
+A subquotient frame takes one elimination, except where the target has
+no boundaries.  The pivots of a prefix of columns do not depend on the
+columns after it, so one RREF of [b_tgt | z_tgt | f b_src | f reps_src]
+decides both containments that make f descend to z/b, finds the target's
+coset representatives, and gives the induced matrix as the
+representatives' rows of its last block (`_eliminated_map`).  Without
+target boundaries, the cycle bases the tables build hold a unit row for
+each column, a row whose one entry is that column's 1, and the induced
+matrix is the rows of f reps_src at those rows, checked by two products
 (`_induced_map`).  Its caller supplies the source's representatives:
 `cohomology` finds them with `coset_representatives` once per complex,
 kind and key, and keeps them on the complex's Analysis.
@@ -997,16 +1001,65 @@ def coset_representatives(z: Matrix, b: Matrix) -> Matrix:
     return _select_columns(z, [p - b.cols for p in pivots if p >= b.cols])
 
 
+def _unit_rows(z: Matrix) -> dict[int, int] | None:
+    """row -> column j, for one row of z per column j whose one entry is a 1
+    at column j (the first such row met); None if some column has none."""
+    one, only = (z._den, 0), {}
+    for (i, j), v in z._num.items():
+        only[i] = (j, v) if i not in only else None
+    found = {}
+    for i, entry in only.items():
+        if entry is not None and entry[1] == one:
+            found.setdefault(entry[0], i)
+    return {i: j for j, i in found.items()} if len(found) == z.cols else None
+
+
 def _induced_map(f: Matrix, reps_src: Matrix, b_src: Matrix,
                  z_tgt: Matrix, b_tgt: Matrix) -> Matrix:
     """Matrix of the map (z_src/b_src) -> (z_tgt/b_tgt) induced by f, given
-    the source's coset representatives reps_src, from one RREF of
-    [b_tgt | z_tgt | f b_src | f reps_src].  Raises NotASubspace unless
-    b_tgt has independent columns, and NotWellDefined unless f maps
+    the source's coset representatives reps_src.  Raises NotASubspace
+    unless b_tgt has independent columns, and NotWellDefined unless f maps
     span(b_src) into span(b_tgt) and span(z_src) into
     span(z_tgt) + span(b_tgt).  The target's coset bases are those of
     `coset_representatives`, so induced matrices compose:
     induced(g @ f) = induced(g) @ induced(f).
+
+    A target with no boundaries takes no elimination where z_tgt has a unit
+    row for each column (`_unit_rows`): rows S, S[j] holding a single
+    entry, a 1 at column j, so that z_tgt[S] = I.  Every cycle basis of
+    `cohomology.Analysis.spaces` has them: `kernel_basis` puts the 1 of
+    each basis vector at its free column, a row no other vector touches,
+    `_canonical_kernel` at each vector's lead, and the whole space,
+    `Matrix.identity`, in every row.  With b_tgt empty, the target's coset
+    basis is z_tgt itself (`coset_representatives` of z and nothing picks
+    every column of a basis), and the induced matrix is the C with
+    z_tgt C = f reps_src.  Such a C is unique, since z_tgt[S] = I makes
+    z_tgt's columns independent, and if it exists it is
+    (z_tgt C)[S] = (f reps_src)[S].  So C is read off the rows S of
+    f reps_src, and the map is well defined exactly when f b_src = 0, the
+    only vector of span(b_tgt), and z_tgt C == f reps_src, both checked
+    with plain products.  Neither product is made where it cannot fail:
+    f b_src has no column without source boundaries, and where S holds
+    every row, (z_tgt C)[S] = C = (f reps_src)[S] is the whole equation.
+    If a check fails, or z_tgt has no unit rows, the frame is eliminated
+    instead (`_eliminated_map`), which then raises the error that names
+    the failure.
+    """
+    if not b_tgt.cols:
+        at = _unit_rows(z_tgt)
+        if at is not None and (not b_src.cols or (f @ b_src).is_zero()):
+            image = f @ reps_src
+            c = _matrix(z_tgt.cols, image.cols, image._den,
+                        {(at[i], k): v for (i, k), v in image._num.items() if i in at})
+            if len(at) == z_tgt.rows or z_tgt @ c == image:
+                return c
+    return _eliminated_map(f, reps_src, b_src, z_tgt, b_tgt)
+
+
+def _eliminated_map(f: Matrix, reps_src: Matrix, b_src: Matrix,
+                    z_tgt: Matrix, b_tgt: Matrix) -> Matrix:
+    """`_induced_map` from one RREF of [b_tgt | z_tgt | f b_src | f reps_src],
+    for any target frame.
 
     The pivots of a prefix of columns do not depend on the later columns, so:
     the pivots among b_tgt are all of b_tgt exactly when its columns are

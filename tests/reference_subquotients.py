@@ -5,8 +5,10 @@ induced map off the blocks its Analysis keeps.  This module builds the
 Bott-Chern and Aeppli cycles and boundaries straight from the stored d1
 and d2 blocks (`bott_chern_spaces`, `aeppli_spaces`), and the subspace
 operations that compare them: sums, intersections, containment, the
-dimension of a subquotient and the map a matrix induces on one.  It shares
-only `Matrix` and the elimination routines with the package.
+dimension of a subquotient and the map a matrix induces on one, solved for
+column by column rather than read off the package's frame
+(`linalg._induced_map`).  It shares only `Matrix` and the elimination
+routines with the package.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from bicomplex.complexes import DoubleComplex
 from bicomplex.linalg import (
     Matrix,
     NotASubspace,
-    _induced_map,
+    NotWellDefined,
     canonical_span,
     coset_representatives,
     hstack,
@@ -82,11 +84,21 @@ def induced_subquotient_map(f: Matrix, z_src: Matrix, b_src: Matrix,
 
     Coset bases are the deterministic representatives of coset_representatives,
     so induced matrices compose: induced(g @ f) = induced(g) @ induced(f).
-    The source's are found here, and the map is read off one elimination
-    (`_induced_map`).  Raises NotASubspace unless b_src and b_tgt each have
-    independent columns, and NotWellDefined unless f maps span(b_src) into
-    span(b_tgt) and span(z_src) into span(z_tgt) + span(b_tgt).
+    Both sides' representatives are found here, and the map is solved for:
+    f b_src must solve in b_tgt, and each column of f reps_src in the basis
+    [b_tgt | reps_tgt], whose coordinates on reps_tgt are its column of the
+    induced matrix (`solve_columns`).  Raises NotASubspace unless b_src and
+    b_tgt each have independent columns, and NotWellDefined, with the
+    package's messages, unless f maps span(b_src) into span(b_tgt) and
+    span(z_src) into span(z_tgt) + span(b_tgt).
     """
     if f.cols != z_src.rows or f.rows != z_tgt.rows:
         raise AmbientMismatch("map shape does not match the ambient spaces")
-    return _induced_map(f, coset_representatives(z_src, b_src), b_src, z_tgt, b_tgt)
+    reps_src = coset_representatives(z_src, b_src)
+    reps_tgt = coset_representatives(z_tgt, b_tgt)
+    if solve_columns(b_tgt, f @ b_src) is None:
+        raise NotWellDefined("f does not map the source boundaries into the target boundaries")
+    coords = solve_columns(hstack([b_tgt, reps_tgt]), f @ reps_src)
+    if coords is None:
+        raise NotWellDefined("f does not map the source cycles into the target cycles")
+    return coords[b_tgt.cols:, :]

@@ -444,3 +444,18 @@ def test_a_monomial_morphism_takes_no_product():
 def test_valid_inputs_build_no_scalars(build, iwasawa_model, torus1):
     fn, arg = build(iwasawa_model, torus1)
     assert calls_into(GaussianRational.__init__.__code__, fn, arg) == 0
+
+
+def test_the_involution_product_route_multiplies_no_identities():
+    """A sigma from a random change of basis is not a partial monomial, so
+    its involution checks take the product route, which compares
+    S^{q,p} conj(S^{p,q}) with the identity itself: no product of `validate`
+    has two identity operands, and its list is reference_validate's."""
+    a = random_complex(205, (0, 5, 0, 5), 20, with_sigma=True)
+
+    def identity(m):
+        return m.rows == m.cols and m == Matrix.identity(m.rows)
+
+    products = arguments_of(Matrix.__matmul__.__code__, validate, a)
+    assert products and not [p for p in products if identity(p["self"]) and identity(p["other"])]
+    assert validate(a) == reference_validate(a)

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -752,6 +753,68 @@ def test_induced_maps_eliminate_at_most_once_per_key():
             assert "coset_representatives" not in names, kind
             made += eliminations
     assert made > 0
+
+
+def frames(f, kind):
+    """(key, block, source cycles, source boundaries, source
+    representatives, target cycles, target boundaries) at each key of f's
+    induced map of `kind`, read as induced_cohomology_map reads them."""
+    source, target = Analysis.of(f.source), Analysis.of(f.target)
+    if kind == "de_rham":
+        keys = set(source.totalization.degrees()) | set(target.totalization.degrees())
+        block = lambda k: source.totalization.embed_block(f, k, target.totalization)
+    else:
+        keys = set(f.source.dims) | set(f.target.dims)
+        block = lambda pq: f.block_at(*pq)
+    for x in sorted(keys):
+        yield (x, block(x), *source.spaces(kind, x), source.representatives(kind, x),
+               *target.spaces(kind, x))
+
+
+def pairings_and_sum_maps(presets):
+    """The Serre pairings of Iwasawa, torus1-3 and nil4, and the inclusions
+    and quotient projection of direct sums of property-suite complexes."""
+    models = [presets[name] for name in ("iwasawa", "torus1", "torus2", "torus3")]
+    models.append(lie_algebra_model(parse_model_file(NIL4, "nil4")))
+    morphisms = [serre_pairing_morphism(m) for m in models]
+    small = [case for case in PROPERTY_CASES if case[1] != (0, 5, 0, 5)]
+    for k in range(0, len(small), 9):
+        (s, window, size, sigma), (t, window2, size2, sigma2) = small[k], small[k + 1]
+        a = random_complex(s, window, size, with_sigma=sigma)
+        _, ia, ib = direct_sum(a, random_complex(t, window2, size2, with_sigma=sigma2))
+        morphisms += [ia, ib, quotient(ia)[1]]
+    return morphisms
+
+
+def test_induced_maps_match_the_reference_and_the_eliminated_frame(presets):
+    """At every kind and key, the induced map equals the reference's, which
+    solves for it column by column, and the map read off one elimination
+    of the target frame; both keys without target boundaries, read off the
+    target cycles' unit rows, and keys with them occur."""
+    seen = Counter()
+    for f in pairings_and_sum_maps(presets):
+        for kind in TABLES:
+            got = induced_cohomology_map(f, kind)
+            for x, block, z_src, b_src, reps, z_tgt, b_tgt in frames(f, kind):
+                want = induced_subquotient_map(block, z_src, b_src, z_tgt, b_tgt)
+                assert got[x] == want == linalg._eliminated_map(block, reps, b_src, z_tgt, b_tgt)
+                seen[bool(b_tgt.cols)] += 1
+    assert seen[False] > 0 and seen[True] > 0
+
+
+def test_a_boundary_free_key_eliminates_nothing(presets):
+    """Each key whose target has no boundaries makes no rref and no
+    _echelon call, and each other key one elimination of its frame."""
+    codes = (linalg.rref.__code__, linalg._echelon.__code__)
+    seen = Counter()
+    for f in pairings_and_sum_maps(presets)[::2]:
+        for kind in TABLES:
+            for x, block, _, b_src, reps, z_tgt, b_tgt in frames(f, kind):
+                log = call_log(codes, linalg._induced_map, block, reps, b_src, z_tgt, b_tgt)
+                names = [name for name, _ in log]
+                assert names == (["rref", "_echelon"] if b_tgt.cols else []), (kind, x)
+                seen[bool(b_tgt.cols)] += 1
+    assert seen[False] > 0 and seen[True] > 0
 
 
 def test_an_induced_map_is_kept_on_its_morphism():

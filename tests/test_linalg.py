@@ -29,7 +29,7 @@ from bicomplex.linalg import (
 )
 from bicomplex.scalars import ZERO, gauss, I
 
-from call_counter import calls_into
+from call_counter import call_log, calls_into
 from helpers import never_validated
 from oracles import bareiss_rank, gaussian_divides, gaussian_gcd, member_of_span
 from reference_echelon import reference_echelon
@@ -366,12 +366,17 @@ def test_subquotient_dim_against_rank_oracle():
         assert got == want
 
 
+def induced(f, z_src, b_src, z_tgt, b_tgt):
+    """The package's induced map, the source's representatives found first."""
+    return linalg._induced_map(f, coset_representatives(z_src, b_src), b_src, z_tgt, b_tgt)
+
+
 def test_induced_map_identity_and_zero():
     full = Matrix.identity(3)
     e1 = Matrix.from_columns([vector([1, 0, 0])], 3)
-    m = induced_subquotient_map(Matrix.identity(3), full, e1, full, e1)
+    m = induced(Matrix.identity(3), full, e1, full, e1)
     assert m == Matrix.identity(2)
-    z = induced_subquotient_map(Matrix.zero(3, 3), full, e1, full, e1)
+    z = induced(Matrix.zero(3, 3), full, e1, full, e1)
     assert z == Matrix.zero(2, 2)
 
 
@@ -381,12 +386,12 @@ def test_induced_map_not_well_defined():
     e2 = Matrix.from_columns([vector([0, 1])], 2)
     swap = Matrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(NotWellDefined):
-        induced_subquotient_map(swap, full, e1, full, e1)
+        induced(swap, full, e1, full, e1)
     # restricting the cycles also fails: f does not map span(e1) into span(e1)
     with pytest.raises(NotWellDefined):
-        induced_subquotient_map(swap, e1, Matrix.zero(2, 0), e1, Matrix.zero(2, 0))
+        induced(swap, e1, Matrix.zero(2, 0), e1, Matrix.zero(2, 0))
     # but it is well defined onto the other line
-    ok = induced_subquotient_map(swap, e1, Matrix.zero(2, 0), e2, Matrix.zero(2, 0))
+    ok = induced(swap, e1, Matrix.zero(2, 0), e2, Matrix.zero(2, 0))
     assert ok == Matrix.identity(1)
 
 
@@ -418,10 +423,75 @@ _DEPENDENT = "denominator vectors are dependent"
         "cycles not mapped"])
 def test_induced_map_faults(f, z_src, b_src, z_tgt, b_tgt, error, message):
     """Each fault raises its own exception class and message, read off the
-    one elimination of the target frame."""
-    with pytest.raises(error) as exc:
-        induced_subquotient_map(f, z_src, b_src, z_tgt, b_tgt)
-    assert type(exc.value) is error and str(exc.value) == message
+    one elimination of the target frame, and the reference, which solves
+    for the map, raises the same."""
+    for route in (induced, induced_subquotient_map):
+        with pytest.raises(error) as exc:
+            route(f, z_src, b_src, z_tgt, b_tgt)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_boundary_free_target_takes_no_elimination():
+    """Without target boundaries the map is read off the rows of f reps_src
+    at the target cycles' unit rows, with no elimination, on the whole
+    space, a kernel basis and a canonical kernel basis; it equals the
+    eliminated frame's map and the reference's."""
+    rng = random.Random(39)
+    codes = (rref.__code__, _echelon.__code__)
+    for _ in range(12):
+        g = random_matrix(rng, 2, 6)
+        for z_tgt in (Matrix.identity(6), kernel_basis(g), _canonical_kernel(g)):
+            assert linalg._unit_rows(z_tgt) is not None
+            # f kills ker h, so it maps the source boundaries to zero.
+            h = random_matrix(rng, 5, 6)
+            f = z_tgt @ random_matrix(rng, z_tgt.cols, 5) @ h
+            if rng.random() < 0.5:
+                z_src, b_src = Matrix.identity(6), kernel_basis(h)[:, :1]
+            else:
+                z_src, b_src = kernel_basis(random_matrix(rng, 3, 6)), Matrix.zero(6, 0)
+            reps = coset_representatives(z_src, b_src)
+            args = (f, reps, b_src, z_tgt, Matrix.zero(6, 0))
+            assert call_log(codes, linalg._induced_map, *args) == []
+            m = linalg._induced_map(*args)
+            assert m == linalg._eliminated_map(*args)
+            assert m == induced_subquotient_map(f, z_src, b_src, z_tgt, Matrix.zero(6, 0))
+
+
+@pytest.mark.parametrize("f, z_src, b_src, z_tgt, message", [
+    # f b_src is a nonzero vector, and the target has no boundaries.
+    (_SWAP, Matrix.identity(3), _cols(_E1), Matrix.identity(3), _BOUNDARIES),
+    (_SWAP, _cols(_E1, _E2), _cols(_E1), Matrix.identity(3), _BOUNDARIES),
+    # z_tgt has unit rows, and f reps_src leaves its span.
+    (_SWAP, _cols(_E1), _cols(), _cols(_E1), _CYCLES),
+    (Matrix.identity(3), Matrix.identity(3), _cols(), _cols((1, 1, 0), (0, 0, 1)), _CYCLES),
+], ids=["boundaries into the whole space", "boundaries into a plane", "cycles off a line",
+        "cycles off a plane"])
+def test_a_boundary_free_target_reports_the_eliminated_faults(f, z_src, b_src, z_tgt, message):
+    """A failed check of the boundary-free route falls through to the
+    eliminated frame, which raises the message the frame always raised."""
+    args = (f, coset_representatives(z_src, b_src), b_src, z_tgt, _cols())
+    for route in (linalg._induced_map, linalg._eliminated_map):
+        with pytest.raises(NotWellDefined) as exc:
+            route(*args)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("z_tgt, f, z_src, want", [
+    # No row holds a lone 1: the one entry of row 0 is 2.
+    (_cols((2, 0, 0)), Matrix.identity(3), _cols(_E1), Matrix(1, 1, {(0, 0): gauss(Fraction(1, 2))})),
+    # Row 2 is a unit row of column 0, and column 1 has none.
+    (_cols((1, 1, 1), (1, -1, 0)), Matrix.identity(3), _cols((1, 1, 1), (1, -1, 0)),
+     Matrix.identity(2)),
+    (_cols((1, 1, 1), (1, -1, 0)), _SWAP, _cols((1, 1, 1), (-1, 1, 0)), Matrix.identity(2)),
+], ids=["scaled line", "plane", "swapped plane"])
+def test_cycles_without_unit_rows_fall_back_to_one_elimination(z_tgt, f, z_src, want):
+    """A target cycle basis without a unit row for each column is
+    eliminated once, and the map is the eliminated frame's."""
+    assert linalg._unit_rows(z_tgt) is None
+    args = (f, coset_representatives(z_src, _cols()), _cols(), z_tgt, _cols())
+    assert calls_into(_echelon.__code__, linalg._induced_map, *args) == 1
+    assert linalg._induced_map(*args) == linalg._eliminated_map(*args) == want
+    assert want == induced_subquotient_map(f, z_src, _cols(), z_tgt, _cols())
 
 
 def test_induced_map_commuting_square():
@@ -435,7 +505,8 @@ def test_induced_map_commuting_square():
         # force well-definedness by taking the target to be everything
         z_tgt = Matrix.identity(5)
         b_tgt = image_basis(random_matrix(rng, 5, 2))
-        m = induced_subquotient_map(f, z_src, b_src, z_tgt, b_tgt)
+        m = induced(f, z_src, b_src, z_tgt, b_tgt)
+        assert m == induced_subquotient_map(f, z_src, b_src, z_tgt, b_tgt)
         reps_src = coset_representatives(z_src, b_src)
         reps_tgt = coset_representatives(z_tgt, b_tgt)
         frame = hstack([b_tgt, reps_tgt])
